@@ -250,9 +250,11 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     for record in doc.get("entries", []):
         element = EnvElement.from_json_dict(record["element"], ambient.basis,
                                             form.ring)
-        if bindings:
-            element = element.substitute(bindings)
         residue = reduce_iwasawa(element, spec)
+        if bindings:
+            # Bind after reducing: the spec's k- and a-values carry the same
+            # symbols as the element, and binding commutes with reduction.
+            residue = residue.substitute(bindings)
         zero = residue.is_zero()
         all_zero = all_zero and zero
         entries.append({
@@ -292,8 +294,12 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
 def _root_system(args: argparse.Namespace):
     if args.form == "upq":
         p, q = _need(args, "p", "q")
+        if not 1 <= q <= p:
+            raise UsageError(f"--form upq needs 1 <= --q <= --p, got p={p} q={q}")
         return upq_root_system(p, q)
     (n,) = _need(args, "n")
+    if n < 1:
+        raise UsageError(f"--form {args.form} needs --n >= 1, got {n}")
     return spnr_root_system(n) if args.form == "spnr" else glnr_root_system(n)
 
 

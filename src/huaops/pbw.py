@@ -533,41 +533,61 @@ class EnvElement:
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})
 
 
-def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
-    """Re-express an element over another closed basis of the same span.
+def _word_image(
+    target: OrderedBasis,
+    images: Sequence[LinearCombo],
+    mono: Monomial,
+    cache: Dict[Tuple[str, Monomial], Dict[Monomial, Fraction]],
+    dropped: range,
+) -> Dict[Monomial, Fraction]:
+    """Normal form over ``target`` of a source monomial, minus ``dropped``-led terms.
 
-    Every source generator's ambient matrix is expanded over ``target``; a
-    source monomial then maps to the normal-ordered product of those images
-    (computed once per monomial and cached on the source basis).
+    The word is multiplied in from the left, one generator at a time, and
+    every monomial whose leading generator lies in ``dropped`` is discarded
+    after each step.  That is exact when ``dropped`` is the first zone and
+    spans a subalgebra x: those monomials then span x U(g), a right ideal,
+    so no later factor can bring a discarded term back.  Images of all word
+    prefixes are memoised in ``cache``.
     """
+    key = (target.basis_id, mono)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    if not mono:
+        return {(): _ONE}
+    g, e = mono[-1]
+    prefix = mono[:-1] + ((g, e - 1),) if e > 1 else mono[:-1]
+    acc: Dict[Monomial, Fraction] = {}
+    for tm, c in _word_image(target, images, prefix, cache, dropped).items():
+        for k, ck in images[g]:
+            for m2, c2 in target.mul_mono_gen(tm, k).items():
+                if m2 and m2[0][0] in dropped:
+                    continue
+                c3 = c * ck * c2
+                prev = acc.get(m2)
+                acc[m2] = c3 if prev is None else prev + c3
+    result = {m: c for m, c in acc.items() if c != 0}
+    cache[key] = result
+    return result
+
+
+def _map_terms(
+    elem: EnvElement,
+    target: OrderedBasis,
+    cache: Dict[Tuple[str, Monomial], Dict[Monomial, Fraction]],
+    dropped: range,
+) -> EnvElement:
+    """Map every monomial of ``elem`` through :func:`_word_image` and sum."""
     source = elem.basis
-    if source is target:
-        return elem
     if source.ambient != target.ambient:
         raise ValueError("bases live in different ambient gl_N")
     images: List[LinearCombo] = []
     for mat in source.matrices:
         coords = target.expand_matrix(mat)
         images.append(tuple((k, c) for k, c in enumerate(coords) if c != 0))
-    cache = source._conversion_cache
     out: Dict[Monomial, ParamPoly] = {}
     for mono, poly in elem.terms.items():
-        key = (target.basis_id, mono)
-        image = cache.get(key)
-        if image is None:
-            image = {(): _ONE}
-            for g, e in mono:
-                for _ in range(e):
-                    nxt: Dict[Monomial, Fraction] = {}
-                    for tm, c in image.items():
-                        for k, ck in images[g]:
-                            for m2, c2 in target.mul_mono_gen(tm, k).items():
-                                c3 = c * ck * c2
-                                prev = nxt.get(m2)
-                                nxt[m2] = c3 if prev is None else prev + c3
-                    image = {m: c for m, c in nxt.items() if c != 0}
-            cache[key] = image
-        for m, c in image.items():
+        for m, c in _word_image(target, images, mono, cache, dropped).items():
             q = out.get(m)
             q = poly * c if q is None else q + poly * c
             if q.is_zero():
@@ -575,6 +595,36 @@ def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
             else:
                 out[m] = q
     return EnvElement(target, elem.ring, out)
+
+
+def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
+    """Re-express an element over another closed basis of the same span.
+
+    Every source generator's ambient matrix is expanded over ``target``; a
+    source monomial then maps to the normal-ordered product of those images.
+    This full conversion is the test oracle for :func:`project_mod_n`; the
+    reduction path never calls it, and it keeps no cache between calls.
+    """
+    if elem.basis is target:
+        return elem
+    return _map_terms(elem, target, {}, range(0))
+
+
+def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
+    """The image of ``elem`` in U(g)/nU(g), over the n-free monomials of ``target``.
+
+    ``target`` must list its ``n`` zone first, so that a normal-ordered
+    monomial lies in nU(g) iff it leads with an n-generator and U(g) is the
+    direct sum of nU(g) and the span of the n-free monomials.  The result
+    equals :func:`change_basis` with every n-leading monomial dropped, but
+    those monomials are never built.  The images of source monomials and
+    their prefixes are rational and depend only on the two bases, so they
+    are cached on the source basis and shared by every later call.
+    """
+    if target.zones[0] != "n":
+        raise ValueError(f"basis {target.basis_id} does not lead with an n zone")
+    return _map_terms(elem, target, elem.basis._conversion_cache,
+                      target.zone_indices("n"))
 
 
 def naive_normal_order(

@@ -9,7 +9,11 @@ whose zones are ``(n, a, k)``: monomials are normal-ordered words
 then has a unique representative in the commutative algebra U(a): the n-part
 kills a monomial outright, the trailing k-part peels off factor by factor
 into character values, and an optional a-assignment evaluates what is left.
-:func:`gamma` and :func:`gamma_ell` compose this projection with the rho
+An element over another basis of the same algebra (the ambient Verma basis
+of the generator matrices) is not converted to the Iwasawa basis first: it
+is projected straight onto U(g)/nU(g) by :func:`~huaops.pbw.project_mod_n`,
+multiplying each word in from the left and dropping n-leading monomials as
+they appear, with word images cached per basis pair.  :func:`gamma` and :func:`gamma_ell` compose this projection with the rho
 shift ``H -> H + rho(H)`` to give the radial (Harish-Chandra style) images.
 
 On top of the engine sit the verification drivers for the catalog identity
@@ -36,7 +40,7 @@ from .liedata import RealFormData, make_algebra, make_glnr, make_spnr, make_upq
 from .matop import GeneratorSet, OpMatrix, ideal_generators
 from .minpoly import upq_complexified_theta, upq_lambda_schedule
 from .params import ParamPoly, ParamRing, as_fraction
-from .pbw import EnvElement, OrderedBasis, change_basis, make_matrix
+from .pbw import EnvElement, OrderedBasis, make_matrix, project_mod_n
 
 ScalarLike = Union[ParamPoly, Fraction, int]
 
@@ -373,16 +377,20 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec
                    ) -> Union[AElement, ParamPoly]:
     """Project onto U(a) modulo the left ideal described by ``spec``.
 
-    Monomials with a leading n-factor are dropped, the trailing k-part is
+    An element over another basis (such as the ambient Verma basis) is first
+    projected onto U(g)/nU(g) over ``spec.basis`` by
+    :func:`~huaops.pbw.project_mod_n`, which never builds its n-leading
+    monomials; an element already over ``spec.basis`` has those monomials
+    dropped here.  The trailing k-part of each remaining monomial is then
     peeled into character values, and (if present) the a-assignment
     evaluates the remainder.  Returns the scalar when the a-assignment is
     total, otherwise the :class:`AElement` representative.
     """
     basis = spec.basis
-    if u.basis is not basis and u.basis.basis_id != basis.basis_id:
-        u = change_basis(u, basis)
     if basis.zones[:2] != ("n", "a"):
         raise ValueError(f"basis {basis.basis_id} is not Iwasawa-ordered")
+    if u.basis is not basis and u.basis.basis_id != basis.basis_id:
+        u = project_mod_n(u, basis)
     ring = u.ring
     n_zone = basis.zone_indices("n")
     a_zone = basis.zone_indices("a")

@@ -77,6 +77,30 @@ def test_round_trip_ideal_reduce(tmp_path, capsys):
     assert got == want
 
 
+def test_bound_reduce_matches_unbound_residue(tmp_path, capsys):
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    code, reduced = _run_json(
+        capsys,
+        ["reduce"] + argv + ["--in", str(blob), "--bind", "mu_1=7/3", "--bind", "t=-2"],
+    )
+    assert code == 0
+    assert reduced["allZero"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--form", "upq", "--p", "1", "--q", "2"], ["--form", "spnr", "--n", "0"], ["--form", "glnr", "--n", "0"]],
+    ids=["upq", "spnr", "glnr"],
+)
+def test_cfun_rejects_bad_rank(capsys, argv):
+    code = run(["cfun"] + argv)
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_json_output_is_byte_identical(tmp_path, capsys):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     argv = ["verify", "sp-hua", "--n", "1"]

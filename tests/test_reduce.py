@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq
 from huaops.matop import generator_matrix, trace_power
 from huaops.params import ParamRing
@@ -187,15 +188,35 @@ def test_rho_shift_moves_a_generators():
         assert (res - expected).is_zero()
 
 
-def test_reduction_accepts_ambient_verma_elements():
-    form = make_upq(1, 1)
+# make_spnr(2) is left out: its Verma basis is not in the span of its
+# Iwasawa basis, so both paths raise the same ValueError.
+@pytest.mark.parametrize(
+    "form",
+    [make_upq(1, 1), make_upq(2, 1), make_upq(2, 2), make_spnr(1), make_glnr(2), make_glnr(3)],
+    ids=lambda f: f.name + str(f.params),
+)
+def test_reduction_accepts_ambient_verma_elements(form):
     verma = form.complex_algebra.basis
     spec = _soundness_spec(form)
     rng = random.Random(37)
-    u = _random_element(verma, form.ring, rng)
-    direct = reduce_iwasawa(change_basis(u, form.basis), spec)
-    implicit = reduce_iwasawa(u, spec)
-    assert (implicit - direct).is_zero()
+    for _ in range(6):
+        u = _random_element(verma, form.ring, rng, max_degree=3, max_terms=6)
+        converted = change_basis(u, form.basis)
+        assert (reduce_iwasawa(u, spec) - reduce_iwasawa(converted, spec)).is_zero()
+        assert (gamma(u, form) - gamma(converted, form)).is_zero()
+
+
+def test_projection_matches_change_basis_on_perturbed_theorem(monkeypatch):
+    def residues():
+        report = upq_theorem_case(2, 2, (1, 2), perturb=True)
+        return [c["residue"] for c in report["checks"]]
+
+    projected = residues()
+    monkeypatch.setattr(reduce_module, "project_mod_n", change_basis)
+    converted = residues()
+    assert projected == converted
+    assert len(projected) == 16
+    assert sum(r != "0" for r in projected) == 8
 
 
 def test_upq_a_substitution_spec_is_total():
