@@ -21,15 +21,16 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cfun import c_function, e_c_line_bundle, e_function
-from .liedata import (glnr_root_system, make_algebra, make_upq, satake_table,
+from .liedata import (glnr_root_system, make_algebra, satake_table,
                       spnr_root_system, upq_root_system)
 from .matop import GeneratorSet, ideal_generators
-from .minpoly import THETA, THETA_BAR, ThetaData, upq_complexified_theta
+from .minpoly import THETA, THETA_BAR, ThetaData
 from .params import ParamRing, as_fraction
 from .pbw import EnvElement
 from .reduce import (gl_lemma_check, hua_sp_system, reduce_iwasawa,
-                     upq_reduction_spec, upq_scalar_recursion,
-                     upq_shilov_identity, upq_theorem_case)
+                     upq_form_and_theta, upq_reduction_spec,
+                     upq_scalar_recursion, upq_shilov_identity,
+                     upq_symbols, upq_theorem_case)
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -182,16 +183,14 @@ def _need(args: argparse.Namespace, *names: str) -> List[int]:
 # subcommand handlers (each returns (report dict, exit code))
 # ---------------------------------------------------------------------------
 
-def _upq_ring_and_theta(p: int, q: int, blocks: Tuple[int, ...]):
-    form = make_upq(
-        p, q,
-        symbols=tuple(f"mu_{j}" for j in range(1, len(blocks) + 1))
-        + ("s", "t"))
-    ring = form.ring
-    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
-    theta = upq_complexified_theta(p, q, blocks, mu, ring.var("s"),
-                                   ring.var("t"), ring=ring)
-    return form, theta
+def _upq_bindings(args: argparse.Namespace) -> Dict[str, Fraction]:
+    """The ``--bind`` values of a upq request; only ``mu_1..mu_L, s, t``."""
+    symbols = upq_symbols(args.blocks)
+    unknown = [name for name, _ in args.bind if name not in symbols]
+    if unknown:
+        raise UsageError(f"unknown symbols {unknown}; expected "
+                         f"{', '.join(symbols)}")
+    return dict(args.bind)
 
 
 def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
@@ -201,7 +200,7 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
                 "the upq construction fixes the plain variant; use "
                 "--form spnr for the barred one")
         p, q = _need(args, "p", "q")
-        form, theta = _upq_ring_and_theta(p, q, args.blocks)
+        form, theta = upq_form_and_theta(p, q, args.blocks)
         column_range = (p + 1, p + q) if args.restrict_columns else None
         return ideal_generators(make_algebra("gl", p + q), theta,
                                 ring=form.ring, column_range=column_range)
@@ -229,13 +228,14 @@ def _cmd_ideal(args: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
+    bindings = _upq_bindings(args)
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = json.load(sys.stdin)
     p, q, blocks = args.p, args.q, tuple(args.blocks)
-    form, theta = _upq_ring_and_theta(p, q, blocks)
+    form, _theta = upq_form_and_theta(p, q, blocks)
     ambient = make_algebra("gl", p + q)
     meta = doc.get("metadata", {})
     if meta.get("basisId") != ambient.basis.basis_id:
@@ -244,7 +244,6 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
             f"but --form upq --p {p} --q {q} expects "
             f"{ambient.basis.basis_id!r}")
     spec = upq_reduction_spec(form, blocks)
-    bindings = {name: form.ring.const(value) for name, value in args.bind}
     entries = []
     all_zero = True
     for record in doc.get("entries", []):
@@ -286,7 +285,7 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
                                   perturb=args.perturb)
     else:
         report = upq_scalar_recursion(args.p, args.q, args.blocks,
-                                      params=dict(args.bind) or None,
+                                      params=_upq_bindings(args) or None,
                                       compare_kernel=args.kernel)
     return report, 0 if report["pass"] else 1
 

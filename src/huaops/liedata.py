@@ -32,9 +32,11 @@ from .pbw import (
     EnvElement,
     Matrix,
     OrderedBasis,
+    RationalSpan,
     make_matrix,
     mat_add,
     mat_commutator,
+    mat_mul,
     mat_scale,
     mat_transpose,
     is_zero_matrix,
@@ -79,7 +81,7 @@ def orthogonal_involution(ambient: int) -> Callable[[Matrix], Matrix]:
     itilde = antidiagonal_identity(ambient)
 
     def sigma(x: Matrix) -> Matrix:
-        return mat_scale(_mat_mul(_mat_mul(itilde, mat_transpose(x)), itilde), -1)
+        return mat_scale(mat_mul(mat_mul(itilde, mat_transpose(x)), itilde), -1)
 
     return sigma
 
@@ -94,17 +96,9 @@ def symplectic_involution(rank: int) -> Callable[[Matrix], Matrix]:
     jtilde = symplectic_structure(rank)
 
     def sigma(x: Matrix) -> Matrix:
-        return _mat_mul(_mat_mul(jtilde, mat_transpose(x)), jtilde)
+        return mat_mul(mat_mul(jtilde, mat_transpose(x)), jtilde)
 
     return sigma
-
-
-def _mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(n)), ZERO) for j in range(n))
-        for i in range(n)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +191,14 @@ def make_algebra(kind: str, n: int) -> AlgebraData:
 
     gens: List[Tuple[str, str, Matrix]] = []
     a_diagonal: List[int] = []
-    probe = _SpanProbe(ambient)
+    span = RationalSpan(ambient * ambient)
     letter = "E" if kind == "gl" else "F"
 
     def consider(zone: str, i: int, j: int) -> None:
         e = elementary(ambient, i, j)
         mat = e if sigma is None else mat_add(e, sigma(e))
-        if is_zero_matrix(mat) or not probe.add(mat):
+        flat = [x for row in mat for x in row]
+        if is_zero_matrix(mat) or not span.add(flat):
             return
         gens.append((f"{letter}_{i}_{j}", zone, mat))
         if zone == "a":
@@ -232,18 +227,6 @@ def make_algebra(kind: str, n: int) -> AlgebraData:
         kind=kind, rank=n, ambient=ambient, basis=basis, sigma=sigma,
         a_diagonal=tuple(a_diagonal),
     )
-
-
-class _SpanProbe:
-    """Incremental rational span membership for ambient x ambient matrices."""
-
-    def __init__(self, ambient: int):
-        from .pbw import RationalSpan
-
-        self._span = RationalSpan(ambient * ambient)
-
-    def add(self, mat: Matrix) -> bool:
-        return self._span.add([x for row in mat for x in row])
 
 
 def _check_triangular_zones(basis: OrderedBasis) -> None:
@@ -917,10 +900,6 @@ class NodeDegree:
     shilov: bool = False
     black: bool = False
 
-    @property
-    def is_boundary(self) -> bool:
-        return not self.black
-
 
 class SatakeRow:
     """One row of the degree table."""
@@ -1053,33 +1032,9 @@ class SatakeTable:
         options = ", ".join(r.full_label for r in matches)
         raise KeyError(f"ambiguous label {label!r}; use one of: {options}")
 
-    def classical_rows(self) -> List[SatakeRow]:
-        return [r for r in self.rows if r.family == "classical"]
-
 
 @lru_cache(maxsize=1)
 def satake_table() -> SatakeTable:
     with open(_DATA_PATH, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     return SatakeTable([SatakeRow(rec) for rec in data["rows"]])
-
-
-def degree_table_lookup(label: str, node: int, rank: Optional[int] = None,
-                        m: Optional[int] = None) -> NodeDegree:
-    """Degree/Shilov data of one node of one table row.
-
-    ``node`` is 1-based: the restricted Dynkin index for classical rows, the
-    drawn chain-then-branch position for exceptional rows.  Black nodes raise.
-    """
-    row = satake_table().row(label)
-    nodes = row.node_degrees(rank=rank, m=m)
-    if not (1 <= node <= len(nodes)):
-        raise ValueError(
-            f"{row.full_label}: node {node} out of range 1..{len(nodes)}"
-        )
-    result = nodes[node - 1]
-    if result.black:
-        raise ValueError(
-            f"{row.full_label}: node {node} is black (compact); no boundary degree"
-        )
-    return result

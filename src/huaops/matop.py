@@ -17,7 +17,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .liedata import AlgebraData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
-from .pbw import EnvElement, Monomial, OrderedBasis
+from .pbw import EnvElement, Monomial, OrderedBasis, sum_products
 
 
 class CentralityError(ValueError):
@@ -89,23 +89,15 @@ class OpMatrix:
     def mul(self, other: "OpMatrix") -> "OpMatrix":
         """Matrix product; entry products keep the left factor on the left."""
         self._check_compatible(other)
-        n = self.size
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = EnvElement.zero(self.basis, self.ring)
-                for k in range(n):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return OpMatrix(self.basis, self.ring, tuple(rows))
+        columns = tuple(zip(*other.entries))
+        return OpMatrix(self.basis, self.ring, tuple(
+            tuple(sum_products(row, col) for col in columns)
+            for row in self.entries
+        ))
 
     def trace(self) -> EnvElement:
-        acc = EnvElement.zero(self.basis, self.ring)
-        for i in range(self.size):
-            acc = acc + self.entries[i][i]
-        return acc
+        return sum((self.entries[i][i] for i in range(1, self.size)),
+                   self.entries[0][0])
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
@@ -173,11 +165,8 @@ def trace_power(mat: OpMatrix, order: int,
     if powers is None:
         powers = matrix_powers(mat, b)
     left, right = powers[a], powers[b]
-    acc = EnvElement.zero(mat.basis, mat.ring)
-    for i in range(mat.size):
-        for k in range(mat.size):
-            acc = acc + left.entries[i][k] * right.entries[k][i]
-    return acc
+    return sum_products([x for row in left.entries for x in row],
+                        [y for col in zip(*right.entries) for y in col])
 
 
 # ---------------------------------------------------------------------------
@@ -384,25 +373,13 @@ def adjoint_covariance_defect(algebra: AlgebraData, mat: OpMatrix,
     """
     basis = algebra.basis
     ring = mat.ring
-    x = basis.matrices[generator_index]
     xgen = EnvElement.generator(basis, ring, generator_index)
-    n = mat.size
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            lhs = xgen.commutator(mat.entries[i][j])
-            rhs = EnvElement.zero(basis, ring)
-            for k in range(n):
-                cik = x[k][i]
-                if cik:
-                    rhs = rhs + mat.entries[k][j] * ring.const(cik)
-                ckj = x[j][k]
-                if ckj:
-                    rhs = rhs - mat.entries[i][k] * ring.const(ckj)
-            row.append(lhs - rhs)
-        rows.append(tuple(row))
-    return OpMatrix(basis, ring, tuple(rows))
+    x_t = OpMatrix(basis, ring, tuple(
+        tuple(EnvElement.scalar(basis, ring.const(v)) for v in column)
+        for column in zip(*basis.matrices[generator_index])
+    ))
+    return mat.map_entries(xgen.commutator).sub(
+        x_t.mul(mat).sub(mat.mul(x_t)))
 
 
 def check_adjoint_covariance(algebra: AlgebraData, mat: OpMatrix) -> None:

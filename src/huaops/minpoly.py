@@ -197,11 +197,6 @@ class MinPoly:
             "coefficients": [str(c) for c in self.coefficients()],
         }
 
-    def shift_variable(self, offset: ValueLike) -> "MinPoly":
-        """The polynomial ``p(x + offset)`` (roots move by ``-offset``)."""
-        off = _as_poly(self.ring, offset)
-        return MinPoly(self.ring, tuple(r - off for r in self.roots))
-
     def __mul__(self, other: "MinPoly") -> "MinPoly":
         if self.ring != other.ring:
             raise ValueError("mixed parameter rings")

@@ -161,7 +161,7 @@ class ParamPoly:
             if acc is None:
                 out[exp] = c
             else:
-                acc = acc + c
+                acc += c
                 if acc == 0:
                     del out[exp]
                 else:
@@ -209,7 +209,7 @@ class ParamPoly:
                 if acc is None:
                     out[exp] = c1 * c2
                 else:
-                    acc = acc + c1 * c2
+                    acc += c1 * c2
                     if acc == 0:
                         del out[exp]
                     else:
@@ -255,31 +255,24 @@ class ParamPoly:
         Unbound symbols stay symbolic.  The result lives in the same ring.
         """
         values = []
-        for i, sym in enumerate(self.ring.symbols):
-            if sym in bindings:
-                v = bindings[sym]
-                if not isinstance(v, ParamPoly):
-                    v = self.ring.const(as_fraction(v))
-                elif v.ring != self.ring:
-                    raise ValueError("substitution value from a different ring")
-                values.append(v)
-            else:
-                values.append(None)
-        out = self.ring.zero()
+        for sym in self.ring.symbols:
+            v = bindings.get(sym)
+            if v is not None and not isinstance(v, ParamPoly):
+                v = self.ring.const(as_fraction(v))
+            elif v is not None and v.ring != self.ring:
+                raise ValueError("substitution value from a different ring")
+            values.append(v)
+        out: Dict[Exponents, Fraction] = {}
         for exp, c in self.terms.items():
-            factor = self.ring.const(c)
-            residual = [0] * len(exp)
-            for i, e in enumerate(exp):
-                if e == 0:
-                    continue
-                if values[i] is None:
-                    residual[i] = e
-                else:
-                    factor = factor * (values[i] ** e)
-            if any(residual):
-                factor = factor * ParamPoly(self.ring, {tuple(residual): Fraction(1)})
-            out = out + factor
-        return out
+            residual = tuple(0 if values[i] is not None else e
+                             for i, e in enumerate(exp))
+            factor = ParamPoly(self.ring, {residual: c})
+            for value, e in zip(values, exp):
+                if e and value is not None:
+                    factor = factor * value ** e
+            for key, k in factor.terms.items():
+                out[key] = out.get(key, 0) + k
+        return ParamPoly(self.ring, {e: c for e, c in out.items() if c != 0})
 
     def eval_rational(self, bindings: Mapping[str, ScalarLike]) -> Fraction:
         """Evaluate with every symbol bound to a rational; returns a Fraction."""
@@ -297,21 +290,25 @@ class ParamPoly:
             total += prod
         return total
 
-    def rename(self, target: ParamRing, mapping: Mapping[str, str] | None = None) -> "ParamPoly":
-        """Map this polynomial into ``target`` by symbol name (or via ``mapping``)."""
-        mapping = mapping or {}
-        positions = []
-        for sym in self.ring.symbols:
-            positions.append(target.index(mapping.get(sym, sym)))
+    def rename(self, target: ParamRing) -> "ParamPoly":
+        """Map this polynomial into ``target`` by symbol name.
+
+        Lifts into a ring with more symbols; lowers into one with fewer,
+        provided the missing symbols do not occur.
+        """
+        positions = [target._index.get(sym) for sym in self.ring.symbols]
         out: Dict[Exponents, Fraction] = {}
         width = len(target.symbols)
         for exp, c in self.terms.items():
             new = [0] * width
-            for pos, e in zip(positions, exp):
-                new[pos] += e
-            key = tuple(new)
-            out[key] = out.get(key, Fraction(0)) + c
-        return ParamPoly(target, {e: c for e, c in out.items() if c != 0})
+            for sym, pos, e in zip(self.ring.symbols, positions, exp):
+                if not e:
+                    continue
+                if pos is None:
+                    raise KeyError(f"symbol {sym!r} not in ring {target.symbols}")
+                new[pos] = e
+            out[tuple(new)] = c
+        return ParamPoly(target, out)
 
     # -- deterministic orders -----------------------------------------------
 

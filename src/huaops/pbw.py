@@ -44,24 +44,23 @@ def make_matrix(n: int, entries: Mapping[Tuple[int, int], object] | None = None)
     return tuple(tuple(r) for r in rows)
 
 
-def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n = len(a)
     out = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for k in range(n):
             aik = a[i][k]
-            bik = b[i][k]
             if aik:
                 row = b[k]
                 for j in range(n):
                     if row[j]:
                         out[i][j] += aik * row[j]
-            if bik:
-                row = a[k]
-                for j in range(n):
-                    if row[j]:
-                        out[i][j] -= bik * row[j]
     return tuple(tuple(r) for r in out)
+
+
+def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
+    ab, ba = mat_mul(a, b), mat_mul(b, a)
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(ab, ba))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -192,9 +191,6 @@ class OrderedBasis:
             raise ValueError(f"matrix is not in the span of basis {self.basis_id!r}")
         return coords
 
-    def contains_matrix(self, mat: Matrix) -> bool:
-        return self._span.solve([x for row in mat for x in row]) is not None
-
     def bracket(self, i: int, j: int) -> LinearCombo:
         """[g_i, g_j] expanded over the basis, as ((index, coeff), ...)."""
         key = (i, j)
@@ -217,12 +213,6 @@ class OrderedBasis:
             combo = tuple((k, c) for k, c in enumerate(coords) if c != 0)
         self._bracket_cache[key] = combo
         return combo
-
-    def check_closure(self) -> None:
-        """Force every pairwise bracket; raises if any leaves the span."""
-        for i in range(len(self)):
-            for j in range(i + 1, len(self)):
-                self.bracket(i, j)
 
     # -- monomial helpers ----------------------------------------------------
 
@@ -295,14 +285,6 @@ def mono_degree(mono: Monomial) -> int:
     return sum(e for _g, e in mono)
 
 
-def mono_word(mono: Monomial) -> Tuple[int, ...]:
-    """Expand a run-length monomial into an explicit generator word."""
-    out: List[int] = []
-    for g, e in mono:
-        out.extend([g] * e)
-    return tuple(out)
-
-
 def word_mono(word: Sequence[int]) -> Monomial:
     """Run-length encode a sorted generator word (validates ordering)."""
     out: List[Tuple[int, int]] = []
@@ -351,9 +333,6 @@ class EnvElement:
         coords = basis.expand_matrix(mat)
         terms = {((i, 1),): ring.const(c) for i, c in enumerate(coords) if c != 0}
         return EnvElement(basis, ring, terms)
-
-    def clone_terms(self) -> Dict[Monomial, ParamPoly]:
-        return dict(self.terms)
 
     # -- predicates -------------------------------------------------------------
 
@@ -421,22 +400,7 @@ class EnvElement:
 
     def __mul__(self, other):
         if isinstance(other, EnvElement):
-            self._check_compatible(other)
-            basis = self.basis
-            out: Dict[Monomial, ParamPoly] = {}
-            for ma, ca in self.terms.items():
-                for mb, cb in other.terms.items():
-                    cab = ca * cb
-                    if cab.is_zero():
-                        continue
-                    for m, c in basis.mul_monos(ma, mb).items():
-                        q = out.get(m)
-                        q = cab * c if q is None else q + cab * c
-                        if q.is_zero():
-                            out.pop(m, None)
-                        else:
-                            out[m] = q
-            return EnvElement(basis, self.ring, out)
+            return sum_products((self,), (other,))
         if isinstance(other, (int, Fraction, ParamPoly)):
             return self.scale(other)
         return NotImplemented
@@ -531,6 +495,34 @@ class EnvElement:
             if not poly.is_zero():
                 terms[mono] = terms.get(mono, ring.zero()) + poly
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})
+
+
+def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
+                 ) -> EnvElement:
+    """``sum_k left[k] * right[k]``, accumulated into one term dict.
+
+    Every factor lives over the basis and ring of ``left[0]``; each product
+    keeps its left factor on the left.
+    """
+    first = left[0]
+    basis = first.basis
+    out: Dict[Monomial, ParamPoly] = {}
+    for x, y in zip(left, right, strict=True):
+        first._check_compatible(x)
+        first._check_compatible(y)
+        for ma, ca in x.terms.items():
+            for mb, cb in y.terms.items():
+                cab = ca * cb
+                if cab.is_zero():
+                    continue
+                for m, c in basis.mul_monos(ma, mb).items():
+                    q = out.get(m)
+                    q = cab * c if q is None else q + cab * c
+                    if q.is_zero():
+                        out.pop(m, None)
+                    else:
+                        out[m] = q
+    return EnvElement(basis, first.ring, out)
 
 
 def _word_image(

@@ -9,12 +9,17 @@ whose zones are ``(n, a, k)``: monomials are normal-ordered words
 then has a unique representative in the commutative algebra U(a): the n-part
 kills a monomial outright, the trailing k-part peels off factor by factor
 into character values, and an optional a-assignment evaluates what is left.
-An element over another basis of the same algebra (the ambient Verma basis
-of the generator matrices) is not converted to the Iwasawa basis first: it
-is projected straight onto U(g)/nU(g) by :func:`~huaops.pbw.project_mod_n`,
-multiplying each word in from the left and dropping n-leading monomials as
-they appear, with word images cached per basis pair.  :func:`gamma` and :func:`gamma_ell` compose this projection with the rho
-shift ``H -> H + rho(H)`` to give the radial (Harish-Chandra style) images.
+With symbolic coefficients U(a) is a polynomial ring, so a representative is
+a :class:`~huaops.params.ParamPoly` over the radial ring (the coefficient
+symbols followed by the a-zone generator names, :func:`radial_ring`), printed
+as ``(coeff)*E_1^2 + ...`` by :func:`radial_str`.  An element over another
+basis of the same algebra (the ambient Verma basis of the generator
+matrices) is not converted to the Iwasawa basis first: it is projected
+straight onto U(g)/nU(g) by :func:`~huaops.pbw.project_mod_n`, multiplying
+each word in from the left and dropping n-leading monomials as they appear,
+with word images cached per basis pair.  :func:`gamma` and :func:`gamma_ell`
+compose this projection with the rho shift ``H -> H + rho(H)`` to give the
+radial (Harish-Chandra style) images.
 
 On top of the engine sit the verification drivers for the catalog identity
 chains: :func:`gl_lemma_check` (GL(n,R) trace lemma), :func:`hua_sp_system`
@@ -29,8 +34,6 @@ the wall time.
 
 from __future__ import annotations
 
-import itertools
-import math
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -39,19 +42,24 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from .liedata import RealFormData, make_algebra, make_glnr, make_spnr, make_upq
 from .matop import GeneratorSet, OpMatrix, ideal_generators
 from .minpoly import upq_complexified_theta, upq_lambda_schedule
-from .params import ParamPoly, ParamRing, as_fraction
-from .pbw import EnvElement, OrderedBasis, make_matrix, project_mod_n
+from .params import ParamPoly, ParamRing
+from .pbw import (EnvElement, Monomial, OrderedBasis, make_matrix,
+                  project_mod_n, sum_products)
 
 ScalarLike = Union[ParamPoly, Fraction, int]
+Assignment = Mapping[Union[int, str], ParamPoly]  # by generator name or index
 
 __all__ = [
-    "AElement",
+    "radial_ring",
+    "radial_str",
     "ReductionSpec",
     "reduce_iwasawa",
     "peel_k",
     "gamma",
     "gamma_ell",
     "verify_membership_zero",
+    "upq_symbols",
+    "upq_form_and_theta",
     "upq_reduction_spec",
     "upq_theorem_case",
     "upq_scalar_recursion",
@@ -63,205 +71,37 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# U(a): commutative polynomials in the a-zone generators
+# U(a): polynomials over the radial ring
 # ---------------------------------------------------------------------------
 
 
-Exponents = Tuple[int, ...]
+def radial_ring(ring: ParamRing, a_names: Sequence[str]) -> ParamRing:
+    """The ring of U(a) values: ``ring``'s symbols, then the a-zone names."""
+    return ParamRing(ring.symbols + tuple(a_names))
 
 
-class AElement:
-    """A polynomial in named commuting generators with ParamPoly coefficients.
+def radial_str(value: ParamPoly, ring: ParamRing) -> str:
+    """Print a U(a) value with coefficients over ``ring``.
 
-    ``names`` fixes the variables (the a-zone generator names of some real
-    form) and the length of every exponent tuple; the representation is
-    canonical, so equality is plain dictionary equality.
+    Terms are grouped by a-monomial, ordered by (a-degree, exponents), and
+    printed as ``(coeff)*E_1^2 + ...``; the a-free group prints as
+    ``(coeff)``.
     """
-
-    __slots__ = ("ring", "names", "terms")
-
-    def __init__(self, ring: ParamRing, names: Tuple[str, ...],
-                 terms: Dict[Exponents, ParamPoly]):
-        self.ring = ring
-        self.names = tuple(names)
-        width = len(self.names)
-        clean: Dict[Exponents, ParamPoly] = {}
-        for exp, coeff in terms.items():
-            if len(exp) != width:
-                raise ValueError(f"exponent tuple {exp} has wrong width")
-            if not coeff.is_zero():
-                clean[tuple(int(e) for e in exp)] = coeff
-        self.terms = clean
-
-    # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero(ring: ParamRing, names: Sequence[str]) -> "AElement":
-        return AElement(ring, tuple(names), {})
-
-    @staticmethod
-    def scalar(ring: ParamRing, names: Sequence[str],
-               value: ScalarLike) -> "AElement":
-        names = tuple(names)
-        poly = value if isinstance(value, ParamPoly) else ring.const(value)
-        return AElement(ring, names, {(0,) * len(names): poly})
-
-    @staticmethod
-    def variable(ring: ParamRing, names: Sequence[str], pos: int) -> "AElement":
-        names = tuple(names)
-        exp = tuple(1 if i == pos else 0 for i in range(len(names)))
-        return AElement(ring, names, {exp: ring.one()})
-
-    # -- predicates ---------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_scalar(self) -> bool:
-        return all(not any(exp) for exp in self.terms)
-
-    def scalar_part(self) -> ParamPoly:
-        return self.terms.get((0,) * len(self.names), self.ring.zero())
-
-    def as_scalar(self) -> ParamPoly:
-        if not self.is_scalar():
-            raise ValueError(f"not a scalar: {self}")
-        return self.scalar_part()
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _check(self, other: "AElement") -> None:
-        if self.names != other.names or self.ring is not other.ring:
-            if self.names != other.names or self.ring != other.ring:
-                raise ValueError("AElement operands over different variables")
-
-    def __add__(self, other: "AElement") -> "AElement":
-        self._check(other)
-        terms = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = terms.get(exp)
-            terms[exp] = coeff if acc is None else acc + coeff
-        return AElement(self.ring, self.names, terms)
-
-    def __neg__(self) -> "AElement":
-        return AElement(self.ring, self.names,
-                        {exp: -c for exp, c in self.terms.items()})
-
-    def __sub__(self, other: "AElement") -> "AElement":
-        return self + (-other)
-
-    def __mul__(self, other: Union["AElement", ScalarLike]) -> "AElement":
-        if not isinstance(other, AElement):
-            poly = other if isinstance(other, ParamPoly) else self.ring.const(other)
-            if poly.is_zero():
-                return AElement.zero(self.ring, self.names)
-            return AElement(self.ring, self.names,
-                            {exp: c * poly for exp, c in self.terms.items()})
-        self._check(other)
-        terms: Dict[Exponents, ParamPoly] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                acc = terms.get(exp)
-                terms[exp] = prod if acc is None else acc + prod
-        return AElement(self.ring, self.names, terms)
-
-    def __rmul__(self, other: ScalarLike) -> "AElement":
-        return self * other
-
-    def __pow__(self, n: int) -> "AElement":
-        if n < 0:
-            raise ValueError("negative power")
-        out = AElement.scalar(self.ring, self.names, 1)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AElement):
-            return NotImplemented
-        return (self.names == other.names and self.ring == other.ring
-                and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.names, tuple(sorted(self.terms.items(),
-                                              key=lambda kv: kv[0]))))
-
-    # -- substitutions ------------------------------------------------------
-
-    def substitute(self, bindings: Mapping[str, ScalarLike]) -> "AElement":
-        """Evaluate some variables at ring scalars (e.g. ``E_i -> 2 mu``)."""
-        values: Dict[int, ParamPoly] = {}
-        for name, value in bindings.items():
-            if name not in self.names:
-                raise KeyError(f"unknown variable {name!r}")
-            poly = value if isinstance(value, ParamPoly) else self.ring.const(value)
-            values[self.names.index(name)] = poly
-        terms: Dict[Exponents, ParamPoly] = {}
-        for exp, coeff in self.terms.items():
-            for pos, poly in values.items():
-                if exp[pos]:
-                    coeff = coeff * poly ** exp[pos]
-            new_exp = tuple(0 if pos in values else e for pos, e in enumerate(exp))
-            acc = terms.get(new_exp)
-            terms[new_exp] = coeff if acc is None else acc + coeff
-        return AElement(self.ring, self.names, terms)
-
-    def shift(self, offsets: Sequence[ScalarLike]) -> "AElement":
-        """The substitution ``x_i -> x_i + c_i`` (binomial expansion)."""
-        if len(offsets) != len(self.names):
-            raise ValueError("need one offset per variable")
-        consts = [c if isinstance(c, ParamPoly) else self.ring.const(c)
-                  for c in offsets]
-        out: Dict[Exponents, ParamPoly] = {}
-        for exp, coeff in self.terms.items():
-            ranges = [range(e + 1) for e in exp]
-            for lower in itertools.product(*ranges):
-                factor = coeff
-                for e, k, c in zip(exp, lower, consts):
-                    if e != k:
-                        factor = factor * (c ** (e - k)) * math.comb(e, k)
-                acc = out.get(tuple(lower))
-                out[tuple(lower)] = factor if acc is None else acc + factor
-        return AElement(self.ring, self.names, out)
-
-    def permute(self, images: Sequence[int]) -> "AElement":
-        """Relabel variable ``i`` as variable ``images[i]`` (a W-action)."""
-        if sorted(images) != list(range(len(self.names))):
-            raise ValueError(f"{images} is not a permutation")
-        terms: Dict[Exponents, ParamPoly] = {}
-        for exp, coeff in self.terms.items():
-            new_exp = [0] * len(exp)
-            for pos, e in enumerate(exp):
-                new_exp[images[pos]] = e
-            terms[tuple(new_exp)] = coeff
-        return AElement(self.ring, self.names, terms)
-
-    # -- presentation -------------------------------------------------------
-
-    def sorted_terms(self) -> List[Tuple[Exponents, ParamPoly]]:
-        return sorted(self.terms.items(),
-                      key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for exp, coeff in self.sorted_terms():
-            word = "*".join(
-                self.names[i] if e == 1 else f"{self.names[i]}^{e}"
-                for i, e in enumerate(exp) if e
-            )
-            text = str(coeff)
-            if word:
-                chunks.append(word if text == "1" else f"({text})*{word}")
-            else:
-                chunks.append(f"({text})")
-        return " + ".join(chunks)
-
-    def __repr__(self) -> str:
-        return f"AElement({self})"
+    width = len(ring)
+    names = value.ring.symbols[width:]
+    groups: Dict[Tuple[int, ...], Dict] = {}
+    for exp, c in value.terms.items():
+        groups.setdefault(exp[width:], {})[exp[:width]] = c
+    chunks = []
+    for a_exp in sorted(groups, key=lambda e: (sum(e), e)):
+        word = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(names, a_exp) if e)
+        text = str(ParamPoly(ring, groups[a_exp]))
+        if not word:
+            chunks.append(f"({text})")
+        else:
+            chunks.append(word if text == "1" else f"({text})*{word}")
+    return " + ".join(chunks) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +119,8 @@ class ReductionSpec:
     """
 
     form: RealFormData
-    k_assignment: Mapping[Union[int, str], ParamPoly]
-    a_assignment: Optional[Mapping[Union[int, str], ParamPoly]] = None
+    k_assignment: Assignment
+    a_assignment: Optional[Assignment] = None
     rho_shift: bool = False
     basis: Optional[OrderedBasis] = None
     _k_by_index: Dict[int, ParamPoly] = field(init=False, repr=False,
@@ -291,27 +131,11 @@ class ReductionSpec:
     def __post_init__(self):
         basis = self.basis if self.basis is not None else self.form.basis
         object.__setattr__(self, "basis", basis)
-        k_zone = basis.zone_indices(basis.zones[-1])
-        k_map: Dict[int, ParamPoly] = {}
-        for key, value in self.k_assignment.items():
-            idx = basis.index_of(key) if isinstance(key, str) else int(key)
-            if idx not in k_zone:
-                raise ValueError(f"{basis.names[idx]} is not a k-zone generator")
-            k_map[idx] = value
-        missing = [basis.names[i] for i in k_zone if i not in k_map]
-        if missing:
-            raise ValueError(f"k_assignment missing generators: {missing}")
-        object.__setattr__(self, "_k_by_index", k_map)
-        a_map: Dict[str, ParamPoly] = {}
-        if self.a_assignment is not None:
-            a_zone = basis.zone_indices("a")
-            for key, value in self.a_assignment.items():
-                idx = basis.index_of(key) if isinstance(key, str) else int(key)
-                if idx not in a_zone:
-                    raise ValueError(
-                        f"{basis.names[idx]} is not an a-zone generator")
-                a_map[basis.names[idx]] = value
-        object.__setattr__(self, "_a_by_name", a_map)
+        object.__setattr__(self, "_k_by_index",
+                           _k_values(basis, self.k_assignment))
+        a_map = _by_index(basis, self.a_assignment or {}, "a")
+        object.__setattr__(self, "_a_by_name",
+                           {basis.names[i]: v for i, v in a_map.items()})
 
     @property
     def a_names(self) -> Tuple[str, ...]:
@@ -323,24 +147,53 @@ class ReductionSpec:
             set(self._a_by_name) == set(self.a_names))
 
 
-def _peel_terms(elem: EnvElement, assignment: Mapping[int, ParamPoly],
-                k_zone) -> Dict:
+def _by_index(basis: OrderedBasis, assignment: Assignment,
+              zone: str) -> Dict[int, ParamPoly]:
+    """Re-key an assignment given by generator name or basis index by index."""
+    members = basis.zone_indices(zone)
+    out: Dict[int, ParamPoly] = {}
+    for key, value in assignment.items():
+        idx = basis.index_of(key) if isinstance(key, str) else int(key)
+        if idx not in members:
+            raise ValueError(f"{basis.names[idx]} is not a {zone}-zone generator")
+        out[idx] = value
+    return out
+
+
+def _k_values(basis: OrderedBasis, assignment: Assignment
+              ) -> Dict[int, ParamPoly]:
+    """A character on the k-zone (the basis's last zone), keyed by index."""
+    k_zone = basis.zones[-1]
+    out = _by_index(basis, assignment, k_zone)
+    missing = [basis.names[i] for i in basis.zone_indices(k_zone)
+               if i not in out]
+    if missing:
+        raise ValueError(f"k_assignment missing generators: {missing}")
+    return out
+
+
+def _peel(elem: EnvElement, k_values: Mapping[int, ParamPoly],
+          dropped: range = range(0)) -> Dict[Monomial, ParamPoly]:
     """Evaluate the trailing k-part of every monomial through the character.
 
     Peeling the rightmost factor of a normal-ordered word leaves a
     normal-ordered word, so the whole k-tail evaluates multiplicatively;
     each step is one application of a relation ``X = chi(X)`` in the left
-    ideal ``sum_X U(g)(X - chi(X))``.
+    ideal ``sum_X U(g)(X - chi(X))``.  Monomials leading with a generator in
+    ``dropped`` are skipped.
     """
-    out: Dict = {}
+    out: Dict[Monomial, ParamPoly] = {}
     for mono, coeff in elem.terms.items():
+        if mono and mono[0][0] in dropped:
+            continue
         prefix = []
         value = coeff
         for g, e in mono:
-            if g in k_zone:
-                value = value * assignment[g] ** e
-            else:
+            k = k_values.get(g)
+            if k is None:
                 prefix.append((g, e))
+            else:
+                value = value * k ** e
         if value.is_zero():
             continue
         key = tuple(prefix)
@@ -353,28 +206,17 @@ def _peel_terms(elem: EnvElement, assignment: Mapping[int, ParamPoly],
     return out
 
 
-def peel_k(elem: EnvElement, assignment: Mapping[Union[int, str], ParamPoly]
-           ) -> EnvElement:
+def peel_k(elem: EnvElement, assignment: Assignment) -> EnvElement:
     """Reduce modulo ``sum_X U(g)(X - chi(X))`` only (no n-drop, no a-values).
 
     The k-zone is the last zone of the element's basis; the result is the
     canonical representative with empty k-part, still an :class:`EnvElement`.
     """
-    basis = elem.basis
-    k_zone = basis.zone_indices(basis.zones[-1])
-    by_index = {
-        (basis.index_of(k) if isinstance(k, str) else int(k)): v
-        for k, v in assignment.items()
-    }
-    missing = [basis.names[i] for i in k_zone if i not in by_index]
-    if missing:
-        raise ValueError(f"assignment missing generators: {missing}")
-    return EnvElement(basis, elem.ring,
-                      _peel_terms(elem, by_index, k_zone))
+    k_values = _k_values(elem.basis, assignment)
+    return EnvElement(elem.basis, elem.ring, _peel(elem, k_values))
 
 
-def reduce_iwasawa(u: EnvElement, spec: ReductionSpec
-                   ) -> Union[AElement, ParamPoly]:
+def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     """Project onto U(a) modulo the left ideal described by ``spec``.
 
     An element over another basis (such as the ambient Verma basis) is first
@@ -383,46 +225,34 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec
     monomials; an element already over ``spec.basis`` has those monomials
     dropped here.  The trailing k-part of each remaining monomial is then
     peeled into character values, and (if present) the a-assignment
-    evaluates the remainder.  Returns the scalar when the a-assignment is
-    total, otherwise the :class:`AElement` representative.
+    evaluates the remainder.  Returns a polynomial over ``u.ring`` when the
+    a-assignment is total, otherwise one over
+    ``radial_ring(u.ring, spec.a_names)``.
     """
     basis = spec.basis
     if basis.zones[:2] != ("n", "a"):
         raise ValueError(f"basis {basis.basis_id} is not Iwasawa-ordered")
     if u.basis is not basis and u.basis.basis_id != basis.basis_id:
         u = project_mod_n(u, basis)
-    ring = u.ring
-    n_zone = basis.zone_indices("n")
-    a_zone = basis.zone_indices("a")
-    k_zone = basis.zone_indices(basis.zones[-1])
     names = spec.a_names
-    a_start = a_zone.start
+    radial = radial_ring(u.ring, names)
+    a_zone = basis.zone_indices("a")
+    terms = {}
+    for mono, coeff in _peel(u, spec._k_by_index,
+                             basis.zone_indices("n")).items():
+        powers = dict(mono)
+        a_exp = tuple(powers.get(g, 0) for g in a_zone)
+        for exp, c in coeff.terms.items():
+            terms[exp + a_exp] = c
+    result = ParamPoly(radial, terms)
 
-    terms: Dict[Exponents, ParamPoly] = {}
-    for mono, coeff in u.terms.items():
-        if mono and mono[0][0] in n_zone:
-            continue
-        value = coeff
-        exp = [0] * len(names)
-        for g, e in mono:
-            if g in k_zone:
-                value = value * spec._k_by_index[g] ** e
-            else:
-                exp[g - a_start] = e
-        if value.is_zero():
-            continue
-        key = tuple(exp)
-        acc = terms.get(key)
-        terms[key] = value if acc is None else acc + value
-    result = AElement(ring, names, terms)
-
-    if spec._a_by_name:
-        result = result.substitute(spec._a_by_name)
+    bindings = {name: v.rename(radial) for name, v in spec._a_by_name.items()}
     if spec.rho_shift:
-        result = result.shift([ring.const(r) for r in spec.form.rho])
-    if spec.total_a():
-        return result.as_scalar()
-    return result
+        for name, r in zip(names, spec.form.rho):
+            bindings.setdefault(name, radial.var(name) + r)
+    if bindings:
+        result = result.substitute(bindings)
+    return result.rename(u.ring) if spec.total_a() else result
 
 
 def zero_character(form: RealFormData, ring: Optional[ParamRing] = None,
@@ -434,7 +264,7 @@ def zero_character(form: RealFormData, ring: Optional[ParamRing] = None,
     return {i: zero for i in basis.zone_indices(basis.zones[-1])}
 
 
-def gamma(d: EnvElement, form: RealFormData) -> AElement:
+def gamma(d: EnvElement, form: RealFormData) -> ParamPoly:
     """The radial image: reduce with the zero k-character, then rho-shift."""
     spec = ReductionSpec(form=form,
                          k_assignment=zero_character(form, d.ring),
@@ -444,7 +274,7 @@ def gamma(d: EnvElement, form: RealFormData) -> AElement:
 
 def gamma_ell(d: EnvElement, form: RealFormData,
               ell: Union[None, ScalarLike, Mapping[str, ScalarLike]] = None,
-              ) -> AElement:
+              ) -> ParamPoly:
     """The radial image twisted by the line-bundle character.
 
     The reduction ideal is ``sum_X U(g)(X + chi_ell(X))``, i.e. each k-zone
@@ -457,7 +287,7 @@ def gamma_ell(d: EnvElement, form: RealFormData,
     assignment = form.k_assignment(negate=True)
     if ell is not None:
         symbols = sorted({name for value in form.k_character.values()
-                          for name, _ in _poly_symbols(value)})
+                          for name in _poly_symbols(value)})
         if isinstance(ell, Mapping):
             bindings = dict(ell)
         else:
@@ -470,14 +300,10 @@ def gamma_ell(d: EnvElement, form: RealFormData,
     return reduce_iwasawa(d, spec)
 
 
-def _poly_symbols(poly: ParamPoly):
-    """(symbol, present) pairs for the ring symbols a polynomial uses."""
-    used = set()
-    for exp in poly.terms:
-        for pos, e in enumerate(exp):
-            if e:
-                used.add(poly.ring.symbols[pos])
-    return [(name, True) for name in sorted(used)]
+def _poly_symbols(poly: ParamPoly) -> List[str]:
+    """The ring symbols a polynomial uses, sorted."""
+    return sorted({poly.ring.symbols[pos] for exp in poly.terms
+                   for pos, e in enumerate(exp) if e})
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +326,9 @@ def _check(name: str, ok: bool, residue: str = "0") -> dict:
     return {"name": name, "pass": bool(ok), "residue": residue}
 
 
-def _zero_check(name: str, residue) -> dict:
+def _zero_check(name: str, residue, render=str) -> dict:
     ok = residue.is_zero() if hasattr(residue, "is_zero") else not residue
-    return _check(name, ok, "0" if ok else str(residue))
+    return _check(name, ok, "0" if ok else render(residue))
 
 
 # ---------------------------------------------------------------------------
@@ -530,22 +356,24 @@ def ambient_matrix(basis: OrderedBasis, ring: ParamRing) -> OpMatrix:
     return OpMatrix(basis, ring, entries)
 
 
-def _sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
-                  ) -> EnvElement:
-    total = None
-    for x, y in zip(left, right):
-        prod = x * y
-        total = prod if total is None else total + prod
-    return total
-
-
 # ---------------------------------------------------------------------------
 # U(p,q): boundary-ideal membership (the 2L-step reduction)
 # ---------------------------------------------------------------------------
 
 
-def _upq_symbols(blocks: Sequence[int]) -> Tuple[str, ...]:
+def upq_symbols(blocks: Sequence[int]) -> Tuple[str, ...]:
+    """The coefficient symbols of a U(p,q) case: ``mu_1..mu_L, s, t``."""
     return tuple(f"mu_{j}" for j in range(1, len(blocks) + 1)) + ("s", "t")
+
+
+def upq_form_and_theta(p: int, q: int, blocks: Sequence[int]):
+    """U(p,q) over :func:`upq_symbols` and its complexified block pattern."""
+    form = make_upq(p, q, symbols=upq_symbols(blocks))
+    ring = form.ring
+    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
+    theta = upq_complexified_theta(p, q, blocks, mu, ring.var("s"),
+                                   ring.var("t"), ring=ring)
+    return form, theta
 
 
 def _block_of(blocks: Sequence[int], i: int) -> int:
@@ -594,11 +422,8 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     which must break membership (a soundness control).
     """
     blocks = tuple(blocks)
-    form = make_upq(p, q, symbols=_upq_symbols(blocks))
+    form, theta = upq_form_and_theta(p, q, blocks)
     ring = form.ring
-    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
-    theta = upq_complexified_theta(p, q, blocks, mu, ring.var("s"),
-                                   ring.var("t"), ring=ring)
     if perturb:
         values = (theta.char_values[0] - 1,) + theta.char_values[1:]
         theta = replace(theta, char_values=values)
@@ -624,43 +449,35 @@ class _UpqRecursion:
 
     Tracks the reduced values at the surviving positions ``(i,i)``,
     ``(i,ibar)``, ``(ibar,i)``, ``(ibar,ibar)`` (for i = 1..q) and ``(k,k)``
-    (one value; all q < k <= p agree) as commutative polynomials in the
-    a-generators ``E_1..E_q``.
+    (one value; all q < k <= p agree) as polynomials over the radial ring of
+    the a-generators ``E_1..E_q``.
     """
 
     def __init__(self, p: int, q: int, ring: ParamRing,
                  names: Tuple[str, ...], lam: Sequence[ParamPoly]):
         self.p, self.q = p, q
-        self.ring = ring
-        self.names = names
-        self.lam = list(lam)
-        s, t = ring.var("s"), ring.var("t")
+        self.radial = radial = radial_ring(ring, names)
+        self.lam = [v.rename(radial) for v in lam]
+        self.s, self.t = s, t = radial.var("s"), radial.var("t")
         half = Fraction(1, 2)
-
-        def sc(v) -> AElement:
-            return AElement.scalar(ring, names, v)
-
-        self.sc = sc
-        self.e_var = [AElement.variable(ring, names, i) for i in range(q)]
+        self.e_var = [radial.var(name) for name in names]
         # (E_i + s - t)/2 and (E_i - s + t)/2, indexed by i-1.
-        self.e_plus = [(self.e_var[i] + sc(s - t)) * half for i in range(q)]
-        self.e_minus = [(self.e_var[i] + sc(t - s)) * half for i in range(q)]
-        lam1 = lam[0]
-        self.ii = [sc(s + lam1) for _ in range(q)]
-        self.ibar = [self.e_plus[i] for i in range(q)]
-        self.bari = [self.e_minus[i] for i in range(q)]
-        self.barbar = [sc(t + lam1) for _ in range(q)]
-        self.kk = sc(s + lam1) if p > q else None
+        self.e_plus = [(e + s - t) * half for e in self.e_var]
+        self.e_minus = [(e - s + t) * half for e in self.e_var]
+        lam1 = self.lam[0]
+        self.ii = [s + lam1] * q
+        self.ibar = list(self.e_plus)
+        self.bari = list(self.e_minus)
+        self.barbar = [t + lam1] * q
+        self.kk = s + lam1 if p > q else None
         self.step = 1
 
-    def diag(self, nu: int) -> AElement:
+    def diag(self, nu: int) -> ParamPoly:
         """F_{nu,nu} for 1 <= nu <= p (the (k,k) value beyond q)."""
         return self.ii[nu - 1] if nu <= self.q else self.kk
 
     def advance(self) -> None:
-        p, q, sc = self.p, self.q, self.sc
-        ring = self.ring
-        s, t = ring.var("s"), ring.var("t")
+        p, q, s, t = self.p, self.q, self.s, self.t
         lam = self.lam[self.step]  # lambda_{m} for the step to F^m
         ii, ibar, bari, barbar, kk = (self.ii, self.ibar, self.bari,
                                       self.barbar, self.kk)
@@ -668,49 +485,41 @@ class _UpqRecursion:
         for idx in range(q):
             i = idx + 1
             tilde_ii = (ii[idx] * s
-                        + (self.e_plus[idx] - sc(q)) * bari[idx]
-                        - sum((self.diag(nu) - ii[idx]
-                               for nu in range(1, p + 1)),
-                              AElement.zero(ring, self.names))
-                        - sum((bari[j] - bari[idx] for j in range(idx)),
-                              AElement.zero(ring, self.names)))
+                        + (self.e_plus[idx] - q) * bari[idx]
+                        - sum(self.diag(nu) - ii[idx]
+                              for nu in range(1, p + 1))
+                        - sum(bari[j] - bari[idx] for j in range(idx)))
             tilde_ibar = (ibar[idx] * (s + p)
                           + self.e_plus[idx] * barbar[idx]
-                          + sum((barbar[j] - barbar[idx]
-                                 for j in range(idx + 1, q)),
-                                AElement.zero(ring, self.names)))
+                          + sum(barbar[j] - barbar[idx]
+                                for j in range(idx + 1, q)))
             tilde_bari = (bari[idx] * (t + q)
                           + self.e_minus[idx] * ii[idx]
-                          + sum((self.diag(nu) - ii[idx]
-                                 for nu in range(i + 1, p + 1)),
-                                AElement.zero(ring, self.names)))
+                          + sum(self.diag(nu) - ii[idx]
+                                for nu in range(i + 1, p + 1)))
             tilde_barbar = (barbar[idx] * t
-                            + (self.e_minus[idx] - sc(p)) * ibar[idx]
-                            - sum((barbar[j] - barbar[idx] for j in range(q)),
-                                  AElement.zero(ring, self.names))
-                            - sum((ibar[j] - ibar[idx] for j in range(idx)),
-                                  AElement.zero(ring, self.names)))
+                            + (self.e_minus[idx] - p) * ibar[idx]
+                            - sum(barbar[j] - barbar[idx] for j in range(q))
+                            - sum(ibar[j] - ibar[idx] for j in range(idx)))
             new_ii.append(tilde_ii + ii[idx] * lam)
             new_ibar.append(tilde_ibar + ibar[idx] * lam)
             new_bari.append(tilde_bari + bari[idx] * lam)
             new_barbar.append(tilde_barbar + barbar[idx] * lam)
         if kk is not None:
-            tilde_kk = (kk * s
-                        - sum(bari, AElement.zero(ring, self.names))
-                        - sum((self.diag(nu) - kk for nu in range(1, p + 1)),
-                              AElement.zero(ring, self.names)))
+            tilde_kk = (kk * s - sum(bari)
+                        - sum(self.diag(nu) - kk for nu in range(1, p + 1)))
             self.kk = tilde_kk + kk * lam
         self.ii, self.ibar, self.bari, self.barbar = (
             new_ii, new_ibar, new_bari, new_barbar)
         self.step += 1
 
-    def f_plus(self, i: int) -> AElement:
+    def f_plus(self, i: int) -> ParamPoly:
         return self.barbar[i - 1] + self.ibar[i - 1]
 
-    def f_minus(self, i: int) -> AElement:
+    def f_minus(self, i: int) -> ParamPoly:
         return self.barbar[i - 1] - self.ibar[i - 1]
 
-    def snapshot(self) -> Dict[str, List[AElement]]:
+    def snapshot(self) -> Dict[str, List[ParamPoly]]:
         out = {
             "F(i,i)": list(self.ii),
             "F(i,ibar)": list(self.ibar),
@@ -736,25 +545,33 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     compact one-line recurrences for ``F_i`` and ``F_{-i}`` are re-checked
     against the five families at every step, and with ``compare_kernel=True``
     every surviving position of the PBW product is reduced independently and
-    compared, with off-pattern entries checked to reduce to 0.
+    compared, with off-pattern entries checked to reduce to 0.  ``params``
+    binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
     started = time.perf_counter()
     blocks = tuple(blocks)
     L = len(blocks)
-    symbols = _upq_symbols(blocks)
+    symbols = upq_symbols(blocks)
+    unknown = sorted(set(params or ()) - set(symbols))
+    if unknown:
+        raise ValueError(f"unknown symbols {unknown}; expected {list(symbols)}")
     form = make_upq(p, q, symbols=symbols)  # also validates p, q
     ring = form.ring
-    names = form.a_names
     mu = [ring.var(f"mu_{j}") for j in range(1, L + 1)]
-    s, t = ring.var("s"), ring.var("t")
-    lam = upq_lambda_schedule(p, q, blocks, mu, s, t, ring=ring)
-    a_sub = {f"E_{i}": mu[_block_of(blocks, i) - 1] * 2
+    lam = upq_lambda_schedule(p, q, blocks, mu, ring.var("s"), ring.var("t"),
+                              ring=ring)
+
+    rec = _UpqRecursion(p, q, ring, form.a_names, lam)
+    s, t = rec.s, rec.t
+    a_sub = {f"E_{i}": rec.radial.var(f"mu_{_block_of(blocks, i)}") * 2
              for i in range(1, q + 1)}
 
-    rec = _UpqRecursion(p, q, ring, names, lam)
+    def show(value: ParamPoly) -> str:
+        return radial_str(value, ring)
+
     checks: List[dict] = []
     notes: List[str] = []
-    tables: Dict[str, Dict[str, List[AElement]]] = {}
+    tables: Dict[str, Dict[str, List[ParamPoly]]] = {}
     kernel = _UpqKernelTrace(form, lam) if compare_kernel else None
 
     for m in range(1, 2 * L + 1):
@@ -762,45 +579,38 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
             prev_plus = [rec.f_plus(i) for i in range(1, q + 1)]
             prev_minus = [rec.f_minus(i) for i in range(1, q + 1)]
             rec.advance()
-            lam_m = lam[m - 1]
+            lam_m = rec.lam[m - 1]
             for i in range(1, q + 1):
+                e_i = rec.e_var[i - 1]
                 # compact recurrence for F_i, a consequence of the five rows
                 expected = (prev_plus[i - 1]
-                            * ((rec.e_var[i - 1] + rec.sc(s + t))
-                               * Fraction(1, 2) + rec.sc(lam_m))
-                            - sum((prev_plus[j] - prev_plus[i - 1]
-                                   for j in range(i - 1)),
-                                  AElement.zero(ring, names)))
+                            * ((e_i + s + t) * Fraction(1, 2) + lam_m)
+                            - sum(prev_plus[j] - prev_plus[i - 1]
+                                  for j in range(i - 1)))
                 checks.append(_zero_check(
                     f"compact F_{i} recurrence at m={m}",
-                    rec.f_plus(i) - expected))
+                    rec.f_plus(i) - expected, show))
                 # compact recurrence for F_{-i}: coefficient
                 # lambda_m + p - (E_i - s - t)/2 on F_{-i}, a -(p+s-t) F_i
                 # term, the same-family sum over j > i, and a cross-family
                 # sum over all j != i.
-                cross = sum((prev_plus[j] - prev_plus[i - 1]
-                             for j in range(q) if j != i - 1),
-                            AElement.zero(ring, names))
-                tail = sum((prev_minus[j] - prev_minus[i - 1]
-                            for j in range(i, q)),
-                           AElement.zero(ring, names))
-                coeff = (rec.sc(lam_m + p)
-                         - (rec.e_var[i - 1] - rec.sc(s + t))
-                         * Fraction(1, 2))
+                cross = sum(prev_plus[j] - prev_plus[i - 1]
+                            for j in range(q) if j != i - 1)
+                tail = sum(prev_minus[j] - prev_minus[i - 1]
+                           for j in range(i, q))
+                coeff = lam_m + p - (e_i - s - t) * Fraction(1, 2)
                 expected_minus = (prev_minus[i - 1] * coeff
-                                  - prev_plus[i - 1] * rec.sc(p + s - t)
+                                  - prev_plus[i - 1] * (s - t + p)
                                   - cross - tail)
                 checks.append(_zero_check(
                     f"compact F_-{i} recurrence at m={m}",
-                    rec.f_minus(i) - expected_minus))
+                    rec.f_minus(i) - expected_minus, show))
                 # The one-line variant with (E_i + s + t)/2 in the
                 # coefficient and no cross-family sum does not close; record
                 # its defect instead of asserting it.
                 variant = (prev_minus[i - 1]
-                           * (rec.sc(lam_m + p)
-                              - (rec.e_var[i - 1] + rec.sc(s + t))
-                              * Fraction(1, 2))
-                           - prev_plus[i - 1] * rec.sc(p + s - t)
+                           * (lam_m + p - (e_i + s + t) * Fraction(1, 2))
+                           - prev_plus[i - 1] * (s - t + p)
                            - tail)
                 defect = rec.f_minus(i) - variant
                 if not defect.is_zero() and len(notes) < 2:
@@ -813,44 +623,35 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
         for i in range(1, q + 1):
             if m >= L or (m <= L and i <= blocks[m - 1]):
                 value = rec.f_plus(i).substitute(a_sub)
-                checks.append(_zero_check(f"F_{i}^{m} = 0", value))
+                checks.append(_zero_check(f"F_{i}^{m} = 0", value, show))
             if m > L and i > (blocks[2 * L - m - 1] if 2 * L - m >= 1 else 0):
                 value = rec.ibar[i - 1].substitute(a_sub)
-                checks.append(_zero_check(f"F_({i},{i}bar)^{m} = 0", value))
+                checks.append(_zero_check(f"F_({i},{i}bar)^{m} = 0", value,
+                                          show))
         if kernel is not None:
-            checks.extend(kernel.compare(rec, m, a_sub=None))
+            checks.extend(kernel.compare(rec, m))
 
     for i in range(1, q + 1):
         checks.append(_zero_check(
             f"column {p + q + 1 - i}: F_({i},{i}bar)^{2 * L} = 0",
-            rec.ibar[i - 1].substitute(a_sub)))
+            rec.ibar[i - 1].substitute(a_sub), show))
         checks.append(_zero_check(
             f"column {p + q + 1 - i}: F_({i}bar,{i}bar)^{2 * L} = 0",
-            rec.barbar[i - 1].substitute(a_sub)))
+            rec.barbar[i - 1].substitute(a_sub), show))
         if p == q:
             checks.append(_zero_check(
                 f"column {i}: F_({i},{i})^{2 * L} = 0",
-                rec.ii[i - 1].substitute(a_sub)))
+                rec.ii[i - 1].substitute(a_sub), show))
             checks.append(_zero_check(
                 f"column {i}: F_({i}bar,{i})^{2 * L} = 0",
-                rec.bari[i - 1].substitute(a_sub)))
-
-    bindings = ({k: ring.const(as_fraction(v)) for k, v in params.items()}
-                if params else None)
-
-    def render(value: AElement) -> str:
-        if bindings:
-            value = AElement(ring, value.names,
-                             {e: c.substitute(bindings)
-                              for e, c in value.terms.items()})
-        return str(value)
+                rec.bari[i - 1].substitute(a_sub), show))
 
     report = _report("upq-recursion", {"p": p, "q": q, "blocks": list(blocks)},
                      checks, started)
     if notes:
         report["notes"] = notes
     report["tables"] = {
-        stage: {family: [render(v) for v in column]
+        stage: {family: [show(v.substitute(params or {})) for v in column]
                 for family, column in table.items()}
         for stage, table in tables.items()
     }
@@ -872,14 +673,17 @@ class _UpqKernelTrace:
                                   rho_shift=False)
         self.step = 0
 
-    def compare(self, rec: "_UpqRecursion", m: int, a_sub) -> List[dict]:
-        form = self.form
+    def compare(self, rec: "_UpqRecursion", m: int) -> List[dict]:
         p, q = rec.p, rec.q
         big = p + q
         while self.step < m:
             factor = self.e_mat.shift(self.lam[self.step])
             self.product = factor.mul(self.product)
             self.step += 1
+
+        def show(value: ParamPoly) -> str:
+            return radial_str(value, self.form.ring)
+
         checks = []
         reduced = [[reduce_iwasawa(self.product.entry(a, b), self.spec)
                     for b in range(1, big + 1)] for a in range(1, big + 1)]
@@ -900,11 +704,12 @@ class _UpqKernelTrace:
                     expected = rec.bari[big - a]
                 if expected is None:
                     checks.append(_zero_check(
-                        f"kernel off-pattern entry[{a},{b}] at m={m}", value))
+                        f"kernel off-pattern entry[{a},{b}] at m={m}", value,
+                        show))
                 else:
                     checks.append(_zero_check(
                         f"kernel == recursion at entry[{a},{b}], m={m}",
-                        value - expected))
+                        value - expected, show))
         return checks
 
 
@@ -961,14 +766,14 @@ def upq_shilov_identity(p: int, q: int) -> dict:
     # Step 2: K1 P == (p+s) P and K2 Q == (q+t) Q, blockwise.
     for i in range(1, p + 1):
         for b in range(p + 1, big + 1):
-            k1p = _sum_products([ent(i, nu) for nu in range(1, p + 1)],
-                                [ent(nu, b) for nu in range(1, p + 1)])
+            k1p = sum_products([ent(i, nu) for nu in range(1, p + 1)],
+                               [ent(nu, b) for nu in range(1, p + 1)])
             residue_zero(f"step2 (K1 P)[{i},{b}]",
                          k1p - ent(i, b).scale(ring.const(p) + s))
     for i in range(p + 1, big + 1):
         for b in range(1, p + 1):
-            k2q = _sum_products([ent(i, nu) for nu in range(p + 1, big + 1)],
-                                [ent(nu, b) for nu in range(p + 1, big + 1)])
+            k2q = sum_products([ent(i, nu) for nu in range(p + 1, big + 1)],
+                               [ent(nu, b) for nu in range(p + 1, big + 1)])
             residue_zero(f"step2 (K2 Q)[{i},{b}]",
                          k2q - ent(i, b).scale(ring.const(q) + t))
 
@@ -976,12 +781,12 @@ def upq_shilov_identity(p: int, q: int) -> dict:
     e2 = e_mat.mul(e_mat)
 
     def pq_entry(a: int, b: int) -> EnvElement:
-        return _sum_products([ent(a, nu) for nu in range(p + 1, big + 1)],
-                             [ent(nu, b) for nu in range(p + 1, big + 1)])
+        return sum_products([ent(a, nu) for nu in range(p + 1, big + 1)],
+                            [ent(nu, b) for nu in range(p + 1, big + 1)])
 
     def qp_entry(a: int, b: int) -> EnvElement:
-        return _sum_products([ent(a, nu) for nu in range(1, p + 1)],
-                             [ent(nu, b) for nu in range(1, p + 1)])
+        return sum_products([ent(a, nu) for nu in range(1, p + 1)],
+                            [ent(nu, b) for nu in range(1, p + 1)])
 
     for a in range(1, big + 1):
         for b in range(1, big + 1):
@@ -1118,17 +923,17 @@ def hua_sp_system(n: int) -> dict:
     scale = ring.const(Fraction(n + 1, 2))
     for i in rng:
         for j in rng:
-            lhs = (_sum_products([kk(i, nu) for nu in rng],
-                                 [pp(nu, j) for nu in rng])
-                   - _sum_products([pp(nu, j) for nu in rng],
-                                   [kk(i, nu) for nu in rng]))
+            lhs = (sum_products([kk(i, nu) for nu in rng],
+                                [pp(nu, j) for nu in rng])
+                   - sum_products([pp(nu, j) for nu in rng],
+                                  [kk(i, nu) for nu in rng]))
             checks.append(_zero_check(
                 f"sum K P - sum P K at [{i},{j}]",
                 lhs - pp(i, j).scale(scale)))
-            lhs = (_sum_products([qq(nu, j) for nu in rng],
-                                 [kk(nu, i) for nu in rng])
-                   - _sum_products([kk(nu, i) for nu in rng],
-                                   [qq(nu, j) for nu in rng]))
+            lhs = (sum_products([qq(nu, j) for nu in rng],
+                                [kk(nu, i) for nu in rng])
+                   - sum_products([kk(nu, i) for nu in rng],
+                                  [qq(nu, j) for nu in rng]))
             checks.append(_zero_check(
                 f"sum Q K - sum K Q at [{i},{j}]",
                 lhs - qq(i, j).scale(scale)))
@@ -1142,8 +947,8 @@ def hua_sp_system(n: int) -> dict:
             row = []
             for b in range(1, big + 1):
                 if a <= n and b <= n:
-                    val = _sum_products([pp(a, nu) for nu in rng],
-                                        [qq(nu, b) for nu in rng])
+                    val = sum_products([pp(a, nu) for nu in rng],
+                                       [qq(nu, b) for nu in rng])
                     if a == b:
                         val = val + EnvElement.scalar(basis, pq_val)
                 elif a <= n < b:
@@ -1151,8 +956,8 @@ def hua_sp_system(n: int) -> dict:
                 elif b <= n < a:
                     val = qq(a - n, b).scale(q_scale)
                 else:
-                    val = _sum_products([qq(a - n, nu) for nu in rng],
-                                        [pp(nu, b - n) for nu in rng])
+                    val = sum_products([qq(a - n, nu) for nu in rng],
+                                       [pp(nu, b - n) for nu in rng])
                     if a == b:
                         val = val + EnvElement.scalar(basis, qp_val)
                 row.append(val)
@@ -1277,7 +1082,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 rhs = p_pow[m].entry(i, j).scale(half_n)
                 if i == j:
                     rhs = rhs - p_traces[m].scale(half)
-                rhs = rhs + _sum_products(
+                rhs = rhs + sum_products(
                     [p_pow[m].entry(nu, j) for nu in range(1, n + 1)],
                     [k_mat.entry(i, nu) for nu in range(1, n + 1)])
                 antisym = (p_pow[m].entry(j, i) - p_pow[m].entry(i, j)).scale(half)

@@ -90,6 +90,26 @@ def test_bound_reduce_matches_unbound_residue(tmp_path, capsys):
     assert reduced["allZero"]
 
 
+@pytest.mark.parametrize("binding", ["nosuch=1", "E_1=1"])
+def test_reduce_rejects_unknown_binding(tmp_path, capsys, binding):
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "1", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--out", str(blob)]) == 0
+    capsys.readouterr()
+    code = run(["reduce"] + argv + ["--in", str(blob), "--bind", binding, "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("binding", ["zzz=3", "E_1=1"])
+def test_upq_recursion_rejects_unknown_binding(capsys, binding):
+    code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", "--bind", binding])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["--form", "upq", "--p", "1", "--q", "2"], ["--form", "spnr", "--n", "0"], ["--form", "glnr", "--n", "0"]],

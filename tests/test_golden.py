@@ -1,0 +1,46 @@
+"""Golden outputs: canonical JSON digests of small CLI requests, U(a) strings."""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from huaops.cli import run
+from huaops.liedata import make_glnr, make_spnr
+from huaops.matop import generator_matrix, trace_power
+from huaops.reduce import gamma, gamma_ell, radial_str
+
+GOLDEN = {
+    "verify upq-theorem --p 2 --q 1 --blocks 1":
+        "a10264ac7aecd883a211576c12a13a42220d73f5d0a708e3126f5a737122266a",
+    "verify upq-theorem --p 2 --q 1 --blocks 1 --perturb":
+        "b55879d75e7624dbb8909a2df7cab7359eb67f332cb679d63bda8895c55dd440",
+    "verify gl-lemma --n 2 --m 2":
+        "b5255eab04f2373f5ae0d15d20d98dd22c634c18f7fa31be363477a3247ff9a2",
+    "verify upq-recursion --p 2 --q 1 --blocks 1 --kernel":
+        "161a70b091d2fcbbce1be60d3ae11d1beed2cc30629af0c15079e6dd695b36a0",
+    "verify upq-recursion --p 2 --q 2 --blocks 1,2 --bind mu_1=3/2 --bind s=0":
+        "e5d6f9d8f7549a35718c69775cf5bcf36b0a0dd197224525005eb9c7357ad07e",
+    "verify sp-hua --n 1":
+        "55b65fc05c111ac663951bbd8c9b0acbd13a95dceba7aead492de9029448f019",
+    "verify upq-shilov --p 2 --q 1":
+        "f47ac05f759d86054b5392f0bdaafcb102ebacc401cec3775f1e6f2c3363a1d3",
+}
+
+
+@pytest.mark.parametrize("request_args", sorted(GOLDEN))
+def test_canonical_json_digest(capsys, request_args):
+    code = run(request_args.split() + ["--json"])
+    out = capsys.readouterr().out
+    assert code == (1 if "--perturb" in request_args else 0)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[request_args]
+
+
+def test_radial_image_strings():
+    gl2 = make_glnr(2)
+    casimir = trace_power(generator_matrix(gl2.complex_algebra, gl2.ring), 2)
+    assert radial_str(gamma(casimir, gl2), gl2.ring) == "(-1/2) + E_2_2^2 + E_1_1^2"
+    sp1 = make_spnr(1)
+    casimir = trace_power(generator_matrix(sp1.complex_algebra, sp1.ring), 2)
+    assert radial_str(gamma_ell(casimir, sp1), sp1.ring) == "(-2) + (2)*A_1^2"

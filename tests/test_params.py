@@ -93,3 +93,12 @@ def test_rings_with_different_symbols_are_distinct():
     assert other != RING
     with pytest.raises((ValueError, KeyError)):
         RING.var("nope")
+
+
+@given(polys())
+@settings(max_examples=40, deadline=None)
+def test_rename_lifts_and_lowers(a):
+    wide = ParamRing(RING.symbols + ("E_1",))
+    assert a.rename(wide).rename(RING) == a
+    with pytest.raises(KeyError):
+        (a.rename(wide) + wide.var("E_1")).rename(RING)
