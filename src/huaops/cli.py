@@ -24,7 +24,7 @@ from .cfun import c_function, e_c_line_bundle, e_function
 from .liedata import (glnr_root_system, make_algebra, satake_table,
                       spnr_root_system, upq_root_system)
 from .matop import GeneratorSet, ideal_generators
-from .minpoly import THETA, THETA_BAR, ThetaData
+from .minpoly import THETA, THETA_BAR, ThetaData, check_upq_blocks
 from .params import ParamRing, as_fraction
 from .pbw import EnvElement
 from .reduce import (gl_lemma_check, hua_sp_system, reduce_iwasawa,
@@ -183,6 +183,14 @@ def _need(args: argparse.Namespace, *names: str) -> List[int]:
 # subcommand handlers (each returns (report dict, exit code))
 # ---------------------------------------------------------------------------
 
+def _upq_blocks(args: argparse.Namespace) -> Tuple[int, ...]:
+    """The ``--blocks`` of a upq request: positive, increasing, ending at q."""
+    try:
+        return check_upq_blocks(args.q, args.blocks)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def _upq_bindings(args: argparse.Namespace) -> Dict[str, Fraction]:
     """The ``--bind`` values of a upq request; only ``mu_1..mu_L, s, t``."""
     symbols = upq_symbols(args.blocks)
@@ -200,7 +208,7 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
                 "the upq construction fixes the plain variant; use "
                 "--form spnr for the barred one")
         p, q = _need(args, "p", "q")
-        form, theta = upq_form_and_theta(p, q, args.blocks)
+        form, theta = upq_form_and_theta(p, q, _upq_blocks(args))
         column_range = (p + 1, p + q) if args.restrict_columns else None
         return ideal_generators(make_algebra("gl", p + q), theta,
                                 ring=form.ring, column_range=column_range)
@@ -228,13 +236,14 @@ def _cmd_ideal(args: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
+    blocks = _upq_blocks(args)
     bindings = _upq_bindings(args)
     if args.infile:
         with open(args.infile, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     else:
         doc = json.load(sys.stdin)
-    p, q, blocks = args.p, args.q, tuple(args.blocks)
+    p, q = args.p, args.q
     form, _theta = upq_form_and_theta(p, q, blocks)
     ambient = make_algebra("gl", p + q)
     meta = doc.get("metadata", {})
@@ -281,10 +290,10 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
     elif args.target == "upq-shilov":
         report = upq_shilov_identity(args.p, args.q)
     elif args.target == "upq-theorem":
-        report = upq_theorem_case(args.p, args.q, args.blocks,
+        report = upq_theorem_case(args.p, args.q, _upq_blocks(args),
                                   perturb=args.perturb)
     else:
-        report = upq_scalar_recursion(args.p, args.q, args.blocks,
+        report = upq_scalar_recursion(args.p, args.q, _upq_blocks(args),
                                       params=_upq_bindings(args) or None,
                                       compare_kernel=args.kernel)
     return report, 0 if report["pass"] else 1

@@ -273,7 +273,8 @@ class GeneratorSet:
     def entries(self) -> List[Tuple[int, int, EnvElement]]:
         return [(i, j, self.matrix.entry(i, j)) for i, j in self.entry_positions()]
 
-    def to_json_dict(self) -> dict:
+    def metadata(self) -> dict:
+        """What the set was built from: pattern, algebra and basis."""
         meta = {
             "kind": self.theta.kind,
             "rank": self.theta.rank,
@@ -285,8 +286,11 @@ class GeneratorSet:
         }
         if self.column_range is not None:
             meta["columnRange"] = list(self.column_range)
-        out = {
-            "metadata": meta,
+        return meta
+
+    def to_json_dict(self) -> dict:
+        return {
+            "metadata": self.metadata(),
             "polynomial": self.polynomial.to_json_dict(),
             "entries": [
                 {"row": i, "col": j, "element": e.to_json_dict()}
@@ -303,7 +307,6 @@ class GeneratorSet:
             ],
             "pfaffianOmitted": self.pfaffian_omitted,
         }
-        return out
 
 
 def ideal_generators(algebra: AlgebraData, theta: ThetaData,

@@ -379,6 +379,20 @@ def boundary_degree(family: str, node: int, **args: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def check_upq_blocks(q: int, blocks: Sequence[int]) -> Tuple[int, ...]:
+    """The U(p,q) block ends ``0 < n_1 < ... < n_L = q``, as a tuple.
+
+    Raises ``ValueError`` naming the blocks as given when they are not
+    positive, not strictly increasing or do not end at q.
+    """
+    blocks = tuple(blocks)
+    if (not blocks or blocks[0] < 1 or blocks[-1] != q
+            or any(a >= b for a, b in zip(blocks, blocks[1:]))):
+        raise ValueError(f"blocks {','.join(map(str, blocks))} must be "
+                         f"positive, strictly increasing and end at q={q}")
+    return blocks
+
+
 def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
                         mu: Sequence[ValueLike], s: ValueLike,
                         t: ValueLike, ring: Optional[ParamRing] = None,
@@ -392,9 +406,7 @@ def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
     reflected block ``j`` contributes the root ``-mu_j + (s+t)/2`` shifted by
     its position ``p + q - n_j``.
     """
-    blocks = tuple(blocks)
-    if not blocks or blocks[-1] != q:
-        raise ValueError(f"blocks {blocks} must end at q={q}")
+    blocks = check_upq_blocks(q, blocks)
     if q > p:
         raise ValueError(f"need q <= p, got p={p} q={q}")
     L = len(blocks)

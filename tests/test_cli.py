@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from huaops.cli import run
 
@@ -108,6 +110,42 @@ def test_upq_recursion_rejects_unknown_binding(capsys, binding):
     code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", "--bind", binding])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+_BAD_UPQ_BLOCKS = [
+    ["verify", "upq-recursion", "--p", "2", "--q", "2", "--blocks", "2,2"],
+    ["verify", "upq-recursion", "--p", "3", "--q", "2", "--blocks", "0,2"],
+    ["verify", "upq-recursion", "--p", "2", "--q", "2", "--blocks", "1,1,2"],
+    ["verify", "upq-recursion", "--p", "3", "--q", "3", "--blocks", "2,1,3"],
+    ["verify", "upq-theorem", "--p", "1", "--q", "1", "--blocks", "1,1"],
+    ["ideal", "--form", "upq", "--p", "1", "--q", "1", "--blocks", "1,1"],
+    ["reduce", "--form", "upq", "--p", "1", "--q", "1", "--blocks", "1,1"],
+]
+
+
+@pytest.mark.parametrize("argv", _BAD_UPQ_BLOCKS, ids=[f"{a[1] if a[0] == 'verify' else a[0]}-{a[-1]}" for a in _BAD_UPQ_BLOCKS])
+def test_upq_rejects_malformed_blocks(tmp_path, capsys, argv):
+    # reduce must refuse before it reads its (here absent) generator set.
+    code = run(argv + ["--in", str(tmp_path / "absent.json")] if argv[0] == "reduce" else argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"blocks {argv[-1]} must be" in captured.err
+    assert captured.out == ""
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    pq=st.integers(min_value=1, max_value=3).flatmap(
+        lambda p: st.tuples(st.just(p), st.integers(min_value=1, max_value=p))
+    ),
+    blocks=st.lists(st.integers(min_value=-1, max_value=4), min_size=1, max_size=3),
+)
+def test_upq_recursion_fuzz_blocks(pq, blocks):
+    p, q = pq
+    valid = blocks[0] >= 1 and blocks[-1] == q and all(a < b for a, b in zip(blocks, blocks[1:]))
+    # "--blocks=" keeps argparse from reading a leading "-1" as an option.
+    argv = ["verify", "upq-recursion", "--p", str(p), "--q", str(q), "--blocks=" + ",".join(map(str, blocks))]
+    assert run(argv) == (0 if valid else 2)
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,14 @@ GOLDEN = {
         "55b65fc05c111ac663951bbd8c9b0acbd13a95dceba7aead492de9029448f019",
     "verify upq-shilov --p 2 --q 1":
         "f47ac05f759d86054b5392f0bdaafcb102ebacc401cec3775f1e6f2c3363a1d3",
+    "verify upq-shilov --p 2 --q 2":
+        "46f199b2de96f4c10aad6e77bcf0eaa2ae2efe42407e5710d8d2a685400e94d7",
+    "verify upq-shilov --p 3 --q 2":
+        "707f1dbdb9e04a97600ac3073432b9434346336d30b82d022bfb18c759ca4cc3",
+    "verify sp-hua --n 2":
+        "03e72a8dc6493d936acf3d7167500bb9c2718048740182244a15e3df82516063",
+    "verify gl-lemma --n 3 --m 3":
+        "8f3d5577116d9730e615a03ba2161014a03954c077337451095e461e6aaac051",
 }
 
 

@@ -107,6 +107,9 @@ def test_lambda_schedule_validation():
         upq_lambda_schedule(1, 2, (2,), (mu,), s, t, ring=ring)  # q <= p
     with pytest.raises(ValueError):
         upq_lambda_schedule(2, 2, (1, 2), (mu,), s, t, ring=ring)  # one mu per block
+    for p, q, blocks in [(2, 2, (2, 2)), (3, 2, (0, 2)), (2, 2, (1, 1, 2)), (3, 3, (2, 1, 3))]:
+        with pytest.raises(ValueError, match="positive, strictly increasing"):
+            upq_lambda_schedule(p, q, blocks, (mu,) * len(blocks), s, t, ring=ring)
 
 
 @pytest.mark.parametrize("p,q,blocks", [(1, 1, (1,)), (2, 1, (1,)), (2, 2, (1, 2)), (3, 2, (1, 2))])

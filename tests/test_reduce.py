@@ -9,11 +9,12 @@ import pytest
 
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq
-from huaops.matop import generator_matrix, trace_power
+from huaops.matop import OpMatrix, generator_matrix, trace_power
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
 from huaops.reduce import (
     ReductionSpec,
+    ambient_matrix,
     gamma,
     gamma_ell,
     gl_lemma_check,
@@ -254,3 +255,35 @@ def test_upq_theorem_perturbed_control_fails():
 def test_upq_recursion_driver_small():
     report = upq_scalar_recursion(1, 1, (1,), compare_kernel=True)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+
+
+# ---------------------------------------------------------------------------
+# the drivers' check helpers must report a wrong target, not hide it
+# ---------------------------------------------------------------------------
+
+
+def test_congruences_report_exactly_the_wrong_entry():
+    form = make_glnr(2)
+    e_mat = ambient_matrix(form.basis, form.ring)
+    rows = [list(row) for row in e_mat.entries]
+    rows[0][1] = rows[0][1] + EnvElement.scalar(form.basis, form.ring.const(3))
+    wrong = OpMatrix(form.basis, form.ring, tuple(map(tuple, rows)))
+    checks = []
+    reduce_module._congruences(checks, "probe", e_mat, wrong, zero_character(form), " at m=1")
+    assert [c["name"] for c in checks] == [f"probe entry[{a},{b}] at m=1" for a in (1, 2) for b in (1, 2)]
+    assert [(c["pass"], c["residue"]) for c in checks] == [(True, "0"), (False, "(-3)"), (True, "0"), (True, "0")]
+
+
+def test_exact_quadratic_records_mismatch_for_a_wrong_square():
+    # (F - c1)(F - c2) = F^2 - (c1 + c2) F + c1 c2 holds for any scalars, so
+    # only a wrong F^2 can break it.
+    form = make_glnr(2)
+    ring = form.ring
+    e_mat = ambient_matrix(form.basis, ring)
+    e2 = e_mat.mul(e_mat)
+    checks = []
+    product = reduce_module._exact_quadratic(checks, "probe", e_mat, e2, ring.const(1), ring.const(2))
+    assert checks == [{"name": "probe", "pass": True, "residue": "0"}]
+    assert product.entries == e2.add(e_mat.scale(-3)).shift(ring.const(2)).entries
+    reduce_module._exact_quadratic(checks, "probe", e_mat, e2.shift(ring.const(1)), ring.const(1), ring.const(2))
+    assert checks[-1] == {"name": "probe", "pass": False, "residue": "mismatch"}
