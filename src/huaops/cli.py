@@ -433,7 +433,10 @@ def _summarize(report: dict, stream) -> None:
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits: 2 on bad usage, 0 on --help
+        return exc.code
     handlers = {
         "ideal": _cmd_ideal,
         "reduce": _cmd_reduce,

@@ -96,8 +96,9 @@ class OpMatrix:
         ))
 
     def trace(self) -> EnvElement:
-        return sum((self.entries[i][i] for i in range(1, self.size)),
-                   self.entries[0][0])
+        one = EnvElement.scalar(self.basis, self.ring.one())
+        return sum_products([row[i] for i, row in enumerate(self.entries)],
+                            [one] * self.size)
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)

@@ -14,6 +14,17 @@ a memoised straightening recursion; the independent ``naive_normal_order``
 rewriter below exists purely as a cross-check oracle for tests and shares no
 code with the fast path.
 
+Straightening runs on plain ints.  A basis's ``scale`` D is the lcm of the
+denominators of its structure constants (1 on the Verma bases, 2 on the
+Iwasawa ones), and the recursion uses the integral bracket D·[x, y] in
+place of [x, y].  In a product of degree N, the int stored for a monomial m
+is then its rational coefficient times D^(N - deg m): each bracket step
+lowers the degree by one and contributes one factor D.  Every scaled value
+is checked to be integral, never rounded, so a wrong scale raises instead of
+giving a wrong product.  :func:`sum_products` and the basis conversions
+bring every input coefficient over one common denominator, accumulate int
+numerators, and divide once per output term.
+
 Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
 must be contiguous and in declared order, so a normal-ordered monomial splits
@@ -23,16 +34,32 @@ into zone segments by position — this is what the reduction module relies on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import add, itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .params import ParamPoly, ParamRing, as_fraction, poly_from_string_ring
+from .params import (Exponents, ParamPoly, ParamRing, as_fraction,
+                     poly_from_string_ring)
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 Monomial = Tuple[Tuple[int, int], ...]  # ((gen_index, power), ...) strictly increasing
 LinearCombo = Tuple[Tuple[int, Fraction], ...]
+IntCombo = Tuple[Tuple[int, int], ...]
+Numerators = Dict[Exponents, int]  # int numerators of one ParamPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+_power = itemgetter(1)
+
+
+def _integral(value: Fraction, factor: int) -> int:
+    """``value * factor`` as an int; raises unless it is one (never rounds)."""
+    scaled, remainder = divmod(value.numerator * factor, value.denominator)
+    if remainder:
+        raise ArithmeticError(
+            f"scaled coefficient {value * factor} is not an integer")
+    return scaled
 
 
 def make_matrix(n: int, entries: Mapping[Tuple[int, int], object] | None = None) -> Matrix:
@@ -162,9 +189,9 @@ class OrderedBasis:
             if not self._span.add([x for row in mat for x in row]):
                 raise ValueError(f"generator {name} is linearly dependent on earlier ones")
         self._bracket_cache: Dict[Tuple[int, int], LinearCombo] = {}
-        self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, Fraction]] = {}
-        self._mono_mono_cache: Dict[Tuple[Monomial, Monomial], Dict[Monomial, Fraction]] = {}
-        self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, Fraction]] = {}
+        self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, int]] = {}
+        self._mono_mono_cache: Dict[Tuple[Monomial, Monomial], Dict[Monomial, int]] = {}
+        self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -214,6 +241,20 @@ class OrderedBasis:
         self._bracket_cache[key] = combo
         return combo
 
+    @cached_property
+    def scale(self) -> int:
+        """D, the lcm of the denominators of all structure constants."""
+        n = len(self)
+        return lcm(*(c.denominator for i in range(n) for j in range(i + 1, n)
+                     for _k, c in self.bracket(i, j)))
+
+    @cached_property
+    def _scaled_brackets(self) -> Dict[Tuple[int, int], IntCombo]:
+        """D·[g_i, g_j] with int coefficients, for every i > j."""
+        d = self.scale
+        return {(i, j): tuple((k, _integral(c, d)) for k, c in self.bracket(i, j))
+                for i in range(len(self)) for j in range(i)}
+
     # -- monomial helpers ----------------------------------------------------
 
     def split_monomial(self, mono: Monomial) -> Dict[str, Monomial]:
@@ -225,31 +266,36 @@ class OrderedBasis:
 
     # -- straightening engine -------------------------------------------------
 
-    def mul_mono_gen(self, mono: Monomial, g: int) -> Dict[Monomial, Fraction]:
-        """Normal form of (mono * g) as {monomial: rational}."""
+    def mul_mono_gen(self, mono: Monomial, g: int) -> Dict[Monomial, int]:
+        """Normal form of (mono * g), scaled: {m: D^(N - deg m) * coefficient}.
+
+        N = deg(mono) + 1.  The recursion is the rational one with the
+        bracket D·[h, g]: the product term keeps the degree and the bracket
+        term lowers it by one, so the scaled coefficients are ints.
+        """
         key = (mono, g)
         hit = self._mono_gen_cache.get(key)
         if hit is not None:
             return hit
         if not mono:
-            result = {((g, 1),): _ONE}
+            result = {((g, 1),): 1}
         else:
             h, e = mono[-1]
             if h < g:
-                result = {mono + ((g, 1),): _ONE}
+                result = {mono + ((g, 1),): 1}
             elif h == g:
-                result = {mono[:-1] + ((h, e + 1),): _ONE}
+                result = {mono[:-1] + ((h, e + 1),): 1}
             else:
                 # mono = pre·h^e with h > g:  pre·h^(e-1)·(h g) where
                 # h g = g h + [h, g].
                 pre = mono[:-1] + ((h, e - 1),) if e > 1 else mono[:-1]
-                acc: Dict[Monomial, Fraction] = {}
+                acc: Dict[Monomial, int] = {}
                 for m1, c1 in self.mul_mono_gen(pre, g).items():
                     for m2, c2 in self.mul_mono_gen(m1, h).items():
                         c = c1 * c2
                         prev = acc.get(m2)
                         acc[m2] = c if prev is None else prev + c
-                for k, ck in self.bracket(h, g):
+                for k, ck in self._scaled_brackets[h, g]:
                     for m1, c1 in self.mul_mono_gen(pre, k).items():
                         c = ck * c1
                         prev = acc.get(m1)
@@ -258,19 +304,23 @@ class OrderedBasis:
         self._mono_gen_cache[key] = result
         return result
 
-    def mul_monos(self, a: Monomial, b: Monomial) -> Dict[Monomial, Fraction]:
-        """Normal form of the product of two normal-ordered monomials."""
+    def mul_monos(self, a: Monomial, b: Monomial) -> Dict[Monomial, int]:
+        """Normal form of a·b, scaled like :meth:`mul_mono_gen`.
+
+        The int stored for m is D^(deg a + deg b - deg m) times its
+        coefficient: the scalings of a·g and of (a·g)·rest multiply to it.
+        """
         if not b:
-            return {a: _ONE}
+            return {a: 1}
         if not a:
-            return {b: _ONE}
+            return {b: 1}
         key = (a, b)
         hit = self._mono_mono_cache.get(key)
         if hit is not None:
             return hit
         g, e = b[0]
         rest: Monomial = ((g, e - 1),) + b[1:] if e > 1 else b[1:]
-        acc: Dict[Monomial, Fraction] = {}
+        acc: Dict[Monomial, int] = {}
         for m1, c1 in self.mul_mono_gen(a, g).items():
             for m2, c2 in self.mul_monos(m1, rest).items():
                 c = c1 * c2
@@ -282,7 +332,7 @@ class OrderedBasis:
 
 
 def mono_degree(mono: Monomial) -> int:
-    return sum(e for _g, e in mono)
+    return sum(map(_power, mono))
 
 
 def word_mono(word: Sequence[int]) -> Monomial:
@@ -497,41 +547,86 @@ class EnvElement:
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})
 
 
+def _numerators(elems: Sequence[EnvElement]
+                ) -> Tuple[int, List[List[Tuple[Monomial, int, Numerators]]]]:
+    """One common denominator q of every coefficient, and the int numerators.
+
+    Each element becomes a list of ``(monomial, degree, {exponents: q*c})``.
+    """
+    q = lcm(*(c.denominator for x in elems for poly in x.terms.values()
+              for c in poly.terms.values()))
+    return q, [[(m, mono_degree(m),
+                 {e: _integral(c, q) for e, c in poly.terms.items()})
+                for m, poly in x.terms.items()] for x in elems]
+
+
+def _accumulate(out: Dict[Monomial, Numerators], coeff: Numerators,
+                image: Mapping[Monomial, int]) -> None:
+    """Add ``coeff * c`` to ``out[m]`` for every ``m: c`` of ``image``."""
+    for m, c in image.items():
+        acc = out.get(m)
+        if acc is None:
+            out[m] = {e: k * c for e, k in coeff.items()}
+        else:
+            for e, k in coeff.items():
+                acc[e] = acc.get(e, 0) + k * c
+
+
+def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators],
+            denominator: int, top: int) -> EnvElement:
+    """Divide ``out[m]`` by ``denominator * D^(top - deg m)``, once per term."""
+    d = basis.scale
+    terms: Dict[Monomial, ParamPoly] = {}
+    for m, acc in out.items():
+        den = denominator * d ** (top - mono_degree(m))
+        poly = {e: Fraction(k, den) for e, k in acc.items() if k}
+        if poly:
+            terms[m] = ParamPoly(ring, poly)
+    return EnvElement(basis, ring, terms)
+
+
 def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
                  ) -> EnvElement:
     """``sum_k left[k] * right[k]``, accumulated into one term dict.
 
     Every factor lives over the basis and ring of ``left[0]``; each product
-    keeps its left factor on the left.
+    keeps its left factor on the left.  With ql, qr the common denominators
+    of the left and right coefficients and T the largest degree of a
+    product, every term is accumulated as an int numerator over
+    ql·qr·D^(T - deg m): the product of degree N = deg a + deg b is scaled
+    by D^(T - N) on top of the D^(N - deg m) that :meth:`mul_monos` stores.
     """
     first = left[0]
     basis = first.basis
-    out: Dict[Monomial, ParamPoly] = {}
     for x, y in zip(left, right, strict=True):
         first._check_compatible(x)
         first._check_compatible(y)
-        for ma, ca in x.terms.items():
-            for mb, cb in y.terms.items():
-                cab = ca * cb
-                if cab.is_zero():
-                    continue
-                for m, c in basis.mul_monos(ma, mb).items():
-                    q = out.get(m)
-                    q = cab * c if q is None else q + cab * c
-                    if q.is_zero():
-                        out.pop(m, None)
-                    else:
-                        out[m] = q
-    return EnvElement(basis, first.ring, out)
+    ql, lefts = _numerators(left)
+    qr, rights = _numerators(right)
+    top = max((max(da for _m, da, _p in xs) + max(db for _m, db, _p in ys)
+               for xs, ys in zip(lefts, rights) if xs and ys), default=0)
+    powers = [basis.scale ** i for i in range(top + 1)]
+    out: Dict[Monomial, Numerators] = {}
+    for xs, ys in zip(lefts, rights):
+        for ma, da, pa in xs:
+            for mb, db, pb in ys:
+                shift = powers[top - da - db]
+                cab: Numerators = {}
+                for ea, ka in pa.items():
+                    for eb, kb in pb.items():
+                        e = tuple(map(add, ea, eb))
+                        cab[e] = cab.get(e, 0) + ka * kb * shift
+                _accumulate(out, cab, basis.mul_monos(ma, mb))
+    return _finish(basis, first.ring, out, ql * qr, top)
 
 
 def _word_image(
     target: OrderedBasis,
-    images: Sequence[LinearCombo],
+    images: Sequence[IntCombo],
     mono: Monomial,
-    cache: Dict[Tuple[str, Monomial], Dict[Monomial, Fraction]],
+    cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]],
     dropped: range,
-) -> Dict[Monomial, Fraction]:
+) -> Dict[Monomial, int]:
     """Normal form over ``target`` of a source monomial, minus ``dropped``-led terms.
 
     The word is multiplied in from the left, one generator at a time, and
@@ -540,16 +635,22 @@ def _word_image(
     spans a subalgebra x: those monomials then span x U(g), a right ideal,
     so no later factor can bring a discarded term back.  Images of all word
     prefixes are memoised in ``cache``.
+
+    ``images[g]`` is E times the image of source generator g, with E the lcm
+    of the denominators of all those images, so its coefficients are ints.
+    For a word of length N the int stored for m is E^N·D^(N - deg m) times
+    its coefficient: each generator contributes one factor E, and
+    :meth:`OrderedBasis.mul_mono_gen` the powers of D.
     """
     key = (target.basis_id, mono)
     hit = cache.get(key)
     if hit is not None:
         return hit
     if not mono:
-        return {(): _ONE}
+        return {(): 1}
     g, e = mono[-1]
     prefix = mono[:-1] + ((g, e - 1),) if e > 1 else mono[:-1]
-    acc: Dict[Monomial, Fraction] = {}
+    acc: Dict[Monomial, int] = {}
     for tm, c in _word_image(target, images, prefix, cache, dropped).items():
         for k, ck in images[g]:
             for m2, c2 in target.mul_mono_gen(tm, k).items():
@@ -566,27 +667,31 @@ def _word_image(
 def _map_terms(
     elem: EnvElement,
     target: OrderedBasis,
-    cache: Dict[Tuple[str, Monomial], Dict[Monomial, Fraction]],
+    cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]],
     dropped: range,
 ) -> EnvElement:
-    """Map every monomial of ``elem`` through :func:`_word_image` and sum."""
+    """Map every monomial of ``elem`` through :func:`_word_image` and sum.
+
+    A term of degree N is accumulated as an int numerator over
+    q·E^T·D^(T - deg m), with q the common denominator of the coefficients
+    and T the top degree of ``elem``, so its image is scaled by (E·D)^(T - N).
+    """
     source = elem.basis
     if source.ambient != target.ambient:
         raise ValueError("bases live in different ambient gl_N")
-    images: List[LinearCombo] = []
-    for mat in source.matrices:
-        coords = target.expand_matrix(mat)
-        images.append(tuple((k, c) for k, c in enumerate(coords) if c != 0))
-    out: Dict[Monomial, ParamPoly] = {}
-    for mono, poly in elem.terms.items():
-        for m, c in _word_image(target, images, mono, cache, dropped).items():
-            q = out.get(m)
-            q = poly * c if q is None else q + poly * c
-            if q.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = q
-    return EnvElement(target, elem.ring, out)
+    coords = [target.expand_matrix(mat) for mat in source.matrices]
+    scale_e = lcm(*(c.denominator for row in coords for c in row))
+    images = [tuple((k, _integral(c, scale_e)) for k, c in enumerate(row) if c)
+              for row in coords]
+    q, (terms,) = _numerators([elem])
+    top = max((n for _m, n, _p in terms), default=0)
+    step = scale_e * target.scale
+    out: Dict[Monomial, Numerators] = {}
+    for mono, n, coeff in terms:
+        shift = step ** (top - n)
+        _accumulate(out, {e: k * shift for e, k in coeff.items()},
+                    _word_image(target, images, mono, cache, dropped))
+    return _finish(target, elem.ring, out, q * scale_e ** top, top)
 
 
 def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:

@@ -221,17 +221,22 @@ def test_missing_p_is_usage_error(capsys):
 
 
 def test_missing_required_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["ideal", "--form", "upq", "--p", "1", "--q", "1"])
+    assert run(["ideal", "--form", "upq", "--p", "1", "--q", "1"]) == 2
     capsys.readouterr()
-    assert exc.value.code == 2
 
 
 def test_malformed_blocks_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        run(["ideal", "--form", "upq", "--p", "1", "--q", "1", "--blocks", "one"])
+    assert run(["ideal", "--form", "upq", "--p", "1", "--q", "1", "--blocks", "one"]) == 2
     capsys.readouterr()
-    assert exc.value.code == 2
+
+
+def test_parser_errors_return_a_status(capsys):
+    # argparse reads the leading "-1" as an option, so --blocks has no value.
+    argv = ["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "-1,0"]
+    assert run(argv) == 2
+    assert "expected one argument" in capsys.readouterr().err
+    assert run(["verify", "--help"]) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_spnr_barred_variant_ideal(capsys):

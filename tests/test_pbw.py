@@ -5,10 +5,13 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from huaops.liedata import make_algebra, make_upq
+import pytest
+
+from huaops.liedata import make_algebra, make_glnr, make_upq
 from huaops.params import ParamRing
 from huaops.pbw import (
     EnvElement,
+    OrderedBasis,
     change_basis,
     mat_commutator,
     mono_degree,
@@ -17,6 +20,25 @@ from huaops.pbw import (
 )
 
 RING = ParamRing()
+
+
+def _oracle_bases():
+    """Bases for the naive-rewriter checks, with their expected scale D."""
+    return (
+        (make_algebra("gl", 3).basis, 1),
+        (make_upq(2, 1).basis, 2),
+        (make_glnr(3).basis, 2),
+    )
+
+
+def _word_coefficients(basis, word):
+    """Coefficients of the straightened product of a generator word."""
+    elem = EnvElement.scalar(basis, RING.one())
+    for g in word:
+        elem = elem * EnvElement.generator(basis, RING, g)
+    coeffs = {m: c.constant_value() for m, c in elem.terms.items()}
+    assert all(type(c) is Fraction for c in coeffs.values())
+    return coeffs
 
 
 def _random_element(basis, rng, *, max_degree=2, max_terms=3):
@@ -98,27 +120,48 @@ def test_normal_order_fixes_ordered_words():
         assert naive_normal_order(basis, word) == {word_mono(word): Fraction(1)}
 
 
+def test_basis_scale_is_the_bracket_denominator():
+    for basis, scale in _oracle_bases():
+        assert basis.scale == scale, basis.basis_id
+
+
 def test_naive_rewriter_agrees_on_generator_pairs():
-    basis = make_algebra("gl", 3).basis
-    for i in range(len(basis)):
-        for j in range(len(basis)):
-            lhs = EnvElement.generator(basis, RING, i) * EnvElement.generator(
-                basis, RING, j
-            )
-            rhs = naive_normal_order(basis, (i, j))
-            assert {m: c.constant_value() for m, c in lhs.terms.items()} == rhs
+    for basis, _scale in _oracle_bases():
+        for i in range(len(basis)):
+            for j in range(len(basis)):
+                assert (_word_coefficients(basis, (i, j))
+                        == naive_normal_order(basis, (i, j))), (basis.basis_id, i, j)
 
 
 def test_naive_rewriter_agrees_on_random_words():
-    basis = make_algebra("gl", 3).basis
-    rng = random.Random(101)
-    for _ in range(20):
-        word = tuple(rng.randrange(len(basis)) for _ in range(3))
-        elem = EnvElement.scalar(basis, RING.one())
-        for g in word:
-            elem = elem * EnvElement.generator(basis, RING, g)
-        oracle = naive_normal_order(basis, word)
-        assert {m: c.constant_value() for m, c in elem.terms.items()} == oracle
+    for basis, _scale in _oracle_bases():
+        rng = random.Random(101)
+        for _ in range(20):
+            word = tuple(rng.randrange(len(basis)) for _ in range(3))
+            assert (_word_coefficients(basis, word)
+                    == naive_normal_order(basis, word)), (basis.basis_id, word)
+
+
+@pytest.fixture
+def unscaled_iwasawa():
+    """A fresh copy of the U(2,1) Iwasawa basis with its scale forced to 1."""
+    source = make_upq(2, 1).basis
+    basis = OrderedBasis(
+        f"{source.basis_id}-unscaled", source.ambient,
+        list(zip(source.names, source.zone_of, source.matrices)), source.zones,
+    )
+    basis.scale = 1
+    return basis
+
+
+def test_wrong_scale_raises_instead_of_rounding(unscaled_iwasawa):
+    basis = unscaled_iwasawa
+    n = len(basis)
+    i, j = next((i, j) for i in range(n) for j in range(i)
+                if any(c.denominator != 1 for _k, c in basis.bracket(i, j)))
+    x, y = (EnvElement.generator(basis, RING, g) for g in (i, j))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        x * y
 
 
 def test_commutator_of_generators_matches_matrix_bracket():

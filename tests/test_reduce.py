@@ -231,6 +231,15 @@ def test_gl_lemma_driver_small():
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
 
 
+def test_gl_lemma_antisymmetrization_check_sees_each_entry(monkeypatch):
+    # With a peel that keeps everything, the check must fail wherever an
+    # antisymmetrization entry is nonzero; a sum over all entries is 0.
+    monkeypatch.setattr(reduce_module, "peel_k", lambda elem, _assignment: elem)
+    checks = {c["name"]: c for c in gl_lemma_check(2, 2)["checks"]}
+    assert checks["antisymmetrization term lies in U(g)k at m=1"]["pass"]
+    assert not checks["antisymmetrization term lies in U(g)k at m=2"]["pass"]
+
+
 def test_sp_hua_driver_small():
     report = hua_sp_system(1)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
