@@ -29,7 +29,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .params import ParamPoly, ParamRing
 from .pbw import (
-    EnvElement,
     Matrix,
     OrderedBasis,
     RationalSpan,
@@ -131,10 +130,6 @@ class AlgebraData:
         if self.sigma is None:
             return e
         return mat_add(e, self.sigma(e))
-
-    def f_entry(self, i: int, j: int, ring: ParamRing) -> EnvElement:
-        """F_{ij} as a degree <= 1 element of the enveloping algebra."""
-        return EnvElement.from_gl_matrix(self.basis, ring, self.f_matrix(i, j))
 
     def weight_map(self, values: Sequence[ParamPoly]) -> Dict[int, ParamPoly]:
         """Map a-zone generator index -> value, from per-diagonal values.

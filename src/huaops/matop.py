@@ -1,18 +1,23 @@
 """Matrices over an enveloping algebra and the ideal generators they produce.
 
 The generator matrix of a classical algebra has the spanning generators as
-its entries.  Evaluating a minimal polynomial on it — either factor by factor
-or through Horner's rule on the expanded coefficients — yields a square
-matrix of enveloping-algebra elements whose entries generate a two-sided
-ideal.  Trace powers of the generator matrix supply the central generators;
-their eigenvalues are read off a highest-weight evaluation oracle.
+its entries, over the Verma basis or any basis spanning the algebra (such as
+an Iwasawa basis).  A minimal polynomial evaluated on it is a square matrix
+of enveloping-algebra elements whose entries generate a two-sided ideal.
+:func:`factor_products` is the one loop that multiplies the factors
+``(F - c_1)(F - c_2)...``, yielding each partial product;
+:func:`mat_eval_factors` is the last, and Horner's rule on the expanded
+coefficients (:func:`mat_eval_poly`) checks it.  Trace powers of the
+generator matrix supply the central generators; their eigenvalues are read
+off a highest-weight evaluation oracle.  :func:`ideal_metadata` describes
+what a generator set is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .liedata import AlgebraData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
@@ -113,22 +118,39 @@ class OpMatrix:
             raise ValueError("incompatible matrices")
 
 
-def generator_matrix(algebra: AlgebraData, ring: ParamRing) -> OpMatrix:
-    """The matrix whose ``(i, j)`` entry is the spanning generator ``F_ij``."""
+def generator_matrix(algebra: AlgebraData, ring: ParamRing,
+                     basis: Optional[OrderedBasis] = None) -> OpMatrix:
+    """The matrix of the generators ``F_ij`` over ``basis`` (default Verma)."""
+    basis = algebra.basis if basis is None else basis
     n = algebra.ambient
     rows = tuple(
-        tuple(algebra.f_entry(i, j, ring) for j in range(1, n + 1))
+        tuple(EnvElement.from_gl_matrix(basis, ring, algebra.f_matrix(i, j))
+              for j in range(1, n + 1))
         for i in range(1, n + 1)
     )
-    return OpMatrix(algebra.basis, ring, rows)
+    return OpMatrix(basis, ring, rows)
+
+
+def factor_products(mat: OpMatrix, roots: Sequence[ParamPoly]
+                    ) -> Iterator[OpMatrix]:
+    """Yield ``(mat - r_1)``, ``(mat - r_1)(mat - r_2)``, ... for ``roots``.
+
+    Each prefix is the previous one times the next factor on the right; the
+    first is the factor itself.
+    """
+    product = None
+    for root in roots:
+        factor = mat.shift(-root)
+        product = factor if product is None else product.mul(factor)
+        yield product
 
 
 def mat_eval_factors(mat: OpMatrix, roots: Sequence[ParamPoly]) -> OpMatrix:
-    """``prod_k (mat - roots[k] * I)``, multiplied left to right."""
-    out = OpMatrix.identity(mat.basis, mat.ring, mat.size)
-    for root in roots:
-        out = out.mul(mat.shift(-root))
-    return out
+    """``prod_k (mat - roots[k] * I)``: the last of :func:`factor_products`."""
+    product = OpMatrix.identity(mat.basis, mat.ring, mat.size)
+    for product in factor_products(mat, roots):
+        pass
+    return product
 
 
 def mat_eval_poly(mat: OpMatrix, coefficients: Sequence[ParamPoly]) -> OpMatrix:
@@ -239,6 +261,39 @@ def theta_weight(algebra: AlgebraData, theta: ThetaData) -> Dict[int, ParamPoly]
 # ---------------------------------------------------------------------------
 
 
+def entry_positions(size: int, column_range: Optional[Tuple[int, int]] = None
+                    ) -> List[Tuple[int, int]]:
+    """Row-major 1-based positions of the entries kept from a square matrix.
+
+    ``column_range = (lo, hi)`` keeps columns ``lo..hi``; ``None`` keeps all.
+    """
+    if column_range is None:
+        cols = range(1, size + 1)
+    else:
+        lo, hi = column_range
+        if not 1 <= lo <= hi <= size:
+            raise ValueError(f"column range {column_range} out of 1..{size}")
+        cols = range(lo, hi + 1)
+    return [(i, j) for i in range(1, size + 1) for j in cols]
+
+
+def ideal_metadata(theta: ThetaData, basis: OrderedBasis,
+                   column_range: Optional[Tuple[int, int]] = None) -> dict:
+    """What an ideal's generators are built from: pattern, basis, columns."""
+    meta = {
+        "kind": theta.kind,
+        "rank": theta.rank,
+        "ambient": basis.ambient,
+        "blocks": list(theta.blocks),
+        "charValues": [str(v) for v in theta.char_values],
+        "variant": theta.variant,
+        "basisId": basis.basis_id,
+    }
+    if column_range is not None:
+        meta["columnRange"] = list(column_range)
+    return meta
+
+
 @dataclass(frozen=True)
 class CentralGenerator:
     index: int
@@ -251,7 +306,6 @@ class CentralGenerator:
 class GeneratorSet:
     """All generators of the two-sided ideal attached to a block pattern."""
 
-    algebra: AlgebraData
     theta: ThetaData
     polynomial: MinPoly
     matrix: OpMatrix
@@ -259,35 +313,12 @@ class GeneratorSet:
     pfaffian_omitted: bool
     column_range: Optional[Tuple[int, int]] = None
 
-    def entry_positions(self) -> List[Tuple[int, int]]:
-        """Row-major 1-based positions of the matrix entries kept."""
-        n = self.matrix.size
-        if self.column_range is None:
-            cols = range(1, n + 1)
-        else:
-            lo, hi = self.column_range
-            if not 1 <= lo <= hi <= n:
-                raise ValueError(f"column range {self.column_range} out of 1..{n}")
-            cols = range(lo, hi + 1)
-        return [(i, j) for i in range(1, n + 1) for j in cols]
-
     def entries(self) -> List[Tuple[int, int, EnvElement]]:
-        return [(i, j, self.matrix.entry(i, j)) for i, j in self.entry_positions()]
+        positions = entry_positions(self.matrix.size, self.column_range)
+        return [(i, j, self.matrix.entry(i, j)) for i, j in positions]
 
     def metadata(self) -> dict:
-        """What the set was built from: pattern, algebra and basis."""
-        meta = {
-            "kind": self.theta.kind,
-            "rank": self.theta.rank,
-            "ambient": self.algebra.ambient,
-            "blocks": list(self.theta.blocks),
-            "charValues": [str(v) for v in self.theta.char_values],
-            "variant": self.theta.variant,
-            "basisId": self.matrix.basis.basis_id,
-        }
-        if self.column_range is not None:
-            meta["columnRange"] = list(self.column_range)
-        return meta
+        return ideal_metadata(self.theta, self.matrix.basis, self.column_range)
 
     def to_json_dict(self) -> dict:
         return {
@@ -317,10 +348,11 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
     """Build the full generator set of the ideal attached to a block pattern.
 
     The matrix part evaluates the minimal polynomial on the generator matrix
-    (factored form).  The central part adjoins one trace power per index in
-    the pattern's central index set, with its eigenvalue certified by the
-    highest-weight oracle; the even-orthogonal generator of order equal to
-    the rank has no trace-power realization and is omitted with a flag.
+    (the last of :func:`factor_products`).  The central part adjoins one
+    trace power per index in the pattern's central index set, with its
+    eigenvalue certified by the highest-weight oracle; the even-orthogonal
+    generator of order equal to the rank has no trace-power realization and
+    is omitted with a flag.
     """
     if ring is None:
         ring = theta.ring
@@ -350,7 +382,6 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
             central.append(CentralGenerator(j, order, element, eig))
 
     return GeneratorSet(
-        algebra=algebra,
         theta=theta,
         polynomial=poly,
         matrix=qmat,

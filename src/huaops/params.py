@@ -146,27 +146,31 @@ class ParamPoly:
             return other
         return self.ring.const(as_fraction(other))  # may raise TypeError
 
-    def __add__(self, other: object) -> "ParamPoly":
+    def _combine(self, other: object, sign: int) -> "ParamPoly":
+        """``self + sign * other`` for ``sign`` 1 or -1, term by term."""
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not self.terms:
-            return o
         if not o.terms:
             return self
+        if not self.terms and sign > 0:
+            return o
         out = dict(self.terms)
         for exp, c in o.terms.items():
             acc = out.get(exp)
             if acc is None:
-                out[exp] = c
+                out[exp] = c if sign > 0 else -c
             else:
-                acc += c
+                acc = acc + c if sign > 0 else acc - c
                 if acc == 0:
                     del out[exp]
                 else:
                     out[exp] = acc
         return ParamPoly(self.ring, out)
+
+    def __add__(self, other: object) -> "ParamPoly":
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
@@ -174,18 +178,14 @@ class ParamPoly:
         return ParamPoly(self.ring, {exp: -c for exp, c in self.terms.items()})
 
     def __sub__(self, other: object) -> "ParamPoly":
-        try:
-            o = self._coerce(other)
-        except TypeError:
-            return NotImplemented
-        return self + (-o)
+        return self._combine(other, -1)
 
     def __rsub__(self, other: object) -> "ParamPoly":
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return o + (-self)
+        return o._combine(self, -1)
 
     def __mul__(self, other: object) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):

@@ -392,9 +392,6 @@ class EnvElement:
     def is_scalar(self) -> bool:
         return all(m == () for m in self.terms)
 
-    def scalar_part(self) -> ParamPoly:
-        return self.terms.get((), self.ring.zero())
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -408,27 +405,32 @@ class EnvElement:
         if self.ring != other.ring:
             raise ValueError("elements over different coefficient rings")
 
-    def __add__(self, other: "EnvElement") -> "EnvElement":
+    def _combine(self, other: "EnvElement", sign: int) -> "EnvElement":
+        """``self + sign * other`` for ``sign`` 1 or -1, term by term."""
         if not isinstance(other, EnvElement):
             return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
         for m, p in other.terms.items():
             q = out.get(m)
-            q = p if q is None else q + p
+            if q is None:
+                q = p if sign > 0 else -p
+            else:
+                q = q + p if sign > 0 else q - p
             if q.is_zero():
                 out.pop(m, None)
             else:
                 out[m] = q
         return EnvElement(self.basis, self.ring, out)
 
+    def __add__(self, other: "EnvElement") -> "EnvElement":
+        return self._combine(other, 1)
+
     def __neg__(self) -> "EnvElement":
         return EnvElement(self.basis, self.ring, {m: -p for m, p in self.terms.items()})
 
     def __sub__(self, other: "EnvElement") -> "EnvElement":
-        if not isinstance(other, EnvElement):
-            return NotImplemented
-        return self + (-other)
+        return self._combine(other, -1)
 
     def scale(self, factor) -> "EnvElement":
         """Multiply by a central coefficient (ParamPoly / Fraction / int)."""

@@ -24,15 +24,20 @@ radial (Harish-Chandra style) images.
 On top of the engine sit the verification drivers for the catalog identity
 chains: :func:`gl_lemma_check` (GL(n,R) trace lemma), :func:`hua_sp_system`
 (Sp(n,R) Hua system), :func:`upq_shilov_identity` (U(p,q) Shilov chain),
-:func:`upq_theorem_case` / :func:`verify_membership_zero` (U(p,q) boundary
-ideal membership) and :func:`upq_scalar_recursion` (the scalar recursion
-that re-derives the U(p,q) reduction by elementary bookkeeping).  Each
-driver returns a JSON-ready report: case id, parameters, one record per
-check (with the residue in canonical string form), an overall pass flag and
-the wall time.  The matrix drivers state each identity through three
-helpers: ``_congruences`` (entrywise congruence modulo the k-character),
+:func:`upq_theorem_case` (U(p,q) boundary ideal membership) and
+:func:`upq_scalar_recursion` (the scalar recursion that re-derives the
+U(p,q) reduction by elementary bookkeeping).  Each driver returns a
+JSON-ready report: case id, parameters, one record per check (with the
+residue in canonical string form), an overall pass flag and the wall time.
+The matrix drivers take the generator matrix from
+:func:`~huaops.matop.generator_matrix` (over the Iwasawa basis where they
+peel k directly) and state each identity through three helpers:
+``_congruences`` (entrywise congruence modulo the k-character),
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
-product).
+product).  Both U(p,q) membership drivers build the minimal polynomial's
+factor chain with :func:`~huaops.matop.factor_products` over the Verma basis
+and reduce its entries with :func:`reduce_iwasawa`: the theorem case its
+last product, the kernel comparison of the recursion every partial product.
 """
 
 from __future__ import annotations
@@ -42,10 +47,12 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .liedata import (RealFormData, elementary, make_algebra, make_glnr,
-                      make_spnr, make_upq)
-from .matop import GeneratorSet, OpMatrix, ideal_generators, matrix_powers
-from .minpoly import upq_complexified_theta, upq_lambda_schedule
+from .liedata import RealFormData, make_glnr, make_spnr, make_upq
+from .matop import (OpMatrix, entry_positions, factor_products,
+                    generator_matrix, ideal_metadata, mat_eval_factors,
+                    matrix_powers)
+from .minpoly import (minimal_polynomial, upq_complexified_theta,
+                      upq_lambda_schedule)
 from .params import ParamPoly, ParamRing
 from .pbw import (EnvElement, Monomial, OrderedBasis, project_mod_n,
                   sum_products)
@@ -61,7 +68,6 @@ __all__ = [
     "peel_k",
     "gamma",
     "gamma_ell",
-    "verify_membership_zero",
     "upq_symbols",
     "upq_form_and_theta",
     "upq_reduction_spec",
@@ -70,7 +76,6 @@ __all__ = [
     "upq_shilov_identity",
     "hua_sp_system",
     "gl_lemma_check",
-    "ambient_matrix",
 ]
 
 
@@ -182,7 +187,8 @@ def _peel(elem: EnvElement, k_values: Mapping[int, ParamPoly],
     normal-ordered word, so the whole k-tail evaluates multiplicatively;
     each step is one application of a relation ``X = chi(X)`` in the left
     ideal ``sum_X U(g)(X - chi(X))``.  Monomials leading with a generator in
-    ``dropped`` are skipped.
+    ``dropped``, or holding a k-factor whose character value is 0, are
+    skipped.
     """
     out: Dict[Monomial, ParamPoly] = {}
     for mono, coeff in elem.terms.items():
@@ -194,6 +200,9 @@ def _peel(elem: EnvElement, k_values: Mapping[int, ParamPoly],
             k = k_values.get(g)
             if k is None:
                 prefix.append((g, e))
+            elif k.is_zero():
+                value = k
+                break
             else:
                 value = value * k ** e
         if value.is_zero():
@@ -337,21 +346,6 @@ def _zero_check(name: str, residue, render=str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def ambient_matrix(basis: OrderedBasis, ring: ParamRing) -> OpMatrix:
-    """The matrix ``(E_ab)`` of ambient elementary generators over ``basis``.
-
-    Requires the basis to span the full matrix algebra ``gl_N`` of its
-    ambient size (true for the U(p,q) and GL(n,R) Iwasawa bases).
-    """
-    big = basis.ambient
-    entries = tuple(
-        tuple(EnvElement.from_gl_matrix(basis, ring, elementary(big, a, b))
-              for b in range(1, big + 1))
-        for a in range(1, big + 1)
-    )
-    return OpMatrix(basis, ring, entries)
-
-
 def _congruences(checks: List[dict], label: str, lhs: OpMatrix, rhs: OpMatrix,
                  assignment: Assignment, suffix: str = "") -> None:
     """Check ``lhs == rhs`` entrywise modulo the k-character ideal.
@@ -397,7 +391,7 @@ def _exact_quadratic(checks: List[dict], name: str, mat: OpMatrix,
     ``square`` is ``F^2``; the identity needs no reduction.  Appends one
     record (residue ``"mismatch"`` on failure) and returns the product.
     """
-    product = mat.shift(-c1).mul(mat.shift(-c2))
+    product = mat_eval_factors(mat, (c1, c2))
     expansion = square.add(mat.scale(-(c1 + c2))).shift(c1 * c2)
     checks.append(_check(name, product.entries == expansion.entries))
     return product
@@ -446,43 +440,38 @@ def upq_reduction_spec(form: RealFormData, blocks: Sequence[int]
                          a_assignment=a_assignment, rho_shift=False)
 
 
-def verify_membership_zero(gens: GeneratorSet, spec: ReductionSpec) -> dict:
-    """Reduce every matrix generator; PASS iff all residues are exactly 0."""
-    started = time.perf_counter()
-    checks = []
-    for row, col, element in gens.entries():
-        residue = reduce_iwasawa(element, spec)
-        checks.append(_zero_check(f"entry[{row},{col}]", residue))
-    return _report("membership-zero", gens.metadata(), checks, started)
-
-
 def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
                      perturb: bool = False) -> dict:
     """One boundary-ideal membership case for U(p,q).
 
     Builds the block pattern on ``gl_{p+q}`` for the given ``blocks``
-    (ending at q), takes the generator matrix of its minimal polynomial
-    (column-restricted to the last q columns when p > q), and reduces every
-    entry modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  With
-    ``perturb=True`` the first eigenvalue of the schedule is shifted by one,
-    which must break membership (a soundness control).
+    (ending at q), evaluates its minimal polynomial on the generator matrix
+    over the Verma basis (the last of :func:`~huaops.matop.factor_products`),
+    and reduces every kept entry (the last q columns when p > q), row by
+    row, modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff
+    every residue is exactly 0.  With ``perturb=True`` the first eigenvalue
+    of the schedule is shifted by one, which must break membership (a
+    soundness control).
     """
+    started = time.perf_counter()
     blocks = tuple(blocks)
     form, theta = upq_form_and_theta(p, q, blocks)
-    ring = form.ring
     if perturb:
         values = (theta.char_values[0] - 1,) + theta.char_values[1:]
         theta = replace(theta, char_values=values)
-    algebra = make_algebra("gl", p + q)
+    algebra = form.complex_algebra
     column_range = (p + 1, p + q) if p > q else None
-    gens = ideal_generators(algebra, theta, ring=ring,
-                            column_range=column_range)
+    qmat = mat_eval_factors(generator_matrix(algebra, form.ring),
+                            minimal_polynomial(theta).roots)
     spec = upq_reduction_spec(form, blocks)
-    report = verify_membership_zero(gens, spec)
-    report["case"] = "upq-theorem" + ("-perturbed" if perturb else "")
-    report["parameters"].update({"p": p, "q": q, "blocks": list(blocks),
-                                 "perturbed": perturb})
-    return report
+    checks = [_zero_check(f"entry[{i},{j}]",
+                          reduce_iwasawa(qmat.entry(i, j), spec))
+              for i, j in entry_positions(qmat.size, column_range)]
+    parameters = ideal_metadata(theta, algebra.basis, column_range)
+    parameters.update({"p": p, "q": q, "blocks": list(blocks),
+                       "perturbed": perturb})
+    case = "upq-theorem" + ("-perturbed" if perturb else "")
+    return _report(case, parameters, checks, started)
 
 
 # ---------------------------------------------------------------------------
@@ -577,6 +566,37 @@ class _UpqRecursion:
         return out
 
 
+def _kernel_records(product: OpMatrix, spec: ReductionSpec,
+                    rec: _UpqRecursion, m: int, show) -> List[dict]:
+    """Reduce ``(E + lambda_1)...(E + lambda_m)`` through the PBW kernel and
+    compare it with the recursion: each surviving position must agree with
+    its family's value, and every other entry must reduce to 0."""
+    p, q = rec.p, rec.q
+    big = p + q
+    checks = []
+    for a in range(1, big + 1):
+        for b in range(1, big + 1):
+            value = reduce_iwasawa(product.entry(a, b), spec)
+            expected = None
+            if a == b:
+                if a <= q:
+                    expected = rec.ii[a - 1]
+                elif a <= p:
+                    expected = rec.kk
+                else:
+                    expected = rec.barbar[big - a]
+            elif a <= q and b == big + 1 - a:
+                expected = rec.ibar[a - 1]
+            elif a > p and b == big + 1 - a:
+                expected = rec.bari[big - a]
+            name = f"kernel == recursion at entry[{a},{b}], m={m}"
+            if expected is None:
+                name = f"kernel off-pattern entry[{a},{b}] at m={m}"
+                expected = 0
+            checks.append(_zero_check(name, value - expected, show))
+    return checks
+
+
 def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
                          params: Optional[Mapping[str, ScalarLike]] = None,
                          compare_kernel: bool = False) -> dict:
@@ -618,7 +638,11 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     checks: List[dict] = []
     notes: List[str] = []
     tables: Dict[str, Dict[str, List[ParamPoly]]] = {}
-    kernel = _UpqKernelTrace(form, lam) if compare_kernel else None
+    if compare_kernel:
+        prefixes = factor_products(
+            generator_matrix(form.complex_algebra, ring), [-v for v in lam])
+        kernel_spec = ReductionSpec(form=form,
+                                    k_assignment=form.k_assignment())
 
     for m in range(1, 2 * L + 1):
         if m > 1:
@@ -674,8 +698,9 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
                 value = rec.ibar[i - 1].substitute(a_sub)
                 checks.append(_zero_check(f"F_({i},{i}bar)^{m} = 0", value,
                                           show))
-        if kernel is not None:
-            checks.extend(kernel.compare(rec, m))
+        if compare_kernel:
+            checks.extend(_kernel_records(next(prefixes), kernel_spec, rec,
+                                          m, show))
 
     for i in range(1, q + 1):
         checks.append(_zero_check(
@@ -704,61 +729,6 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     return report
 
 
-class _UpqKernelTrace:
-    """Partial products of ``(E + lambda_m) ... (E + lambda_1)`` reduced
-    through the PBW kernel, for cross-checking the scalar recursion."""
-
-    def __init__(self, form: RealFormData, lam: Sequence[ParamPoly]):
-        self.form = form
-        self.lam = list(lam)
-        ring = form.ring
-        self.e_mat = ambient_matrix(form.basis, ring)
-        self.product = OpMatrix.identity(form.basis, ring, form.ambient)
-        self.spec = ReductionSpec(form=form,
-                                  k_assignment=form.k_assignment(),
-                                  rho_shift=False)
-        self.step = 0
-
-    def compare(self, rec: "_UpqRecursion", m: int) -> List[dict]:
-        p, q = rec.p, rec.q
-        big = p + q
-        while self.step < m:
-            factor = self.e_mat.shift(self.lam[self.step])
-            self.product = factor.mul(self.product)
-            self.step += 1
-
-        def show(value: ParamPoly) -> str:
-            return radial_str(value, self.form.ring)
-
-        checks = []
-        reduced = [[reduce_iwasawa(self.product.entry(a, b), self.spec)
-                    for b in range(1, big + 1)] for a in range(1, big + 1)]
-        for a in range(1, big + 1):
-            for b in range(1, big + 1):
-                value = reduced[a - 1][b - 1]
-                expected = None
-                if a == b:
-                    if a <= q:
-                        expected = rec.ii[a - 1]
-                    elif a <= p:
-                        expected = rec.kk
-                    else:
-                        expected = rec.barbar[big - a]
-                elif a <= q and b == big + 1 - a:
-                    expected = rec.ibar[a - 1]
-                elif a > p and b == big + 1 - a:
-                    expected = rec.bari[big - a]
-                if expected is None:
-                    checks.append(_zero_check(
-                        f"kernel off-pattern entry[{a},{b}] at m={m}", value,
-                        show))
-                else:
-                    checks.append(_zero_check(
-                        f"kernel == recursion at entry[{a},{b}], m={m}",
-                        value - expected, show))
-        return checks
-
-
 # ---------------------------------------------------------------------------
 # U(p,q): the rank-one (Shilov) two-factor chain
 # ---------------------------------------------------------------------------
@@ -783,7 +753,7 @@ def upq_shilov_identity(p: int, q: int) -> dict:
     ring = form.ring
     lam, s, t = ring.var("lambda"), ring.var("s"), ring.var("t")
     assignment = form.k_assignment()
-    e_mat = ambient_matrix(form.basis, ring)
+    e_mat = generator_matrix(form.complex_algebra, ring, form.basis)
     ent = e_mat.entry
     off = _block_form(e_mat, p, (0, 0), (1, 1))
     pq_qp = off.mul(off)
@@ -988,7 +958,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     ring = form.ring
     basis = form.basis
     half = Fraction(1, 2)
-    e_mat = ambient_matrix(basis, ring)
+    e_mat = generator_matrix(form.complex_algebra, ring, basis)
     e_transpose = OpMatrix(basis, ring, tuple(zip(*e_mat.entries)))
     p_mat = e_mat.add(e_transpose).scale(half)
     k_mat = e_mat.sub(e_transpose).scale(half)
@@ -1048,14 +1018,11 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 "congruence form is unaffected")
 
         # (E - n/2) P^m == P^{m+1} - (1/2) tr(P^m)  mod U(g) k.
-        stepped = shifted.mul(p_pow[m])
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                rhs = p_pow[m + 1].entry(i, j)
-                if i == j:
-                    rhs = rhs - p_traces[m].scale(half)
-                residue_zero(f"step entry[{i},{j}] at m={m}",
-                             stepped.entry(i, j) - rhs)
+        half_trace = p_traces[m].scale(-half)
+        stepped = p_pow[m + 1].add(
+            p_pow[0].map_entries(lambda e: e * half_trace))
+        _congruences(checks, "step", shifted.mul(p_pow[m]), stepped,
+                     zero_assign, f" at m={m}")
 
         # Closed form: P^m == (E - n/2)^{m-1} E + (1/2) sum_{k=2}^m
         #              (E - n/2)^{m-k} tr(P^{k-1})  mod U(g) k.

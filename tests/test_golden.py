@@ -34,6 +34,13 @@ GOLDEN = {
         "03e72a8dc6493d936acf3d7167500bb9c2718048740182244a15e3df82516063",
     "verify gl-lemma --n 3 --m 3":
         "8f3d5577116d9730e615a03ba2161014a03954c077337451095e461e6aaac051",
+    # The digests pinned by the benchmark's theorem and kernel workloads.
+    "verify upq-theorem --p 3 --q 2 --blocks 1,2":
+        "7bd44fa21aeadb0f788e1c032d84d7d5b6adbd8085e29479fdffb4e96e135348",
+    "verify upq-theorem --p 2 --q 2 --blocks 1,2 --perturb":
+        "5bfa5d4da89baca3d4592f572ecca03f747951ef0f4d262435384ae7f1df52c2",
+    "verify upq-recursion --p 3 --q 2 --blocks 1,2 --kernel":
+        "87b83f93a2f11c9c1896df5fedb29be4a237270182fce853f0e7ffc722fce659",
 }
 
 

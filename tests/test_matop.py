@@ -11,6 +11,7 @@ from huaops.matop import (
     adjoint_covariance_defect,
     central_eigenvalue,
     check_adjoint_covariance,
+    factor_products,
     generator_matrix,
     ideal_generators,
     mat_eval_factors,
@@ -43,11 +44,17 @@ def test_mat_eval_poly_matches_direct_horner_expansion():
 
 def test_mat_eval_factors_matches_coefficient_form():
     alg, ring, fmat = _gl2()
-    r1, r2 = ring.var("c1"), ring.var("c2")
-    factored = mat_eval_factors(fmat, [r1, r2])
-    # (F - r1)(F - r2) = F^2 - (r1 + r2) F + r1 r2
-    expanded = mat_eval_poly(fmat, [r1 * r2, -(r1 + r2), ring.one()])
-    assert factored.sub(expanded).is_zero()
+    roots = [ring.var("c0"), ring.var("c1"), ring.var("c2")]
+    prefixes = list(factor_products(fmat, roots))
+    assert len(prefixes) == len(roots)
+    # coefficients of (x - r_1)...(x - r_k), lowest degree first
+    coeffs = [ring.one()]
+    for root, prefix in zip(roots, prefixes):
+        coeffs = [(coeffs[i - 1] if i else ring.zero())
+                  - (root * coeffs[i] if i < len(coeffs) else ring.zero())
+                  for i in range(len(coeffs) + 1)]
+        assert prefix.sub(mat_eval_poly(fmat, coeffs)).is_zero()
+    assert mat_eval_factors(fmat, roots).entries == prefixes[-1].entries
 
 
 def test_trace_power_matches_power_trace():

@@ -3,23 +3,24 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq
-from huaops.matop import OpMatrix, generator_matrix, trace_power
+from huaops.matop import OpMatrix, generator_matrix, ideal_generators, trace_power
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
 from huaops.reduce import (
     ReductionSpec,
-    ambient_matrix,
     gamma,
     gamma_ell,
     gl_lemma_check,
     hua_sp_system,
     reduce_iwasawa,
+    upq_form_and_theta,
     upq_reduction_spec,
     upq_scalar_recursion,
     upq_shilov_identity,
@@ -215,6 +216,34 @@ def test_projection_matches_change_basis_on_perturbed_theorem(monkeypatch):
     assert sum(r != "0" for r in projected) == 8
 
 
+def _residues_through_ideal_generators(p, q, blocks, perturb):
+    """The membership residues as the full generator set gives them."""
+    form, theta = upq_form_and_theta(p, q, blocks)
+    if perturb:
+        theta = replace(theta, char_values=(theta.char_values[0] - 1,) + theta.char_values[1:])
+    column_range = (p + 1, p + q) if p > q else None
+    gens = ideal_generators(form.complex_algebra, theta, ring=form.ring, column_range=column_range)
+    spec = upq_reduction_spec(form, blocks)
+    residues = [(f"entry[{i},{j}]", str(reduce_iwasawa(e, spec))) for i, j, e in gens.entries()]
+    return gens.metadata(), residues
+
+
+@pytest.mark.parametrize(
+    "p, q, blocks, perturb",
+    [(1, 1, (1,), False), (2, 1, (1,), False), (2, 2, (1, 2), False), (2, 2, (1, 2), True)],
+)
+def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
+    report = upq_theorem_case(p, q, blocks, perturb=perturb)
+    metadata, expected = _residues_through_ideal_generators(p, q, blocks, perturb)
+    assert [(c["name"], c["residue"]) for c in report["checks"]] == expected
+    assert report["parameters"] == {**metadata, "p": p, "q": q, "blocks": list(blocks), "perturbed": perturb}
+    if perturb:
+        assert len(expected) == 16
+        assert sum(residue != "0" for _, residue in expected) == 8
+    else:
+        assert report["pass"]
+
+
 def test_upq_a_substitution_spec_is_total():
     form = make_upq(2, 1, symbols=("mu_1", "s", "t"))
     spec = upq_reduction_spec(form, (1,))
@@ -273,7 +302,7 @@ def test_upq_recursion_driver_small():
 
 def test_congruences_report_exactly_the_wrong_entry():
     form = make_glnr(2)
-    e_mat = ambient_matrix(form.basis, form.ring)
+    e_mat = generator_matrix(form.complex_algebra, form.ring, form.basis)
     rows = [list(row) for row in e_mat.entries]
     rows[0][1] = rows[0][1] + EnvElement.scalar(form.basis, form.ring.const(3))
     wrong = OpMatrix(form.basis, form.ring, tuple(map(tuple, rows)))
@@ -288,7 +317,7 @@ def test_exact_quadratic_records_mismatch_for_a_wrong_square():
     # only a wrong F^2 can break it.
     form = make_glnr(2)
     ring = form.ring
-    e_mat = ambient_matrix(form.basis, ring)
+    e_mat = generator_matrix(form.complex_algebra, ring, form.basis)
     e2 = e_mat.mul(e_mat)
     checks = []
     product = reduce_module._exact_quadratic(checks, "probe", e_mat, e2, ring.const(1), ring.const(2))
