@@ -137,8 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     recursion.add_argument("--q", type=int, required=True)
     recursion.add_argument("--blocks", type=_blocks, required=True)
     recursion.add_argument("--kernel", action="store_true",
-                           help="also reduce the full matrix product "
-                                "through the PBW kernel and compare")
+                           help="also reduce every partial product of "
+                                "the factor chain through the PBW kernel "
+                                "and compare")
     recursion.add_argument("--bind", type=_binding, action="append",
                            default=[], metavar="SYM=RAT",
                            help="numeric values for rendering the tables; "
@@ -183,8 +184,20 @@ def _need(args: argparse.Namespace, *names: str) -> List[int]:
 # subcommand handlers (each returns (report dict, exit code))
 # ---------------------------------------------------------------------------
 
+def _upq_ranks(p: int, q: int) -> Tuple[int, int]:
+    """The ``--p``/``--q`` of a upq request, as typed: ``1 <= q <= p``."""
+    if not 1 <= q <= p:
+        raise UsageError(f"U(p,q) needs 1 <= q <= p, got p={p} q={q}")
+    return p, q
+
+
 def _upq_blocks(args: argparse.Namespace) -> Tuple[int, ...]:
-    """The ``--blocks`` of a upq request: positive, increasing, ending at q."""
+    """The ``--blocks`` of a upq request: positive, increasing, ending at q.
+
+    The ranks are checked first, so no request reads its input or builds
+    anything for a U(p,q) that does not exist.
+    """
+    _upq_ranks(args.p, args.q)
     try:
         return check_upq_blocks(args.q, args.blocks)
     except ValueError as exc:
@@ -288,7 +301,7 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
     elif args.target == "sp-hua":
         report = hua_sp_system(args.n)
     elif args.target == "upq-shilov":
-        report = upq_shilov_identity(args.p, args.q)
+        report = upq_shilov_identity(*_upq_ranks(args.p, args.q))
     elif args.target == "upq-theorem":
         report = upq_theorem_case(args.p, args.q, _upq_blocks(args),
                                   perturb=args.perturb)
@@ -301,10 +314,7 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
 
 def _root_system(args: argparse.Namespace):
     if args.form == "upq":
-        p, q = _need(args, "p", "q")
-        if not 1 <= q <= p:
-            raise UsageError(f"--form upq needs 1 <= --q <= --p, got p={p} q={q}")
-        return upq_root_system(p, q)
+        return upq_root_system(*_upq_ranks(*_need(args, "p", "q")))
     (n,) = _need(args, "n")
     if n < 1:
         raise UsageError(f"--form {args.form} needs --n >= 1, got {n}")

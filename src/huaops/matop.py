@@ -7,7 +7,12 @@ of enveloping-algebra elements whose entries generate a two-sided ideal.
 :func:`factor_products` is the one loop that multiplies the factors
 ``(F - c_1)(F - c_2)...``, yielding each partial product;
 :func:`mat_eval_factors` is the last, and Horner's rule on the expanded
-coefficients (:func:`mat_eval_poly`) checks it.  Trace powers of the
+coefficients (:func:`mat_eval_poly`) checks it.  They build the exported
+generator sets and the exact two-factor identities, and are the test
+oracle for the U(p,q) membership drivers, which apply the factors to
+columns of an induced module instead (see :mod:`huaops.reduce`).  A matrix
+product converts each row and column to int numerators once
+(:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
 generator matrix supply the central generators; their eigenvalues are read
 off a highest-weight evaluation oracle.  :func:`ideal_metadata` describes
 what a generator set is built from.
@@ -22,7 +27,8 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from .liedata import AlgebraData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
-from .pbw import EnvElement, Monomial, OrderedBasis, sum_products
+from .pbw import (EnvElement, Monomial, OrderedBasis, sum_products,
+                  sum_products_table)
 
 
 class CentralityError(ValueError):
@@ -94,11 +100,8 @@ class OpMatrix:
     def mul(self, other: "OpMatrix") -> "OpMatrix":
         """Matrix product; entry products keep the left factor on the left."""
         self._check_compatible(other)
-        columns = tuple(zip(*other.entries))
-        return OpMatrix(self.basis, self.ring, tuple(
-            tuple(sum_products(row, col) for col in columns)
-            for row in self.entries
-        ))
+        table = sum_products_table(self.entries, tuple(zip(*other.entries)))
+        return OpMatrix(self.basis, self.ring, tuple(map(tuple, table)))
 
     def trace(self) -> EnvElement:
         one = EnvElement.scalar(self.basis, self.ring.one())

@@ -23,7 +23,17 @@ lowers the degree by one and contributes one factor D.  Every scaled value
 is checked to be integral, never rounded, so a wrong scale raises instead of
 giving a wrong product.  :func:`sum_products` and the basis conversions
 bring every input coefficient over one common denominator, accumulate int
-numerators, and divide once per output term.
+numerators, and divide once per output term; :func:`sum_products_table`
+(a matrix product) converts each row and column once, not once per entry.
+The conversions solve each source generator over the target once per pair
+of bases.
+
+The induced module M = U(g)/U(g)(k - χ) of an (n, a, k)-ordered basis is
+free over the n|a monomials.  ``_InducedModule`` applies one factor
+``F - r`` of an operator matrix to a column of module elements, on the same
+ints: a generator acts on a monomial by :meth:`OrderedBasis.mul_monos`, and
+the k-tail of each product is evaluated through χ at once.  Its images are
+cached per instance, since χ is symbolic and belongs to one request.
 
 Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
@@ -192,6 +202,7 @@ class OrderedBasis:
         self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, int]] = {}
         self._mono_mono_cache: Dict[Tuple[Monomial, Monomial], Dict[Monomial, int]] = {}
         self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
+        self._image_cache: Dict[str, Tuple[int, List[IntCombo]]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -562,8 +573,8 @@ def _numerators(elems: Sequence[EnvElement]
                 for m, poly in x.terms.items()] for x in elems]
 
 
-def _accumulate(out: Dict[Monomial, Numerators], coeff: Numerators,
-                image: Mapping[Monomial, int]) -> None:
+def _accumulate(out: Dict[object, Numerators], coeff: Numerators,
+                image: Mapping[object, int]) -> None:
     """Add ``coeff * c`` to ``out[m]`` for every ``m: c`` of ``image``."""
     for m, c in image.items():
         acc = out.get(m)
@@ -575,9 +586,13 @@ def _accumulate(out: Dict[Monomial, Numerators], coeff: Numerators,
 
 
 def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators],
-            denominator: int, top: int) -> EnvElement:
-    """Divide ``out[m]`` by ``denominator * D^(top - deg m)``, once per term."""
-    d = basis.scale
+            denominator: int, top: int, scale: Optional[int] = None
+            ) -> EnvElement:
+    """Divide ``out[m]`` by ``denominator * S^(top - deg m)``, once per term.
+
+    S is ``scale``, by default the basis's D.
+    """
+    d = basis.scale if scale is None else scale
     terms: Dict[Monomial, ParamPoly] = {}
     for m, acc in out.items():
         den = denominator * d ** (top - mono_degree(m))
@@ -599,14 +614,38 @@ def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
     by D^(T - N) on top of the D^(N - deg m) that :meth:`mul_monos` stores.
     """
     first = left[0]
-    basis = first.basis
     for x, y in zip(left, right, strict=True):
         first._check_compatible(x)
         first._check_compatible(y)
-    ql, lefts = _numerators(left)
-    qr, rights = _numerators(right)
+    return _converted_products(first, _numerators(left), _numerators(right))
+
+
+def sum_products_table(rows: Sequence[Sequence[EnvElement]],
+                       columns: Sequence[Sequence[EnvElement]]
+                       ) -> List[List[EnvElement]]:
+    """``sum_products(row, column)`` for every row and column, row-major.
+
+    Each row and each column is converted to int numerators once, not once
+    per entry it meets; a matrix product of size n converts 2n operands
+    instead of 2n².
+    """
+    first = rows[0][0]
+    for operand in (*rows, *columns):
+        for x in operand:
+            first._check_compatible(x)
+    converted = [_numerators(column) for column in columns]
+    return [[_converted_products(first, left, right) for right in converted]
+            for left in map(_numerators, rows)]
+
+
+def _converted_products(first: EnvElement, left: Tuple[int, list],
+                        right: Tuple[int, list]) -> EnvElement:
+    """The sum of products of two operands already in :func:`_numerators` form."""
+    basis = first.basis
+    (ql, lefts), (qr, rights) = left, right
     top = max((max(da for _m, da, _p in xs) + max(db for _m, db, _p in ys)
-               for xs, ys in zip(lefts, rights) if xs and ys), default=0)
+               for xs, ys in zip(lefts, rights, strict=True) if xs and ys),
+              default=0)
     powers = [basis.scale ** i for i in range(top + 1)]
     out: Dict[Monomial, Numerators] = {}
     for xs, ys in zip(lefts, rights):
@@ -666,6 +705,27 @@ def _word_image(
     return result
 
 
+def _generator_images(source: OrderedBasis, target: OrderedBasis
+                      ) -> Tuple[int, List[IntCombo]]:
+    """E and E times the image over ``target`` of every ``source`` generator.
+
+    E is the lcm of the denominators of all those images.  The expansions
+    depend only on the two bases, so they are solved once per pair and kept
+    on the source basis.
+    """
+    hit = source._image_cache.get(target.basis_id)
+    if hit is not None:
+        return hit
+    if source.ambient != target.ambient:
+        raise ValueError("bases live in different ambient gl_N")
+    coords = [target.expand_matrix(mat) for mat in source.matrices]
+    scale_e = lcm(*(c.denominator for row in coords for c in row))
+    images = [tuple((k, _integral(c, scale_e)) for k, c in enumerate(row) if c)
+              for row in coords]
+    source._image_cache[target.basis_id] = scale_e, images
+    return scale_e, images
+
+
 def _map_terms(
     elem: EnvElement,
     target: OrderedBasis,
@@ -678,13 +738,7 @@ def _map_terms(
     q·E^T·D^(T - deg m), with q the common denominator of the coefficients
     and T the top degree of ``elem``, so its image is scaled by (E·D)^(T - N).
     """
-    source = elem.basis
-    if source.ambient != target.ambient:
-        raise ValueError("bases live in different ambient gl_N")
-    coords = [target.expand_matrix(mat) for mat in source.matrices]
-    scale_e = lcm(*(c.denominator for row in coords for c in row))
-    images = [tuple((k, _integral(c, scale_e)) for k, c in enumerate(row) if c)
-              for row in coords]
+    scale_e, images = _generator_images(elem.basis, target)
     q, (terms,) = _numerators([elem])
     top = max((n for _m, n, _p in terms), default=0)
     step = scale_e * target.scale
@@ -702,7 +756,8 @@ def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
     Every source generator's ambient matrix is expanded over ``target``; a
     source monomial then maps to the normal-ordered product of those images.
     This full conversion is the test oracle for :func:`project_mod_n`; the
-    reduction path never calls it, and it keeps no cache between calls.
+    reduction path never calls it, and it keeps no word images between
+    calls.
     """
     if elem.basis is target:
         return elem
@@ -724,6 +779,137 @@ def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
         raise ValueError(f"basis {target.basis_id} does not lead with an n zone")
     return _map_terms(elem, target, elem.basis._conversion_cache,
                       target.zone_indices("n"))
+
+
+def _add_product(acc: Numerators, a: Numerators, b: Numerators,
+                 factor: int = 1) -> None:
+    """``acc += factor * a * b`` for int polynomials (zeros may remain)."""
+    for ea, ka in a.items():
+        for eb, kb in b.items():
+            e = tuple(map(add, ea, eb))
+            acc[e] = acc.get(e, 0) + ka * kb * factor
+
+
+class _InducedModule:
+    """The induced module M = U(g)/U(g)(k - χ), acted on by an operator matrix.
+
+    ``matrix`` holds degree-one elements with constant coefficients over a
+    basis with zones (n, a, k), and ``k_values`` the character χ on its
+    k-zone.  M is free over U(n)U(a) on the cyclic vector v_χ, so an element
+    of M is an :class:`EnvElement` over the n|a monomials.  A generator g
+    acts on m·v_χ as the normal form of g·m, ``mul_monos(((g, 1),), m)``,
+    with every k-tail evaluated through χ: peeling the rightmost k-factor
+    of a normal-ordered word leaves a normal-ordered word, so each factor
+    is one use of ``X = χ(X)``.  n-leading monomials are kept: nU(g) is only
+    a right ideal, and acting on the left can move a term out of it.
+
+    Ints as in :func:`sum_products`: χ is held as int numerators over one
+    denominator c, every value through :func:`_integral`, and with S = D·c
+    the image of g on m stores for each n|a monomial m' S^(deg m + 1 - deg m')
+    times its coefficient.  Images are memoised on the instance, never on
+    the basis: χ is symbolic and belongs to one request.
+    """
+
+    def __init__(self, matrix: Sequence[Sequence[EnvElement]],
+                 k_values: Mapping[int, ParamPoly]):
+        first = matrix[0][0]
+        self.basis = basis = first.basis
+        self.ring = first.ring
+        self._unit = (0,) * len(self.ring)
+        k_zone = basis.zone_indices(basis.zones[-1])
+        if set(k_values) != set(k_zone):
+            raise ValueError("k_values must cover exactly the k-zone")
+        entries = [x for row in matrix for x in row]
+        for x in entries:
+            first._check_compatible(x)
+        self._scale_e, terms = _numerators(entries)
+        if any(d != 1 or set(p) != {self._unit}
+               for xs in terms for _m, d, p in xs):
+            raise ValueError("operator entries must be linear in the "
+                             "generators, with constant coefficients")
+        combos = [tuple((m[0][0], p[self._unit]) for m, _d, p in xs)
+                  for xs in terms]
+        size = len(matrix)
+        self._rows = [combos[a * size:(a + 1) * size] for a in range(size)]
+        self._c = lcm(*(c.denominator for v in k_values.values()
+                        for c in v.terms.values()))
+        d = basis.scale
+        self.scale = d * self._c
+        self._tails = {h: {e: _integral(c, self._c) * d
+                           for e, c in v.terms.items()}
+                       for h, v in k_values.items()}
+        self._k_start = k_zone.start
+        self._images: Dict[Tuple[int, Monomial], Dict[Monomial, Numerators]] = {}
+
+    def _image(self, g: int, mono: Monomial) -> Dict[Monomial, Numerators]:
+        """g·mono·v_χ over the n|a monomials, scaled as in the class doc.
+
+        A term m'·k-tail of the product, stored as I = D^(N - deg m')·coeff
+        with N = deg mono + 1, contributes I·c^(N - deg m')·Π (D·c·χ(h))^e
+        to m'.
+        """
+        key = (g, mono)
+        hit = self._images.get(key)
+        if hit is not None:
+            return hit
+        top = mono_degree(mono) + 1
+        start, c, tails = self._k_start, self._c, self._tails
+        out: Dict[Monomial, Numerators] = {}
+        for m, k in self.basis.mul_monos(((g, 1),), mono).items():
+            cut = len(m)
+            while cut and m[cut - 1][0] >= start:
+                cut -= 1
+            value = {self._unit: k * c ** (top - mono_degree(m))}
+            for h, e in m[cut:]:
+                for _ in range(e):
+                    product: Numerators = {}
+                    _add_product(product, value, tails[h])
+                    value = product
+            acc = out.setdefault(m[:cut], {})
+            for e, v in value.items():
+                acc[e] = acc.get(e, 0) + v
+        result = {}
+        for m, acc in out.items():
+            acc = {e: v for e, v in acc.items() if v}
+            if acc:
+                result[m] = acc
+        self._images[key] = result
+        return result
+
+    def step(self, column: Sequence[EnvElement], root: ParamPoly
+             ) -> List[EnvElement]:
+        """``(F - root) x`` for module elements x, ``(F x)_a = sum_c F_ac·x_c``.
+
+        With q, r the common denominators of the column and of ``root``, E
+        that of F and T one more than the top degree of the column, every
+        term is accumulated as an int numerator over q·r·E·S^(T - deg m).
+        """
+        if root.ring != self.ring:
+            raise ValueError("root from a different ring")
+        q, terms = _numerators(column)
+        r = lcm(*(c.denominator for c in root.terms.values()))
+        minus_root = {e: -_integral(c, r) for e, c in root.terms.items()}
+        top = 1 + max((dm for xs in terms for _m, dm, _p in xs), default=0)
+        powers = [self.scale ** i for i in range(top + 1)]
+        scale_e = self._scale_e
+        result = []
+        for row, xs_a in zip(self._rows, terms, strict=True):
+            weights: Dict[Tuple[int, Monomial], Numerators] = {}
+            for combo, xs in zip(row, terms, strict=True):
+                for m, dm, pm in xs:
+                    shift = powers[top - 1 - dm] * r
+                    _accumulate(weights, pm,
+                                {(g, m): f * shift for g, f in combo})
+            out: Dict[Monomial, Numerators] = {}
+            for (g, m), w in weights.items():
+                for m2, v in self._image(g, m).items():
+                    _add_product(out.setdefault(m2, {}), w, v)
+            for m, dm, pm in xs_a:
+                _add_product(out.setdefault(m, {}), pm, minus_root,
+                             scale_e * powers[top - dm])
+            result.append(_finish(self.basis, self.ring, out,
+                                  q * r * scale_e, top, self.scale))
+        return result
 
 
 def naive_normal_order(

@@ -34,10 +34,12 @@ The matrix drivers take the generator matrix from
 peel k directly) and state each identity through three helpers:
 ``_congruences`` (entrywise congruence modulo the k-character),
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
-product).  Both U(p,q) membership drivers build the minimal polynomial's
-factor chain with :func:`~huaops.matop.factor_products` over the Verma basis
-and reduce its entries with :func:`reduce_iwasawa`: the theorem case its
-last product, the kernel comparison of the recursion every partial product.
+product).  Neither U(p,q) membership driver builds a product in U(g): both
+apply the factors ``F - r`` of the minimal polynomial one at a time to unit
+columns of the induced module M = U(g)/U(g)(k - chi) (``_factor_columns``)
+and reduce the resulting entries with :func:`reduce_iwasawa`; the theorem
+case only its kept columns after the last factor, the kernel comparison of
+the recursion every column after every factor.
 """
 
 from __future__ import annotations
@@ -45,17 +47,17 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
 from .liedata import RealFormData, make_glnr, make_spnr, make_upq
-from .matop import (OpMatrix, entry_positions, factor_products,
-                    generator_matrix, ideal_metadata, mat_eval_factors,
-                    matrix_powers)
+from .matop import (OpMatrix, entry_positions, generator_matrix,
+                    ideal_metadata, mat_eval_factors, matrix_powers)
 from .minpoly import (minimal_polynomial, upq_complexified_theta,
                       upq_lambda_schedule)
 from .params import ParamPoly, ParamRing
-from .pbw import (EnvElement, Monomial, OrderedBasis, project_mod_n,
-                  sum_products)
+from .pbw import (EnvElement, Monomial, OrderedBasis, _InducedModule,
+                  project_mod_n, sum_products)
 
 ScalarLike = Union[ParamPoly, Fraction, int]
 Assignment = Mapping[Union[int, str], ParamPoly]  # by generator name or index
@@ -440,18 +442,49 @@ def upq_reduction_spec(form: RealFormData, blocks: Sequence[int]
                          a_assignment=a_assignment, rho_shift=False)
 
 
+def _factor_columns(spec: ReductionSpec, roots: Sequence[ParamPoly],
+                    columns: Sequence[int]
+                    ) -> Iterator[List[List[EnvElement]]]:
+    """Apply the factors ``F - r`` one root at a time to unit columns in M.
+
+    M = U(g)/U(g)(k - chi) is the module induced from the character of
+    ``spec``; F is the generator matrix of ``spec.form.complex_algebra``,
+    each entry expanded once over the Iwasawa basis.  Column b starts as
+    ``e_b v_chi`` and each step maps x to ``(F - r) x``, with
+    ``(F x)_a = sum_c F_ac x_c``.  After the roots ``r_1..r_m`` it is
+    ``(F - r_m)...(F - r_1) e_b v_chi``, column b of the m-th prefix
+    ``(F - r_1)...(F - r_m)`` applied to v_chi: the factors commute.  Yields
+    the columns, in the order of ``columns``, after every step, as lists of
+    elements over ``spec.form.basis`` with k-tails peeled.  n-leading
+    monomials stay, since nU(g) is only a right ideal and the module grows
+    by left multiplication; :func:`reduce_iwasawa` drops them at the end.
+    """
+    form = spec.form
+    basis, ring = form.basis, form.ring
+    fmat = generator_matrix(form.complex_algebra, ring, basis)
+    module = _InducedModule(fmat.entries, spec._k_by_index)
+    one = EnvElement.scalar(basis, ring.one())
+    zero = EnvElement.zero(basis, ring)
+    state = [[one if a == b else zero for a in range(1, fmat.size + 1)]
+             for b in columns]
+    for root in roots:
+        state = [module.step(column, root) for column in state]
+        yield state
+
+
 def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
                      perturb: bool = False) -> dict:
     """One boundary-ideal membership case for U(p,q).
 
     Builds the block pattern on ``gl_{p+q}`` for the given ``blocks``
-    (ending at q), evaluates its minimal polynomial on the generator matrix
-    over the Verma basis (the last of :func:`~huaops.matop.factor_products`),
-    and reduces every kept entry (the last q columns when p > q), row by
-    row, modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff
-    every residue is exactly 0.  With ``perturb=True`` the first eigenvalue
-    of the schedule is shifted by one, which must break membership (a
-    soundness control).
+    (ending at q) and applies its minimal polynomial q(F) to the cyclic
+    vector of the induced module, one factor at a time, on the kept unit
+    columns only (the last q columns when p > q, all when p = q; see
+    :func:`_factor_columns`).  Every kept entry, row by row, is then reduced
+    modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff every
+    residue is exactly 0.  With ``perturb=True`` the first eigenvalue of the
+    schedule is shifted by one, which must break membership (a soundness
+    control).
     """
     started = time.perf_counter()
     blocks = tuple(blocks)
@@ -461,12 +494,16 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
         theta = replace(theta, char_values=values)
     algebra = form.complex_algebra
     column_range = (p + 1, p + q) if p > q else None
-    qmat = mat_eval_factors(generator_matrix(algebra, form.ring),
-                            minimal_polynomial(theta).roots)
+    positions = entry_positions(p + q, column_range)
+    kept = sorted({j for _i, j in positions})
     spec = upq_reduction_spec(form, blocks)
+    for columns in _factor_columns(spec, minimal_polynomial(theta).roots,
+                                   kept):
+        pass
+    final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
-                          reduce_iwasawa(qmat.entry(i, j), spec))
-              for i, j in entry_positions(qmat.size, column_range)]
+                          reduce_iwasawa(final[j][i - 1], spec))
+              for i, j in positions]
     parameters = ideal_metadata(theta, algebra.basis, column_range)
     parameters.update({"p": p, "q": q, "blocks": list(blocks),
                        "perturbed": perturb})
@@ -566,17 +603,19 @@ class _UpqRecursion:
         return out
 
 
-def _kernel_records(product: OpMatrix, spec: ReductionSpec,
-                    rec: _UpqRecursion, m: int, show) -> List[dict]:
+def _kernel_records(columns: Sequence[Sequence[EnvElement]],
+                    spec: ReductionSpec, rec: _UpqRecursion, m: int,
+                    show) -> List[dict]:
     """Reduce ``(E + lambda_1)...(E + lambda_m)`` through the PBW kernel and
     compare it with the recursion: each surviving position must agree with
-    its family's value, and every other entry must reduce to 0."""
+    its family's value, and every other entry must reduce to 0.  Entry
+    ``(a, b)`` is read from ``columns[b - 1][a - 1]``."""
     p, q = rec.p, rec.q
     big = p + q
     checks = []
     for a in range(1, big + 1):
         for b in range(1, big + 1):
-            value = reduce_iwasawa(product.entry(a, b), spec)
+            value = reduce_iwasawa(columns[b - 1][a - 1], spec)
             expected = None
             if a == b:
                 if a <= q:
@@ -610,7 +649,8 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     the whole last q columns vanish (first p columns too when p = q).  The
     compact one-line recurrences for ``F_i`` and ``F_{-i}`` are re-checked
     against the five families at every step, and with ``compare_kernel=True``
-    every surviving position of the PBW product is reduced independently and
+    every entry of the PBW product ``(E + lambda_1)...(E + lambda_m)`` is
+    reduced independently, from the columns of :func:`_factor_columns`, and
     compared, with off-pattern entries checked to reduce to 0.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
@@ -639,10 +679,10 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     notes: List[str] = []
     tables: Dict[str, Dict[str, List[ParamPoly]]] = {}
     if compare_kernel:
-        prefixes = factor_products(
-            generator_matrix(form.complex_algebra, ring), [-v for v in lam])
         kernel_spec = ReductionSpec(form=form,
                                     k_assignment=form.k_assignment())
+        prefixes = _factor_columns(kernel_spec, [-v for v in lam],
+                                   range(1, p + q + 1))
 
     for m in range(1, 2 * L + 1):
         if m > 1:

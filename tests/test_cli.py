@@ -133,6 +133,37 @@ def test_upq_rejects_malformed_blocks(tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+_BAD_UPQ_RANKS = [
+    ["reduce", "--form", "upq", "--p", "1", "--q", "2", "--blocks", "2"],
+    ["ideal", "--form", "upq", "--p", "1", "--q", "2", "--blocks", "2"],
+    ["verify", "upq-theorem", "--p", "2", "--q", "0", "--blocks", "0"],
+    ["verify", "upq-recursion", "--p", "1", "--q", "2", "--blocks", "1,2"],
+    ["verify", "upq-recursion", "--p", "-1", "--q", "1", "--blocks", "1"],
+    ["verify", "upq-shilov", "--p", "1", "--q", "3"],
+]
+
+
+def _typed_ranks(argv):
+    return argv[argv.index("--p") + 1], argv[argv.index("--q") + 1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    _BAD_UPQ_RANKS,
+    ids=["{}-p{}-q{}".format(a[1] if a[0] == "verify" else a[0], *_typed_ranks(a)) for a in _BAD_UPQ_RANKS],
+)
+def test_upq_rejects_bad_ranks_before_reading_input(tmp_path, capsys, argv):
+    # The ranks are checked first: reduce names p and q, not its absent input.
+    absent = tmp_path / "absent.json"
+    code = run(argv + ["--in", str(absent)] if argv[0] == "reduce" else argv)
+    captured = capsys.readouterr()
+    p, q = _typed_ranks(argv)
+    assert code == 2
+    assert f"needs 1 <= q <= p, got p={p} q={q}" in captured.err
+    assert str(absent) not in captured.err
+    assert captured.out == ""
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     pq=st.integers(min_value=1, max_value=3).flatmap(

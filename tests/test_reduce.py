@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+import huaops.matop as matop_module
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq
-from huaops.matop import OpMatrix, generator_matrix, ideal_generators, trace_power
+from huaops.matop import OpMatrix, factor_products, generator_matrix, ideal_generators, trace_power
+from huaops.minpoly import upq_lambda_schedule
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
 from huaops.reduce import (
@@ -19,6 +21,7 @@ from huaops.reduce import (
     gamma_ell,
     gl_lemma_check,
     hua_sp_system,
+    peel_k,
     reduce_iwasawa,
     upq_form_and_theta,
     upq_reduction_spec,
@@ -204,16 +207,50 @@ def test_reduction_accepts_ambient_verma_elements(form):
 
 
 def test_projection_matches_change_basis_on_perturbed_theorem(monkeypatch):
-    def residues():
-        report = upq_theorem_case(2, 2, (1, 2), perturb=True)
-        return [c["residue"] for c in report["checks"]]
-
-    projected = residues()
+    _metadata, projected = _residues_through_ideal_generators(2, 2, (1, 2), True)
     monkeypatch.setattr(reduce_module, "project_mod_n", change_basis)
-    converted = residues()
+    _metadata, converted = _residues_through_ideal_generators(2, 2, (1, 2), True)
     assert projected == converted
     assert len(projected) == 16
-    assert sum(r != "0" for r in projected) == 8
+    assert sum(r != "0" for _, r in projected) == 8
+
+
+def _kernel_setup(p, q, blocks):
+    form = make_upq(p, q, symbols=reduce_module.upq_symbols(blocks))
+    ring = form.ring
+    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
+    lam = upq_lambda_schedule(p, q, blocks, mu, ring.var("s"), ring.var("t"), ring=ring)
+    spec = ReductionSpec(form=form, k_assignment=form.k_assignment())
+    return form, spec, [-v for v in lam]
+
+
+@pytest.mark.parametrize("p, q, blocks", [(2, 1, (1,)), (3, 2, (1, 2))])
+def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, blocks):
+    # Exactly, n-leading monomials included: column b after step m is
+    # column b of the m-th prefix applied to v_chi, i.e. converted to the
+    # Iwasawa basis with its k-tails peeled.
+    form, spec, roots = _kernel_setup(p, q, blocks)
+    size = p + q
+    prefixes = factor_products(generator_matrix(form.complex_algebra, form.ring), roots)
+    steps = reduce_module._factor_columns(spec, roots, range(1, size + 1))
+    for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
+        for a in range(1, size + 1):
+            for b in range(1, size + 1):
+                expected = peel_k(change_basis(prefix.entry(a, b), form.basis), spec.k_assignment)
+                assert columns[b - 1][a - 1] == expected, (m, a, b)
+    assert any(m and m[0][0] in form.basis.zone_indices("n") for m in columns[0][0].terms)
+
+
+def test_membership_drivers_build_no_enveloping_algebra_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("U(g) product or projection built")
+
+    monkeypatch.setattr(matop_module, "factor_products", forbidden)
+    monkeypatch.setattr(reduce_module, "mat_eval_factors", forbidden)
+    monkeypatch.setattr(reduce_module, "project_mod_n", forbidden)
+    assert upq_theorem_case(2, 1, (1,))["pass"]
+    assert not upq_theorem_case(2, 1, (1,), perturb=True)["pass"]
+    assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
 
 
 def _residues_through_ideal_generators(p, q, blocks, perturb):
@@ -230,7 +267,7 @@ def _residues_through_ideal_generators(p, q, blocks, perturb):
 
 @pytest.mark.parametrize(
     "p, q, blocks, perturb",
-    [(1, 1, (1,), False), (2, 1, (1,), False), (2, 2, (1, 2), False), (2, 2, (1, 2), True)],
+    [(1, 1, (1,), False), (2, 1, (1,), False), (2, 2, (1, 2), False), (2, 2, (1, 2), True), (3, 2, (1, 2), False)],
 )
 def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
     report = upq_theorem_case(p, q, blocks, perturb=perturb)
