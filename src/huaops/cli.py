@@ -7,9 +7,13 @@ set as JSON, ``reduce`` reduces an exported set modulo the boundary ideal,
 spherical e-/c-functions, and ``degrees`` queries the boundary degree table.
 
 Exit status 0 means success (and PASS for ``verify``), 1 a verification
-FAIL, 2 a usage error.  ``--json`` prints the report as canonical JSON on
-standard output; ``--out FILE`` writes the same JSON to a file.  Identical
-requests produce byte-identical JSON (timing fields are stripped).
+FAIL, 2 a usage error, 3 an internal fault: memory exhausted, recursion too
+deep, or an arithmetic error such as a scaled coefficient that is not an
+integer.  An internal fault prints one line on standard error,
+``internal error: <type>: <message>``.  ``--json`` prints the report as
+canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
+file.  Identical requests produce byte-identical JSON (timing fields are
+stripped).
 """
 
 from __future__ import annotations
@@ -465,9 +469,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (MemoryError, RecursionError, ArithmeticError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_canonical_json(report))
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(_canonical_json(report))
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     if args.json:
         sys.stdout.write(_canonical_json(report))
     else:

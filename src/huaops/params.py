@@ -5,20 +5,28 @@ package: highest weights, inducing characters and spectral parameters stay
 as named symbols all the way through, so identities are established for
 *all* parameter values at once, not on a sample grid.
 
-A polynomial is stored as a dict mapping dense exponent tuples to nonzero
-``fractions.Fraction`` coefficients.  For the ring with symbols
-``("lambda", "s", "t")`` the polynomial ``lambda^2 - 2*lambda + 1/2*s*t``
-is ``{(2, 0, 0): 1, (1, 0, 0): -2, (0, 1, 1): 1/2}``.
+A polynomial is stored as int numerators over one denominator: a dict
+mapping dense exponent tuples to nonzero ints, and one positive int
+``denominator``.  For the ring with symbols ``("lambda", "s", "t")`` the
+polynomial ``lambda^2 - 2*lambda + 1/2*s*t`` is
+``{(2, 0, 0): 2, (1, 0, 0): -4, (0, 1, 1): 1}`` over 2.  The denominator
+shares no factor with all the numerators at once, and the zero polynomial
+has no terms and denominator 1, so the form is unique: equality and hashing
+compare the fields.  Arithmetic builds no ``Fraction``.  A sum rescales its
+operands to the lcm of their denominators, a product multiplies numerators
+and denominators, and each result is reduced by one gcd.  ``terms`` is a
+``Fraction`` view for cold callers, rebuilt on every read.
 
-Terms are kept in no particular order internally; iteration and printing
-use deterministic orders (graded lexicographic for iteration, plain
-lexicographic descending for printing).
+Terms are kept in no particular order internally; printing uses plain
+lexicographic order, descending.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from math import gcd, lcm
+from operator import add
+from typing import Dict, Iterable, Mapping, Sequence, Tuple, Union
 
 Exponents = Tuple[int, ...]
 ScalarLike = Union[int, Fraction]
@@ -78,15 +86,19 @@ class ParamRing:
         return self.const(1)
 
     def const(self, value: ScalarLike) -> "ParamPoly":
-        c = as_fraction(value)
-        if c == 0:
+        if isinstance(value, int):
+            num, den = value, 1
+        else:
+            c = as_fraction(value)
+            num, den = c.numerator, c.denominator
+        if num == 0:
             return ParamPoly(self, {})
-        return ParamPoly(self, {(0,) * len(self.symbols): c})
+        return ParamPoly(self, {(0,) * len(self.symbols): num}, den)
 
     def var(self, symbol: str) -> "ParamPoly":
         exp = [0] * len(self.symbols)
         exp[self.index(symbol)] = 1
-        return ParamPoly(self, {tuple(exp): Fraction(1)})
+        return ParamPoly(self, {tuple(exp): 1})
 
     def poly(self, terms: Mapping[Exponents, ScalarLike]) -> "ParamPoly":
         clean: Dict[Exponents, Fraction] = {}
@@ -97,54 +109,101 @@ class ParamRing:
             cf = as_fraction(c)
             if cf != 0:
                 clean[exp] = cf
-        return ParamPoly(self, clean)
+        den = lcm(*(c.denominator for c in clean.values()))
+        return ParamPoly(self, {e: c.numerator * (den // c.denominator)
+                                for e, c in clean.items()}, den)
 
 
-def _grlex_key(exp: Exponents) -> Tuple[int, Exponents]:
-    return (sum(exp), exp)
+def _reduced(ring: ParamRing, numerators: Dict[Exponents, int],
+             denominator: int) -> "ParamPoly":
+    """``numerators / denominator`` in canonical form, with one gcd.
+
+    ``numerators`` holds no zero and ``denominator`` is positive.
+    """
+    if not numerators:
+        return ParamPoly(ring, {})
+    if denominator != 1:
+        g = gcd(denominator, *numerators.values())
+        if g != 1:
+            numerators = {e: k // g for e, k in numerators.items()}
+            denominator //= g
+    return ParamPoly(ring, numerators, denominator)
+
+
+def _over(poly: "ParamPoly", q: int) -> Dict[Exponents, int]:
+    """The numerators of ``poly`` over q, a multiple of its denominator.
+
+    A polynomial already over q lends its own dict: never mutate it.
+    """
+    if poly.denominator == q:
+        return poly.numerators
+    factor = q // poly.denominator
+    return {e: k * factor for e, k in poly.numerators.items()}
+
+
+def _sum(ring: ParamRing, polys: Sequence["ParamPoly"]) -> "ParamPoly":
+    """The sum of ``polys``, accumulated over their lcm denominator."""
+    den = lcm(*(p.denominator for p in polys))
+    out: Dict[Exponents, int] = {}
+    for p in polys:
+        for e, k in _over(p, den).items():
+            out[e] = out.get(e, 0) + k
+    return _reduced(ring, {e: k for e, k in out.items() if k}, den)
 
 
 class ParamPoly:
-    """Immutable-by-convention sparse polynomial over a :class:`ParamRing`."""
+    """Immutable-by-convention sparse polynomial over a :class:`ParamRing`.
 
-    __slots__ = ("ring", "terms")
+    ``numerators`` and ``denominator`` must already be in the canonical form
+    of the module docstring; :func:`_reduced` builds it.
+    """
 
-    def __init__(self, ring: ParamRing, terms: Dict[Exponents, Fraction]):
+    __slots__ = ("ring", "numerators", "denominator")
+
+    def __init__(self, ring: ParamRing, numerators: Dict[Exponents, int],
+                 denominator: int = 1):
         self.ring = ring
-        self.terms = terms
+        self.numerators = numerators
+        self.denominator = denominator
+
+    @property
+    def terms(self) -> Dict[Exponents, Fraction]:
+        """The coefficients as Fractions, rebuilt on every read."""
+        d = self.denominator
+        return {e: Fraction(k, d) for e, k in self.numerators.items()}
 
     # -- basic predicates ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self.terms)
+        return not any(map(any, self.numerators))
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial (raises if non-constant)."""
-        if not self.terms:
+        if not self.numerators:
             return Fraction(0)
         if not self.is_constant():
             raise ValueError(f"polynomial is not constant: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.numerators.values())), self.denominator)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(map(sum, self.numerators))
 
     # -- ring operations ----------------------------------------------------
 
     def _coerce(self, other: object) -> "ParamPoly":
         if isinstance(other, ParamPoly):
-            if other.ring != self.ring:
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError(
                     f"ring mismatch: {self.ring.symbols} vs {other.ring.symbols}"
                 )
             return other
-        return self.ring.const(as_fraction(other))  # may raise TypeError
+        return self.ring.const(other)  # may raise TypeError
 
     def _combine(self, other: object, sign: int) -> "ParamPoly":
         """``self + sign * other`` for ``sign`` 1 or -1, term by term."""
@@ -152,22 +211,29 @@ class ParamPoly:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not o.terms:
+        if not o.numerators:
             return self
-        if not self.terms and sign > 0:
+        if not self.numerators and sign > 0:
             return o
-        out = dict(self.terms)
-        for exp, c in o.terms.items():
+        da, db = self.denominator, o.denominator
+        if da == db:
+            den, out, factor = da, dict(self.numerators), sign
+        else:
+            den = lcm(da, db)
+            fa = den // da
+            out = {e: k * fa for e, k in self.numerators.items()}
+            factor = sign * (den // db)
+        for exp, k in o.numerators.items():
             acc = out.get(exp)
             if acc is None:
-                out[exp] = c if sign > 0 else -c
+                out[exp] = k * factor
             else:
-                acc = acc + c if sign > 0 else acc - c
-                if acc == 0:
-                    del out[exp]
-                else:
+                acc += k * factor
+                if acc:
                     out[exp] = acc
-        return ParamPoly(self.ring, out)
+                else:
+                    del out[exp]
+        return _reduced(self.ring, out, den)
 
     def __add__(self, other: object) -> "ParamPoly":
         return self._combine(other, 1)
@@ -175,7 +241,8 @@ class ParamPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly(self.ring, {exp: -c for exp, c in self.terms.items()})
+        return ParamPoly(self.ring, {e: -k for e, k in self.numerators.items()},
+                         self.denominator)
 
     def __sub__(self, other: object) -> "ParamPoly":
         return self._combine(other, -1)
@@ -187,34 +254,35 @@ class ParamPoly:
             return NotImplemented
         return o._combine(self, -1)
 
+    def _scaled(self, num: int, den: int) -> "ParamPoly":
+        """``self * num / den`` for ints with ``den`` positive."""
+        if num == 0:
+            return self.ring.zero()
+        if num == den == 1:
+            return self
+        return _reduced(self.ring,
+                        {e: k * num for e, k in self.numerators.items()},
+                        self.denominator * den)
+
     def __mul__(self, other: object) -> "ParamPoly":
-        if isinstance(other, (int, Fraction)):
-            c = as_fraction(other)
-            if c == 0:
-                return self.ring.zero()
-            if c == 1:
-                return self
-            return ParamPoly(self.ring, {e: k * c for e, k in self.terms.items()})
+        if isinstance(other, int):
+            return self._scaled(other, 1)
+        if isinstance(other, Fraction):
+            return self._scaled(other.numerator, other.denominator)
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        if not self.terms or not o.terms:
+        if not self.numerators or not o.numerators:
             return self.ring.zero()
-        out: Dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
+        out: Dict[Exponents, int] = {}
+        for e1, k1 in self.numerators.items():
+            for e2, k2 in o.numerators.items():
+                exp = tuple(map(add, e1, e2))
                 acc = out.get(exp)
-                if acc is None:
-                    out[exp] = c1 * c2
-                else:
-                    acc += c1 * c2
-                    if acc == 0:
-                        del out[exp]
-                    else:
-                        out[exp] = acc
-        return ParamPoly(self.ring, out)
+                out[exp] = k1 * k2 if acc is None else acc + k1 * k2
+        return _reduced(self.ring, {e: k for e, k in out.items() if k},
+                        self.denominator * o.denominator)
 
     __rmul__ = __mul__
 
@@ -234,7 +302,11 @@ class ParamPoly:
     def __truediv__(self, other: object) -> "ParamPoly":
         if isinstance(other, (int, Fraction)):
             c = as_fraction(other)
-            return self * (Fraction(1) / c)
+            if c == 0:
+                raise ZeroDivisionError("polynomial divided by zero")
+            if c < 0:
+                return self._scaled(-c.denominator, -c.numerator)
+            return self._scaled(c.denominator, c.numerator)
         return NotImplemented
 
     def __eq__(self, other: object) -> bool:
@@ -242,10 +314,13 @@ class ParamPoly:
             other = self.ring.const(other)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return (self.ring == other.ring
+                and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self) -> int:
-        return hash((self.ring, frozenset(self.terms.items())))
+        return hash((self.ring, self.denominator,
+                     frozenset(self.numerators.items())))
 
     # -- substitution and evaluation -----------------------------------------
 
@@ -262,17 +337,16 @@ class ParamPoly:
             elif v is not None and v.ring != self.ring:
                 raise ValueError("substitution value from a different ring")
             values.append(v)
-        out: Dict[Exponents, Fraction] = {}
-        for exp, c in self.terms.items():
+        parts = []
+        for exp, k in self.numerators.items():
             residual = tuple(0 if values[i] is not None else e
                              for i, e in enumerate(exp))
-            factor = ParamPoly(self.ring, {residual: c})
+            factor = ParamPoly(self.ring, {residual: k})
             for value, e in zip(values, exp):
                 if e and value is not None:
                     factor = factor * value ** e
-            for key, k in factor.terms.items():
-                out[key] = out.get(key, 0) + k
-        return ParamPoly(self.ring, {e: c for e, c in out.items() if c != 0})
+            parts.append(factor)
+        return _sum(self.ring, parts)._scaled(1, self.denominator)
 
     def eval_rational(self, bindings: Mapping[str, ScalarLike]) -> Fraction:
         """Evaluate with every symbol bound to a rational; returns a Fraction."""
@@ -282,13 +356,13 @@ class ParamPoly:
                 raise KeyError(f"symbol {sym!r} not bound")
             vals.append(as_fraction(bindings[sym]))
         total = Fraction(0)
-        for exp, c in self.terms.items():
-            prod = c
+        for exp, k in self.numerators.items():
+            prod = Fraction(k)
             for v, e in zip(vals, exp):
                 if e:
                     prod *= v ** e
             total += prod
-        return total
+        return total / self.denominator
 
     def rename(self, target: ParamRing) -> "ParamPoly":
         """Map this polynomial into ``target`` by symbol name.
@@ -297,9 +371,9 @@ class ParamPoly:
         provided the missing symbols do not occur.
         """
         positions = [target._index.get(sym) for sym in self.ring.symbols]
-        out: Dict[Exponents, Fraction] = {}
+        out: Dict[Exponents, int] = {}
         width = len(target.symbols)
-        for exp, c in self.terms.items():
+        for exp, k in self.numerators.items():
             new = [0] * width
             for sym, pos, e in zip(self.ring.symbols, positions, exp):
                 if not e:
@@ -307,36 +381,35 @@ class ParamPoly:
                 if pos is None:
                     raise KeyError(f"symbol {sym!r} not in ring {target.symbols}")
                 new[pos] = e
-            out[tuple(new)] = c
-        return ParamPoly(target, out)
+            out[tuple(new)] = k
+        return ParamPoly(target, out, self.denominator)
 
-    # -- deterministic orders -----------------------------------------------
-
-    def sorted_terms(self):
-        """Terms in descending graded-lexicographic order (canonical iteration)."""
-        return sorted(self.terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+    # -- printing -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self.terms:
+        if not self.numerators:
             return "0"
         # Printing order: plain lexicographic, descending, so that e.g.
         # "lambda^2 - 2*lambda - 1/4*s^2 + 1/2*s*t - 1/4*t^2" reads with all
-        # lambda-terms first.
+        # lambda-terms first.  Each coefficient prints in lowest terms.
+        d = self.denominator
         pieces = []
-        for exp, c in sorted(self.terms.items(), reverse=True):
+        for exp, k in sorted(self.numerators.items(), reverse=True):
             mono = "*".join(
                 sym if e == 1 else f"{sym}^{e}"
                 for sym, e in zip(self.ring.symbols, exp)
                 if e
             )
-            mag = abs(c)
+            g = gcd(k, d)
+            num, den = abs(k) // g, d // g
+            mag = str(num) if den == 1 else f"{num}/{den}"
             if not mono:
-                body = str(mag)
-            elif mag == 1:
+                body = mag
+            elif num == den == 1:
                 body = mono
             else:
                 body = f"{mag}*{mono}"
-            pieces.append(("-" if c < 0 else "+", body))
+            pieces.append(("-" if k < 0 else "+", body))
         sign, body = pieces[0]
         text = ("-" if sign == "-" else "") + body
         for sign, body in pieces[1:]:
@@ -347,39 +420,60 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
+def _parse_rational(text: str) -> Tuple[int, int]:
+    """Numerator and positive denominator of an unsigned literal like "3/4".
+
+    A zero denominator is malformed input, so it raises ``ValueError``.
+    """
+    num, slash, den = text.partition("/")
+    if num.isdecimal() and (not slash or den.isdecimal() and int(den)):
+        return int(num), int(den) if slash else 1
+    try:
+        value = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in coefficient {text!r}") from None
+    return value.numerator, value.denominator
+
+
 def poly_from_string_ring(ring: ParamRing, text: str) -> ParamPoly:
     """Parse the canonical string format back into a polynomial.
 
     Accepts exactly the shapes produced by ``__str__``: terms joined by
     " + " / " - ", each term ``coef*sym^e*...`` with optional coefficient.
+    The terms are summed over the lcm of their denominators.
     """
     text = text.strip()
     if text == "0":
         return ring.zero()
     # Normalise leading sign and split on the spaced separators.
-    out = ring.zero()
+    terms = []
     tokens = text.replace(" - ", " | -").replace(" + ", " | +").split(" | ")
     for tok in tokens:
         tok = tok.strip()
-        sign = Fraction(1)
+        sign = 1
         if tok.startswith("-"):
-            sign = Fraction(-1)
+            sign = -1
             tok = tok[1:].strip()
         elif tok.startswith("+"):
             tok = tok[1:].strip()
-        coeff = Fraction(1)
+        num, den = sign, 1
         exp = [0] * len(ring.symbols)
         for factor in tok.split("*"):
             factor = factor.strip()
             if not factor:
                 raise ValueError(f"empty factor in term {tok!r}")
             if factor[0].isdigit():
-                coeff *= Fraction(factor)
+                n, d = _parse_rational(factor)
+                num, den = num * n, den * d
             else:
                 if "^" in factor:
                     sym, _, p = factor.partition("^")
                     exp[ring.index(sym)] += int(p)
                 else:
                     exp[ring.index(factor)] += 1
-        out = out + ParamPoly(ring, {tuple(exp): sign * coeff})
-    return out
+        terms.append((tuple(exp), num, den))
+    common = lcm(*(den for _e, _n, den in terms))
+    out: Dict[Exponents, int] = {}
+    for exp, num, den in terms:
+        out[exp] = out.get(exp, 0) + num * (common // den)
+    return _reduced(ring, {e: k for e, k in out.items() if k}, common)

@@ -21,12 +21,26 @@ place of [x, y].  In a product of degree N, the int stored for a monomial m
 is then its rational coefficient times D^(N - deg m): each bracket step
 lowers the degree by one and contributes one factor D.  Every scaled value
 is checked to be integral, never rounded, so a wrong scale raises instead of
-giving a wrong product.  :func:`sum_products` and the basis conversions
-bring every input coefficient over one common denominator, accumulate int
-numerators, and divide once per output term; :func:`sum_products_table`
-(a matrix product) converts each row and column once, not once per entry.
-The conversions solve each source generator over the target once per pair
-of bases.
+giving a wrong product.
+
+Every operator-matrix entry is of degree one, so nearly every product has a
+single generator on one side.  A monomial times a generator is straightened
+from the back of the monomial and memoised in ``_mono_gen_cache``.  A
+generator g times a monomial b = h^e·rest is straightened from the front:
+g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest when g > h, memoised in
+``_mono_mono_cache`` under ``(((g, 1),), b)``; when g <= h the product is
+read off and not stored.  Only two factors of degree at least 2 go through
+(a·g)·rest, memoised in the same dict under ``(a, b)``.  The memos hold
+ints and live as long as the basis.
+
+Coefficients are :class:`~huaops.params.ParamPoly` int numerators over one
+denominator, so the arithmetic around straightening builds no ``Fraction``.
+:func:`sum_products` and the basis conversions bring every input
+coefficient over one common denominator (the lcm of the denominators, read
+from the fields), accumulate int numerators, and reduce each output term
+by one gcd; :func:`sum_products_table` (a matrix product) converts each row
+and column once, not once per entry.  The conversions solve each source
+generator over the target once per pair of bases.
 
 The induced module M = U(g)/U(g)(k - χ) of an (n, a, k)-ordered basis is
 free over the n|a monomials.  ``_InducedModule`` applies one factor
@@ -49,8 +63,8 @@ from math import lcm
 from operator import add, itemgetter
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .params import (Exponents, ParamPoly, ParamRing, as_fraction,
-                     poly_from_string_ring)
+from .params import (Exponents, ParamPoly, ParamRing, _over, _reduced,
+                     as_fraction, poly_from_string_ring)
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
 Monomial = Tuple[Tuple[int, int], ...]  # ((gen_index, power), ...) strictly increasing
@@ -81,23 +95,34 @@ def make_matrix(n: int, entries: Mapping[Tuple[int, int], object] | None = None)
     return tuple(tuple(r) for r in rows)
 
 
+def _sparse_rows(a: Matrix) -> List[List[Tuple[int, Fraction]]]:
+    """The nonzero entries of each row, as ``(column, value)``."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
-    out = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for k in range(n):
-            aik = a[i][k]
-            if aik:
-                row = b[k]
-                for j in range(n):
-                    if row[j]:
-                        out[i][j] += aik * row[j]
-    return tuple(tuple(r) for r in out)
+    """a·b, summed over the nonzero entries of a and b only."""
+    out = [[_ZERO] * len(a) for _ in a]
+    b_rows = _sparse_rows(b)
+    for target, row in zip(out, _sparse_rows(a)):
+        for k, x in row:
+            for j, y in b_rows[k]:
+                target[j] += x * y
+    return tuple(map(tuple, out))
 
 
 def mat_commutator(a: Matrix, b: Matrix) -> Matrix:
-    ab, ba = mat_mul(a, b), mat_mul(b, a)
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(ab, ba))
+    """[a, b] = ab - ba, accumulated in one pass over the nonzero entries."""
+    out = [[_ZERO] * len(a) for _ in a]
+    a_rows, b_rows = _sparse_rows(a), _sparse_rows(b)
+    for target, a_row, b_row in zip(out, a_rows, b_rows):
+        for k, x in a_row:
+            for j, y in b_rows[k]:
+                target[j] += x * y
+        for k, y in b_row:
+            for j, x in a_rows[k]:
+                target[j] -= y * x
+    return tuple(map(tuple, out))
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -319,7 +344,11 @@ class OrderedBasis:
         """Normal form of a·b, scaled like :meth:`mul_mono_gen`.
 
         The int stored for m is D^(deg a + deg b - deg m) times its
-        coefficient: the scalings of a·g and of (a·g)·rest multiply to it.
+        coefficient.  A single generator on the left is straightened from
+        the front of b (:meth:`_gen_times`), and one on the right is
+        :meth:`mul_mono_gen`.  Otherwise a·b = (a·g)·rest for the first
+        generator g of b, and the scalings of a·g and of (a·g)·rest
+        multiply to the one above.
         """
         if not b:
             return {a: 1}
@@ -329,6 +358,10 @@ class OrderedBasis:
         hit = self._mono_mono_cache.get(key)
         if hit is not None:
             return hit
+        if len(a) == 1 and a[0][1] == 1:
+            return self._gen_times(a[0][0], b)
+        if len(b) == 1 and b[0][1] == 1:
+            return self.mul_mono_gen(a, b[0][0])
         g, e = b[0]
         rest: Monomial = ((g, e - 1),) + b[1:] if e > 1 else b[1:]
         acc: Dict[Monomial, int] = {}
@@ -337,6 +370,40 @@ class OrderedBasis:
                 c = c1 * c2
                 prev = acc.get(m2)
                 acc[m2] = c if prev is None else prev + c
+        result = {m: c for m, c in acc.items() if c != 0}
+        self._mono_mono_cache[key] = result
+        return result
+
+    def _gen_times(self, g: int, b: Monomial) -> Dict[Monomial, int]:
+        """Normal form of g·b for one generator g, scaled as in :meth:`mul_monos`.
+
+        With b = h^e·rest, g·b is g prepended when b is empty or g < h, and
+        h^(e+1)·rest when g = h; neither is stored.  When g > h,
+        g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, with the bracket
+        D·[g, h] in place of [g, h], and the result is memoised in
+        ``_mono_mono_cache`` under ``(((g, 1),), b)``.
+        """
+        if not b or g < b[0][0]:
+            return {((g, 1),) + b: 1}
+        h, e = b[0]
+        if g == h:
+            return {((g, e + 1),) + b[1:]: 1}
+        key = (((g, 1),), b)
+        hit = self._mono_mono_cache.get(key)
+        if hit is not None:
+            return hit
+        rest: Monomial = ((h, e - 1),) + b[1:] if e > 1 else b[1:]
+        acc: Dict[Monomial, int] = {}
+        for m1, c1 in self._gen_times(g, rest).items():
+            for m2, c2 in self._gen_times(h, m1).items():
+                c = c1 * c2
+                prev = acc.get(m2)
+                acc[m2] = c if prev is None else prev + c
+        for k, ck in self._scaled_brackets[g, h]:
+            for m1, c1 in self._gen_times(k, rest).items():
+                c = ck * c1
+                prev = acc.get(m1)
+                acc[m1] = c if prev is None else prev + c
         result = {m: c for m, c in acc.items() if c != 0}
         self._mono_mono_cache[key] = result
         return result
@@ -565,11 +632,11 @@ def _numerators(elems: Sequence[EnvElement]
     """One common denominator q of every coefficient, and the int numerators.
 
     Each element becomes a list of ``(monomial, degree, {exponents: q*c})``.
+    q is the lcm of the coefficients' denominators; a coefficient already
+    over q lends its own numerators, which are never mutated.
     """
-    q = lcm(*(c.denominator for x in elems for poly in x.terms.values()
-              for c in poly.terms.values()))
-    return q, [[(m, mono_degree(m),
-                 {e: _integral(c, q) for e, c in poly.terms.items()})
+    q = lcm(*(poly.denominator for x in elems for poly in x.terms.values()))
+    return q, [[(m, mono_degree(m), _over(poly, q))
                 for m, poly in x.terms.items()] for x in elems]
 
 
@@ -590,15 +657,16 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators
             ) -> EnvElement:
     """Divide ``out[m]`` by ``denominator * S^(top - deg m)``, once per term.
 
-    S is ``scale``, by default the basis's D.
+    S is ``scale``, by default the basis's D.  Each coefficient keeps its
+    ints and is reduced by one gcd.
     """
     d = basis.scale if scale is None else scale
+    dens = [denominator * d ** (top - i) for i in range(top + 1)]
     terms: Dict[Monomial, ParamPoly] = {}
     for m, acc in out.items():
-        den = denominator * d ** (top - mono_degree(m))
-        poly = {e: Fraction(k, den) for e, k in acc.items() if k}
-        if poly:
-            terms[m] = ParamPoly(ring, poly)
+        nums = {e: k for e, k in acc.items() if k}
+        if nums:
+            terms[m] = _reduced(ring, nums, dens[mono_degree(m)])
     return EnvElement(basis, ring, terms)
 
 
@@ -804,7 +872,7 @@ class _InducedModule:
     a right ideal, and acting on the left can move a term out of it.
 
     Ints as in :func:`sum_products`: χ is held as int numerators over one
-    denominator c, every value through :func:`_integral`, and with S = D·c
+    denominator c, the lcm of its values' denominators, and with S = D·c
     the image of g on m stores for each n|a monomial m' S^(deg m + 1 - deg m')
     times its coefficient.  Images are memoised on the instance, never on
     the basis: χ is symbolic and belongs to one request.
@@ -831,12 +899,10 @@ class _InducedModule:
                   for xs in terms]
         size = len(matrix)
         self._rows = [combos[a * size:(a + 1) * size] for a in range(size)]
-        self._c = lcm(*(c.denominator for v in k_values.values()
-                        for c in v.terms.values()))
+        self._c = lcm(*(v.denominator for v in k_values.values()))
         d = basis.scale
         self.scale = d * self._c
-        self._tails = {h: {e: _integral(c, self._c) * d
-                           for e, c in v.terms.items()}
+        self._tails = {h: {e: k * d for e, k in _over(v, self._c).items()}
                        for h, v in k_values.items()}
         self._k_start = k_zone.start
         self._images: Dict[Tuple[int, Monomial], Dict[Monomial, Numerators]] = {}
@@ -887,8 +953,8 @@ class _InducedModule:
         if root.ring != self.ring:
             raise ValueError("root from a different ring")
         q, terms = _numerators(column)
-        r = lcm(*(c.denominator for c in root.terms.values()))
-        minus_root = {e: -_integral(c, r) for e, c in root.terms.items()}
+        r = root.denominator
+        minus_root = {e: -k for e, k in root.numerators.items()}
         top = 1 + max((dm for xs in terms for _m, dm, _p in xs), default=0)
         powers = [self.scale ** i for i in range(top + 1)]
         scale_e = self._scale_e

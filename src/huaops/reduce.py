@@ -47,6 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import lcm
 from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
@@ -55,7 +56,7 @@ from .matop import (OpMatrix, entry_positions, generator_matrix,
                     ideal_metadata, mat_eval_factors, matrix_powers)
 from .minpoly import (minimal_polynomial, upq_complexified_theta,
                       upq_lambda_schedule)
-from .params import ParamPoly, ParamRing
+from .params import ParamPoly, ParamRing, _over, _reduced, _sum
 from .pbw import (EnvElement, Monomial, OrderedBasis, _InducedModule,
                   project_mod_n, sum_products)
 
@@ -100,14 +101,14 @@ def radial_str(value: ParamPoly, ring: ParamRing) -> str:
     """
     width = len(ring)
     names = value.ring.symbols[width:]
-    groups: Dict[Tuple[int, ...], Dict] = {}
-    for exp, c in value.terms.items():
-        groups.setdefault(exp[width:], {})[exp[:width]] = c
+    groups: Dict[Tuple[int, ...], Dict[Tuple[int, ...], int]] = {}
+    for exp, k in value.numerators.items():
+        groups.setdefault(exp[width:], {})[exp[:width]] = k
     chunks = []
     for a_exp in sorted(groups, key=lambda e: (sum(e), e)):
         word = "*".join(name if e == 1 else f"{name}^{e}"
                         for name, e in zip(names, a_exp) if e)
-        text = str(ParamPoly(ring, groups[a_exp]))
+        text = str(_reduced(ring, groups[a_exp], value.denominator))
         if not word:
             chunks.append(f"({text})")
         else:
@@ -190,9 +191,12 @@ def _peel(elem: EnvElement, k_values: Mapping[int, ParamPoly],
     each step is one application of a relation ``X = chi(X)`` in the left
     ideal ``sum_X U(g)(X - chi(X))``.  Monomials leading with a generator in
     ``dropped``, or holding a k-factor whose character value is 0, are
-    skipped.
+    skipped.  Each power of a character value is built once per call, and
+    the values landing on one monomial are summed once, over their lcm
+    denominator.
     """
-    out: Dict[Monomial, ParamPoly] = {}
+    parts: Dict[Monomial, List[ParamPoly]] = {}
+    powers: Dict[Tuple[int, int], ParamPoly] = {}
     for mono, coeff in elem.terms.items():
         if mono and mono[0][0] in dropped:
             continue
@@ -206,15 +210,16 @@ def _peel(elem: EnvElement, k_values: Mapping[int, ParamPoly],
                 value = k
                 break
             else:
-                value = value * k ** e
-        if value.is_zero():
-            continue
-        key = tuple(prefix)
-        acc = out.get(key)
-        total = value if acc is None else acc + value
-        if total.is_zero():
-            out.pop(key, None)
-        else:
+                power = powers.get((g, e))
+                if power is None:
+                    power = powers[g, e] = k ** e
+                value = value * power
+        if not value.is_zero():
+            parts.setdefault(tuple(prefix), []).append(value)
+    out: Dict[Monomial, ParamPoly] = {}
+    for key, values in parts.items():
+        total = values[0] if len(values) == 1 else _sum(elem.ring, values)
+        if not total.is_zero():
             out[key] = total
     return out
 
@@ -250,14 +255,15 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     names = spec.a_names
     radial = radial_ring(u.ring, names)
     a_zone = basis.zone_indices("a")
+    peeled = _peel(u, spec._k_by_index, basis.zone_indices("n"))
+    den = lcm(*(coeff.denominator for coeff in peeled.values()))
     terms = {}
-    for mono, coeff in _peel(u, spec._k_by_index,
-                             basis.zone_indices("n")).items():
+    for mono, coeff in peeled.items():
         powers = dict(mono)
         a_exp = tuple(powers.get(g, 0) for g in a_zone)
-        for exp, c in coeff.terms.items():
-            terms[exp + a_exp] = c
-    result = ParamPoly(radial, terms)
+        for exp, k in _over(coeff, den).items():
+            terms[exp + a_exp] = k
+    result = _reduced(radial, terms, den)
 
     bindings = {name: v.rename(radial) for name, v in spec._a_by_name.items()}
     if spec.rho_shift:
@@ -314,7 +320,7 @@ def gamma_ell(d: EnvElement, form: RealFormData,
 
 def _poly_symbols(poly: ParamPoly) -> List[str]:
     """The ring symbols a polynomial uses, sorted."""
-    return sorted({poly.ring.symbols[pos] for exp in poly.terms
+    return sorted({poly.ring.symbols[pos] for exp in poly.numerators
                    for pos, e in enumerate(exp) if e})
 
 

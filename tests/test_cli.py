@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from huaops import cli
 from huaops.cli import run
 
 
@@ -285,3 +286,51 @@ def test_human_summary_mentions_pass(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+
+
+_INTERNAL_FAULTS = [
+    MemoryError(),
+    RecursionError("maximum recursion depth exceeded"),
+    ArithmeticError("scaled coefficient 1/2 is not an integer"),
+    ZeroDivisionError("division by zero"),
+]
+
+
+@pytest.mark.parametrize("fault", _INTERNAL_FAULTS,
+                         ids=[type(f).__name__ for f in _INTERNAL_FAULTS])
+def test_internal_faults_exit_three(monkeypatch, capsys, fault):
+    # The handler raises at once: no memory or recursion is exhausted.
+    def raise_fault(args):
+        raise fault
+
+    monkeypatch.setattr(cli, "_cmd_degrees", raise_fault)
+    code = run(["degrees", "--diagram", "A_n^1", "--n", "4", "--json"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"internal error: {type(fault).__name__}: {fault}\n"
+
+
+def test_zero_denominators_in_input_are_usage_errors(tmp_path, capsys):
+    assert run(["cfun", "--form", "glnr", "--n", "2", "--bind", "lambda_1=1/0"]) == 2
+    assert "cannot parse" in capsys.readouterr().err
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "1", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--out", str(blob)]) == 0
+    capsys.readouterr()
+    doc = json.loads(blob.read_text())
+    term = doc["entries"][0]["element"]["terms"][0]
+    term["coeff"] = "1/0"
+    blob.write_text(json.dumps(doc))
+    code = run(["reduce"] + argv + ["--in", str(blob)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "zero denominator" in captured.err
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "report.json"
+    code = run(["degrees", "--diagram", "A_n^1", "--n", "4", "--out", str(target)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: ") and str(target) in captured.err

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,16 @@ def polys(draw):
     return RING.poly(terms)
 
 
+def _is_canonical(p):
+    """Int numerators over a positive denominator that shares no factor with
+    all of them; no zero numerator; zero has denominator 1."""
+    nums = list(p.numerators.values())
+    return (type(p.denominator) is int and p.denominator > 0
+            and all(type(k) is int and k != 0 for k in nums)
+            and gcd(p.denominator, *nums) == 1
+            and (bool(nums) or p.denominator == 1))
+
+
 @given(polys(), polys(), polys())
 @settings(max_examples=60, deadline=None)
 def test_ring_laws(a, b, c):
@@ -40,6 +51,40 @@ def test_ring_laws(a, b, c):
     assert a * RING.one() == a
     assert a - a == RING.zero()
     assert a * RING.zero() == RING.zero()
+    results = [a + b, b + a, (a + b) + c, a + (b + c), a * b, (a * b) * c,
+               a * (b + c), a * b + a * c, a - a, a - b, -a, a * RING.zero(),
+               a * 6, a * Fraction(-3, 4), a / Fraction(2, 3), b ** 2,
+               a.substitute({"s": b})]
+    for p in results:
+        assert _is_canonical(p), p
+
+
+@given(polys(), polys())
+@settings(max_examples=40, deadline=None)
+def test_equal_polys_are_equal_whatever_built_them(a, b):
+    built = [RING.poly(a.terms), poly_from_string_ring(RING, str(a)),
+             (a * 3 + a) / 4, a + b - b, (a * 2 - a * Fraction(1, 3)) * Fraction(3, 5)]
+    for p in built:
+        assert _is_canonical(p), p
+        assert p == a and hash(p) == hash(a), (p, a)
+
+
+def test_canonical_fields():
+    s, t = RING.var("s"), RING.var("t")
+    expected = s / 2 - t * Fraction(3, 4) + 2
+    for p in (expected,
+              RING.poly({(1, 0, 0): Fraction(2, 4), (0, 1, 0): Fraction(-3, 4),
+                         (0, 0, 0): 2}),
+              poly_from_string_ring(RING, "1/2*s - 3/4*t + 2"),
+              (s * 2 - t * 3 + 8) / 4):
+        assert p.numerators == {(1, 0, 0): 2, (0, 1, 0): -3, (0, 0, 0): 8}
+        assert p.denominator == 4
+        assert p == expected and hash(p) == hash(expected)
+        assert str(p) == "1/2*s - 3/4*t + 2"
+    zero = expected - expected
+    assert zero.numerators == {} and zero.denominator == 1
+    assert (s / 2 + s / 2) == s and (s / 2 + s / 2).denominator == 1
+    assert RING.const(Fraction(2, 4)) == Fraction(1, 2)
 
 
 @given(polys(), polys())

@@ -142,6 +142,24 @@ def test_naive_rewriter_agrees_on_random_words():
                     == naive_normal_order(basis, word)), (basis.basis_id, word)
 
 
+def test_left_action_matches_naive_rewriter():
+    # g·m is straightened from the front of m; a product that needs a
+    # bracket is memoised under the key (((g, 1),), m).
+    for basis, _scale in _oracle_bases():
+        rng = random.Random(103)
+        monos = [word_mono(sorted(rng.randrange(len(basis)) for _ in range(deg)))
+                 for deg in (3, 3, 3, 4, 4, 4)]
+        for mono in monos:
+            elem = EnvElement(basis, RING, {mono: RING.one()})
+            for g in range(len(basis)):
+                word = (g,) + tuple(h for h, e in mono for _ in range(e))
+                product = EnvElement.generator(basis, RING, g) * elem
+                got = {m: c.constant_value() for m, c in product.terms.items()}
+                assert got == naive_normal_order(basis, word), (basis.basis_id, word)
+                stored = (((g, 1),), mono) in basis._mono_mono_cache
+                assert stored == (g > mono[0][0]), (basis.basis_id, word)
+
+
 @pytest.fixture
 def unscaled_iwasawa():
     """A fresh copy of the U(2,1) Iwasawa basis with its scale forced to 1."""
@@ -162,6 +180,10 @@ def test_wrong_scale_raises_instead_of_rounding(unscaled_iwasawa):
     x, y = (EnvElement.generator(basis, RING, g) for g in (i, j))
     with pytest.raises(ArithmeticError, match="not an integer"):
         x * y
+    # The same guard holds for a generator acting on a degree-2 monomial.
+    monomial = EnvElement(basis, RING, {((j, 1), (i, 1)): RING.one()})
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        x * monomial
 
 
 def test_commutator_of_generators_matches_matrix_bracket():
