@@ -4,30 +4,30 @@ The generator matrix of a classical algebra has the spanning generators as
 its entries, over the Verma basis or any basis spanning the algebra (such as
 an Iwasawa basis).  A minimal polynomial evaluated on it is a square matrix
 of enveloping-algebra elements whose entries generate a two-sided ideal.
-:func:`factor_products` is the one loop that multiplies the factors
-``(F - c_1)(F - c_2)...``, yielding each partial product;
-:func:`mat_eval_factors` is the last, and Horner's rule on the expanded
-coefficients (:func:`mat_eval_poly`) checks it.  They build the exported
-generator sets and the exact two-factor identities, and are the test
-oracle for the U(p,q) membership drivers, which apply the factors to
-columns of an induced module instead (see :mod:`huaops.reduce`).  A matrix
-product converts each row and column to int numerators once
+:func:`factor_columns` is the one loop that multiplies factors
+``F - c`` in U(g): it applies them one root at a time, from the left, to
+the unit columns it is asked for, and yields every prefix.  It builds the
+exported generator sets (their kept columns only), the trace powers, the
+exact two-factor identities and the power chains of the GL(n,R) lemma;
+Horner's rule on the expanded coefficients (:func:`mat_eval_poly`) is its
+oracle.  The U(p,q) membership drivers run the same chain on columns of an
+induced module instead (see :mod:`huaops.reduce`).  A matrix product
+converts each row and column to int numerators once
 (:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
 generator matrix supply the central generators; their eigenvalues are read
-off a highest-weight evaluation oracle.  :func:`ideal_metadata` describes
-what a generator set is built from.
+off a highest-weight evaluation, one peel over the Verma basis.
+:func:`ideal_metadata` describes what a generator set is built from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .liedata import AlgebraData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
-from .pbw import (EnvElement, Monomial, OrderedBasis, sum_products,
+from .pbw import (EnvElement, OrderedBasis, _peel, sum_products,
                   sum_products_table)
 
 
@@ -134,30 +134,40 @@ def generator_matrix(algebra: AlgebraData, ring: ParamRing,
     return OpMatrix(basis, ring, rows)
 
 
-def factor_products(mat: OpMatrix, roots: Sequence[ParamPoly]
-                    ) -> Iterator[OpMatrix]:
-    """Yield ``(mat - r_1)``, ``(mat - r_1)(mat - r_2)``, ... for ``roots``.
+def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
+                   columns: Sequence[int]
+                   ) -> Iterator[List[List[EnvElement]]]:
+    """Apply the factors ``mat - r`` one root at a time to unit columns.
 
-    Each prefix is the previous one times the next factor on the right; the
-    first is the factor itself.
+    Column b starts as the unit column e_b, and each root maps every column
+    x to ``(mat - r) x``.  After the roots ``r_1..r_m`` column b is
+    ``(mat - r_m)...(mat - r_1) e_b``, which is column b of the m-th prefix
+    ``(mat - r_1)...(mat - r_m)``: the factors commute.  Yields the columns,
+    in the order of ``columns``, after every root, each as the list of its
+    entries from row 1 down.  Columns that are not listed are never built.
     """
-    product = None
+    one = EnvElement.scalar(mat.basis, mat.ring.one())
+    zero = EnvElement.zero(mat.basis, mat.ring)
+    state = [[one if a == b else zero for a in range(1, mat.size + 1)]
+             for b in columns]
     for root in roots:
-        factor = mat.shift(-root)
-        product = factor if product is None else product.mul(factor)
-        yield product
+        table = sum_products_table(mat.shift(-root).entries, state)
+        state = [list(column) for column in zip(*table)]
+        yield state
 
 
-def mat_eval_factors(mat: OpMatrix, roots: Sequence[ParamPoly]) -> OpMatrix:
-    """``prod_k (mat - roots[k] * I)``: the last of :func:`factor_products`."""
-    product = OpMatrix.identity(mat.basis, mat.ring, mat.size)
-    for product in factor_products(mat, roots):
-        pass
-    return product
+def from_columns(mat: OpMatrix, columns: Sequence[Sequence[EnvElement]]
+                 ) -> OpMatrix:
+    """The matrix with the given full list of columns, over ``mat``'s basis."""
+    return OpMatrix(mat.basis, mat.ring, tuple(zip(*columns)))
 
 
 def mat_eval_poly(mat: OpMatrix, coefficients: Sequence[ParamPoly]) -> OpMatrix:
-    """Evaluate ``sum_k coefficients[k] * mat^k`` by Horner's rule."""
+    """Evaluate ``sum_k coefficients[k] * mat^k`` by Horner's rule.
+
+    It multiplies whole matrices on the expanded coefficients and shares no
+    loop with :func:`factor_columns`, whose oracle it is.
+    """
     if not coefficients:
         raise ValueError("need at least one coefficient")
     out: Optional[OpMatrix] = None
@@ -169,30 +179,29 @@ def mat_eval_poly(mat: OpMatrix, coefficients: Sequence[ParamPoly]) -> OpMatrix:
     return out
 
 
-def matrix_powers(mat: OpMatrix, top: int) -> List[OpMatrix]:
-    """``[I, mat, mat^2, ..., mat^top]``."""
-    powers = [OpMatrix.identity(mat.basis, mat.ring, mat.size)]
-    for _ in range(top):
-        powers.append(powers[-1].mul(mat))
-    return powers
-
-
 def trace_power(mat: OpMatrix, order: int,
-                powers: Optional[List[OpMatrix]] = None) -> EnvElement:
+                powers: Optional[Sequence[Sequence[Sequence[EnvElement]]]] = None
+                ) -> EnvElement:
     """``tr(mat^order)`` computed from two half powers.
 
-    Splitting the power keeps the largest intermediate matrix at half the
-    requested order; a precomputed ``powers`` list is reused when given.
+    ``powers[k - 1]`` holds the columns of ``mat^k``, as
+    :func:`factor_columns` yields them for zero roots; they are built up to
+    the larger half when not given.  Splitting the power keeps the largest
+    intermediate matrix at half the requested order.
     """
     if order < 1:
         raise ValueError("order must be positive")
     a = order // 2
     b = order - a
+    if a == 0:
+        return mat.trace()
     if powers is None:
-        powers = matrix_powers(mat, b)
-    left, right = powers[a], powers[b]
-    return sum_products([x for row in left.entries for x in row],
-                        [y for col in zip(*right.entries) for y in col])
+        powers = list(factor_columns(mat, [mat.ring.zero()] * b,
+                                     range(1, mat.size + 1)))
+    left, right = powers[a - 1], powers[b - 1]
+    # tr(LR) = sum over c, i of L[i, c] R[c, i]; L[i, c] is left[c][i].
+    return sum_products([x for column in left for x in column],
+                        [y for row in zip(*right) for y in row])
 
 
 # ---------------------------------------------------------------------------
@@ -200,43 +209,23 @@ def trace_power(mat: OpMatrix, order: int,
 # ---------------------------------------------------------------------------
 
 
-def highest_weight_buckets(algebra: AlgebraData, element: EnvElement,
-                           weight: Mapping[int, ParamPoly],
-                           ) -> Dict[Monomial, ParamPoly]:
-    """Apply an element to a highest-weight vector.
-
-    Monomials with a factor in the raising zone annihilate the vector; the
-    Cartan part evaluates at the weight; what remains is grouped by its
-    lowering-zone monomial.  The empty-monomial bucket is the scalar action.
-    """
-    basis = algebra.basis
-    if basis is not element.basis:
-        raise ValueError("element not expressed in the algebra's basis")
-    buckets: Dict[Monomial, ParamPoly] = {}
-    for mono, coeff in element.terms.items():
-        parts = basis.split_monomial(mono)
-        if parts["n"]:
-            continue
-        value = coeff
-        for g, e in parts["a"]:
-            value = value * weight[g] ** e
-        key = tuple(parts["nbar"])
-        if key in buckets:
-            buckets[key] = buckets[key] + value
-        else:
-            buckets[key] = value
-    return {k: v for k, v in buckets.items() if not v.is_zero()}
-
-
 def central_eigenvalue(algebra: AlgebraData, element: EnvElement,
                        weight: Mapping[int, ParamPoly]) -> ParamPoly:
     """Scalar by which a central element acts on the highest-weight vector.
 
-    Raises :class:`CentralityError` if the evaluation leaves any lowering
-    residue, which certifies the element is not central for this weight
-    family.
+    One peel over the Verma basis (zones nbar | a | n): an n-factor kills
+    the vector, an a-factor acts by its weight, and what remains of each
+    monomial is its lowering (nbar) part.  Raises :class:`CentralityError`
+    if any lowering monomial remains, which certifies the element is not
+    central for this weight family.
     """
-    buckets = highest_weight_buckets(algebra, element, weight)
+    basis = algebra.basis
+    if basis is not element.basis:
+        raise ValueError("element not expressed in the algebra's basis")
+    zero = element.ring.zero()
+    values = {g: zero for g in basis.zone_indices("n")}
+    values.update((g, weight[g]) for g in basis.zone_indices("a"))
+    buckets = _peel(element, values)
     residue = {k: v for k, v in buckets.items() if k}
     if residue:
         sample_key = sorted(residue)[0]
@@ -248,8 +237,7 @@ def central_eigenvalue(algebra: AlgebraData, element: EnvElement,
             f"not central: lowering residue on {len(residue)} monomial(s), "
             f"e.g. {names} -> {residue[sample_key]}"
         )
-    ring = element.ring
-    return buckets.get((), ring.zero())
+    return buckets.get((), zero)
 
 
 def theta_weight(algebra: AlgebraData, theta: ThetaData) -> Dict[int, ParamPoly]:
@@ -307,21 +295,26 @@ class CentralGenerator:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All generators of the two-sided ideal attached to a block pattern."""
+    """The exported generators of the ideal attached to a block pattern.
+
+    ``columns`` maps each exported column index of q(F) to its entries, row
+    1 first; the other columns are never built.
+    """
 
     theta: ThetaData
     polynomial: MinPoly
-    matrix: OpMatrix
+    basis: OrderedBasis
+    columns: Mapping[int, Sequence[EnvElement]]
     central: Tuple[CentralGenerator, ...]
     pfaffian_omitted: bool
     column_range: Optional[Tuple[int, int]] = None
 
     def entries(self) -> List[Tuple[int, int, EnvElement]]:
-        positions = entry_positions(self.matrix.size, self.column_range)
-        return [(i, j, self.matrix.entry(i, j)) for i, j in positions]
+        positions = entry_positions(self.basis.ambient, self.column_range)
+        return [(i, j, self.columns[j][i - 1]) for i, j in positions]
 
     def metadata(self) -> dict:
-        return ideal_metadata(self.theta, self.matrix.basis, self.column_range)
+        return ideal_metadata(self.theta, self.basis, self.column_range)
 
     def to_json_dict(self) -> dict:
         return {
@@ -348,14 +341,14 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
                      ring: Optional[ParamRing] = None,
                      column_range: Optional[Tuple[int, int]] = None,
                      ) -> GeneratorSet:
-    """Build the full generator set of the ideal attached to a block pattern.
+    """Build the generator set of the ideal attached to a block pattern.
 
     The matrix part evaluates the minimal polynomial on the generator matrix
-    (the last of :func:`factor_products`).  The central part adjoins one
-    trace power per index in the pattern's central index set, with its
-    eigenvalue certified by the highest-weight oracle; the even-orthogonal
-    generator of order equal to the rank has no trace-power realization and
-    is omitted with a flag.
+    by :func:`factor_columns`, on the exported columns only (``column_range``,
+    default all).  The central part adjoins one trace power per index in the
+    pattern's central index set, with its eigenvalue certified by the
+    highest-weight oracle; the even-orthogonal generator of order equal to
+    the rank has no trace-power realization and is omitted with a flag.
     """
     if ring is None:
         ring = theta.ring
@@ -363,7 +356,9 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
         raise ValueError("block pattern rank does not match the algebra")
     poly = minimal_polynomial(theta)
     fmat = generator_matrix(algebra, ring)
-    qmat = mat_eval_factors(fmat, poly.roots)
+    kept = sorted({j for _i, j in entry_positions(fmat.size, column_range)})
+    for columns in factor_columns(fmat, poly.roots, kept):
+        pass
 
     weight = theta_weight(algebra, theta)
     central: List[CentralGenerator] = []
@@ -378,7 +373,8 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
         pfaffian_omitted = True
     if usable:
         top = max(order - order // 2 for _, order in usable)
-        powers = matrix_powers(fmat, top)
+        powers = list(factor_columns(fmat, [ring.zero()] * top,
+                                     range(1, fmat.size + 1)))
         for j, order in usable:
             element = trace_power(fmat, order, powers=powers)
             eig = central_eigenvalue(algebra, element, weight)
@@ -387,7 +383,8 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
     return GeneratorSet(
         theta=theta,
         polynomial=poly,
-        matrix=qmat,
+        basis=fmat.basis,
+        columns=dict(zip(kept, columns)),
         central=tuple(central),
         pfaffian_omitted=pfaffian_omitted,
         column_range=column_range,
@@ -418,12 +415,3 @@ def adjoint_covariance_defect(algebra: AlgebraData, mat: OpMatrix,
     ))
     return mat.map_entries(xgen.commutator).sub(
         x_t.mul(mat).sub(mat.mul(x_t)))
-
-
-def check_adjoint_covariance(algebra: AlgebraData, mat: OpMatrix) -> None:
-    """Assert the covariance identity for every basis generator."""
-    for g in range(len(algebra.basis)):
-        defect = adjoint_covariance_defect(algebra, mat, g)
-        if not defect.is_zero():
-            name = algebra.basis.names[g]
-            raise AssertionError(f"covariance fails for generator {name}")

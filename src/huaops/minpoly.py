@@ -12,11 +12,10 @@ schedule used by the rank-one recursion for U(p,q).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Sequence, Tuple, Union
 
-from .params import ParamPoly, ParamRing, ScalarLike, as_fraction
+from .params import ParamPoly, ParamRing, ScalarLike
 
 THETA = "theta"
 THETA_BAR = "theta-bar"
@@ -97,18 +96,6 @@ class ThetaData:
             if i <= end:
                 return j
         raise AssertionError("unreachable: blocks end at the rank")
-
-    def h_coefficients(self) -> Tuple[int, ...]:
-        """Coefficient of each diagonal generator in the grading element.
-
-        Entry ``i-1`` counts the blocks (all of them, or all but the last in
-        the barred variant) whose end is ``>= i``.
-        """
-        last = self.block_count - (1 if self.variant == THETA_BAR else 0)
-        return tuple(
-            sum(1 for k in range(1, last + 1) if self.block_end(k) >= i)
-            for i in range(1, self.rank + 1)
-        )
 
     def weight_values(self) -> Tuple[ParamPoly, ...]:
         """Character value ``lambda_{iota(i)}`` for each ``i = 1..rank``."""
@@ -196,11 +183,6 @@ class MinPoly:
             "factors": list(self.factored_strings()),
             "coefficients": [str(c) for c in self.coefficients()],
         }
-
-    def __mul__(self, other: "MinPoly") -> "MinPoly":
-        if self.ring != other.ring:
-            raise ValueError("mixed parameter rings")
-        return MinPoly(self.ring, self.roots + other.roots)
 
 
 def minimal_polynomial(theta: ThetaData) -> MinPoly:

@@ -14,8 +14,7 @@ shares no factor with all the numerators at once, and the zero polynomial
 has no terms and denominator 1, so the form is unique: equality and hashing
 compare the fields.  Arithmetic builds no ``Fraction``.  A sum rescales its
 operands to the lcm of their denominators, a product multiplies numerators
-and denominators, and each result is reduced by one gcd.  ``terms`` is a
-``Fraction`` view for cold callers, rebuilt on every read.
+and denominators, and each result is reduced by one gcd.
 
 Terms are kept in no particular order internally; printing uses plain
 lexicographic order, descending.
@@ -165,12 +164,6 @@ class ParamPoly:
         self.ring = ring
         self.numerators = numerators
         self.denominator = denominator
-
-    @property
-    def terms(self) -> Dict[Exponents, Fraction]:
-        """The coefficients as Fractions, rebuilt on every read."""
-        d = self.denominator
-        return {e: Fraction(k, d) for e, k in self.numerators.items()}
 
     # -- basic predicates ---------------------------------------------------
 

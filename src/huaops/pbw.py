@@ -53,6 +53,9 @@ Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
 must be contiguous and in declared order, so a normal-ordered monomial splits
 into zone segments by position — this is what the reduction module relies on.
+``_peel`` is the one evaluation of a monomial's trailing zones through given
+values: the k-tail through a k-character in the reduction, and the a|n tail
+at a highest weight in :func:`~huaops.matop.central_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -61,9 +64,9 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 from operator import add, itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .params import (Exponents, ParamPoly, ParamRing, _over, _reduced,
+from .params import (Exponents, ParamPoly, ParamRing, _over, _reduced, _sum,
                      as_fraction, poly_from_string_ring)
 
 Matrix = Tuple[Tuple[Fraction, ...], ...]
@@ -291,15 +294,6 @@ class OrderedBasis:
         return {(i, j): tuple((k, _integral(c, d)) for k, c in self.bracket(i, j))
                 for i in range(len(self)) for j in range(i)}
 
-    # -- monomial helpers ----------------------------------------------------
-
-    def split_monomial(self, mono: Monomial) -> Dict[str, Monomial]:
-        """Split a normal-ordered monomial into contiguous zone segments."""
-        out: Dict[str, List[Tuple[int, int]]] = {z: [] for z in self.zones}
-        for g, e in mono:
-            out[self.zone_of[g]].append((g, e))
-        return {z: tuple(v) for z, v in out.items()}
-
     # -- straightening engine -------------------------------------------------
 
     def mul_mono_gen(self, mono: Monomial, g: int) -> Dict[Monomial, int]:
@@ -467,9 +461,6 @@ class EnvElement:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def is_scalar(self) -> bool:
-        return all(m == () for m in self.terms)
-
     def degree(self) -> int:
         if not self.terms:
             return -1
@@ -542,14 +533,6 @@ class EnvElement:
 
     def commutator(self, other: "EnvElement") -> "EnvElement":
         return self * other - other * self
-
-    def power(self, n: int) -> "EnvElement":
-        if n < 0:
-            raise ValueError("negative power in U(g)")
-        result = EnvElement.scalar(self.basis, self.ring.one())
-        for _ in range(n):
-            result = result * self
-        return result
 
     def map_coeffs(self, fn) -> "EnvElement":
         out = {}
@@ -847,6 +830,49 @@ def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
         raise ValueError(f"basis {target.basis_id} does not lead with an n zone")
     return _map_terms(elem, target, elem.basis._conversion_cache,
                       target.zone_indices("n"))
+
+
+def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],
+          dropped: range = range(0)) -> Dict[Monomial, ParamPoly]:
+    """Evaluate the generators of ``values`` in every monomial, keep the rest.
+
+    ``values`` covers the trailing zones of the basis, so each monomial is a
+    kept prefix times a tail, and peeling the rightmost factor of a
+    normal-ordered word leaves a normal-ordered word: the tail evaluates
+    multiplicatively, one relation ``X = value(X)`` per factor (the k-tail
+    through a k-character, or the a|n tail on a highest-weight vector).
+    Monomials leading with a generator in ``dropped``, or holding a factor
+    whose value is 0, are skipped.  Each power of a value is built once per
+    call, and the values landing on one prefix are summed once, over their
+    lcm denominator.
+    """
+    parts: Dict[Monomial, List[ParamPoly]] = {}
+    powers: Dict[Tuple[int, int], ParamPoly] = {}
+    for mono, coeff in elem.terms.items():
+        if mono and mono[0][0] in dropped:
+            continue
+        prefix = []
+        value = coeff
+        for g, e in mono:
+            k = values.get(g)
+            if k is None:
+                prefix.append((g, e))
+            elif k.is_zero():
+                value = k
+                break
+            else:
+                power = powers.get((g, e))
+                if power is None:
+                    power = powers[g, e] = k ** e
+                value = value * power
+        if not value.is_zero():
+            parts.setdefault(tuple(prefix), []).append(value)
+    out: Dict[Monomial, ParamPoly] = {}
+    for key, found in parts.items():
+        total = found[0] if len(found) == 1 else _sum(elem.ring, found)
+        if not total.is_zero():
+            out[key] = total
+    return out
 
 
 def _add_product(acc: Numerators, a: Numerators, b: Numerators,

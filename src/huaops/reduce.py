@@ -34,12 +34,16 @@ The matrix drivers take the generator matrix from
 peel k directly) and state each identity through three helpers:
 ``_congruences`` (entrywise congruence modulo the k-character),
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
-product).  Neither U(p,q) membership driver builds a product in U(g): both
-apply the factors ``F - r`` of the minimal polynomial one at a time to unit
-columns of the induced module M = U(g)/U(g)(k - chi) (``_factor_columns``)
-and reduce the resulting entries with :func:`reduce_iwasawa`; the theorem
-case only its kept columns after the last factor, the kernel comparison of
-the recursion every column after every factor.
+product).  Every product of factors ``F - r`` in U(g) (the two-factor
+product, the power chains of the GL(n,R) lemma) comes from
+:func:`~huaops.matop.factor_columns`.  Neither U(p,q) membership driver
+builds a product in U(g): both apply the factors ``F - r`` of the minimal
+polynomial one at a time to unit columns of the induced module
+M = U(g)/U(g)(k - chi) (``_factor_columns``, the same chain on the ints of
+M) and reduce the resulting entries with :func:`reduce_iwasawa`; the
+theorem case only its kept columns after the last factor, the kernel
+comparison of the recursion every column after every factor.  The k-peel
+is :func:`~huaops.pbw._peel`, shared with the highest-weight evaluation.
 """
 
 from __future__ import annotations
@@ -52,12 +56,12 @@ from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
                     Union)
 
 from .liedata import RealFormData, make_glnr, make_spnr, make_upq
-from .matop import (OpMatrix, entry_positions, generator_matrix,
-                    ideal_metadata, mat_eval_factors, matrix_powers)
+from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
+                    generator_matrix, ideal_metadata)
 from .minpoly import (minimal_polynomial, upq_complexified_theta,
                       upq_lambda_schedule)
-from .params import ParamPoly, ParamRing, _over, _reduced, _sum
-from .pbw import (EnvElement, Monomial, OrderedBasis, _InducedModule,
+from .params import ParamPoly, ParamRing, _over, _reduced
+from .pbw import (EnvElement, OrderedBasis, _InducedModule, _peel,
                   project_mod_n, sum_products)
 
 ScalarLike = Union[ParamPoly, Fraction, int]
@@ -179,48 +183,6 @@ def _k_values(basis: OrderedBasis, assignment: Assignment
                if i not in out]
     if missing:
         raise ValueError(f"k_assignment missing generators: {missing}")
-    return out
-
-
-def _peel(elem: EnvElement, k_values: Mapping[int, ParamPoly],
-          dropped: range = range(0)) -> Dict[Monomial, ParamPoly]:
-    """Evaluate the trailing k-part of every monomial through the character.
-
-    Peeling the rightmost factor of a normal-ordered word leaves a
-    normal-ordered word, so the whole k-tail evaluates multiplicatively;
-    each step is one application of a relation ``X = chi(X)`` in the left
-    ideal ``sum_X U(g)(X - chi(X))``.  Monomials leading with a generator in
-    ``dropped``, or holding a k-factor whose character value is 0, are
-    skipped.  Each power of a character value is built once per call, and
-    the values landing on one monomial are summed once, over their lcm
-    denominator.
-    """
-    parts: Dict[Monomial, List[ParamPoly]] = {}
-    powers: Dict[Tuple[int, int], ParamPoly] = {}
-    for mono, coeff in elem.terms.items():
-        if mono and mono[0][0] in dropped:
-            continue
-        prefix = []
-        value = coeff
-        for g, e in mono:
-            k = k_values.get(g)
-            if k is None:
-                prefix.append((g, e))
-            elif k.is_zero():
-                value = k
-                break
-            else:
-                power = powers.get((g, e))
-                if power is None:
-                    power = powers[g, e] = k ** e
-                value = value * power
-        if not value.is_zero():
-            parts.setdefault(tuple(prefix), []).append(value)
-    out: Dict[Monomial, ParamPoly] = {}
-    for key, values in parts.items():
-        total = values[0] if len(values) == 1 else _sum(elem.ring, values)
-        if not total.is_zero():
-            out[key] = total
     return out
 
 
@@ -399,7 +361,9 @@ def _exact_quadratic(checks: List[dict], name: str, mat: OpMatrix,
     ``square`` is ``F^2``; the identity needs no reduction.  Appends one
     record (residue ``"mismatch"`` on failure) and returns the product.
     """
-    product = mat_eval_factors(mat, (c1, c2))
+    for columns in factor_columns(mat, (c1, c2), range(1, mat.size + 1)):
+        pass
+    product = from_columns(mat, columns)
     expansion = square.add(mat.scale(-(c1 + c2))).shift(c1 * c2)
     checks.append(_check(name, product.entries == expansion.entries))
     return product
@@ -451,7 +415,9 @@ def upq_reduction_spec(form: RealFormData, blocks: Sequence[int]
 def _factor_columns(spec: ReductionSpec, roots: Sequence[ParamPoly],
                     columns: Sequence[int]
                     ) -> Iterator[List[List[EnvElement]]]:
-    """Apply the factors ``F - r`` one root at a time to unit columns in M.
+    """The chain of :func:`~huaops.matop.factor_columns`, run in M.
+
+    It takes the same roots and columns and yields the same layout.
 
     M = U(g)/U(g)(k - chi) is the module induced from the character of
     ``spec``; F is the generator matrix of ``spec.form.complex_algebra``,
@@ -461,9 +427,12 @@ def _factor_columns(spec: ReductionSpec, roots: Sequence[ParamPoly],
     ``(F - r_m)...(F - r_1) e_b v_chi``, column b of the m-th prefix
     ``(F - r_1)...(F - r_m)`` applied to v_chi: the factors commute.  Yields
     the columns, in the order of ``columns``, after every step, as lists of
-    elements over ``spec.form.basis`` with k-tails peeled.  n-leading
-    monomials stay, since nU(g) is only a right ideal and the module grows
-    by left multiplication; :func:`reduce_iwasawa` drops them at the end.
+    elements over ``spec.form.basis`` with k-tails peeled.  The U(g) chain
+    cannot serve here: the steps run on the ints of
+    :class:`~huaops.pbw._InducedModule`, with chi scaled in, and peel every
+    k-tail as it appears.  n-leading monomials stay, since nU(g) is only a
+    right ideal and the module grows by left multiplication;
+    :func:`reduce_iwasawa` drops them at the end.
     """
     form = spec.form
     basis, ring = form.basis, form.ring
@@ -1009,17 +978,22 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     p_mat = e_mat.add(e_transpose).scale(half)
     k_mat = e_mat.sub(e_transpose).scale(half)
 
-    p_pow = [OpMatrix.identity(basis, ring, n)]
-    for _ in range(m_max + 1):
-        p_pow.append(p_mat.mul(p_pow[-1]))
+    identity = OpMatrix.identity(basis, ring, n)
+    zero, half_n = ring.zero(), ring.const(Fraction(n, 2))
+    half_n1 = ring.const(Fraction(n - 1, 2))
+
+    def chain(mat: OpMatrix, roots: Sequence[ParamPoly]) -> List[OpMatrix]:
+        return [from_columns(mat, columns)
+                for columns in factor_columns(mat, roots, range(1, n + 1))]
+
+    # P^0..P^(m_max+1); (E - n/2)^0..(E - n/2)^(m_max-2); (E - n/2)^(m-1) E
+    # and (E - (n-1)/2)^(m-1) E for m = 1..m_max.
+    p_pow = [identity] + chain(p_mat, [zero] * (m_max + 1))
     p_traces = [m.trace() for m in p_pow]
-    half_n = ring.const(Fraction(n, 2))
     shifted = e_mat.shift(-half_n)
-    shifted_pow = matrix_powers(shifted, m_max - 1)
-    single_shift = e_mat.shift(-ring.const(Fraction(n - 1, 2)))
-    tr_pow = [e_mat]
-    for _ in range(m_max - 1):
-        tr_pow.append(single_shift.mul(tr_pow[-1]))
+    shifted_pow = [identity] + chain(e_mat, [half_n] * (m_max - 2))
+    closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1))
+    tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1))
 
     zero_assign = zero_character(form)
     checks: List[dict] = []
@@ -1072,7 +1046,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
 
         # Closed form: P^m == (E - n/2)^{m-1} E + (1/2) sum_{k=2}^m
         #              (E - n/2)^{m-k} tr(P^{k-1})  mod U(g) k.
-        closed = shifted_pow[m - 1].mul(e_mat)
+        closed = closed_head[m - 1]
         for k in range(2, m + 1):
             tr_term = p_traces[k - 1].scale(half)
             closed = closed.add(

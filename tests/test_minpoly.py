@@ -63,10 +63,9 @@ def test_theta_validation():
         ThetaData(kind="mystery", rank=2, blocks=(1, 2), char_values=vals)
 
 
-def test_iota_and_h_coefficients():
+def test_iota():
     theta = ThetaData(kind="gl", rank=4, blocks=(1, 3, 4), char_values=_values(RING, 3))
     assert [theta.iota(i) for i in (1, 2, 3, 4)] == [1, 2, 2, 3]
-    assert theta.h_coefficients() == (3, 2, 2, 1)
 
 
 def test_minpoly_coefficients_match_expansion():

@@ -62,7 +62,8 @@ def test_ring_laws(a, b, c):
 @given(polys(), polys())
 @settings(max_examples=40, deadline=None)
 def test_equal_polys_are_equal_whatever_built_them(a, b):
-    built = [RING.poly(a.terms), poly_from_string_ring(RING, str(a)),
+    fractions = {e: Fraction(k, a.denominator) for e, k in a.numerators.items()}
+    built = [RING.poly(fractions), poly_from_string_ring(RING, str(a)),
              (a * 3 + a) / 4, a + b - b, (a * 2 - a * Fraction(1, 3)) * Fraction(3, 5)]
     for p in built:
         assert _is_canonical(p), p

@@ -233,10 +233,3 @@ def test_json_round_trip():
     back = EnvElement.from_json_dict(data, basis, ring)
     assert (back - elem).is_zero()
 
-
-def test_power_matches_repeated_product():
-    basis = make_algebra("gl", 2).basis
-    rng = random.Random(19)
-    a = _random_element(basis, rng)
-    assert (a.power(3) - a * a * a).is_zero()
-    assert a.power(0).is_scalar()

@@ -11,7 +11,7 @@ import pytest
 import huaops.matop as matop_module
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq
-from huaops.matop import OpMatrix, factor_products, generator_matrix, ideal_generators, trace_power
+from huaops.matop import OpMatrix, factor_columns, generator_matrix, ideal_generators, trace_power
 from huaops.minpoly import upq_lambda_schedule
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
@@ -231,12 +231,12 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     # Iwasawa basis with its k-tails peeled.
     form, spec, roots = _kernel_setup(p, q, blocks)
     size = p + q
-    prefixes = factor_products(generator_matrix(form.complex_algebra, form.ring), roots)
+    prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
     steps = reduce_module._factor_columns(spec, roots, range(1, size + 1))
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                expected = peel_k(change_basis(prefix.entry(a, b), form.basis), spec.k_assignment)
+                expected = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), spec.k_assignment)
                 assert columns[b - 1][a - 1] == expected, (m, a, b)
     assert any(m and m[0][0] in form.basis.zone_indices("n") for m in columns[0][0].terms)
 
@@ -245,8 +245,8 @@ def test_membership_drivers_build_no_enveloping_algebra_product(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("U(g) product or projection built")
 
-    monkeypatch.setattr(matop_module, "factor_products", forbidden)
-    monkeypatch.setattr(reduce_module, "mat_eval_factors", forbidden)
+    monkeypatch.setattr(matop_module, "factor_columns", forbidden)
+    monkeypatch.setattr(reduce_module, "factor_columns", forbidden)
     monkeypatch.setattr(reduce_module, "project_mod_n", forbidden)
     assert upq_theorem_case(2, 1, (1,))["pass"]
     assert not upq_theorem_case(2, 1, (1,), perturb=True)["pass"]
