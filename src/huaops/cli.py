@@ -460,13 +460,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         report, status = handlers[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (MemoryError, RecursionError, ArithmeticError) as exc:

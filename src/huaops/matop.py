@@ -5,13 +5,14 @@ its entries, over the Verma basis or any basis spanning the algebra (such as
 an Iwasawa basis).  A minimal polynomial evaluated on it is a square matrix
 of enveloping-algebra elements whose entries generate a two-sided ideal.
 :func:`factor_columns` is the one loop that multiplies factors
-``F - c`` in U(g): it applies them one root at a time, from the left, to
+``F - c``: it applies them one root at a time, from the left, to
 the unit columns it is asked for, and yields every prefix.  It builds the
 exported generator sets (their kept columns only), the trace powers, the
 exact two-factor identities and the power chains of the GL(n,R) lemma;
 Horner's rule on the expanded coefficients (:func:`mat_eval_poly`) is its
-oracle.  The U(p,q) membership drivers run the same chain on columns of an
-induced module instead (see :mod:`huaops.reduce`).  A matrix product
+oracle.  Given a k-character it peels every entry after each root, which
+runs the chain in the induced module U(g)/U(g)(k - chi); the U(p,q)
+membership drivers of :mod:`huaops.reduce` use it so.  A matrix product
 converts each row and column to int numerators once
 (:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
 generator matrix supply the central generators; their eigenvalues are read
@@ -135,7 +136,8 @@ def generator_matrix(algebra: AlgebraData, ring: ParamRing,
 
 
 def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
-                   columns: Sequence[int]
+                   columns: Sequence[int],
+                   character: Optional[Mapping[int, ParamPoly]] = None
                    ) -> Iterator[List[List[EnvElement]]]:
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
@@ -145,14 +147,29 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     ``(mat - r_1)...(mat - r_m)``: the factors commute.  Yields the columns,
     in the order of ``columns``, after every root, each as the list of its
     entries from row 1 down.  Columns that are not listed are never built.
+
+    ``character`` is a k-character, keyed by the indices of the basis's
+    last zone (k of an (n, a, k) Iwasawa basis).  With it, every entry has
+    its k-tails peeled through the character after each root, so the chain
+    runs in the induced module U(g)/U(g)(k - chi) and column b holds the
+    prefix applied to v_chi.  This is exact: U(g)(k - chi) is a left ideal
+    and every factor multiplies from the left, so an entry may be replaced
+    by its peeled representative at any step.  n-leading monomials stay,
+    since nU(g) is only a right ideal;
+    :func:`~huaops.reduce.reduce_iwasawa` drops them at the end.
     """
-    one = EnvElement.scalar(mat.basis, mat.ring.one())
-    zero = EnvElement.zero(mat.basis, mat.ring)
+    basis, ring = mat.basis, mat.ring
+    one = EnvElement.scalar(basis, ring.one())
+    zero = EnvElement.zero(basis, ring)
     state = [[one if a == b else zero for a in range(1, mat.size + 1)]
              for b in columns]
     for root in roots:
         table = sum_products_table(mat.shift(-root).entries, state)
-        state = [list(column) for column in zip(*table)]
+        if character is None:
+            state = [list(column) for column in zip(*table)]
+        else:
+            state = [[EnvElement(basis, ring, _peel(x, character))
+                      for x in column] for column in zip(*table)]
         yield state
 
 

@@ -42,20 +42,15 @@ by one gcd; :func:`sum_products_table` (a matrix product) converts each row
 and column once, not once per entry.  The conversions solve each source
 generator over the target once per pair of bases.
 
-The induced module M = U(g)/U(g)(k - χ) of an (n, a, k)-ordered basis is
-free over the n|a monomials.  ``_InducedModule`` applies one factor
-``F - r`` of an operator matrix to a column of module elements, on the same
-ints: a generator acts on a monomial by :meth:`OrderedBasis.mul_monos`, and
-the k-tail of each product is evaluated through χ at once.  Its images are
-cached per instance, since χ is symbolic and belongs to one request.
-
 Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
 must be contiguous and in declared order, so a normal-ordered monomial splits
 into zone segments by position — this is what the reduction module relies on.
 ``_peel`` is the one evaluation of a monomial's trailing zones through given
-values: the k-tail through a k-character in the reduction, and the a|n tail
-at a highest weight in :func:`~huaops.matop.central_eigenvalue`.
+values: the k-tail through a k-character, in the reduction and after each
+factor of a character-peeled :func:`~huaops.matop.factor_columns` chain,
+and the a|n tail at a highest weight in
+:func:`~huaops.matop.central_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -636,14 +631,12 @@ def _accumulate(out: Dict[object, Numerators], coeff: Numerators,
 
 
 def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators],
-            denominator: int, top: int, scale: Optional[int] = None
-            ) -> EnvElement:
-    """Divide ``out[m]`` by ``denominator * S^(top - deg m)``, once per term.
+            denominator: int, top: int) -> EnvElement:
+    """Divide ``out[m]`` by ``denominator * D^(top - deg m)``, once per term.
 
-    S is ``scale``, by default the basis's D.  Each coefficient keeps its
-    ints and is reduced by one gcd.
+    Each coefficient keeps its ints and is reduced by one gcd.
     """
-    d = basis.scale if scale is None else scale
+    d = basis.scale
     dens = [denominator * d ** (top - i) for i in range(top + 1)]
     terms: Dict[Monomial, ParamPoly] = {}
     for m, acc in out.items():
@@ -873,135 +866,6 @@ def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],
         if not total.is_zero():
             out[key] = total
     return out
-
-
-def _add_product(acc: Numerators, a: Numerators, b: Numerators,
-                 factor: int = 1) -> None:
-    """``acc += factor * a * b`` for int polynomials (zeros may remain)."""
-    for ea, ka in a.items():
-        for eb, kb in b.items():
-            e = tuple(map(add, ea, eb))
-            acc[e] = acc.get(e, 0) + ka * kb * factor
-
-
-class _InducedModule:
-    """The induced module M = U(g)/U(g)(k - χ), acted on by an operator matrix.
-
-    ``matrix`` holds degree-one elements with constant coefficients over a
-    basis with zones (n, a, k), and ``k_values`` the character χ on its
-    k-zone.  M is free over U(n)U(a) on the cyclic vector v_χ, so an element
-    of M is an :class:`EnvElement` over the n|a monomials.  A generator g
-    acts on m·v_χ as the normal form of g·m, ``mul_monos(((g, 1),), m)``,
-    with every k-tail evaluated through χ: peeling the rightmost k-factor
-    of a normal-ordered word leaves a normal-ordered word, so each factor
-    is one use of ``X = χ(X)``.  n-leading monomials are kept: nU(g) is only
-    a right ideal, and acting on the left can move a term out of it.
-
-    Ints as in :func:`sum_products`: χ is held as int numerators over one
-    denominator c, the lcm of its values' denominators, and with S = D·c
-    the image of g on m stores for each n|a monomial m' S^(deg m + 1 - deg m')
-    times its coefficient.  Images are memoised on the instance, never on
-    the basis: χ is symbolic and belongs to one request.
-    """
-
-    def __init__(self, matrix: Sequence[Sequence[EnvElement]],
-                 k_values: Mapping[int, ParamPoly]):
-        first = matrix[0][0]
-        self.basis = basis = first.basis
-        self.ring = first.ring
-        self._unit = (0,) * len(self.ring)
-        k_zone = basis.zone_indices(basis.zones[-1])
-        if set(k_values) != set(k_zone):
-            raise ValueError("k_values must cover exactly the k-zone")
-        entries = [x for row in matrix for x in row]
-        for x in entries:
-            first._check_compatible(x)
-        self._scale_e, terms = _numerators(entries)
-        if any(d != 1 or set(p) != {self._unit}
-               for xs in terms for _m, d, p in xs):
-            raise ValueError("operator entries must be linear in the "
-                             "generators, with constant coefficients")
-        combos = [tuple((m[0][0], p[self._unit]) for m, _d, p in xs)
-                  for xs in terms]
-        size = len(matrix)
-        self._rows = [combos[a * size:(a + 1) * size] for a in range(size)]
-        self._c = lcm(*(v.denominator for v in k_values.values()))
-        d = basis.scale
-        self.scale = d * self._c
-        self._tails = {h: {e: k * d for e, k in _over(v, self._c).items()}
-                       for h, v in k_values.items()}
-        self._k_start = k_zone.start
-        self._images: Dict[Tuple[int, Monomial], Dict[Monomial, Numerators]] = {}
-
-    def _image(self, g: int, mono: Monomial) -> Dict[Monomial, Numerators]:
-        """g·mono·v_χ over the n|a monomials, scaled as in the class doc.
-
-        A term m'·k-tail of the product, stored as I = D^(N - deg m')·coeff
-        with N = deg mono + 1, contributes I·c^(N - deg m')·Π (D·c·χ(h))^e
-        to m'.
-        """
-        key = (g, mono)
-        hit = self._images.get(key)
-        if hit is not None:
-            return hit
-        top = mono_degree(mono) + 1
-        start, c, tails = self._k_start, self._c, self._tails
-        out: Dict[Monomial, Numerators] = {}
-        for m, k in self.basis.mul_monos(((g, 1),), mono).items():
-            cut = len(m)
-            while cut and m[cut - 1][0] >= start:
-                cut -= 1
-            value = {self._unit: k * c ** (top - mono_degree(m))}
-            for h, e in m[cut:]:
-                for _ in range(e):
-                    product: Numerators = {}
-                    _add_product(product, value, tails[h])
-                    value = product
-            acc = out.setdefault(m[:cut], {})
-            for e, v in value.items():
-                acc[e] = acc.get(e, 0) + v
-        result = {}
-        for m, acc in out.items():
-            acc = {e: v for e, v in acc.items() if v}
-            if acc:
-                result[m] = acc
-        self._images[key] = result
-        return result
-
-    def step(self, column: Sequence[EnvElement], root: ParamPoly
-             ) -> List[EnvElement]:
-        """``(F - root) x`` for module elements x, ``(F x)_a = sum_c F_ac·x_c``.
-
-        With q, r the common denominators of the column and of ``root``, E
-        that of F and T one more than the top degree of the column, every
-        term is accumulated as an int numerator over q·r·E·S^(T - deg m).
-        """
-        if root.ring != self.ring:
-            raise ValueError("root from a different ring")
-        q, terms = _numerators(column)
-        r = root.denominator
-        minus_root = {e: -k for e, k in root.numerators.items()}
-        top = 1 + max((dm for xs in terms for _m, dm, _p in xs), default=0)
-        powers = [self.scale ** i for i in range(top + 1)]
-        scale_e = self._scale_e
-        result = []
-        for row, xs_a in zip(self._rows, terms, strict=True):
-            weights: Dict[Tuple[int, Monomial], Numerators] = {}
-            for combo, xs in zip(row, terms, strict=True):
-                for m, dm, pm in xs:
-                    shift = powers[top - 1 - dm] * r
-                    _accumulate(weights, pm,
-                                {(g, m): f * shift for g, f in combo})
-            out: Dict[Monomial, Numerators] = {}
-            for (g, m), w in weights.items():
-                for m2, v in self._image(g, m).items():
-                    _add_product(out.setdefault(m2, {}), w, v)
-            for m, dm, pm in xs_a:
-                _add_product(out.setdefault(m, {}), pm, minus_root,
-                             scale_e * powers[top - dm])
-            result.append(_finish(self.basis, self.ring, out,
-                                  q * r * scale_e, top, self.scale))
-        return result
 
 
 def naive_normal_order(

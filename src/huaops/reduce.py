@@ -34,16 +34,17 @@ The matrix drivers take the generator matrix from
 peel k directly) and state each identity through three helpers:
 ``_congruences`` (entrywise congruence modulo the k-character),
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
-product).  Every product of factors ``F - r`` in U(g) (the two-factor
-product, the power chains of the GL(n,R) lemma) comes from
-:func:`~huaops.matop.factor_columns`.  Neither U(p,q) membership driver
-builds a product in U(g): both apply the factors ``F - r`` of the minimal
-polynomial one at a time to unit columns of the induced module
-M = U(g)/U(g)(k - chi) (``_factor_columns``, the same chain on the ints of
-M) and reduce the resulting entries with :func:`reduce_iwasawa`; the
-theorem case only its kept columns after the last factor, the kernel
-comparison of the recursion every column after every factor.  The k-peel
-is :func:`~huaops.pbw._peel`, shared with the highest-weight evaluation.
+product).  Every product of factors ``F - r`` (the two-factor product,
+the power chains of the GL(n,R) lemma, the U(p,q) membership chains)
+comes from :func:`~huaops.matop.factor_columns`.  Both U(p,q) membership
+drivers pass it the k-character of their spec, so the factors of the
+minimal polynomial act one at a time on unit columns of the induced module
+M = U(g)/U(g)(k - chi), over the Iwasawa basis with every k-tail peeled
+after each factor, and reduce the resulting entries with
+:func:`reduce_iwasawa`: the theorem case only its kept columns after the
+last factor, the kernel comparison of the recursion every column after
+every factor.  The k-peel is :func:`~huaops.pbw._peel`, shared with the
+highest-weight evaluation.
 """
 
 from __future__ import annotations
@@ -52,8 +53,7 @@ import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
-from typing import (Dict, Iterator, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .liedata import RealFormData, make_glnr, make_spnr, make_upq
 from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
@@ -61,8 +61,8 @@ from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
 from .minpoly import (minimal_polynomial, upq_complexified_theta,
                       upq_lambda_schedule)
 from .params import ParamPoly, ParamRing, _over, _reduced
-from .pbw import (EnvElement, OrderedBasis, _InducedModule, _peel,
-                  project_mod_n, sum_products)
+from .pbw import (EnvElement, OrderedBasis, _peel, project_mod_n,
+                  sum_products)
 
 ScalarLike = Union[ParamPoly, Fraction, int]
 Assignment = Mapping[Union[int, str], ParamPoly]  # by generator name or index
@@ -412,50 +412,17 @@ def upq_reduction_spec(form: RealFormData, blocks: Sequence[int]
                          a_assignment=a_assignment, rho_shift=False)
 
 
-def _factor_columns(spec: ReductionSpec, roots: Sequence[ParamPoly],
-                    columns: Sequence[int]
-                    ) -> Iterator[List[List[EnvElement]]]:
-    """The chain of :func:`~huaops.matop.factor_columns`, run in M.
-
-    It takes the same roots and columns and yields the same layout.
-
-    M = U(g)/U(g)(k - chi) is the module induced from the character of
-    ``spec``; F is the generator matrix of ``spec.form.complex_algebra``,
-    each entry expanded once over the Iwasawa basis.  Column b starts as
-    ``e_b v_chi`` and each step maps x to ``(F - r) x``, with
-    ``(F x)_a = sum_c F_ac x_c``.  After the roots ``r_1..r_m`` it is
-    ``(F - r_m)...(F - r_1) e_b v_chi``, column b of the m-th prefix
-    ``(F - r_1)...(F - r_m)`` applied to v_chi: the factors commute.  Yields
-    the columns, in the order of ``columns``, after every step, as lists of
-    elements over ``spec.form.basis`` with k-tails peeled.  The U(g) chain
-    cannot serve here: the steps run on the ints of
-    :class:`~huaops.pbw._InducedModule`, with chi scaled in, and peel every
-    k-tail as it appears.  n-leading monomials stay, since nU(g) is only a
-    right ideal and the module grows by left multiplication;
-    :func:`reduce_iwasawa` drops them at the end.
-    """
-    form = spec.form
-    basis, ring = form.basis, form.ring
-    fmat = generator_matrix(form.complex_algebra, ring, basis)
-    module = _InducedModule(fmat.entries, spec._k_by_index)
-    one = EnvElement.scalar(basis, ring.one())
-    zero = EnvElement.zero(basis, ring)
-    state = [[one if a == b else zero for a in range(1, fmat.size + 1)]
-             for b in columns]
-    for root in roots:
-        state = [module.step(column, root) for column in state]
-        yield state
-
-
 def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
                      perturb: bool = False) -> dict:
     """One boundary-ideal membership case for U(p,q).
 
     Builds the block pattern on ``gl_{p+q}`` for the given ``blocks``
     (ending at q) and applies its minimal polynomial q(F) to the cyclic
-    vector of the induced module, one factor at a time, on the kept unit
-    columns only (the last q columns when p > q, all when p = q; see
-    :func:`_factor_columns`).  Every kept entry, row by row, is then reduced
+    vector v_chi of the induced module, one factor at a time, on the kept
+    unit columns only (the last q columns when p > q, all when p = q):
+    :func:`~huaops.matop.factor_columns` on the generator matrix over the
+    Iwasawa basis, with the k-character of the reduction peeled after each
+    factor.  Every kept entry, row by row, is then reduced
     modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff every
     residue is exactly 0.  With ``perturb=True`` the first eigenvalue of the
     schedule is shifted by one, which must break membership (a soundness
@@ -472,8 +439,9 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     positions = entry_positions(p + q, column_range)
     kept = sorted({j for _i, j in positions})
     spec = upq_reduction_spec(form, blocks)
-    for columns in _factor_columns(spec, minimal_polynomial(theta).roots,
-                                   kept):
+    fmat = generator_matrix(algebra, form.ring, form.basis)
+    for columns in factor_columns(fmat, minimal_polynomial(theta).roots, kept,
+                                  spec._k_by_index):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
@@ -625,8 +593,10 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     compact one-line recurrences for ``F_i`` and ``F_{-i}`` are re-checked
     against the five families at every step, and with ``compare_kernel=True``
     every entry of the PBW product ``(E + lambda_1)...(E + lambda_m)`` is
-    reduced independently, from the columns of :func:`_factor_columns`, and
-    compared, with off-pattern entries checked to reduce to 0.  ``params``
+    reduced independently and compared, with off-pattern entries checked to
+    reduce to 0.  The product is applied to v_chi of the induced module, every
+    column after every factor, by :func:`~huaops.matop.factor_columns` with
+    the k-character peeled after each factor.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
     started = time.perf_counter()
@@ -656,8 +626,9 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     if compare_kernel:
         kernel_spec = ReductionSpec(form=form,
                                     k_assignment=form.k_assignment())
-        prefixes = _factor_columns(kernel_spec, [-v for v in lam],
-                                   range(1, p + q + 1))
+        prefixes = factor_columns(
+            generator_matrix(form.complex_algebra, ring, form.basis),
+            [-v for v in lam], range(1, p + q + 1), kernel_spec._k_by_index)
 
     for m in range(1, 2 * L + 1):
         if m > 1:

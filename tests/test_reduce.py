@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-import huaops.matop as matop_module
+import huaops.pbw as pbw_module
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq
 from huaops.matop import OpMatrix, factor_columns, generator_matrix, ideal_generators, trace_power
@@ -232,7 +232,8 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     form, spec, roots = _kernel_setup(p, q, blocks)
     size = p + q
     prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
-    steps = reduce_module._factor_columns(spec, roots, range(1, size + 1))
+    iwasawa = generator_matrix(form.complex_algebra, form.ring, form.basis)
+    steps = factor_columns(iwasawa, roots, range(1, size + 1), spec._k_by_index)
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
         for a in range(1, size + 1):
             for b in range(1, size + 1):
@@ -241,16 +242,29 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     assert any(m and m[0][0] in form.basis.zone_indices("n") for m in columns[0][0].terms)
 
 
-def test_membership_drivers_build_no_enveloping_algebra_product(monkeypatch):
+def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("U(g) product or projection built")
+        raise AssertionError("projection or basis conversion called")
 
-    monkeypatch.setattr(matop_module, "factor_columns", forbidden)
-    monkeypatch.setattr(reduce_module, "factor_columns", forbidden)
+    characters = []
+
+    def recording(mat, roots, columns, character=None):
+        characters.append(character)
+        k_zone = mat.basis.zone_indices("k")
+        for state in factor_columns(mat, roots, columns, character):
+            for column in state:
+                for x in column:
+                    assert not any(g in k_zone for m in x.terms for g, _e in m)
+            yield state
+
     monkeypatch.setattr(reduce_module, "project_mod_n", forbidden)
+    monkeypatch.setattr(pbw_module, "change_basis", forbidden)
+    monkeypatch.setattr(reduce_module, "factor_columns", recording)
     assert upq_theorem_case(2, 1, (1,))["pass"]
     assert not upq_theorem_case(2, 1, (1,), perturb=True)["pass"]
     assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
+    assert len(characters) == 3
+    assert all(character for character in characters)
 
 
 def _residues_through_ideal_generators(p, q, blocks, perturb):
