@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .cfun import c_function, e_c_line_bundle, e_function
-from .liedata import (glnr_root_system, make_algebra, satake_table,
+from .liedata import (glnr_root_system, make_algebra, make_upq, satake_table,
                       spnr_root_system, upq_root_system)
 from .matop import GeneratorSet, ideal_generators
 from .minpoly import THETA, THETA_BAR, ThetaData, check_upq_blocks
@@ -261,7 +261,7 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     else:
         doc = json.load(sys.stdin)
     p, q = args.p, args.q
-    form, _theta = upq_form_and_theta(p, q, blocks)
+    form = make_upq(p, q, symbols=upq_symbols(blocks))
     ambient = make_algebra("gl", p + q)
     meta = doc.get("metadata", {})
     if meta.get("basisId") != ambient.basis.basis_id:

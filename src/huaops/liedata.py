@@ -120,10 +120,6 @@ class AlgebraData:
     sigma: Optional[Callable[[Matrix], Matrix]] = field(compare=False)
     a_diagonal: Tuple[int, ...]
 
-    @property
-    def dimension(self) -> int:
-        return len(self.basis)
-
     def f_matrix(self, i: int, j: int) -> Matrix:
         """The operator-matrix entry F_{ij} (possibly zero or dependent)."""
         e = elementary(self.ambient, i, j)
@@ -395,16 +391,17 @@ def glnr_root_system(n: int) -> RestrictedRootSystem:
 class RealFormData:
     """One of the catalog real forms, complexified inside gl_N.
 
-    ``basis`` is the Iwasawa-ordered basis (zones n | a | k); ``a_names``
-    lists the a-zone generator names so that ``a_names[i-1]`` carries the
-    restricted coordinate e_i.  ``k_character`` is the scalar character
-    template on the k-zone generators (tau_{s,t}, chi_ell, or zero), as a
-    name -> ParamPoly map over ``ring``.
+    ``basis`` is the Iwasawa-ordered basis (zones n | a | k); its i-th
+    a-zone generator carries the restricted coordinate e_i.  Every datum on
+    the basis is keyed by basis index: ``k_character`` is the scalar
+    character template on the k-zone (tau_{s,t}, chi_ell, or zero) over
+    ``ring``, and ``n_weights`` the restricted weight of each n-zone
+    generator.
 
     For Sp(n, R) an additional ``hua_basis`` (zones p | q | k, character
-    ``hua_character``) carries the block-form computations; it spans the
-    block realization of sp_n, which is *not* the same subspace of gl_{2n}
-    as ``complex_algebra``'s antidiagonal realization.
+    ``hua_character``) carries the block-form computations.  Both bases
+    span the same subspace of gl_{2n} as ``complex_algebra``: sp_n of the
+    antidiagonal symplectic form.
     """
 
     name: str
@@ -414,28 +411,17 @@ class RealFormData:
     ring: ParamRing = field(compare=False)
     complex_algebra: AlgebraData = field(compare=False)
     basis: OrderedBasis = field(compare=False)
-    a_names: Tuple[str, ...]
-    k_character: Mapping[str, ParamPoly] = field(compare=False)
-    n_weights: Mapping[str, Tuple[int, ...]] = field(compare=False)
+    k_character: Mapping[int, ParamPoly] = field(compare=False)
+    n_weights: Mapping[int, Tuple[int, ...]] = field(compare=False)
     root_system: RestrictedRootSystem = field(compare=False)
     rho: Tuple[Fraction, ...]
     hua_basis: Optional[OrderedBasis] = field(compare=False, default=None)
-    hua_character: Optional[Mapping[str, ParamPoly]] = field(compare=False, default=None)
+    hua_character: Optional[Mapping[int, ParamPoly]] = field(compare=False, default=None)
 
-    def a_index(self, i: int) -> int:
-        """Basis index of the i-th a-zone generator (1-based coordinate)."""
-        return self.basis.index_of(self.a_names[i - 1])
-
-    def k_assignment(self, character: Optional[Mapping[str, ParamPoly]] = None,
-                     *, negate: bool = False,
-                     basis: Optional[OrderedBasis] = None) -> Dict[int, ParamPoly]:
-        """Character as a basis-index map, optionally negated (for gamma_ell)."""
-        char = self.k_character if character is None else character
-        b = self.basis if basis is None else basis
-        out: Dict[int, ParamPoly] = {}
-        for name, value in char.items():
-            out[b.index_of(name)] = -value if negate else value
-        return out
+    @property
+    def a_names(self) -> Tuple[str, ...]:
+        """The a-zone generator names, ``a_names[i-1]`` carrying e_i."""
+        return tuple(self.basis.names[i] for i in self.basis.zone_indices("a"))
 
 
 def _check_iwasawa_zones(basis: OrderedBasis) -> None:
@@ -446,24 +432,22 @@ def _check_iwasawa_zones(basis: OrderedBasis) -> None:
 
 
 def _check_restricted_weights(
-    basis: OrderedBasis,
-    a_names: Sequence[str],
-    n_weights: Mapping[str, Tuple[int, ...]],
+    basis: OrderedBasis, n_weights: Mapping[int, Tuple[int, ...]]
 ) -> None:
     """[A_m, Y] = w_m Y for every n-zone generator and every a-generator."""
-    a_idx = [basis.index_of(name) for name in a_names]
-    for name, weight in n_weights.items():
-        y = basis.matrices[basis.index_of(name)]
-        for m, idx in enumerate(a_idx):
-            comm = mat_commutator(basis.matrices[idx], y)
+    for idx, weight in n_weights.items():
+        y = basis.matrices[idx]
+        for m, a_idx in enumerate(basis.zone_indices("a")):
+            comm = mat_commutator(basis.matrices[a_idx], y)
             if comm != mat_scale(y, weight[m]):
                 raise AssertionError(
-                    f"{name} is not an ad-a eigenvector of weight {weight}"
+                    f"{basis.names[idx]} is not an ad-a eigenvector of "
+                    f"weight {weight}"
                 )
 
 
 def _check_root_multiplicities(
-    roots: RestrictedRootSystem, n_weights: Mapping[str, Tuple[int, ...]]
+    roots: RestrictedRootSystem, n_weights: Mapping[int, Tuple[int, ...]]
 ) -> None:
     counts: Dict[Tuple[Fraction, ...], int] = {}
     for weight in n_weights.values():
@@ -478,23 +462,25 @@ def _check_root_multiplicities(
 
 
 def _check_k_character(
-    basis: OrderedBasis, character: Mapping[str, ParamPoly]
+    basis: OrderedBasis, character: Mapping[int, ParamPoly]
 ) -> None:
-    """A scalar character must vanish on [k, k]."""
-    k_zone = basis.zone_indices("k")
-    for name in character:
-        if basis.index_of(name) not in k_zone:
-            raise ValueError(f"character key {name} is not a k-zone generator")
+    """A k-character: keyed by exactly the indices of the basis's last zone
+    (k), and vanishing on [k, k].  Raises ``ValueError`` otherwise."""
+    k_zone = basis.zone_indices(basis.zones[-1])
+    if set(character) != set(k_zone):
+        raise ValueError(
+            f"a k-character is keyed by the indices {list(k_zone)} of "
+            f"{basis.basis_id}'s last zone, got {sorted(character)}")
     for i in k_zone:
         for j in k_zone:
             if i >= j:
                 continue
             total = None
             for k, c in basis.bracket(i, j):
-                term = character[basis.names[k]] * c
+                term = character[k] * c
                 total = term if total is None else total + term
             if total is not None and not total.is_zero():
-                raise AssertionError(
+                raise ValueError(
                     f"character does not vanish on [{basis.names[i]}, "
                     f"{basis.names[j]}]"
                 )
@@ -502,7 +488,7 @@ def _check_k_character(
 
 def _finish_realform(form: RealFormData) -> RealFormData:
     _check_iwasawa_zones(form.basis)
-    _check_restricted_weights(form.basis, form.a_names, form.n_weights)
+    _check_restricted_weights(form.basis, form.n_weights)
     _check_root_multiplicities(form.root_system, form.n_weights)
     _check_k_character(form.basis, form.k_character)
     if form.rho != form.root_system.half_sum():
@@ -539,11 +525,11 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
         return elementary(big, i, j)
 
     gens: List[Tuple[str, str, Matrix]] = []
-    n_weights: Dict[str, Tuple[int, ...]] = {}
+    n_weights: Dict[int, Tuple[int, ...]] = {}
 
     def add_n(name: str, mat: Matrix, **weight: int) -> None:
+        n_weights[len(gens)] = _coords(q, **weight)
         gens.append((name, "n", mat))
-        n_weights[name] = _coords(q, **weight)
 
     # n-zone: restricted-root vectors, grouped by root for readability.
     for i in range(1, q + 1):
@@ -583,24 +569,21 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
             add_n(f"Ytwo_{i}_{j}", two, **{f"i{i}": 1, f"i{j}": -1})
 
     # a-zone: E_i = E_{i,ibar} + E_{ibar,i}.
-    a_names = tuple(f"E_{i}" for i in range(1, q + 1))
     for i in range(1, q + 1):
         gens.append((f"E_{i}", "a", mat_add(e(i, bar(i)), e(bar(i), i))))
 
     # k-zone: E_{mu,nu} (mu, nu <= p) and E_{ibar,jbar} (i, j <= q).
-    k_character: Dict[str, ParamPoly] = {}
+    k_character: Dict[int, ParamPoly] = {}
     s_val, t_val = ring.var("s"), ring.var("t")
     zero = ring.zero()
     for mu in range(1, p + 1):
         for nu in range(1, p + 1):
-            name = f"E_{mu}_{nu}"
-            gens.append((name, "k", e(mu, nu)))
-            k_character[name] = s_val if mu == nu else zero
+            k_character[len(gens)] = s_val if mu == nu else zero
+            gens.append((f"E_{mu}_{nu}", "k", e(mu, nu)))
     for i in range(1, q + 1):
         for j in range(1, q + 1):
-            name = f"E_{bar(i)}_{bar(j)}"
-            gens.append((name, "k", e(bar(i), bar(j))))
-            k_character[name] = t_val if i == j else zero
+            k_character[len(gens)] = t_val if i == j else zero
+            gens.append((f"E_{bar(i)}_{bar(j)}", "k", e(bar(i), bar(j))))
 
     basis = OrderedBasis(
         basis_id=f"upq{p}{q}-iwasawa", ambient=big, generators=gens,
@@ -618,7 +601,6 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
         ring=ring,
         complex_algebra=make_algebra("gl", big),
         basis=basis,
-        a_names=a_names,
         k_character=k_character,
         n_weights=n_weights,
         root_system=upq_root_system(p, q),
@@ -627,20 +609,16 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
     return _finish_realform(form)
 
 
-def upq_bar(form: RealFormData, i: int) -> int:
-    """The reflected index ibar = p+q+1-i for a U(p,q) form."""
-    if form.name != "upq":
-        raise ValueError("upq_bar applies to U(p,q) forms only")
-    return form.ambient + 1 - i
-
-
 # -- Sp(n, R) ----------------------------------------------------------------
 
 def spnr_kpq_matrices(n: int):
     """The block generators of sp_n in the symmetric-pair form.
 
-    2K_ij = E_ij - E_{j+n,i+n}; 2P_ij = E_{i,j+n} + E_{j,i+n};
-    2Q_ij = E_{i+n,j} + E_{j+n,i}.  P and Q are symmetric in (i, j).
+    With ibar = 2n+1-i: 2K_ij = E_ij - E_{jbar,ibar}; 2P_ij = E_{i,jbar} +
+    E_{j,ibar}; 2Q_ij = E_{ibar,j} + E_{jbar,i}.  P and Q are symmetric in
+    (i, j).  This is the block realization (second block index j+n)
+    conjugated by diag(I_n, I~_n), which keeps every structure constant and
+    lands in the antidiagonal realization of ``make_algebra("sp", n)``.
     Returns (K, P, Q) as dicts keyed by (i, j), 1-based.
     """
     big = 2 * n
@@ -649,22 +627,25 @@ def spnr_kpq_matrices(n: int):
     def e(i: int, j: int) -> Matrix:
         return elementary(big, i, j)
 
+    def bar(i: int) -> int:
+        return big + 1 - i
+
     k_mat: Dict[Tuple[int, int], Matrix] = {}
     p_mat: Dict[Tuple[int, int], Matrix] = {}
     q_mat: Dict[Tuple[int, int], Matrix] = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             k_mat[(i, j)] = mat_scale(
-                mat_add(e(i, j), mat_scale(e(j + n, i + n), -1)), half
+                mat_add(e(i, j), mat_scale(e(bar(j), bar(i)), -1)), half
             )
-            p_mat[(i, j)] = mat_scale(mat_add(e(i, j + n), e(j, i + n)), half)
-            q_mat[(i, j)] = mat_scale(mat_add(e(i + n, j), e(j + n, i)), half)
+            p_mat[(i, j)] = mat_scale(mat_add(e(i, bar(j)), e(j, bar(i))), half)
+            q_mat[(i, j)] = mat_scale(mat_add(e(bar(i), j), e(bar(j), i)), half)
     return k_mat, p_mat, q_mat
 
 
 @lru_cache(maxsize=None)
 def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
-    """The real form Sp(n, R) in the block realization inside gl_{2n}.
+    """The real form Sp(n, R) inside gl_{2n}, from :func:`spnr_kpq_matrices`.
 
     The Iwasawa basis (zones n | a | k) uses the real-split picture:
     n-zone root vectors X_{e_i-e_j} = K_ij - K_ji + P_ij + Q_ij,
@@ -684,11 +665,11 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
     k_mat, p_mat, q_mat = spnr_kpq_matrices(n)
 
     gens: List[Tuple[str, str, Matrix]] = []
-    n_weights: Dict[str, Tuple[int, ...]] = {}
+    n_weights: Dict[int, Tuple[int, ...]] = {}
 
     def add_n(name: str, mat: Matrix, **weight: int) -> None:
+        n_weights[len(gens)] = _coords(n, **weight)
         gens.append((name, "n", mat))
-        n_weights[name] = _coords(n, **weight)
 
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -709,23 +690,22 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
         )
         add_n(f"X2_{i}", two, **{f"i{i}": 2})
 
-    a_names = tuple(f"A_{i}" for i in range(1, n + 1))
     for i in range(1, n + 1):
         gens.append((f"A_{i}", "a", mat_add(p_mat[(i, i)], q_mat[(i, i)])))
 
-    k_character: Dict[str, ParamPoly] = {}
+    k_character: Dict[int, ParamPoly] = {}
     ell_val = ring.var("ell")
     zero = ring.zero()
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            name = f"KK_{i}_{j}"
-            gens.append((name, "k", mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1))))
-            k_character[name] = zero
+            k_character[len(gens)] = zero
+            gens.append((f"KK_{i}_{j}", "k",
+                         mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1))))
     for i in range(1, n + 1):
         for j in range(i, n + 1):
-            name = f"PQ_{i}_{j}"
-            gens.append((name, "k", mat_add(p_mat[(i, j)], mat_scale(q_mat[(i, j)], -1))))
-            k_character[name] = ell_val if i == j else zero
+            k_character[len(gens)] = ell_val if i == j else zero
+            gens.append((f"PQ_{i}_{j}", "k",
+                         mat_add(p_mat[(i, j)], mat_scale(q_mat[(i, j)], -1))))
 
     basis = OrderedBasis(
         basis_id=f"spnr{n}-iwasawa", ambient=big, generators=gens,
@@ -735,7 +715,7 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
         raise AssertionError("Sp(n,R) Iwasawa basis has wrong dimension")
 
     hua_gens: List[Tuple[str, str, Matrix]] = []
-    hua_character: Dict[str, ParamPoly] = {}
+    hua_character: Dict[int, ParamPoly] = {}
     for i in range(1, n + 1):
         for j in range(i, n + 1):
             hua_gens.append((f"P_{i}_{j}", "p", p_mat[(i, j)]))
@@ -744,9 +724,8 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
             hua_gens.append((f"Q_{i}_{j}", "q", q_mat[(i, j)]))
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            name = f"K_{i}_{j}"
-            hua_gens.append((name, "k", k_mat[(i, j)]))
-            hua_character[name] = ell_val if i == j else zero
+            hua_character[len(hua_gens)] = ell_val if i == j else zero
+            hua_gens.append((f"K_{i}_{j}", "k", k_mat[(i, j)]))
     hua_basis = OrderedBasis(
         basis_id=f"spnr{n}-hua", ambient=big, generators=hua_gens,
         zones=("p", "q", "k"),
@@ -761,7 +740,6 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
         ring=ring,
         complex_algebra=make_algebra("sp", n),
         basis=basis,
-        a_names=a_names,
         k_character=k_character,
         n_weights=n_weights,
         root_system=spnr_root_system(n),
@@ -787,25 +765,22 @@ def make_glnr(n: int, symbols: Tuple[str, ...] = ()) -> RealFormData:
     half = Fraction(1, 2)
 
     gens: List[Tuple[str, str, Matrix]] = []
-    n_weights: Dict[str, Tuple[int, ...]] = {}
+    n_weights: Dict[int, Tuple[int, ...]] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            name = f"E_{i}_{j}"
-            gens.append((name, "n", elementary(n, i, j)))
-            n_weights[name] = _coords(n, **{f"i{i}": 1, f"i{j}": -1})
-    a_names = tuple(f"E_{i}_{i}" for i in range(1, n + 1))
+            n_weights[len(gens)] = _coords(n, **{f"i{i}": 1, f"i{j}": -1})
+            gens.append((f"E_{i}_{j}", "n", elementary(n, i, j)))
     for i in range(1, n + 1):
         gens.append((f"E_{i}_{i}", "a", elementary(n, i, i)))
-    k_character: Dict[str, ParamPoly] = {}
+    k_character: Dict[int, ParamPoly] = {}
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            name = f"K_{i}_{j}"
             mat = mat_scale(
                 mat_add(elementary(n, i, j), mat_scale(elementary(n, j, i), -1)),
                 half,
             )
-            gens.append((name, "k", mat))
-            k_character[name] = ring.zero()
+            k_character[len(gens)] = ring.zero()
+            gens.append((f"K_{i}_{j}", "k", mat))
 
     basis = OrderedBasis(
         basis_id=f"glnr{n}-iwasawa", ambient=n, generators=gens,
@@ -820,25 +795,12 @@ def make_glnr(n: int, symbols: Tuple[str, ...] = ()) -> RealFormData:
         ring=ring,
         complex_algebra=make_algebra("gl", n),
         basis=basis,
-        a_names=a_names,
         k_character=k_character,
         n_weights=n_weights,
         root_system=glnr_root_system(n),
         rho=rho,
     )
     return _finish_realform(form)
-
-
-def make_realform(name: str, *args: int, symbols: Optional[Tuple[str, ...]] = None
-                  ) -> RealFormData:
-    """Dispatch helper: make_realform("upq", p, q) etc."""
-    if name == "upq":
-        return make_upq(*args, symbols=symbols or ("s", "t"))
-    if name == "spnr":
-        return make_spnr(*args, symbols=symbols or ("ell",))
-    if name == "glnr":
-        return make_glnr(*args, symbols=symbols or ())
-    raise ValueError(f"unknown real form {name!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -377,7 +377,7 @@ def check_upq_blocks(q: int, blocks: Sequence[int]) -> Tuple[int, ...]:
 
 def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
                         mu: Sequence[ValueLike], s: ValueLike,
-                        t: ValueLike, ring: Optional[ParamRing] = None,
+                        t: ValueLike, ring: ParamRing,
                         ) -> Tuple[ParamPoly, ...]:
     """The ``2L`` recursion eigenvalues for blocks ``n_1 < ... < n_L = q``.
 
@@ -394,9 +394,6 @@ def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
     L = len(blocks)
     if len(mu) != L:
         raise ValueError("need one mu value per block")
-    if ring is None:
-        probe = next((v for v in (*mu, s, t) if isinstance(v, ParamPoly)), None)
-        ring = probe.ring if probe is not None else ParamRing()
     mu_p = [_as_poly(ring, v) for v in mu]
     s_p = _as_poly(ring, s)
     t_p = _as_poly(ring, t)
@@ -415,7 +412,7 @@ def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
 
 
 def upq_f_polys(p: int, q: int, blocks: Sequence[int], mu: Sequence[ValueLike],
-                s: ValueLike, t: ValueLike, ring: Optional[ParamRing] = None,
+                s: ValueLike, t: ValueLike, ring: ParamRing,
                 ) -> Tuple[MinPoly, MinPoly]:
     """The product polynomial of the recursion and its Shilov extension.
 
@@ -423,7 +420,6 @@ def upq_f_polys(p: int, q: int, blocks: Sequence[int], mu: Sequence[ValueLike],
     schedule and ``f_ext(x) = (x - s - q) f(x)``.
     """
     lam = upq_lambda_schedule(p, q, blocks, mu, s, t, ring=ring)
-    ring = lam[0].ring
     s_p = _as_poly(ring, s)
     f = MinPoly(ring, tuple(-v for v in lam))
     f_ext = MinPoly(ring, (s_p + ring.const(q),) + f.roots)
@@ -432,7 +428,7 @@ def upq_f_polys(p: int, q: int, blocks: Sequence[int], mu: Sequence[ValueLike],
 
 def upq_complexified_theta(p: int, q: int, blocks: Sequence[int],
                            mu: Sequence[ValueLike], s: ValueLike,
-                           t: ValueLike, ring: Optional[ParamRing] = None,
+                           t: ValueLike, ring: ParamRing,
                            ) -> ThetaData:
     """The block pattern on ``gl_{p+q}`` matching the recursion polynomial.
 
@@ -442,7 +438,6 @@ def upq_complexified_theta(p: int, q: int, blocks: Sequence[int],
     ``f_ext`` (for ``p > q``) from :func:`upq_f_polys`.
     """
     lam = upq_lambda_schedule(p, q, blocks, mu, s, t, ring=ring)
-    ring = lam[0].ring
     s_p = _as_poly(ring, s)
     L = len(tuple(blocks))
 

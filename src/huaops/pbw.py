@@ -521,25 +521,8 @@ class EnvElement:
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return self.scale(other)
-        return NotImplemented
-
     def commutator(self, other: "EnvElement") -> "EnvElement":
         return self * other - other * self
-
-    def map_coeffs(self, fn) -> "EnvElement":
-        out = {}
-        for m, p in self.terms.items():
-            q = fn(p)
-            if not q.is_zero():
-                out[m] = q
-        return EnvElement(self.basis, self.ring, out)
-
-    def substitute(self, bindings) -> "EnvElement":
-        """Substitute ring symbols in every coefficient."""
-        return self.map_coeffs(lambda p: p.substitute(bindings))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, EnvElement):

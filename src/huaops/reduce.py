@@ -8,7 +8,7 @@ whose zones are ``(n, a, k)``: monomials are normal-ordered words
 
 then has a unique representative in the commutative algebra U(a): the n-part
 kills a monomial outright, the trailing k-part peels off factor by factor
-into character values, and an optional a-assignment evaluates what is left.
+into character values, and optional a-values evaluate what is left.
 With symbolic coefficients U(a) is a polynomial ring, so a representative is
 a :class:`~huaops.params.ParamPoly` over the radial ring (the coefficient
 symbols followed by the a-zone generator names, :func:`radial_ring`), printed
@@ -55,17 +55,16 @@ from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .liedata import RealFormData, make_glnr, make_spnr, make_upq
+from .liedata import (RealFormData, _check_k_character, make_glnr, make_spnr,
+                      make_upq)
 from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
                     generator_matrix, ideal_metadata)
 from .minpoly import (minimal_polynomial, upq_complexified_theta,
                       upq_lambda_schedule)
 from .params import ParamPoly, ParamRing, _over, _reduced
-from .pbw import (EnvElement, OrderedBasis, _peel, project_mod_n,
-                  sum_products)
+from .pbw import EnvElement, _peel, project_mod_n, sum_products
 
 ScalarLike = Union[ParamPoly, Fraction, int]
-Assignment = Mapping[Union[int, str], ParamPoly]  # by generator name or index
 
 __all__ = [
     "radial_ring",
@@ -129,71 +128,40 @@ def radial_str(value: ParamPoly, ring: ParamRing) -> str:
 class ReductionSpec:
     """How to reduce over ``form.basis``: which k-character, which a-values.
 
-    ``k_assignment`` maps every k-zone generator (by basis index or name) to
-    its character value; ``a_assignment`` optionally evaluates a-zone
-    generators; ``rho_shift`` applies ``H -> H + rho(H)`` afterwards.
+    ``k_character`` maps every k-zone index to its character value (default
+    ``form.k_character``) and is validated here; ``a_values`` optionally
+    evaluates a-zone generators, keyed by index; ``rho_shift`` applies
+    ``H -> H + rho(H)`` afterwards.
     """
 
     form: RealFormData
-    k_assignment: Assignment
-    a_assignment: Optional[Assignment] = None
+    k_character: Optional[Mapping[int, ParamPoly]] = None
+    a_values: Mapping[int, ParamPoly] = field(default_factory=dict)
     rho_shift: bool = False
-    _k_by_index: Dict[int, ParamPoly] = field(init=False, repr=False,
-                                              compare=False, default=None)
-    _a_by_name: Dict[str, ParamPoly] = field(init=False, repr=False,
-                                             compare=False, default=None)
 
     def __post_init__(self):
         basis = self.form.basis
-        object.__setattr__(self, "_k_by_index",
-                           _k_values(basis, self.k_assignment))
-        a_map = _by_index(basis, self.a_assignment or {}, "a")
-        object.__setattr__(self, "_a_by_name",
-                           {basis.names[i]: v for i, v in a_map.items()})
-
-    @property
-    def a_names(self) -> Tuple[str, ...]:
-        basis = self.form.basis
-        return tuple(basis.names[i] for i in basis.zone_indices("a"))
+        if self.k_character is None:
+            object.__setattr__(self, "k_character", self.form.k_character)
+        _check_k_character(basis, self.k_character)
+        outside = set(self.a_values) - set(basis.zone_indices("a"))
+        if outside:
+            raise ValueError(f"a_values keys {sorted(outside)} are not "
+                             f"a-zone indices of {basis.basis_id}")
 
     def total_a(self) -> bool:
-        return self.a_assignment is not None and (
-            set(self._a_by_name) == set(self.a_names))
+        return len(self.a_values) == len(self.form.basis.zone_indices("a"))
 
 
-def _by_index(basis: OrderedBasis, assignment: Assignment,
-              zone: str) -> Dict[int, ParamPoly]:
-    """Re-key an assignment given by generator name or basis index by index."""
-    members = basis.zone_indices(zone)
-    out: Dict[int, ParamPoly] = {}
-    for key, value in assignment.items():
-        idx = basis.index_of(key) if isinstance(key, str) else int(key)
-        if idx not in members:
-            raise ValueError(f"{basis.names[idx]} is not a {zone}-zone generator")
-        out[idx] = value
-    return out
-
-
-def _k_values(basis: OrderedBasis, assignment: Assignment
-              ) -> Dict[int, ParamPoly]:
-    """A character on the k-zone (the basis's last zone), keyed by index."""
-    k_zone = basis.zones[-1]
-    out = _by_index(basis, assignment, k_zone)
-    missing = [basis.names[i] for i in basis.zone_indices(k_zone)
-               if i not in out]
-    if missing:
-        raise ValueError(f"k_assignment missing generators: {missing}")
-    return out
-
-
-def peel_k(elem: EnvElement, assignment: Assignment) -> EnvElement:
+def peel_k(elem: EnvElement, character: Mapping[int, ParamPoly]
+           ) -> EnvElement:
     """Reduce modulo ``sum_X U(g)(X - chi(X))`` only (no n-drop, no a-values).
 
-    The k-zone is the last zone of the element's basis; the result is the
-    canonical representative with empty k-part, still an :class:`EnvElement`.
+    ``character`` is a k-character keyed by the indices of the last zone of
+    the element's basis; the result is the canonical representative with
+    empty k-part, still an :class:`EnvElement`.
     """
-    k_values = _k_values(elem.basis, assignment)
-    return EnvElement(elem.basis, elem.ring, _peel(elem, k_values))
+    return EnvElement(elem.basis, elem.ring, _peel(elem, character))
 
 
 def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
@@ -204,20 +172,19 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     :func:`~huaops.pbw.project_mod_n`, which never builds its n-leading
     monomials; an element already over that basis has those monomials
     dropped here.  The trailing k-part of each remaining monomial is then
-    peeled into character values, and (if present) the a-assignment
-    evaluates the remainder.  Returns a polynomial over ``u.ring`` when the
-    a-assignment is total, otherwise one over
-    ``radial_ring(u.ring, spec.a_names)``.
+    peeled into character values, and (if present) the a-values evaluate
+    the remainder.  Returns a polynomial over ``u.ring`` when the a-values
+    are total, otherwise one over ``radial_ring(u.ring, spec.form.a_names)``.
     """
     basis = spec.form.basis
     if basis.zones[:2] != ("n", "a"):
         raise ValueError(f"basis {basis.basis_id} is not Iwasawa-ordered")
     if u.basis is not basis and u.basis.basis_id != basis.basis_id:
         u = project_mod_n(u, basis)
-    names = spec.a_names
+    names = spec.form.a_names
     radial = radial_ring(u.ring, names)
     a_zone = basis.zone_indices("a")
-    peeled = _peel(u, spec._k_by_index, basis.zone_indices("n"))
+    peeled = _peel(u, spec.k_character, basis.zone_indices("n"))
     den = lcm(*(coeff.denominator for coeff in peeled.values()))
     terms = {}
     for mono, coeff in peeled.items():
@@ -227,7 +194,8 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
             terms[exp + a_exp] = k
     result = _reduced(radial, terms, den)
 
-    bindings = {name: v.rename(radial) for name, v in spec._a_by_name.items()}
+    bindings = {basis.names[i]: v.rename(radial)
+                for i, v in spec.a_values.items()}
     if spec.rho_shift:
         for name, r in zip(names, spec.form.rho):
             bindings.setdefault(name, radial.var(name) + r)
@@ -236,54 +204,32 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     return result.rename(u.ring) if spec.total_a() else result
 
 
-def zero_character(form: RealFormData, ring: Optional[ParamRing] = None
-                   ) -> Dict[int, ParamPoly]:
-    """The zero character on the k-zone, over the given coefficient ring."""
-    ring = ring if ring is not None else form.ring
-    zero = ring.zero()
-    return {i: zero for i in form.basis.zone_indices(form.basis.zones[-1])}
+def zero_character(form: RealFormData) -> Dict[int, ParamPoly]:
+    """The zero character on the k-zone of ``form.basis``."""
+    zero = form.ring.zero()
+    return {i: zero for i in form.k_character}
 
 
 def gamma(d: EnvElement, form: RealFormData) -> ParamPoly:
     """The radial image: reduce with the zero k-character, then rho-shift."""
-    spec = ReductionSpec(form=form,
-                         k_assignment=zero_character(form, d.ring),
-                         rho_shift=True)
+    spec = ReductionSpec(form, zero_character(form), rho_shift=True)
     return reduce_iwasawa(d, spec)
 
 
 def gamma_ell(d: EnvElement, form: RealFormData,
-              ell: Union[None, ScalarLike, Mapping[str, ScalarLike]] = None,
-              ) -> ParamPoly:
+              ell: Optional[Mapping[str, ScalarLike]] = None) -> ParamPoly:
     """The radial image twisted by the line-bundle character.
 
     The reduction ideal is ``sum_X U(g)(X + chi_ell(X))``, i.e. each k-zone
     generator is assigned *minus* its character value; the rho-shift
     convention matches :func:`gamma`, so at ``ell = 0`` the two maps agree
-    on k-invariant elements.  ``ell`` binds the character symbols: ``None``
-    keeps them symbolic, a scalar binds the single symbol of a one-parameter
-    character, and a mapping binds several by name.
+    on k-invariant elements.  ``ell`` binds the character symbols by name;
+    ``None`` keeps them symbolic.
     """
-    assignment = form.k_assignment(negate=True)
-    if ell is not None:
-        symbols = sorted({name for value in form.k_character.values()
-                          for name in _poly_symbols(value)})
-        if isinstance(ell, Mapping):
-            bindings = dict(ell)
-        else:
-            if len(symbols) != 1:
-                raise ValueError(
-                    f"character has symbols {symbols}; bind them by name")
-            bindings = {symbols[0]: ell}
-        assignment = {g: v.substitute(bindings) for g, v in assignment.items()}
-    spec = ReductionSpec(form=form, k_assignment=assignment, rho_shift=True)
+    character = {i: -v if ell is None else -v.substitute(ell)
+                 for i, v in form.k_character.items()}
+    spec = ReductionSpec(form, character, rho_shift=True)
     return reduce_iwasawa(d, spec)
-
-
-def _poly_symbols(poly: ParamPoly) -> List[str]:
-    """The ring symbols a polynomial uses, sorted."""
-    return sorted({poly.ring.symbols[pos] for exp in poly.numerators
-                   for pos, e in enumerate(exp) if e})
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +263,7 @@ def _zero_check(name: str, residue, render=str) -> dict:
 
 
 def _congruences(checks: List[dict], label: str, lhs: OpMatrix, rhs: OpMatrix,
-                 assignment: Assignment, suffix: str = "") -> None:
+                 character: Mapping[int, ParamPoly], suffix: str = "") -> None:
     """Check ``lhs == rhs`` entrywise modulo the k-character ideal.
 
     Appends one ``"{label} entry[a,b]{suffix}"`` record per entry, in
@@ -327,7 +273,7 @@ def _congruences(checks: List[dict], label: str, lhs: OpMatrix, rhs: OpMatrix,
                                           strict=True), start=1):
         for b, (x, y) in enumerate(zip(left, right, strict=True), start=1):
             checks.append(_zero_check(f"{label} entry[{a},{b}]{suffix}",
-                                      peel_k(x - y, assignment)))
+                                      peel_k(x - y, character)))
 
 
 def _block_form(mat: OpMatrix, p: int, diag: Tuple[ScalarLike, ScalarLike],
@@ -403,13 +349,11 @@ def upq_reduction_spec(form: RealFormData, blocks: Sequence[int]
                        ) -> ReductionSpec:
     """The U(p,q) boundary reduction: tau_{s,t} on k and ``E_i = 2 mu`` on a."""
     ring = form.ring
-    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
-    a_assignment = {
-        form.a_index(i): mu[_block_of(blocks, i) - 1] * 2
-        for i in range(1, form.rank + 1)
+    a_values = {
+        index: ring.var(f"mu_{_block_of(blocks, i)}") * 2
+        for i, index in enumerate(form.basis.zone_indices("a"), start=1)
     }
-    return ReductionSpec(form=form, k_assignment=form.k_assignment(),
-                         a_assignment=a_assignment, rho_shift=False)
+    return ReductionSpec(form, a_values=a_values)
 
 
 def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
@@ -441,7 +385,7 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     spec = upq_reduction_spec(form, blocks)
     fmat = generator_matrix(algebra, form.ring, form.basis)
     for columns in factor_columns(fmat, minimal_polynomial(theta).roots, kept,
-                                  spec._k_by_index):
+                                  spec.k_character):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
@@ -624,11 +568,10 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     notes: List[str] = []
     tables: Dict[str, Dict[str, List[ParamPoly]]] = {}
     if compare_kernel:
-        kernel_spec = ReductionSpec(form=form,
-                                    k_assignment=form.k_assignment())
+        kernel_spec = ReductionSpec(form)
         prefixes = factor_columns(
             generator_matrix(form.complex_algebra, ring, form.basis),
-            [-v for v in lam], range(1, p + q + 1), kernel_spec._k_by_index)
+            [-v for v in lam], range(1, p + q + 1), kernel_spec.k_character)
 
     for m in range(1, 2 * L + 1):
         if m > 1:
@@ -738,7 +681,7 @@ def upq_shilov_identity(p: int, q: int) -> dict:
     form = make_upq(p, q, symbols=("lambda", "s", "t"))
     ring = form.ring
     lam, s, t = ring.var("lambda"), ring.var("s"), ring.var("t")
-    assignment = form.k_assignment()
+    character = form.k_character
     e_mat = generator_matrix(form.complex_algebra, ring, form.basis)
     ent = e_mat.entry
     off = _block_form(e_mat, p, (0, 0), (1, 1))
@@ -747,7 +690,7 @@ def upq_shilov_identity(p: int, q: int) -> dict:
 
     # Step 1: the generator matrix itself.
     _congruences(checks, "step1", e_mat,
-                 _block_form(e_mat, p, (s, t), (1, 1)), assignment)
+                 _block_form(e_mat, p, (s, t), (1, 1)), character)
 
     # Step 2: K1 P == (p+s) P and K2 Q == (q+t) Q, blockwise.
     top, bottom = range(1, p + 1), range(p + 1, p + q + 1)
@@ -759,13 +702,13 @@ def upq_shilov_identity(p: int, q: int) -> dict:
                                    [ent(nu, b) for nu in rows])
                 checks.append(_zero_check(
                     f"step2 ({name})[{i},{b}]",
-                    peel_k(lhs - ent(i, b).scale(value), assignment)))
+                    peel_k(lhs - ent(i, b).scale(value), character)))
 
     # Step 3: the square against its block form.
     e2 = e_mat.mul(e_mat)
     scale3 = (ring.const(p) + s + t, ring.const(q) + s + t)
     _congruences(checks, "step3", e2, pq_qp.add(
-        _block_form(e_mat, p, (s * s, t * t), scale3)), assignment)
+        _block_form(e_mat, p, (s * s, t * t), scale3)), character)
 
     # Step 4 (exact): the two-factor product expands with no reduction.
     half_sum = (s + t) * Fraction(1, 2)
@@ -777,7 +720,7 @@ def upq_shilov_identity(p: int, q: int) -> dict:
     half_diff = (s - t) * Fraction(1, 2)
     scalar5 = (lam + half_diff) * (lam - p - half_diff)
     _congruences(checks, "step5", quad, pq_qp.add(_block_form(
-        e_mat, p, (-(s - t) * p - scalar5, -scalar5), (0, q - p))), assignment)
+        e_mat, p, (-(s - t) * p - scalar5, -scalar5), (0, q - p))), character)
 
     # The block scalars of the penultimate display match the final one.
     scalar4 = (lam + half_sum) * (lam - p - half_sum)
@@ -812,7 +755,7 @@ def hua_sp_system(n: int) -> dict:
     ring = form.ring
     basis = form.hua_basis
     lam, ell = ring.var("lambda"), ring.var("ell")
-    assignment = form.k_assignment(form.hua_character, basis=basis)
+    character = form.hua_character
     big = 2 * n
     half = Fraction(1, 2)
 
@@ -887,13 +830,13 @@ def hua_sp_system(n: int) -> dict:
 
     # Step 1: F reduces to ((ell, P), (Q, -ell)).
     _congruences(checks, "step1", f_mat,
-                 _block_form(f_mat, n, (ell, -ell), (1, 1)), assignment)
+                 _block_form(f_mat, n, (ell, -ell), (1, 1)), character)
 
     # Step 2: F^2 reduces to ((PQ + ell^2, (n+1)/2 P), ((n+1)/2 Q, QP + ell^2)).
     f2 = f_mat.mul(f_mat)
     _congruences(checks, "step2", f2, pq_qp.add(
         _block_form(f_mat, n, (ell * ell, ell * ell), (scale, scale))),
-        assignment)
+        character)
 
     # Step 3 (exact): the two-factor product expands with no reduction.
     quad = _exact_quadratic(checks, "step3 exact expansion", f_mat, f2,
@@ -903,7 +846,7 @@ def hua_sp_system(n: int) -> dict:
     eig = (lam + ell) * (lam - ell - scale)
     _congruences(checks, "step4", quad, pq_qp.add(_block_form(
         f_mat, n, (-(ring.const(n + 1) * ell) - eig, -eig), (0, 0))),
-        assignment)
+        character)
 
     # Eigenvalue bookkeeping for the final system, plus the ell = 0 limit.
     checks.append(_zero_check(
@@ -966,11 +909,11 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1))
     tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1))
 
-    zero_assign = zero_character(form)
+    zero_chi = zero_character(form)
     checks: List[dict] = []
 
     def residue_zero(name: str, element: EnvElement) -> None:
-        checks.append(_zero_check(name, peel_k(element, zero_assign)))
+        checks.append(_zero_check(name, peel_k(element, zero_chi)))
 
     checks.append(_zero_check("tr P = tr E (K traceless)",
                               p_traces[1] - e_mat.trace()))
@@ -994,7 +937,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 residue_zero(f"K P^{m} congruence entry[{i},{j}]",
                              kpm.entry(i, j) - rhs)
         # Entry by entry: entries (i, j) and (j, i) cancel in any sum.
-        residues = [peel_k(a, zero_assign) for a in antisyms]
+        residues = [peel_k(a, zero_chi) for a in antisyms]
         checks.append(_zero_check(
             f"antisymmetrization term lies in U(g)k at m={m}",
             next((r for r in residues if not r.is_zero()), residues[0])))
@@ -1013,7 +956,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
         stepped = p_pow[m + 1].add(
             p_pow[0].map_entries(lambda e: e * half_trace))
         _congruences(checks, "step", shifted.mul(p_pow[m]), stepped,
-                     zero_assign, f" at m={m}")
+                     zero_chi, f" at m={m}")
 
         # Closed form: P^m == (E - n/2)^{m-1} E + (1/2) sum_{k=2}^m
         #              (E - n/2)^{m-k} tr(P^{k-1})  mod U(g) k.
@@ -1022,7 +965,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
             tr_term = p_traces[k - 1].scale(half)
             closed = closed.add(
                 shifted_pow[m - k].map_entries(lambda e, t=tr_term: e * t))
-        _congruences(checks, "closed form", p_pow[m], closed, zero_assign,
+        _congruences(checks, "closed form", p_pow[m], closed, zero_chi,
                      f" at m={m}")
 
         # Trace identity: tracing the closed form gives the honest statement
@@ -1033,7 +976,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
         # The one-line shift variant tr((E - (n-1)/2)^{m-1} E) only agrees
         # at m = 1; record its defect for higher m instead of asserting it.
         shift_residue = peel_k(p_traces[m] - tr_pow[m - 1].trace(),
-                               zero_assign)
+                               zero_chi)
         if m == 1:
             checks.append(_zero_check("single-shift trace form at m=1",
                                       shift_residue))

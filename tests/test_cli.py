@@ -334,3 +334,37 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err.startswith("error: ") and str(target) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, code, heads",
+    [
+        (["ideal", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--restrict-columns"], 0,
+         ["generator set: kind=gl rank=3 blocks=[1, 2, 3] variant=theta entries=3 central=2"]),
+        (["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", "{export}"], 0,
+         ["reduce: 3 entries, 0 nonzero residues (allZero=True)"]),
+        (["degrees", "--diagram", "A_n^1", "--n", "4"], 0, ["A_n^1:SL(n+1,R): [2, 2, 2, 2]"]),
+        (["cfun", "--form", "spnr", "--n", "1"], 0,
+         ["C_1^{1,1} at lambda=(1): e value ", "  c = 1.0 (C = "]),
+        (["cfun", "--form", "spnr", "--n", "1", "--bind", "lambda_1=-1"], 0,
+         ["C_1^{1,1} at lambda=(-1): e zero (witness 2e1)", "  c = 0.0 (C = "]),
+        (["cfun", "--form", "spnr", "--n", "1", "--bind", "lambda_1=0"], 0,
+         ["C_1^{1,1} at lambda=(0): e value ", "  c undefined: poles [{'root': '2e1', 'argument': '0'}]"]),
+        (["cfun", "--form", "spnr", "--n", "1", "--bind", "ell=1"], 0,
+         ["C_1^{1,1} at lambda=(1): e value ", "  c = 1.0 (C = ", "  level ell=1: e "]),
+        (["verify", "upq-theorem", "--p", "1", "--q", "1", "--blocks", "1", "--perturb"], 1,
+         ["FAIL upq-theorem-perturbed kind=gl rank=2 ambient=2 blocks=[1] ", "  FAIL entry[1,1]: mu_1 + 1/2*s - 1/2*t - 1"]),
+    ],
+    ids=["ideal", "reduce", "degrees", "cfun", "cfun-e-zero", "cfun-poles", "cfun-ell", "verify-perturb"],
+)
+def test_human_summaries_lead_with_their_verdict(tmp_path, capsys, argv, code, heads):
+    export = tmp_path / "gens.json"
+    if "{export}" in argv:
+        assert run(["ideal", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1",
+                    "--restrict-columns", "--out", str(export)]) == 0
+        capsys.readouterr()
+    assert run([arg.format(export=export) for arg in argv]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= len(heads)
+    for line, head in zip(lines, heads):
+        assert line.startswith(head), (line, head)

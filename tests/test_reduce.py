@@ -108,6 +108,17 @@ def test_gamma_ell_of_sp1_quadratic_casimir():
     assert (g - expected).is_zero()
 
 
+@pytest.mark.parametrize("n, constant", [(2, 10), (3, 28)])
+def test_gamma_of_spnr_quadratic_casimir(n, constant):
+    # 2 sum_i A_i^2 - 2|rho|^2 with rho = (n, ..., 1)
+    form = make_spnr(n)
+    casimir = trace_power(generator_matrix(form.complex_algebra, form.ring), 2)
+    g = gamma(casimir, form)
+    expected = sum((g.ring.var(name) * g.ring.var(name) * 2 for name in form.a_names), g.ring.const(-constant))
+    assert (g - expected).is_zero()
+    assert (gamma_ell(casimir, form) - expected).is_zero()
+
+
 @pytest.mark.parametrize(
     "form",
     [make_glnr(2), make_upq(1, 1), make_upq(2, 1), make_upq(2, 2), make_spnr(1), make_spnr(2)],
@@ -126,16 +137,12 @@ def test_gamma_ell_at_zero_matches_gamma_on_casimir(form):
 # ---------------------------------------------------------------------------
 
 
-def _soundness_spec(form):
-    return ReductionSpec(form=form, k_assignment=form.k_assignment())
-
-
 @pytest.mark.parametrize(
     "form", [make_upq(1, 1), make_upq(2, 1), make_spnr(1)], ids=lambda f: f.name + str(f.params)
 )
 def test_reduction_kills_the_defining_left_ideal(form):
     basis, ring = form.basis, form.ring
-    spec = _soundness_spec(form)
+    spec = ReductionSpec(form)
     rng = random.Random(29)
     k_zone = list(basis.zone_indices("k"))
     n_zone = list(basis.zone_indices("n"))
@@ -143,7 +150,7 @@ def test_reduction_kills_the_defining_left_ideal(form):
         u = _random_element(basis, ring, rng)
         for idx in k_zone:
             x = EnvElement.generator(basis, ring, idx)
-            chi = EnvElement.scalar(basis, form.k_character[basis.names[idx]])
+            chi = EnvElement.scalar(basis, form.k_character[idx])
             assert reduce_iwasawa(u * (x - chi), spec).is_zero()
         for idx in n_zone:
             y = EnvElement.generator(basis, ring, idx)
@@ -153,7 +160,7 @@ def test_reduction_kills_the_defining_left_ideal(form):
 def test_reduction_is_linear():
     form = make_upq(1, 1)
     basis, ring = form.basis, form.ring
-    spec = _soundness_spec(form)
+    spec = ReductionSpec(form)
     rng = random.Random(31)
     s = ring.var("s")
     for _ in range(5):
@@ -169,7 +176,7 @@ def test_reduction_is_linear():
 def test_reduction_fixes_a_zone_polynomials():
     form = make_upq(1, 1)
     basis, ring = form.basis, form.ring
-    spec = _soundness_spec(form)
+    spec = ReductionSpec(form)
     i0 = basis.zone_indices("a")[0]
     h = EnvElement.generator(basis, ring, i0)
     res = reduce_iwasawa(h * h, spec)
@@ -180,7 +187,7 @@ def test_reduction_fixes_a_zone_polynomials():
 def test_rho_shift_moves_a_generators():
     form = make_glnr(2)
     basis, ring = form.basis, form.ring
-    spec = ReductionSpec(form=form, k_assignment=zero_character(form), rho_shift=True)
+    spec = ReductionSpec(form, zero_character(form), rho_shift=True)
     for pos, idx in enumerate(basis.zone_indices("a")):
         h = EnvElement.generator(basis, ring, idx)
         res = reduce_iwasawa(h, spec)
@@ -188,16 +195,14 @@ def test_rho_shift_moves_a_generators():
         assert (res - expected).is_zero()
 
 
-# make_spnr(2) is left out: its Verma basis is not in the span of its
-# Iwasawa basis, so both paths raise the same ValueError.
 @pytest.mark.parametrize(
     "form",
-    [make_upq(1, 1), make_upq(2, 1), make_upq(2, 2), make_spnr(1), make_glnr(2), make_glnr(3)],
+    [make_upq(1, 1), make_upq(2, 1), make_upq(2, 2), make_spnr(1), make_spnr(2), make_spnr(3), make_glnr(2), make_glnr(3)],
     ids=lambda f: f.name + str(f.params),
 )
 def test_reduction_accepts_ambient_verma_elements(form):
     verma = form.complex_algebra.basis
-    spec = _soundness_spec(form)
+    spec = ReductionSpec(form)
     rng = random.Random(37)
     for _ in range(6):
         u = _random_element(verma, form.ring, rng, max_degree=3, max_terms=6)
@@ -220,8 +225,7 @@ def _kernel_setup(p, q, blocks):
     ring = form.ring
     mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
     lam = upq_lambda_schedule(p, q, blocks, mu, ring.var("s"), ring.var("t"), ring=ring)
-    spec = ReductionSpec(form=form, k_assignment=form.k_assignment())
-    return form, spec, [-v for v in lam]
+    return form, ReductionSpec(form), [-v for v in lam]
 
 
 @pytest.mark.parametrize("p, q, blocks", [(2, 1, (1,)), (3, 2, (1, 2))])
@@ -233,11 +237,11 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     size = p + q
     prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
     iwasawa = generator_matrix(form.complex_algebra, form.ring, form.basis)
-    steps = factor_columns(iwasawa, roots, range(1, size + 1), spec._k_by_index)
+    steps = factor_columns(iwasawa, roots, range(1, size + 1), spec.k_character)
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                expected = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), spec.k_assignment)
+                expected = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), spec.k_character)
                 assert columns[b - 1][a - 1] == expected, (m, a, b)
     assert any(m and m[0][0] in form.basis.zone_indices("n") for m in columns[0][0].terms)
 
@@ -299,6 +303,25 @@ def test_upq_a_substitution_spec_is_total():
     form = make_upq(2, 1, symbols=("mu_1", "s", "t"))
     spec = upq_reduction_spec(form, (1,))
     assert spec.total_a()
+    assert spec.k_character is form.k_character
+
+
+@pytest.mark.parametrize(
+    "defect, message",
+    [("missing k-zone index", "keyed by"), ("n-zone index", "keyed by"), ("nonzero on [k, k]", "does not vanish")],
+)
+def test_reduction_spec_rejects_a_malformed_character(defect, message):
+    form = make_upq(2, 1)
+    basis = form.basis
+    character = dict(form.k_character)
+    if defect == "missing k-zone index":
+        del character[basis.zone_indices("k")[0]]
+    elif defect == "n-zone index":
+        character[basis.zone_indices("n")[0]] = form.ring.zero()
+    else:
+        character[basis.index_of("E_1_2")] = form.ring.one()  # [E_1_1, E_1_2] = E_1_2
+    with pytest.raises(ValueError, match=message):
+        ReductionSpec(form, character)
 
 
 # ---------------------------------------------------------------------------
