@@ -41,6 +41,10 @@ GOLDEN = {
         "5bfa5d4da89baca3d4592f572ecca03f747951ef0f4d262435384ae7f1df52c2",
     "verify upq-recursion --p 3 --q 2 --blocks 1,2 --kernel":
         "87b83f93a2f11c9c1896df5fedb29be4a237270182fce853f0e7ffc722fce659",
+    # A second failing control, with 4 of its 10 residues nonzero: a chain
+    # that prunes too much shows only on failing cases.
+    "verify upq-theorem --p 3 --q 2 --blocks 1,2 --perturb":
+        "2ccceca91447e0c6aead28b73ec67838ec33c5af2a45c40f121fba822576353e",
 }
 
 
