@@ -8,8 +8,12 @@ spherical e-/c-functions, and ``degrees`` queries the boundary degree table.
 
 Exit status 0 means success (and PASS for ``verify``), 1 a verification
 FAIL, 2 a usage error, 3 an internal fault: memory exhausted, recursion too
-deep, or an arithmetic error such as a scaled coefficient that is not an
-integer.  An internal fault prints one line on standard error,
+deep, an arithmetic error such as a scaled coefficient that is not an
+integer, or a ``ValueError``/``KeyError`` (a ring mismatch, an unclosed
+basis).  Every argument and every part of an input file is checked at
+this boundary and refused as a :class:`UsageError`, so a ``ValueError`` or
+``KeyError`` that reaches :func:`run` is a fault of the program, never of
+the request.  An internal fault prints one line on standard error,
 ``internal error: <type>: <message>``.  ``--json`` prints the report as
 canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
 file.  Identical requests produce byte-identical JSON (timing fields are
@@ -242,8 +246,11 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
     values = [ring.var(s) for s in symbols]
     if args.variant == THETA_BAR:
         values.append(ring.zero())
-    theta = ThetaData(kind=kind, rank=n, blocks=tuple(args.blocks),
-                      char_values=tuple(values), variant=args.variant)
+    try:
+        theta = ThetaData(kind=kind, rank=n, blocks=tuple(args.blocks),
+                          char_values=tuple(values), variant=args.variant)
+    except ValueError as exc:  # --n, --blocks and --variant disagree
+        raise UsageError(str(exc)) from None
     return ideal_generators(make_algebra(kind, n), theta, ring=ring)
 
 
@@ -255,26 +262,35 @@ def _cmd_ideal(args: argparse.Namespace) -> Tuple[dict, int]:
 def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     blocks = _upq_blocks(args)
     bindings = _upq_bindings(args)
-    if args.infile:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = json.load(sys.stdin)
     p, q = args.p, args.q
     form = make_upq(p, q, symbols=upq_symbols(blocks))
     ambient = make_algebra("gl", p + q)
-    meta = doc.get("metadata", {})
-    if meta.get("basisId") != ambient.basis.basis_id:
+    try:
+        if args.infile:
+            with open(args.infile, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        else:
+            doc = json.load(sys.stdin)
+        meta = doc.get("metadata", {})
+        built_on = meta.get("basisId")
+        records = list(doc.get("entries", []))
+    except (ValueError, TypeError, AttributeError) as exc:  # not a set
+        raise UsageError(str(exc)) from None
+    if built_on != ambient.basis.basis_id:
         raise UsageError(
-            f"generator set was built on basis {meta.get('basisId')!r}, "
+            f"generator set was built on basis {built_on!r}, "
             f"but --form upq --p {p} --q {q} expects "
             f"{ambient.basis.basis_id!r}")
     spec = upq_reduction_spec(form, blocks)
     entries = []
     all_zero = True
-    for record in doc.get("entries", []):
-        element = EnvElement.from_json_dict(record["element"], ambient.basis,
-                                            form.ring)
+    for record in records:
+        try:  # one entry at a time, so only one is held
+            row, col = record["row"], record["col"]
+            element = EnvElement.from_json_dict(record["element"],
+                                                ambient.basis, form.ring)
+        except (ValueError, KeyError, TypeError) as exc:  # a malformed entry
+            raise UsageError(str(exc)) from None
         residue = reduce_iwasawa(element, spec)
         if bindings:
             # Bind after reducing: the spec's k- and a-values carry the same
@@ -283,8 +299,8 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         zero = residue.is_zero()
         all_zero = all_zero and zero
         entries.append({
-            "row": record["row"],
-            "col": record["col"],
+            "row": row,
+            "col": col,
             "residue": str(residue),
             "zero": zero,
         })
@@ -301,8 +317,12 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
     if args.target == "gl-lemma":
+        if args.n < 2 or args.m < 1:
+            raise UsageError("need n >= 2 and m_max >= 1")
         report = gl_lemma_check(args.n, args.m)
     elif args.target == "sp-hua":
+        if args.n < 1:
+            raise UsageError("Sp(n,R) requires n >= 1")
         report = hua_sp_system(args.n)
     elif args.target == "upq-shilov":
         report = upq_shilov_identity(*_upq_ranks(args.p, args.q))
@@ -358,13 +378,19 @@ def _cmd_cfun(args: argparse.Namespace) -> Tuple[dict, int]:
               "normalization": c_rep["normalization"]},
     }
     if ell is not None:
-        report["lineBundle"] = e_c_line_bundle(rs, lam, ell)
+        try:
+            report["lineBundle"] = e_c_line_bundle(rs, lam, ell)
+        except ValueError as exc:  # more root-length classes than it takes
+            raise UsageError(str(exc)) from None
     return report, 0
 
 
 def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
-    row = satake_table().row(args.diagram)
-    nodes = row.node_degrees(args.n, args.m)
+    try:
+        row = satake_table().row(args.diagram)
+        nodes = row.node_degrees(args.n, args.m)
+    except (KeyError, ValueError) as exc:  # the label, --n or --m
+        raise UsageError(str(exc)) from None
     report = {
         "diagram": row.full_label,
         "rank": args.n,
@@ -460,10 +486,11 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         report, status = handlers[args.command](args)
-    except (UsageError, ValueError, KeyError, OSError) as exc:
+    except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, RecursionError, ArithmeticError) as exc:
+    except (MemoryError, RecursionError, ArithmeticError, ValueError,
+            KeyError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.out:

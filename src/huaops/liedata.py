@@ -23,7 +23,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -396,7 +396,8 @@ class RealFormData:
     the basis is keyed by basis index: ``k_character`` is the scalar
     character template on the k-zone (tau_{s,t}, chi_ell, or zero) over
     ``ring``, and ``n_weights`` the restricted weight of each n-zone
-    generator.
+    generator; ``grades`` (derived on first use) holds one int per basis
+    index.
 
     For Sp(n, R) an additional ``hua_basis`` (zones p | q | k, character
     ``hua_character``) carries the block-form computations.  Both bases
@@ -423,6 +424,21 @@ class RealFormData:
         """The a-zone generator names, ``a_names[i-1]`` carrying e_i."""
         return tuple(self.basis.names[i] for i in self.basis.zone_indices("a"))
 
+    @cached_property
+    def grades(self) -> Tuple[int, ...]:
+        """One int per basis index: phi(w) (:func:`phi`) on an n-zone
+        generator of weight w, 0 on a, and minus the generator's level, the
+        largest phi of its ad-a parts, on k.
+
+        Left action by a generator moves phi of the n-part of an n|a
+        monomial of the induced module U(g)/U(g)(k - chi) by at least its
+        grade.  Derived once per form by :func:`_grade_ranges` and validated
+        by :func:`_check_grades`, on first use: only the pruned factor
+        chains read them.
+        """
+        return _check_grades(self.basis, self.n_weights,
+                             _grade_ranges(self.basis))
+
 
 def _check_iwasawa_zones(basis: OrderedBasis) -> None:
     _assert_brackets_in(basis, "a", "a", ())
@@ -444,6 +460,126 @@ def _check_restricted_weights(
                     f"{basis.names[idx]} is not an ad-a eigenvector of "
                     f"weight {weight}"
                 )
+
+
+def phi(weight: Sequence[int]) -> int:
+    """phi(w) = sum_i (r + 1 - i)·w_i, r the rank: positive on every positive
+    restricted root of the catalog forms, largest at 2e_1 (U(p,q), Sp(n,R))."""
+    rank = len(weight)
+    return sum((rank - i) * w for i, w in enumerate(weight))
+
+
+def _null_space(mat: Matrix) -> List[List[Fraction]]:
+    """A basis of the kernel of a square rational matrix."""
+    rows = [list(row) for row in mat]
+    size = len(rows)
+    pivots: List[int] = []
+    r = 0
+    for col in range(size):
+        pivot = next((i for i in range(r, size) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = ONE / rows[r][col]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(size):
+            c = rows[i][col]
+            if i != r and c:
+                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+    kernel = []
+    for free in (c for c in range(size) if c not in pivots):
+        vec = [ZERO] * size
+        vec[free] = ONE
+        for i, col in enumerate(pivots):
+            vec[col] = -rows[i][free]
+        kernel.append(vec)
+    return kernel
+
+
+def _grade_ranges(basis: OrderedBasis) -> List[Tuple[int, int]]:
+    """The least and largest phi-eigenvalue among each generator's ad-a parts.
+
+    With H = sum_i (r + 1 - i)·A_i over the a-zone, ad H acts on the root
+    space g_lambda by phi(lambda).  H is diagonalised once over Q (integer
+    eigenvalues d_a, eigenvectors the columns of P); the matrix unit (a, b)
+    of that eigenbasis has ad H eigenvalue d_a - d_b, so a generator X has
+    one ad-a part per value d_a - d_b at a nonzero entry (a, b) of
+    P^-1·X·P.  Returns (least, largest) of those values per basis index.
+    Raises ``AssertionError`` if H has an eigenvalue that is not an integer.
+    """
+    size = basis.ambient
+    a_zone = basis.zone_indices("a")
+    h = [[ZERO] * size for _ in range(size)]
+    for m, idx in enumerate(a_zone):
+        for i, row in enumerate(basis.matrices[idx]):
+            for j, x in enumerate(row):
+                h[i][j] += (len(a_zone) - m) * x
+    bound = int(max(sum(abs(x) for x in row) for row in h))
+    values: List[int] = []
+    vectors: List[List[Fraction]] = []
+    for d in range(-bound, bound + 1):
+        for vec in _null_space([[x - d if i == j else x for j, x in enumerate(row)]
+                                for i, row in enumerate(h)]):
+            values.append(d)
+            vectors.append(vec)
+    if len(vectors) != size:
+        raise AssertionError(
+            f"{basis.basis_id}: sum_i (r + 1 - i)·A_i has a non-integer "
+            "eigenvalue")
+    span = RationalSpan(size)
+    for vec in vectors:
+        span.add(vec)
+    p_mat = mat_transpose(tuple(map(tuple, vectors)))
+    # span.solve(e_i) is column i of P^-1.
+    p_inv = mat_transpose(tuple(
+        span.solve([ONE if j == i else ZERO for j in range(size)])
+        for i in range(size)))
+    ranges = []
+    for mat in basis.matrices:
+        conj = mat_mul(mat_mul(p_inv, mat), p_mat)
+        parts = [values[a] - values[b] for a, row in enumerate(conj)
+                 for b, x in enumerate(row) if x]
+        ranges.append((min(parts), max(parts)))
+    return ranges
+
+
+def _check_grades(basis: OrderedBasis,
+                  n_weights: Mapping[int, Tuple[int, ...]],
+                  ranges: Sequence[Tuple[int, int]]) -> Tuple[int, ...]:
+    """The grade of every basis index, each range checked against the zones.
+
+    An n-zone generator of weight w is one ad-a part of value phi(w) > 0,
+    and an a-zone generator one part of value 0.  A k-zone generator
+    X = X_0 + sum_l (X_l + theta X_l) (X_0 in m, X_l in g_l, l > 0) has
+    parts from -level to level; the n-part of [A, X] is 2 sum_l l(A) X_l,
+    so its level is also the largest phi(l) over the n-weights l met in its
+    brackets with the a-zone (0 on m).  The grade is the least value:
+    phi(w), 0 or -level.
+    """
+    a_zone = basis.zone_indices("a")
+    expected = {}
+    for idx, weight in n_weights.items():
+        value = phi(weight)
+        if value <= 0:
+            raise AssertionError(
+                f"phi is not positive on the weight {weight} of "
+                f"{basis.names[idx]}")
+        expected[idx] = (value, value)
+    expected.update((idx, (0, 0)) for idx in a_zone)
+    for x in basis.zone_indices("k"):
+        level = max((phi(n_weights[k]) for a in a_zone
+                     for k, _c in basis.bracket(a, x) if k in n_weights),
+                    default=0)
+        expected[x] = (-level, level)
+    for idx, found in enumerate(ranges):
+        if found != expected[idx]:
+            raise AssertionError(
+                f"{basis.names[idx]} has ad-a parts from phi = {found[0]} "
+                f"to {found[1]}, expected {expected[idx][0]} to "
+                f"{expected[idx][1]}")
+    return tuple(lo for lo, _hi in ranges)
 
 
 def _check_root_multiplicities(

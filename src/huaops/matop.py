@@ -10,9 +10,14 @@ the unit columns it is asked for, and yields every prefix.  It builds the
 exported generator sets (their kept columns only), the trace powers, the
 exact two-factor identities and the power chains of the GL(n,R) lemma;
 Horner's rule on the expanded coefficients (:func:`mat_eval_poly`) is its
-oracle.  Given a k-character it peels every entry after each root, which
-runs the chain in the induced module U(g)/U(g)(k - chi); the U(p,q)
-membership drivers of :mod:`huaops.reduce` use it so.  A matrix product
+oracle.  Given a k-character (with the real form's per-index grades) it
+peels every entry after each root, which runs the chain in the induced
+module U(g)/U(g)(k - chi); the U(p,q) membership drivers of
+:mod:`huaops.reduce` use it so.  Such a chain is pruned by restricted
+weight: after root m of K it keeps only the terms whose n-part has
+phi <= (K - m)·L, the only ones that can still reach the n-free part that
+the reduction reads, and it never multiplies a pair whose product lies
+over that bound.  Chains without a character keep every term.  A matrix product
 converts each row and column to int numerators once
 (:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
 generator matrix supply the central generators; their eigenvalues are read
@@ -28,7 +33,7 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from .liedata import AlgebraData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
-from .pbw import (EnvElement, OrderedBasis, _peel, sum_products,
+from .pbw import (EnvElement, OrderedBasis, _peel, mono_grade, sum_products,
                   sum_products_table)
 
 
@@ -137,7 +142,8 @@ def generator_matrix(algebra: AlgebraData, ring: ParamRing,
 
 def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
                    columns: Sequence[int],
-                   character: Optional[Mapping[int, ParamPoly]] = None
+                   character: Optional[Mapping[int, ParamPoly]] = None,
+                   grades: Optional[Sequence[int]] = None
                    ) -> Iterator[List[List[EnvElement]]]:
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
@@ -149,27 +155,50 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     entries from row 1 down.  Columns that are not listed are never built.
 
     ``character`` is a k-character, keyed by the indices of the basis's
-    last zone (k of an (n, a, k) Iwasawa basis).  With it, every entry has
-    its k-tails peeled through the character after each root, so the chain
-    runs in the induced module U(g)/U(g)(k - chi) and column b holds the
-    prefix applied to v_chi.  This is exact: U(g)(k - chi) is a left ideal
-    and every factor multiplies from the left, so an entry may be replaced
-    by its peeled representative at any step.  n-leading monomials stay,
-    since nU(g) is only a right ideal;
-    :func:`~huaops.reduce.reduce_iwasawa` drops them at the end.
+    last zone (k of an (n, a, k) Iwasawa basis), and comes with ``grades``,
+    the real form's per-index grades (``RealFormData.grades``).  With them,
+    every entry has its k-tails peeled through the character after each
+    root, so the chain runs in the induced module U(g)/U(g)(k - chi) and
+    column b holds the prefix applied to v_chi.  The peel is exact: U(g)(k
+    - chi) is a left ideal and every factor multiplies from the left, so an
+    entry may be replaced by its peeled representative at any step.
+
+    Such a chain keeps only what can still reach the n-free part, which is
+    all that :func:`~huaops.reduce.reduce_iwasawa` reads.  Grade each n|a
+    monomial by phi of its n-part (``mono_grade``; 0 iff n-free).  Left
+    action by a generator moves phi by at least its grade: an n-generator
+    raises it by phi of its weight, an a-generator keeps it, and a
+    k-generator lowers it by at most its level.  So one factor lowers phi by
+    at most L, the largest level among the entries of ``mat`` (2q for the
+    generator matrix of U(p,q)), and after root m of K a term with
+    phi > (K - m)·L can never reach the n-free part of a later prefix.
+    Each step skips the pairs whose product lies over that budget
+    (:func:`~huaops.pbw.sum_products_table`) and drops, after the peel,
+    every term over it.  The n-free part of every prefix is exactly that of
+    the unpruned chain.  A chain without a character (an ideal export, a
+    trace power) keeps every term.
     """
+    if (character is None) != (grades is None):
+        raise ValueError("a k-character comes with the grades of its basis")
     basis, ring = mat.basis, mat.ring
     one = EnvElement.scalar(basis, ring.one())
     zero = EnvElement.zero(basis, ring)
     state = [[one if a == b else zero for a in range(1, mat.size + 1)]
              for b in columns]
-    for root in roots:
-        table = sum_products_table(mat.shift(-root).entries, state)
+    if grades is not None:
+        step = max([0] + [-mono_grade(m, grades) for row in mat.entries
+                          for x in row for m in x.terms])
+    for m, root in enumerate(roots, start=1):
+        budget = None if grades is None else (len(roots) - m) * step
+        table = sum_products_table(mat.shift(-root).entries, state, grades,
+                                   budget)
         if character is None:
             state = [list(column) for column in zip(*table)]
         else:
-            state = [[EnvElement(basis, ring, _peel(x, character))
-                      for x in column] for column in zip(*table)]
+            state = [[EnvElement(basis, ring, {
+                mono: c for mono, c in _peel(x, character).items()
+                if mono_grade(mono, grades) <= budget})
+                for x in column] for column in zip(*table)]
         yield state
 
 

@@ -42,8 +42,8 @@ class ThetaData:
 
     ``blocks`` lists the cumulative block ends ``0 < n_1 < ... < n_L = rank``.
     ``char_values`` gives the character value of each block.  The barred
-    variant drops the last block from the polynomial's paired factors and
-    requires its character value to vanish.
+    variant (not for gl) drops the last block from the polynomial's paired
+    factors and requires its character value to vanish.
     """
 
     kind: str
@@ -67,6 +67,8 @@ class ThetaData:
         if len(self.char_values) != len(blocks):
             raise ValueError("need one character value per block")
         if self.variant == THETA_BAR:
+            if self.kind == "gl":
+                raise ValueError("no barred variant for kind 'gl'")
             if len(blocks) < 2:
                 raise ValueError("the barred variant needs at least two blocks")
             if not self.char_values[-1].is_zero():
@@ -105,8 +107,6 @@ class ThetaData:
         """Indices ``j`` of the central generators adjoined to the ideal."""
         L = self.block_count
         if self.kind == "gl":
-            if self.variant == THETA_BAR:
-                raise ValueError("no barred variant for kind 'gl'")
             return tuple(range(1, L))
         if self.kind == "o-odd":
             if self.variant == THETA:
@@ -217,8 +217,6 @@ def minimal_polynomial(theta: ThetaData) -> MinPoly:
                 roots.append(lam[j - 1] + bend(j - 1))
                 roots.append(reflect - lam[j - 1] - bend(j))
     else:
-        if theta.kind == "gl":
-            raise ValueError("no barred variant for kind 'gl'")
         delta = {"sp": 1, "o-odd": 0, "o-even": -1}[theta.kind]
         reflect = ring.const(2 * n + delta)
         roots.append(bend(L - 1))

@@ -39,8 +39,13 @@ denominator, so the arithmetic around straightening builds no ``Fraction``.
 coefficient over one common denominator (the lcm of the denominators, read
 from the fields), accumulate int numerators, and reduce each output term
 by one gcd; :func:`sum_products_table` (a matrix product) converts each row
-and column once, not once per entry.  The conversions solve each source
-generator over the target once per pair of bases.
+and column once, not once per entry.  Given per-index grades and a budget
+it also skips every pair of monomials whose grades sum over the budget
+(the restricted-weight bound of a character chain,
+:func:`~huaops.matop.factor_columns`): each operand is sorted by grade
+once, and the scan over it stops at the budget, so a product without
+grades tests no pair.  The conversions solve each source generator over
+the target once per pair of bases.
 
 Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
@@ -55,8 +60,10 @@ and the a|n tail at a highest weight in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import lcm
 from operator import add, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -402,6 +409,11 @@ def mono_degree(mono: Monomial) -> int:
     return sum(map(_power, mono))
 
 
+def mono_grade(mono: Monomial, grades: Sequence[int]) -> int:
+    """``sum grades[g] * e`` over the factors g^e of a monomial."""
+    return sum(grades[g] * e for g, e in mono)
+
+
 def word_mono(word: Sequence[int]) -> Monomial:
     """Run-length encode a sorted generator word (validates ordering)."""
     out: List[Tuple[int, int]] = []
@@ -648,34 +660,73 @@ def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
 
 
 def sum_products_table(rows: Sequence[Sequence[EnvElement]],
-                       columns: Sequence[Sequence[EnvElement]]
+                       columns: Sequence[Sequence[EnvElement]],
+                       grades: Optional[Sequence[int]] = None,
+                       budget: Optional[int] = None
                        ) -> List[List[EnvElement]]:
     """``sum_products(row, column)`` for every row and column, row-major.
 
     Each row and each column is converted to int numerators once, not once
     per entry it meets; a matrix product of size n converts 2n operands
     instead of 2n².
+
+    With ``grades`` (one int per basis index) and ``budget``, a pair of
+    monomials (a, b) is never multiplied when
+    ``mono_grade(a) + mono_grade(b) > budget``.  Every operand is sorted by
+    grade once, so a run of left terms of one grade scans a prefix of each
+    right element and stops at the budget; without grades every pair is
+    multiplied, with no test per pair.
     """
     first = rows[0][0]
     for operand in (*rows, *columns):
         for x in operand:
             first._check_compatible(x)
-    converted = [_numerators(column) for column in columns]
-    return [[_converted_products(first, left, right) for right in converted]
-            for left in map(_numerators, rows)]
+    convert = _numerators if grades is None else (
+        lambda operand: _by_grade(_numerators(operand), grades))
+    converted = [convert(column) for column in columns]
+    return [[_converted_products(first, left, right, budget)
+             for right in converted]
+            for left in map(convert, rows)]
 
 
-def _converted_products(first: EnvElement, left: Tuple[int, list],
-                        right: Tuple[int, list]) -> EnvElement:
-    """The sum of products of two operands already in :func:`_numerators` form."""
+def _by_grade(converted: Tuple[int, list], grades: Sequence[int]
+              ) -> Tuple[int, list, list]:
+    """A converted operand with each element sorted by grade, and the grades."""
+    q, elems = converted
+    ranked = [sorted(((mono_grade(t[0], grades), t) for t in terms),
+                     key=itemgetter(0)) for terms in elems]
+    return (q, [[t for _g, t in terms] for terms in ranked],
+            [[g for g, _t in terms] for terms in ranked])
+
+
+def _within(left: Tuple[int, list, list], right: Tuple[int, list, list],
+            budget: int):
+    """Runs (left terms, right terms) of :func:`_by_grade` operands, position
+    by position: the left terms of one grade g and the right terms of grade
+    at most ``budget - g``."""
+    for xs, xkeys, ys, ykeys in zip(left[1], left[2], right[1], right[2]):
+        start = 0
+        for g, run in groupby(xkeys):
+            stop = start + sum(1 for _ in run)
+            yield xs[start:stop], ys[:bisect_right(ykeys, budget - g)]
+            start = stop
+
+
+def _converted_products(first: EnvElement, left: tuple, right: tuple,
+                        budget: Optional[int] = None) -> EnvElement:
+    """The sum of products of two operands already in :func:`_numerators`
+    form, or, with ``budget``, in :func:`_by_grade` form (see
+    :func:`sum_products_table`)."""
     basis = first.basis
-    (ql, lefts), (qr, rights) = left, right
+    (ql, lefts), (qr, rights) = left[:2], right[:2]
     top = max((max(da for _m, da, _p in xs) + max(db for _m, db, _p in ys)
                for xs, ys in zip(lefts, rights, strict=True) if xs and ys),
               default=0)
     powers = [basis.scale ** i for i in range(top + 1)]
     out: Dict[Monomial, Numerators] = {}
-    for xs, ys in zip(lefts, rights):
+    pairs = zip(lefts, rights) if budget is None else _within(left, right,
+                                                              budget)
+    for xs, ys in pairs:
         for ma, da, pa in xs:
             for mb, db, pb in ys:
                 shift = powers[top - da - db]

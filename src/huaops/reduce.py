@@ -43,8 +43,12 @@ M = U(g)/U(g)(k - chi), over the Iwasawa basis with every k-tail peeled
 after each factor, and reduce the resulting entries with
 :func:`reduce_iwasawa`: the theorem case only its kept columns after the
 last factor, the kernel comparison of the recursion every column after
-every factor.  The k-peel is :func:`~huaops.pbw._peel`, shared with the
-highest-weight evaluation.
+every factor.  The chain gets the form's grades with the character and is
+pruned by restricted weight: after factor m of K it keeps only the terms
+whose n-part has phi <= (K - m)·2q.  One factor lowers phi by at most 2q,
+so no dropped term can reach the n-free part of a later prefix, and the
+n-free part is all that :func:`reduce_iwasawa` reads.  The k-peel is
+:func:`~huaops.pbw._peel`, shared with the highest-weight evaluation.
 """
 
 from __future__ import annotations
@@ -366,7 +370,10 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     unit columns only (the last q columns when p > q, all when p = q):
     :func:`~huaops.matop.factor_columns` on the generator matrix over the
     Iwasawa basis, with the k-character of the reduction peeled after each
-    factor.  Every kept entry, row by row, is then reduced
+    factor and every term that can no longer reach the n-free part dropped
+    (phi of its n-part over (K - m)·2q after factor m of K; see
+    :func:`~huaops.matop.factor_columns`), so the last factor leaves only
+    n-free terms.  Every kept entry, row by row, is then reduced
     modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff every
     residue is exactly 0.  With ``perturb=True`` the first eigenvalue of the
     schedule is shifted by one, which must break membership (a soundness
@@ -385,7 +392,7 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     spec = upq_reduction_spec(form, blocks)
     fmat = generator_matrix(algebra, form.ring, form.basis)
     for columns in factor_columns(fmat, minimal_polynomial(theta).roots, kept,
-                                  spec.k_character):
+                                  spec.k_character, form.grades):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
@@ -540,7 +547,9 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     reduced independently and compared, with off-pattern entries checked to
     reduce to 0.  The product is applied to v_chi of the induced module, every
     column after every factor, by :func:`~huaops.matop.factor_columns` with
-    the k-character peeled after each factor.  ``params``
+    the k-character peeled after each factor; the chain drops every term
+    whose n-part has phi > (K - m)·2q after factor m of K, which keeps the
+    n-free part of every prefix, the part each comparison reduces.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
     started = time.perf_counter()
@@ -571,7 +580,8 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
         kernel_spec = ReductionSpec(form)
         prefixes = factor_columns(
             generator_matrix(form.complex_algebra, ring, form.basis),
-            [-v for v in lam], range(1, p + q + 1), kernel_spec.k_character)
+            [-v for v in lam], range(1, p + q + 1), kernel_spec.k_character,
+            form.grades)
 
     for m in range(1, 2 * L + 1):
         if m > 1:

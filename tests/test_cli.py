@@ -293,6 +293,10 @@ _INTERNAL_FAULTS = [
     RecursionError("maximum recursion depth exceeded"),
     ArithmeticError("scaled coefficient 1/2 is not an integer"),
     ZeroDivisionError("division by zero"),
+    # A ValueError or KeyError past the argument checks is a fault of the
+    # program, not of the request.
+    ValueError("elements over different coefficient rings"),
+    KeyError(7),
 ]
 
 
@@ -368,3 +372,42 @@ def test_human_summaries_lead_with_their_verdict(tmp_path, capsys, argv, code, h
     assert len(lines) >= len(heads)
     for line, head in zip(lines, heads):
         assert line.startswith(head), (line, head)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "gl-lemma", "--n", "1", "--m", "1"], "need n >= 2 and m_max >= 1"),
+        (["verify", "gl-lemma", "--n", "2", "--m", "0"], "need n >= 2 and m_max >= 1"),
+        (["verify", "sp-hua", "--n", "0"], "Sp(n,R) requires n >= 1"),
+        (["ideal", "--form", "glnr", "--n", "0", "--blocks", "1"], "blocks (1,) must end at the rank 0"),
+        (["ideal", "--form", "spnr", "--n", "0", "--blocks", "0"], "blocks (0,) must be strictly increasing"),
+        (["ideal", "--form", "glnr", "--n", "2", "--blocks", "1,2", "--variant", "theta-bar"],
+         "no barred variant for kind 'gl'"),
+        (["degrees", "--diagram", "A_n^1"], "A_n^1:SL(n+1,R) needs a rank value"),
+        (["degrees", "--diagram", "A_n^1", "--n", "2", "--m", "3"], "A_n^1:SL(n+1,R) takes no extra parameter"),
+    ],
+    ids=["gl-lemma-n", "gl-lemma-m", "sp-hua-n", "glnr-n", "spnr-n", "glnr-barred", "degrees-rank", "degrees-param"],
+)
+def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
+    # Each request is refused before anything is built.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a case for a refused request")
+
+    for name in ("gl_lemma_check", "hua_sp_system", "ideal_generators"):
+        monkeypatch.setattr(cli, name, forbidden)
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", "[1, 2]", '{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1}]}'],
+    ids=["syntax", "not-an-object", "missing-key"],
+)
+def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text):
+    blob = tmp_path / "gens.json"
+    blob.write_text(text)
+    code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from huaops import liedata
 from huaops.liedata import (
     eval_linear,
     glnr_root_system,
@@ -13,6 +14,7 @@ from huaops.liedata import (
     make_glnr,
     make_spnr,
     make_upq,
+    phi,
     satake_table,
     spnr_root_system,
     upq_root_system,
@@ -155,3 +157,50 @@ def test_spnr_bases_lie_in_the_catalog_sp(n):
     for basis in (form.basis, form.hua_basis):
         for mat in basis.matrices:
             verma.expand_matrix(mat)
+
+
+def test_upq32_grades_table():
+    # U(3,2), q = 2: phi(w) = 2 w_1 + w_2 on n, 0 on a, minus the level on
+    # k; E_3_3 lies in m (level 0), E_1_1 and E_5_5 reach 2e_1 (level 2q).
+    form = make_upq(3, 2)
+    basis = form.basis
+    grades = {basis.names[i]: g for i, g in enumerate(form.grades)}
+    assert grades == {
+        "Y_1": 4, "Y_2": 2, "Y_1_3": 2, "Y_3_1": 2, "Y_2_3": 1, "Y_3_2": 1,
+        "Yplus_1_2": 3, "Yplus_2_1": 3, "Yone_1_2": 1, "Ytwo_1_2": 1,
+        "E_1": 0, "E_2": 0,
+        "E_1_1": -4, "E_1_2": -3, "E_1_3": -2, "E_2_1": -3, "E_2_2": -2,
+        "E_2_3": -1, "E_3_1": -2, "E_3_2": -1, "E_3_3": 0,
+        "E_5_5": -4, "E_5_4": -3, "E_4_5": -3, "E_4_4": -2,
+    }
+    assert phi((2, 0)) == 2 * 2
+
+
+def test_glnr_and_spnr_grades():
+    gl3 = make_glnr(3)
+    assert [gl3.grades[gl3.basis.index_of(name)] for name in ("K_1_2", "K_1_3", "K_2_3")] == [-1, -2, -1]
+    sp2 = make_spnr(2)
+    levels = {sp2.basis.names[i]: -sp2.grades[i] for i in sp2.basis.zone_indices("k")}
+    assert levels == {"KK_1_2": 1, "PQ_1_1": 4, "PQ_1_2": 3, "PQ_2_2": 2}
+
+
+@pytest.mark.parametrize("form", [make_upq(2, 1), make_spnr(2)], ids=lambda f: f.name + str(f.params))
+def test_wrong_grades_are_rejected(form):
+    # The eigenbasis ranges are checked against the n-weights and against
+    # the brackets of each k-generator with a.
+    ranges = liedata._grade_ranges(form.basis)
+    liedata._check_grades(form.basis, form.n_weights, ranges)
+    k = form.basis.zone_indices("k")[0]
+    lo, hi = ranges[k]
+    for wrong in ((lo + 1, hi), (lo - 1, hi + 1), (0, 0)):
+        if wrong == (lo, hi):
+            continue
+        broken = list(ranges)
+        broken[k] = wrong
+        with pytest.raises(AssertionError):
+            liedata._check_grades(form.basis, form.n_weights, broken)
+    y = form.basis.zone_indices("n")[0]
+    broken = list(ranges)
+    broken[y] = (ranges[y][0] + 1, ranges[y][1] + 1)
+    with pytest.raises(AssertionError):
+        liedata._check_grades(form.basis, form.n_weights, broken)

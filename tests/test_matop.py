@@ -152,8 +152,8 @@ def test_restricted_ideal_builds_no_unexported_column(monkeypatch):
     assert len(unexported) == 6
     built = set()
 
-    def recording(rows, columns):
-        table = sum_products_table(rows, columns)
+    def recording(rows, columns, *bound):
+        table = sum_products_table(rows, columns, *bound)
         built.update(str(x) for row in table for x in row)
         return table
 

@@ -10,7 +10,7 @@ import pytest
 
 import huaops.pbw as pbw_module
 import huaops.reduce as reduce_module
-from huaops.liedata import make_glnr, make_spnr, make_upq
+from huaops.liedata import make_glnr, make_spnr, make_upq, phi
 from huaops.matop import OpMatrix, factor_columns, generator_matrix, ideal_generators, trace_power
 from huaops.minpoly import upq_lambda_schedule
 from huaops.params import ParamRing
@@ -228,22 +228,90 @@ def _kernel_setup(p, q, blocks):
     return form, ReductionSpec(form), [-v for v in lam]
 
 
+def _n_phi(form, mono):
+    """phi of the n-part of a monomial, from the recorded n-weights."""
+    return sum(phi(form.n_weights[g]) * e for g, e in mono if g in form.n_weights)
+
+
 @pytest.mark.parametrize("p, q, blocks", [(2, 1, (1,)), (3, 2, (1, 2))])
 def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, blocks):
-    # Exactly, n-leading monomials included: column b after step m is
-    # column b of the m-th prefix applied to v_chi, i.e. converted to the
-    # Iwasawa basis with its k-tails peeled.
+    # Exactly: column b after step m of K is column b of the m-th prefix
+    # applied to v_chi (converted to the Iwasawa basis with its k-tails
+    # peeled), less every term whose n-part has phi > (K - m)·L, L = phi(2e_1).
     form, spec, roots = _kernel_setup(p, q, blocks)
     size = p + q
+    step = phi((2,) + (0,) * (q - 1))
+    assert step == 2 * q
     prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
     iwasawa = generator_matrix(form.complex_algebra, form.ring, form.basis)
-    steps = factor_columns(iwasawa, roots, range(1, size + 1), spec.k_character)
+    steps = factor_columns(iwasawa, roots, range(1, size + 1), spec.k_character, form.grades)
+    dropped = kept_n_leading = 0
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
+        budget = (len(roots) - m) * step
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                expected = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), spec.k_character)
-                assert columns[b - 1][a - 1] == expected, (m, a, b)
-    assert any(m and m[0][0] in form.basis.zone_indices("n") for m in columns[0][0].terms)
+                full = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), spec.k_character).terms
+                expected = {mono: c for mono, c in full.items() if _n_phi(form, mono) <= budget}
+                assert columns[b - 1][a - 1].terms == expected, (m, a, b)
+                dropped += len(full) - len(expected)
+                kept_n_leading += sum(_n_phi(form, mono) > 0 for mono in expected)
+    assert dropped and kept_n_leading
+
+
+def _random_na_monomial(form, rng, low):
+    """A random n|a monomial whose n-part has phi > low."""
+    n_zone, a_zone = form.basis.zone_indices("n"), form.basis.zone_indices("a")
+    word = []
+    while sum(phi(form.n_weights[g]) for g in word) <= low:
+        word.append(rng.choice(n_zone))
+    word += [rng.choice(a_zone) for _ in range(rng.randint(0, 2))]
+    return tuple(sorted(word))
+
+
+def _element_of_word(form, word):
+    element = EnvElement.scalar(form.basis, form.ring.one())
+    for g in word:
+        element = element * EnvElement.generator(form.basis, form.ring, g)
+    return element
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2)])
+def test_left_action_moves_phi_by_at_least_the_grade(p, q):
+    # The weight lemma for one generator at a time, in the induced module:
+    # every term of g·b·v_chi has phi >= phi(b) + grade(g).
+    form = make_upq(p, q)
+    rng = random.Random(11 * p + q)
+    for _ in range(3):
+        b = _element_of_word(form, _random_na_monomial(form, rng, rng.randint(0, 2 * q)))
+        (low,) = {_n_phi(form, mono) for mono in b.terms}
+        for g in range(len(form.basis)):
+            image = peel_k(EnvElement.generator(form.basis, form.ring, g) * b, form.k_character)
+            assert all(_n_phi(form, mono) >= low + form.grades[g] for mono in image.terms), form.basis.names[g]
+
+
+@pytest.mark.parametrize("p, q", [(2, 1), (3, 2)])
+def test_terms_over_the_budget_never_reach_the_n_free_part(p, q):
+    # R factors of degree one lower phi by at most R·L, L = phi(2e_1) = 2q:
+    # an n|a element with phi > R·L keeps a zero n-free part through R
+    # random degree-one elements, each followed by the k-peel.
+    form = make_upq(p, q)
+    spec = ReductionSpec(form)
+    step = phi((2,) + (0,) * (q - 1))
+    rng = random.Random(5 * p + q)
+    basis, ring = form.basis, form.ring
+    for rounds in (1, 2):
+        for _ in range(2):
+            u = EnvElement.zero(basis, ring)
+            for _ in range(2):
+                word = _random_na_monomial(form, rng, rounds * step)
+                u = u + _element_of_word(form, word).scale(Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+            for r in range(1, rounds + 1):
+                x = EnvElement.scalar(basis, ring.const(rng.randint(-3, 3)))
+                for g in rng.sample(range(len(basis)), 4):
+                    x = x + EnvElement.generator(basis, ring, g).scale(rng.randint(-2, 2) or 1)
+                u = peel_k(x * u, form.k_character)
+                assert all(_n_phi(form, mono) > (rounds - r) * step for mono in u.terms)
+            assert reduce_iwasawa(u, spec).is_zero()
 
 
 def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
@@ -252,10 +320,10 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
 
     characters = []
 
-    def recording(mat, roots, columns, character=None):
-        characters.append(character)
+    def recording(mat, roots, columns, character=None, grades=None):
+        characters.append((character, grades))
         k_zone = mat.basis.zone_indices("k")
-        for state in factor_columns(mat, roots, columns, character):
+        for state in factor_columns(mat, roots, columns, character, grades):
             for column in state:
                 for x in column:
                     assert not any(g in k_zone for m in x.terms for g, _e in m)
@@ -268,7 +336,7 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     assert not upq_theorem_case(2, 1, (1,), perturb=True)["pass"]
     assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
     assert len(characters) == 3
-    assert all(character for character in characters)
+    assert all(character and grades for character, grades in characters)
 
 
 def _residues_through_ideal_generators(p, q, blocks, perturb):

@@ -1,0 +1,214 @@
+#!/usr/bin/env python3
+"""Mutation catalogue: every mutant listed here must be killed by its tests.
+
+Usage (from the root of the repository)::
+
+    python3 tools/mutants.py              # run every mutant
+    python3 tools/mutants.py NAME ...     # run the named mutants
+    python3 tools/mutants.py --check      # only check the anchors
+
+A mutant is one exact edit of one file under ``src/``: an anchor text that
+occurs there exactly once, and its replacement.  For each mutant the script
+copies ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary
+directory, applies the edit, and runs the mutant's tests there with
+pytest.  The mutant is killed when every one of its tests fails; it
+survives when they all pass, and the catalogue is wrong when only some
+fail.  The named tests are first run once on an unmutated copy, where they
+must all pass.  The exit status is 0 when every mutant is killed, and 1
+otherwise, or when an anchor is missing or occurs more than once, or when
+pytest cannot run (a collection error is not a kill).  Standard library
+only; a full run takes a few minutes.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import List, NamedTuple, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 900
+COPIED = ("src", "tests", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the repository
+    anchor: str
+    replacement: str
+    tests: Tuple[str, ...]  # pytest ids, as the suite prints them
+
+
+EXACT = "tests/test_reduce.py::test_kernel_columns_are_the_factor_product_prefixes_in_the_module"
+DRIVERS = "tests/test_reduce.py::test_membership_drivers_peel_the_character_after_every_factor"
+GOLDEN = "tests/test_golden.py::test_canonical_json_digest"
+PERTURBED_32 = f"{GOLDEN}[verify upq-theorem --p 3 --q 2 --blocks 1,2 --perturb]"
+PERTURBED_22 = f"{GOLDEN}[verify upq-theorem --p 2 --q 2 --blocks 1,2 --perturb]"
+KERNEL_32 = f"{GOLDEN}[verify upq-recursion --p 3 --q 2 --blocks 1,2 --kernel]"
+GRADES = "tests/test_liedata.py::test_upq32_grades_table"
+LEMMA = "tests/test_reduce.py::test_left_action_moves_phi_by_at_least_the_grade"
+
+MUTANTS: Tuple[Mutant, ...] = (
+    # The restricted-weight bound of the character chain.
+    Mutant("budget-one-over", "src/huaops/matop.py",
+           "(len(roots) - m) * step",
+           "(len(roots) - m) * step + 1",
+           (EXACT,)),
+    Mutant("budget-one-under", "src/huaops/matop.py",
+           "(len(roots) - m) * step",
+           "(len(roots) - m) * step - 1",
+           (EXACT, PERTURBED_32, PERTURBED_22, KERNEL_32)),
+    Mutant("k-grade-zero", "src/huaops/liedata.py",
+           "return tuple(lo for lo, _hi in ranges)",
+           "return tuple(max(lo, 0) for lo, _hi in ranges)",
+           (GRADES, LEMMA, EXACT, PERTURBED_32)),
+    Mutant("n-grade-sign-flipped", "src/huaops/liedata.py",
+           "return tuple(lo for lo, _hi in ranges)",
+           "return tuple(-lo if lo > 0 else lo for lo, _hi in ranges)",
+           (GRADES, EXACT)),
+    Mutant("pair-skip-without-post-filter", "src/huaops/matop.py",
+           "if mono_grade(mono, grades) <= budget}",
+           "if True}",
+           (EXACT,)),
+    Mutant("pair-skip-one-grade-tight", "src/huaops/pbw.py",
+           "ys[:bisect_right(ykeys, budget - g)]",
+           "ys[:bisect_right(ykeys, budget - g - 1)]",
+           (EXACT, PERTURBED_32, PERTURBED_22)),
+    # The factor chain and its k-peel.
+    Mutant("root-sign-flipped", "src/huaops/matop.py",
+           "mat.shift(-root)",
+           "mat.shift(root)",
+           ("tests/test_matop.py::test_factor_columns_match_coefficient_form",
+            "tests/test_reduce.py::test_upq_theorem_driver_small",
+            f"{GOLDEN}[verify upq-theorem --p 3 --q 2 --blocks 1,2]")),
+    Mutant("peel-skipped-at-the-first-root", "src/huaops/matop.py",
+           "_peel(x, character).items()",
+           "(x.terms if m == 1 else _peel(x, character)).items()",
+           (EXACT, DRIVERS)),
+    Mutant("character-negated", "src/huaops/matop.py",
+           "_peel(x, character)",
+           "_peel(x, {g: -v for g, v in character.items()})",
+           (EXACT, DRIVERS, PERTURBED_22)),
+    Mutant("last-root-dropped", "src/huaops/matop.py",
+           "enumerate(roots, start=1)",
+           "enumerate(roots[:-1], start=1)",
+           ("tests/test_matop.py::test_factor_columns_match_coefficient_form",
+            "tests/test_matop.py::test_trace_power_matches_power_trace")),
+    Mutant("kept-columns-off-by-one", "src/huaops/matop.py",
+           "kept = sorted({j for _i, j in entry_positions(fmat.size, column_range)})",
+           "kept = sorted({j - 1 for _i, j in entry_positions(fmat.size, column_range)})",
+           ("tests/test_matop.py::test_restricted_ideal_builds_no_unexported_column",
+            "tests/test_matop.py::test_restricted_entries_equal_the_unrestricted_ones")),
+    Mutant("a-weight-dropped-from-the-peel", "src/huaops/matop.py",
+           'values.update((g, weight[g]) for g in basis.zone_indices("a"))',
+           "pass",
+           ("tests/test_matop.py::test_central_eigenvalue_gl2_degree_two",
+            "tests/test_matop.py::test_ideal_generators_gl2_shapes")),
+    Mutant("theorem-driver-passes-no-character", "src/huaops/reduce.py",
+           "kept,\n                                  spec.k_character, form.grades)",
+           "kept)",
+           (DRIVERS,)),
+    # The int arithmetic under the products.
+    Mutant("scale-forced-to-1", "src/huaops/pbw.py",
+           "return lcm(*(c.denominator for i in range(n)",
+           "return 1 or lcm(*(c.denominator for i in range(n)",
+           ("tests/test_pbw.py::test_basis_scale_is_the_bracket_denominator",
+            "tests/test_pbw.py::test_left_action_matches_naive_rewriter")),
+    Mutant("gcd-reduction-skipped", "src/huaops/params.py",
+           "if g != 1:",
+           "if False:",
+           ("tests/test_params.py::test_canonical_fields",
+            "tests/test_params.py::test_equal_polys_are_equal_whatever_built_them")),
+)
+
+
+def anchor_problems(root: Path = ROOT) -> List[str]:
+    """One line per mutant whose anchor is not in its file exactly once."""
+    problems = []
+    for mutant in MUTANTS:
+        path = root / mutant.path
+        count = path.read_text(encoding="utf-8").count(mutant.anchor) \
+            if path.is_file() else 0
+        if count != 1:
+            problems.append(f"{mutant.name}: anchor found {count} times in "
+                            f"{mutant.path}: {mutant.anchor!r}")
+    return problems
+
+
+def _copy(tree: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in COPIED:
+        source = ROOT / part
+        if source.is_dir():
+            shutil.copytree(source, tree / part, ignore=ignore)
+        else:
+            tree.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, tree / part)
+
+
+def _pytest(tree: Path, tests: Sequence[str]) -> str:
+    """How ``tests`` end in ``tree``: "passed", "failed", "mixed" or "error"."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         *tests],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    summary = run.stdout.strip().splitlines()[-1] if run.stdout.strip() else ""
+    if run.returncode == 0:
+        return "passed"
+    if run.returncode == 1:
+        return "mixed" if " passed" in summary else "failed"
+    return "error"
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default all)")
+    parser.add_argument("--check", action="store_true",
+                        help="only check that every anchor is in its file once")
+    args = parser.parse_args(argv)
+    problems = anchor_problems()
+    known = {mutant.name for mutant in MUTANTS}
+    problems += [f"{name}: no such mutant" for name in args.names
+                 if name not in known]
+    if problems:
+        print("\n".join(problems))
+        return 1
+    if args.check:
+        print(f"{len(MUTANTS)} anchors found")
+        return 0
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    failed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp) / "unmutated"
+        _copy(base)
+        named = sorted({test for mutant in chosen for test in mutant.tests})
+        outcome = _pytest(base, named)
+        if outcome != "passed":
+            print(f"the named tests do not all pass on the unmutated copy "
+                  f"({outcome})")
+            return 1
+        for mutant in chosen:
+            tree = Path(tmp) / mutant.name
+            _copy(tree)
+            path = tree / mutant.path
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text.replace(mutant.anchor, mutant.replacement),
+                            encoding="utf-8")
+            outcome = _pytest(tree, mutant.tests)
+            verdict = {"failed": "killed", "passed": "SURVIVED",
+                       "mixed": "SOME TESTS PASS", "error": "ERROR"}[outcome]
+            failed = failed or outcome != "failed"
+            print(f"{verdict:>16}  {mutant.name}", flush=True)
+            shutil.rmtree(tree)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
