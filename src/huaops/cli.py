@@ -16,8 +16,9 @@ this boundary and refused as a :class:`UsageError`, so a ``ValueError`` or
 the request.  An internal fault prints one line on standard error,
 ``internal error: <type>: <message>``.  ``--json`` prints the report as
 canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
-file.  Identical requests produce byte-identical JSON (timing fields are
-stripped).
+file.  Identical requests produce byte-identical JSON: no report holds a
+timing.  A rank flag that does not apply to ``--form`` (``--n`` with
+``upq``, ``--p`` or ``--q`` with ``spnr`` or ``glnr``) is a usage error.
 """
 
 from __future__ import annotations
@@ -177,9 +178,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _need(args: argparse.Namespace, *names: str) -> List[int]:
+_RANK_FLAGS = {"upq": ("p", "q"), "spnr": ("n",), "glnr": ("n",)}
+
+
+def _ranks(args: argparse.Namespace) -> List[int]:
+    """The rank flags of ``--form``: each one required, every other refused."""
+    wanted = _RANK_FLAGS[args.form]
+    stray = [f"--{name}" for name in ("p", "q", "n")
+             if name not in wanted and getattr(args, name) is not None]
+    if stray:
+        raise UsageError(f"--form {args.form} takes no {' or '.join(stray)}")
     out = []
-    for name in names:
+    for name in wanted:
         value = getattr(args, name)
         if value is None:
             raise UsageError(
@@ -228,14 +238,14 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
             raise UsageError(
                 "the upq construction fixes the plain variant; use "
                 "--form spnr for the barred one")
-        p, q = _need(args, "p", "q")
-        form, theta = upq_form_and_theta(p, q, _upq_blocks(args))
+        p, q = _ranks(args)
+        _, theta = upq_form_and_theta(p, q, _upq_blocks(args))
         column_range = (p + 1, p + q) if args.restrict_columns else None
         return ideal_generators(make_algebra("gl", p + q), theta,
-                                ring=form.ring, column_range=column_range)
+                                column_range=column_range)
     if args.restrict_columns:
         raise UsageError("--restrict-columns applies to --form upq only")
-    (n,) = _need(args, "n")
+    (n,) = _ranks(args)
     kind = {"spnr": "sp", "glnr": "gl"}[args.form]
     count = len(args.blocks)
     if args.variant == THETA_BAR:
@@ -251,7 +261,7 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
                           char_values=tuple(values), variant=args.variant)
     except ValueError as exc:  # --n, --blocks and --variant disagree
         raise UsageError(str(exc)) from None
-    return ideal_generators(make_algebra(kind, n), theta, ring=ring)
+    return ideal_generators(make_algebra(kind, n), theta)
 
 
 def _cmd_ideal(args: argparse.Namespace) -> Tuple[dict, int]:
@@ -338,8 +348,8 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
 
 def _root_system(args: argparse.Namespace):
     if args.form == "upq":
-        return upq_root_system(*_upq_ranks(*_need(args, "p", "q")))
-    (n,) = _need(args, "n")
+        return upq_root_system(*_upq_ranks(*_ranks(args)))
+    (n,) = _ranks(args)
     if n < 1:
         raise UsageError(f"--form {args.form} needs --n >= 1, got {n}")
     return spnr_root_system(n) if args.form == "spnr" else glnr_root_system(n)
@@ -404,17 +414,8 @@ def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _strip_timing(doc: object) -> object:
-    if isinstance(doc, dict):
-        return {k: _strip_timing(v) for k, v in doc.items()
-                if k != "wallTime"}
-    if isinstance(doc, list):
-        return [_strip_timing(v) for v in doc]
-    return doc
-
-
 def _canonical_json(doc: dict) -> str:
-    return json.dumps(_strip_timing(doc), indent=2, sort_keys=True) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _summarize(report: dict, stream) -> None:
@@ -464,7 +465,7 @@ def _summarize(report: dict, stream) -> None:
                   f"{'zero' if lb['e']['zero'] else lb['e']['value']}, "
                   f"c {lb['c']['value']}", file=stream)
     else:
-        print(json.dumps(_strip_timing(report), sort_keys=True), file=stream)
+        print(json.dumps(report, sort_keys=True), file=stream)
 
 
 # ---------------------------------------------------------------------------

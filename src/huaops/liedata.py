@@ -15,6 +15,13 @@ Conventions
 * "Iwasawa order" means zones ``("n", "a", "k")``: reductions drop monomials
   with a leading n-factor and peel trailing k-factors against a character.
 * ``ibar`` abbreviates the reflected index ``N + 1 - i``.
+
+Each catalog real form (:func:`make_upq`, :func:`make_spnr`,
+:func:`make_glnr`) only lists its Iwasawa zones, with the restricted weight
+of each n-generator and the character value of each k-generator, and its
+rho; one constructor builds the basis from them and checks every form the
+same way, the weights, the root multiplicities, the character and rho
+against each other and the dimension against the complex algebra.
 """
 
 from __future__ import annotations
@@ -407,8 +414,6 @@ class RealFormData:
 
     name: str
     params: Tuple[int, ...]
-    ambient: int
-    rank: int
     ring: ParamRing = field(compare=False)
     complex_algebra: AlgebraData = field(compare=False)
     basis: OrderedBasis = field(compare=False)
@@ -470,30 +475,21 @@ def phi(weight: Sequence[int]) -> int:
 
 
 def _null_space(mat: Matrix) -> List[List[Fraction]]:
-    """A basis of the kernel of a square rational matrix."""
-    rows = [list(row) for row in mat]
-    size = len(rows)
+    """A basis of the kernel of a square rational matrix: one vector per
+    column that is a combination of the earlier columns."""
+    span = RationalSpan(len(mat))
     pivots: List[int] = []
-    r = 0
-    for col in range(size):
-        pivot = next((i for i in range(r, size) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ONE / rows[r][col]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(size):
-            c = rows[i][col]
-            if i != r and c:
-                rows[i] = [x - c * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
     kernel = []
-    for free in (c for c in range(size) if c not in pivots):
-        vec = [ZERO] * size
-        vec[free] = ONE
-        for i, col in enumerate(pivots):
-            vec[col] = -rows[i][free]
+    for col, column in enumerate(zip(*mat)):
+        coords = span.solve(column)
+        if coords is None:
+            span.add(column)
+            pivots.append(col)
+            continue
+        vec = [ZERO] * len(mat)
+        vec[col] = ONE
+        for pivot, c in zip(pivots, coords):
+            vec[pivot] = -c
         kernel.append(vec)
     return kernel
 
@@ -622,19 +618,75 @@ def _check_k_character(
                 )
 
 
-def _finish_realform(form: RealFormData) -> RealFormData:
-    _check_iwasawa_zones(form.basis)
-    _check_restricted_weights(form.basis, form.n_weights)
-    _check_root_multiplicities(form.root_system, form.n_weights)
-    _check_k_character(form.basis, form.k_character)
-    if form.rho != form.root_system.half_sum():
+def _zoned_basis(basis_id: str, algebra: AlgebraData,
+                 zones: Sequence[Tuple[str, Sequence[Tuple[str, Matrix]]]],
+                 k_zone: Sequence[Tuple[str, Matrix, ParamPoly]]
+                 ) -> Tuple[OrderedBasis, Dict[int, ParamPoly]]:
+    """The basis ``zones`` then ``k_zone``, and its k-character by index.
+
+    ``zones`` lists ``(zone, [(name, matrix), ...])`` in basis order and
+    ``k_zone`` the k-generators as ``(name, matrix, character value)``.
+    Raises ``AssertionError`` unless the basis has the dimension of
+    ``algebra``, and ``ValueError`` unless the character vanishes on [k, k].
+    """
+    gens = [(x, zone, mat) for zone, members in zones for x, mat in members]
+    character = {len(gens) + i: value for i, (_x, _m, value) in enumerate(k_zone)}
+    gens += [(x, "k", mat) for x, mat, _value in k_zone]
+    basis = OrderedBasis(basis_id, algebra.ambient, gens,
+                         zones=tuple(zone for zone, _ in zones) + ("k",))
+    if len(basis) != len(algebra.basis):
+        raise AssertionError(f"{basis_id} has dimension {len(basis)}, "
+                             f"expected {len(algebra.basis)}")
+    _check_k_character(basis, character)
+    return basis, character
+
+
+def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
+               complex_algebra: AlgebraData,
+               n_zone: Sequence[Tuple[str, Matrix, Tuple[int, ...]]],
+               a_zone: Sequence[Tuple[str, Matrix]],
+               k_zone: Sequence[Tuple[str, Matrix, ParamPoly]],
+               root_system: RestrictedRootSystem, rho: Tuple[Fraction, ...],
+               hua: Optional[tuple] = None) -> RealFormData:
+    """Build one catalog real form from its Iwasawa zones, and validate it.
+
+    ``n_zone`` lists ``(name, matrix, restricted weight)``, ``a_zone``
+    ``(name, matrix)`` (the i-th carrying e_i) and ``k_zone`` ``(name,
+    matrix, character value)``, each in basis order.  They make the basis
+    ``{name}{params}-iwasawa`` (zones n | a | k), with the k-character and
+    the n-weights keyed by basis index.  ``hua``, a triple of p-, q- and
+    k-zone lists (the p and q zones shaped like ``a_zone``), makes a second
+    basis ``{name}{params}-hua`` with its own k-character.
+
+    Checked, for every form: each basis has the dimension of
+    ``complex_algebra`` and a character vanishing on [k, k]; the zone
+    brackets of the Iwasawa basis; every n-weight against ad a; the
+    n-weights against the multiplicities of ``root_system``; and ``rho``
+    against its half-sum.  A failed check raises ``AssertionError``, a bad
+    character ``ValueError``.
+    """
+    tag = name + "".join(map(str, params))
+    basis, k_character = _zoned_basis(
+        f"{tag}-iwasawa", complex_algebra,
+        (("n", [(x, mat) for x, mat, _w in n_zone]), ("a", a_zone)), k_zone)
+    n_weights = {i: weight for i, (_x, _m, weight) in enumerate(n_zone)}
+    _check_iwasawa_zones(basis)
+    _check_restricted_weights(basis, n_weights)
+    _check_root_multiplicities(root_system, n_weights)
+    if rho != root_system.half_sum():
         raise AssertionError(
-            f"{form.name}: rho {form.rho} != root half-sum "
-            f"{form.root_system.half_sum()}"
-        )
-    if form.hua_basis is not None and form.hua_character is not None:
-        _check_k_character(form.hua_basis, form.hua_character)
-    return form
+            f"{tag}: rho {rho} != root half-sum {root_system.half_sum()}")
+    hua_basis = hua_character = None
+    if hua is not None:
+        p_zone, q_zone, hua_k_zone = hua
+        hua_basis, hua_character = _zoned_basis(
+            f"{tag}-hua", complex_algebra, (("p", p_zone), ("q", q_zone)),
+            hua_k_zone)
+    return RealFormData(
+        name=name, params=params, ring=ring, complex_algebra=complex_algebra,
+        basis=basis, k_character=k_character, n_weights=n_weights,
+        root_system=root_system, rho=rho, hua_basis=hua_basis,
+        hua_character=hua_character)
 
 
 # -- U(p, q) -----------------------------------------------------------------
@@ -657,92 +709,51 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
     def bar(i: int) -> int:
         return big + 1 - i
 
-    def e(i: int, j: int) -> Matrix:
-        return elementary(big, i, j)
-
-    gens: List[Tuple[str, str, Matrix]] = []
-    n_weights: Dict[int, Tuple[int, ...]] = {}
-
-    def add_n(name: str, mat: Matrix, **weight: int) -> None:
-        n_weights[len(gens)] = _coords(q, **weight)
-        gens.append((name, "n", mat))
+    def mat(entries: Dict[Tuple[int, int], int]) -> Matrix:
+        return make_matrix(big, entries)
 
     # n-zone: restricted-root vectors, grouped by root for readability.
-    for i in range(1, q + 1):
-        y = mat_add(
-            mat_add(mat_scale(e(i, i), -1), e(i, bar(i))),
-            mat_add(mat_scale(e(bar(i), i), -1), e(bar(i), bar(i))),
-        )
-        add_n(f"Y_{i}", y, **{f"i{i}": 2})
+    n_zone = [(f"Y_{i}", mat({(i, i): -1, (i, bar(i)): 1, (bar(i), i): -1,
+                              (bar(i), bar(i)): 1}),
+               _coords(q, **{f"i{i}": 2})) for i in range(1, q + 1)]
     for i in range(1, q + 1):
         for k in range(q + 1, p + 1):
-            add_n(f"Y_{i}_{k}", mat_add(e(i, k), e(bar(i), k)), **{f"i{i}": 1})
-            add_n(
-                f"Y_{k}_{i}",
-                mat_add(e(k, i), mat_scale(e(k, bar(i)), -1)),
-                **{f"i{i}": 1},
-            )
+            weight = _coords(q, **{f"i{i}": 1})
+            n_zone.append((f"Y_{i}_{k}", mat({(i, k): 1, (bar(i), k): 1}), weight))
+            n_zone.append((f"Y_{k}_{i}", mat({(k, i): 1, (k, bar(i)): -1}), weight))
     for i in range(1, q + 1):
         for j in range(1, q + 1):
-            if i == j:
-                continue
-            mat = mat_add(
-                mat_add(e(i, j), e(bar(i), j)),
-                mat_scale(mat_add(e(i, bar(j)), e(bar(i), bar(j))), -1),
-            )
-            add_n(f"Yplus_{i}_{j}", mat, **{f"i{i}": 1, f"i{j}": 1})
+            if i != j:
+                n_zone.append((f"Yplus_{i}_{j}", mat(
+                    {(i, j): 1, (bar(i), j): 1, (i, bar(j)): -1,
+                     (bar(i), bar(j)): -1}),
+                    _coords(q, **{f"i{i}": 1, f"i{j}": 1})))
     for i in range(1, q + 1):
         for j in range(i + 1, q + 1):
-            one = mat_add(
-                mat_add(e(i, j), e(bar(i), j)),
-                mat_add(e(i, bar(j)), e(bar(i), bar(j))),
-            )
-            add_n(f"Yone_{i}_{j}", one, **{f"i{i}": 1, f"i{j}": -1})
-            two = mat_add(
-                mat_add(e(j, i), mat_scale(e(bar(j), i), -1)),
-                mat_add(mat_scale(e(j, bar(i)), -1), e(bar(j), bar(i))),
-            )
-            add_n(f"Ytwo_{i}_{j}", two, **{f"i{i}": 1, f"i{j}": -1})
+            weight = _coords(q, **{f"i{i}": 1, f"i{j}": -1})
+            n_zone.append((f"Yone_{i}_{j}", mat(
+                {(i, j): 1, (bar(i), j): 1, (i, bar(j)): 1,
+                 (bar(i), bar(j)): 1}), weight))
+            n_zone.append((f"Ytwo_{i}_{j}", mat(
+                {(j, i): 1, (bar(j), i): -1, (j, bar(i)): -1,
+                 (bar(j), bar(i)): 1}), weight))
 
     # a-zone: E_i = E_{i,ibar} + E_{ibar,i}.
-    for i in range(1, q + 1):
-        gens.append((f"E_{i}", "a", mat_add(e(i, bar(i)), e(bar(i), i))))
+    a_zone = [(f"E_{i}", mat({(i, bar(i)): 1, (bar(i), i): 1}))
+              for i in range(1, q + 1)]
 
     # k-zone: E_{mu,nu} (mu, nu <= p) and E_{ibar,jbar} (i, j <= q).
-    k_character: Dict[int, ParamPoly] = {}
-    s_val, t_val = ring.var("s"), ring.var("t")
-    zero = ring.zero()
-    for mu in range(1, p + 1):
-        for nu in range(1, p + 1):
-            k_character[len(gens)] = s_val if mu == nu else zero
-            gens.append((f"E_{mu}_{nu}", "k", e(mu, nu)))
-    for i in range(1, q + 1):
-        for j in range(1, q + 1):
-            k_character[len(gens)] = t_val if i == j else zero
-            gens.append((f"E_{bar(i)}_{bar(j)}", "k", e(bar(i), bar(j))))
-
-    basis = OrderedBasis(
-        basis_id=f"upq{p}{q}-iwasawa", ambient=big, generators=gens,
-        zones=("n", "a", "k"),
-    )
-    if len(basis) != big * big:
-        raise AssertionError("U(p,q) Iwasawa basis does not span gl_{p+q}")
+    s_val, t_val, zero = ring.var("s"), ring.var("t"), ring.zero()
+    k_zone = [(f"E_{mu}_{nu}", elementary(big, mu, nu),
+               s_val if mu == nu else zero)
+              for mu in range(1, p + 1) for nu in range(1, p + 1)]
+    k_zone += [(f"E_{bar(i)}_{bar(j)}", elementary(big, bar(i), bar(j)),
+                t_val if i == j else zero)
+               for i in range(1, q + 1) for j in range(1, q + 1)]
 
     rho = tuple(Fraction(p + q + 1 - 2 * i) for i in range(1, q + 1))
-    form = RealFormData(
-        name="upq",
-        params=(p, q),
-        ambient=big,
-        rank=q,
-        ring=ring,
-        complex_algebra=make_algebra("gl", big),
-        basis=basis,
-        k_character=k_character,
-        n_weights=n_weights,
-        root_system=upq_root_system(p, q),
-        rho=rho,
-    )
-    return _finish_realform(form)
+    return _real_form("upq", (p, q), ring, make_algebra("gl", big), n_zone,
+                      a_zone, k_zone, upq_root_system(p, q), rho)
 
 
 # -- Sp(n, R) ----------------------------------------------------------------
@@ -797,93 +808,43 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
     if "ell" not in symbols:
         raise ValueError("Sp(n,R) parameter ring must contain 'ell'")
     ring = ParamRing(symbols)
-    big = 2 * n
     k_mat, p_mat, q_mat = spnr_kpq_matrices(n)
+    ell_val, zero = ring.var("ell"), ring.zero()
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
-    gens: List[Tuple[str, str, Matrix]] = []
-    n_weights: Dict[int, Tuple[int, ...]] = {}
-
-    def add_n(name: str, mat: Matrix, **weight: int) -> None:
-        n_weights[len(gens)] = _coords(n, **weight)
-        gens.append((name, "n", mat))
-
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            minus = mat_add(
+    n_zone = []
+    for i, j in upper:
+        if i < j:
+            n_zone.append((f"Xm_{i}_{j}", mat_add(
                 mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1)),
-                mat_add(p_mat[(i, j)], q_mat[(i, j)]),
-            )
-            add_n(f"Xm_{i}_{j}", minus, **{f"i{i}": 1, f"i{j}": -1})
-            plus = mat_add(
+                mat_add(p_mat[(i, j)], q_mat[(i, j)])),
+                _coords(n, **{f"i{i}": 1, f"i{j}": -1})))
+            n_zone.append((f"Xp_{i}_{j}", mat_add(
                 mat_add(k_mat[(i, j)], k_mat[(j, i)]),
-                mat_add(mat_scale(p_mat[(i, j)], -1), q_mat[(i, j)]),
-            )
-            add_n(f"Xp_{i}_{j}", plus, **{f"i{i}": 1, f"i{j}": 1})
+                mat_add(mat_scale(p_mat[(i, j)], -1), q_mat[(i, j)])),
+                _coords(n, **{f"i{i}": 1, f"i{j}": 1})))
     for i in range(1, n + 1):
-        two = mat_add(
+        n_zone.append((f"X2_{i}", mat_add(
             mat_scale(k_mat[(i, i)], 2),
-            mat_add(mat_scale(p_mat[(i, i)], -1), q_mat[(i, i)]),
-        )
-        add_n(f"X2_{i}", two, **{f"i{i}": 2})
+            mat_add(mat_scale(p_mat[(i, i)], -1), q_mat[(i, i)])),
+            _coords(n, **{f"i{i}": 2})))
 
-    for i in range(1, n + 1):
-        gens.append((f"A_{i}", "a", mat_add(p_mat[(i, i)], q_mat[(i, i)])))
+    a_zone = [(f"A_{i}", mat_add(p_mat[(i, i)], q_mat[(i, i)]))
+              for i in range(1, n + 1)]
+    k_zone = [(f"KK_{i}_{j}",
+               mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1)), zero)
+              for i, j in upper if i < j]
+    k_zone += [(f"PQ_{i}_{j}",
+                mat_add(p_mat[(i, j)], mat_scale(q_mat[(i, j)], -1)),
+                ell_val if i == j else zero) for i, j in upper]
 
-    k_character: Dict[int, ParamPoly] = {}
-    ell_val = ring.var("ell")
-    zero = ring.zero()
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            k_character[len(gens)] = zero
-            gens.append((f"KK_{i}_{j}", "k",
-                         mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1))))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            k_character[len(gens)] = ell_val if i == j else zero
-            gens.append((f"PQ_{i}_{j}", "k",
-                         mat_add(p_mat[(i, j)], mat_scale(q_mat[(i, j)], -1))))
-
-    basis = OrderedBasis(
-        basis_id=f"spnr{n}-iwasawa", ambient=big, generators=gens,
-        zones=("n", "a", "k"),
-    )
-    if len(basis) != n * (2 * n + 1):
-        raise AssertionError("Sp(n,R) Iwasawa basis has wrong dimension")
-
-    hua_gens: List[Tuple[str, str, Matrix]] = []
-    hua_character: Dict[int, ParamPoly] = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            hua_gens.append((f"P_{i}_{j}", "p", p_mat[(i, j)]))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            hua_gens.append((f"Q_{i}_{j}", "q", q_mat[(i, j)]))
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            hua_character[len(hua_gens)] = ell_val if i == j else zero
-            hua_gens.append((f"K_{i}_{j}", "k", k_mat[(i, j)]))
-    hua_basis = OrderedBasis(
-        basis_id=f"spnr{n}-hua", ambient=big, generators=hua_gens,
-        zones=("p", "q", "k"),
-    )
-
+    hua = ([(f"P_{i}_{j}", p_mat[(i, j)]) for i, j in upper],
+           [(f"Q_{i}_{j}", q_mat[(i, j)]) for i, j in upper],
+           [(f"K_{i}_{j}", k_mat[(i, j)], ell_val if i == j else zero)
+            for i in range(1, n + 1) for j in range(1, n + 1)])
     rho = tuple(Fraction(n - i + 1) for i in range(1, n + 1))
-    form = RealFormData(
-        name="spnr",
-        params=(n,),
-        ambient=big,
-        rank=n,
-        ring=ring,
-        complex_algebra=make_algebra("sp", n),
-        basis=basis,
-        k_character=k_character,
-        n_weights=n_weights,
-        root_system=spnr_root_system(n),
-        rho=rho,
-        hua_basis=hua_basis,
-        hua_character=hua_character,
-    )
-    return _finish_realform(form)
+    return _real_form("spnr", (n,), ring, make_algebra("sp", n), n_zone,
+                      a_zone, k_zone, spnr_root_system(n), rho, hua)
 
 
 # -- GL(n, R) ----------------------------------------------------------------
@@ -898,45 +859,16 @@ def make_glnr(n: int, symbols: Tuple[str, ...] = ()) -> RealFormData:
     if n < 1:
         raise ValueError("GL(n,R) requires n >= 1")
     ring = ParamRing(symbols)
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    n_zone = [(f"E_{i}_{j}", elementary(n, i, j),
+               _coords(n, **{f"i{i}": 1, f"i{j}": -1})) for i, j in pairs]
+    a_zone = [(f"E_{i}_{i}", elementary(n, i, i)) for i in range(1, n + 1)]
     half = Fraction(1, 2)
-
-    gens: List[Tuple[str, str, Matrix]] = []
-    n_weights: Dict[int, Tuple[int, ...]] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            n_weights[len(gens)] = _coords(n, **{f"i{i}": 1, f"i{j}": -1})
-            gens.append((f"E_{i}_{j}", "n", elementary(n, i, j)))
-    for i in range(1, n + 1):
-        gens.append((f"E_{i}_{i}", "a", elementary(n, i, i)))
-    k_character: Dict[int, ParamPoly] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            mat = mat_scale(
-                mat_add(elementary(n, i, j), mat_scale(elementary(n, j, i), -1)),
-                half,
-            )
-            k_character[len(gens)] = ring.zero()
-            gens.append((f"K_{i}_{j}", "k", mat))
-
-    basis = OrderedBasis(
-        basis_id=f"glnr{n}-iwasawa", ambient=n, generators=gens,
-        zones=("n", "a", "k"),
-    )
+    k_zone = [(f"K_{i}_{j}", make_matrix(n, {(i, j): half, (j, i): -half}),
+               ring.zero()) for i, j in pairs]
     rho = tuple(Fraction(n + 1, 2) - i for i in range(1, n + 1))
-    form = RealFormData(
-        name="glnr",
-        params=(n,),
-        ambient=n,
-        rank=n,
-        ring=ring,
-        complex_algebra=make_algebra("gl", n),
-        basis=basis,
-        k_character=k_character,
-        n_weights=n_weights,
-        root_system=glnr_root_system(n),
-        rho=rho,
-    )
-    return _finish_realform(form)
+    return _real_form("glnr", (n,), ring, make_algebra("gl", n), n_zone,
+                      a_zone, k_zone, glnr_root_system(n), rho)
 
 
 # ---------------------------------------------------------------------------

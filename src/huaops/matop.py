@@ -10,9 +10,9 @@ the unit columns it is asked for, and yields every prefix.  It builds the
 exported generator sets (their kept columns only), the trace powers, the
 exact two-factor identities and the power chains of the GL(n,R) lemma;
 Horner's rule on the expanded coefficients (:func:`mat_eval_poly`) is its
-oracle.  Given a k-character (with the real form's per-index grades) it
-peels every entry after each root, which runs the chain in the induced
-module U(g)/U(g)(k - chi); the U(p,q) membership drivers of
+oracle.  Given a real form it peels every entry through the form's
+k-character after each root, which runs the chain in the induced module
+U(g)/U(g)(k - chi); the U(p,q) membership drivers of
 :mod:`huaops.reduce` use it so.  Such a chain is pruned by restricted
 weight: after root m of K it keeps only the terms whose n-part has
 phi <= (K - m)·L, the only ones that can still reach the n-free part that
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .liedata import AlgebraData
+from .liedata import AlgebraData, RealFormData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
 from .pbw import (EnvElement, OrderedBasis, _peel, mono_grade, sum_products,
@@ -141,9 +141,7 @@ def generator_matrix(algebra: AlgebraData, ring: ParamRing,
 
 
 def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
-                   columns: Sequence[int],
-                   character: Optional[Mapping[int, ParamPoly]] = None,
-                   grades: Optional[Sequence[int]] = None
+                   columns: Sequence[int], form: Optional[RealFormData] = None
                    ) -> Iterator[List[List[EnvElement]]]:
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
@@ -154,45 +152,43 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     in the order of ``columns``, after every root, each as the list of its
     entries from row 1 down.  Columns that are not listed are never built.
 
-    ``character`` is a k-character, keyed by the indices of the basis's
-    last zone (k of an (n, a, k) Iwasawa basis), and comes with ``grades``,
-    the real form's per-index grades (``RealFormData.grades``).  With them,
-    every entry has its k-tails peeled through the character after each
-    root, so the chain runs in the induced module U(g)/U(g)(k - chi) and
-    column b holds the prefix applied to v_chi.  The peel is exact: U(g)(k
-    - chi) is a left ideal and every factor multiplies from the left, so an
-    entry may be replaced by its peeled representative at any step.
+    With a real ``form`` (``mat`` over ``form.basis``), every entry has its
+    k-tails peeled through ``form.k_character`` after each root, so the
+    chain runs in the induced module U(g)/U(g)(k - chi) and column b holds
+    the prefix applied to v_chi.  The peel is exact: U(g)(k - chi) is a left
+    ideal and every factor multiplies from the left, so an entry may be
+    replaced by its peeled representative at any step.
 
     Such a chain keeps only what can still reach the n-free part, which is
     all that :func:`~huaops.reduce.reduce_iwasawa` reads.  Grade each n|a
-    monomial by phi of its n-part (``mono_grade``; 0 iff n-free).  Left
-    action by a generator moves phi by at least its grade: an n-generator
-    raises it by phi of its weight, an a-generator keeps it, and a
-    k-generator lowers it by at most its level.  So one factor lowers phi by
-    at most L, the largest level among the entries of ``mat`` (2q for the
-    generator matrix of U(p,q)), and after root m of K a term with
-    phi > (K - m)·L can never reach the n-free part of a later prefix.
-    Each step skips the pairs whose product lies over that budget
+    monomial by phi of its n-part (``mono_grade`` with ``form.grades``; 0
+    iff n-free).  Left action by a generator moves phi by at least its
+    grade: an n-generator raises it by phi of its weight, an a-generator
+    keeps it, and a k-generator lowers it by at most its level.  So one
+    factor lowers phi by at most L, the largest level among the entries of
+    ``mat`` (2q for the generator matrix of U(p,q)), and after root m of K a
+    term with phi > (K - m)·L can never reach the n-free part of a later
+    prefix.  Each step skips the pairs whose product lies over that budget
     (:func:`~huaops.pbw.sum_products_table`) and drops, after the peel,
     every term over it.  The n-free part of every prefix is exactly that of
-    the unpruned chain.  A chain without a character (an ideal export, a
-    trace power) keeps every term.
+    the unpruned chain.  A chain without a form (an ideal export, a trace
+    power) keeps every term.
     """
-    if (character is None) != (grades is None):
-        raise ValueError("a k-character comes with the grades of its basis")
     basis, ring = mat.basis, mat.ring
     one = EnvElement.scalar(basis, ring.one())
     zero = EnvElement.zero(basis, ring)
     state = [[one if a == b else zero for a in range(1, mat.size + 1)]
              for b in columns]
-    if grades is not None:
+    grades = character = None
+    if form is not None:
+        grades, character = form.grades, form.k_character
         step = max([0] + [-mono_grade(m, grades) for row in mat.entries
                           for x in row for m in x.terms])
     for m, root in enumerate(roots, start=1):
-        budget = None if grades is None else (len(roots) - m) * step
+        budget = None if form is None else (len(roots) - m) * step
         table = sum_products_table(mat.shift(-root).entries, state, grades,
                                    budget)
-        if character is None:
+        if form is None:
             state = [list(column) for column in zip(*table)]
         else:
             state = [[EnvElement(basis, ring, {
@@ -384,20 +380,19 @@ class GeneratorSet:
 
 
 def ideal_generators(algebra: AlgebraData, theta: ThetaData,
-                     ring: Optional[ParamRing] = None,
                      column_range: Optional[Tuple[int, int]] = None,
                      ) -> GeneratorSet:
     """Build the generator set of the ideal attached to a block pattern.
 
-    The matrix part evaluates the minimal polynomial on the generator matrix
-    by :func:`factor_columns`, on the exported columns only (``column_range``,
-    default all).  The central part adjoins one trace power per index in the
-    pattern's central index set, with its eigenvalue certified by the
-    highest-weight oracle; the even-orthogonal generator of order equal to
-    the rank has no trace-power realization and is omitted with a flag.
+    The matrix part evaluates the minimal polynomial on the generator matrix,
+    over the pattern's own ring, by :func:`factor_columns`, on the exported
+    columns only (``column_range``, default all).  The central part adjoins
+    one trace power per index in the pattern's central index set, with its
+    eigenvalue certified by the highest-weight oracle; the even-orthogonal
+    generator of order equal to the rank has no trace-power realization and
+    is omitted with a flag.
     """
-    if ring is None:
-        ring = theta.ring
+    ring = theta.ring
     if algebra.rank != theta.rank:
         raise ValueError("block pattern rank does not match the algebra")
     poly = minimal_polynomial(theta)

@@ -35,17 +35,19 @@ ints and live as long as the basis.
 
 Coefficients are :class:`~huaops.params.ParamPoly` int numerators over one
 denominator, so the arithmetic around straightening builds no ``Fraction``.
-:func:`sum_products` and the basis conversions bring every input
-coefficient over one common denominator (the lcm of the denominators, read
-from the fields), accumulate int numerators, and reduce each output term
-by one gcd; :func:`sum_products_table` (a matrix product) converts each row
-and column once, not once per entry.  Given per-index grades and a budget
-it also skips every pair of monomials whose grades sum over the budget
-(the restricted-weight bound of a character chain,
-:func:`~huaops.matop.factor_columns`): each operand is sorted by grade
-once, and the scan over it stops at the budget, so a product without
-grades tests no pair.  The conversions solve each source generator over
-the target once per pair of bases.
+:func:`sum_products_table` is the one loop that multiplies elements over
+one basis (:func:`sum_products` is its one-entry case).  It brings every
+operand over one common denominator (the lcm of the denominators, read
+from the fields), accumulates int numerators, and reduces each output
+term by one gcd; a matrix product converts each row and column once, not
+once per entry.  Every operand is sorted by grade (all 0 without per-index
+grades); given a budget, every pair of monomials whose grades sum over it
+is skipped, the restricted-weight bound of a character chain
+(:func:`~huaops.matop.factor_columns`), and without one every pair is
+multiplied.  :func:`project_mod_n` maps a monomial of another basis word
+by word, solving each source generator over the target once per pair of
+bases; its oracle :func:`change_basis` multiplies the generator images
+with :func:`sum_products` instead.
 
 Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
@@ -643,20 +645,13 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators
 
 def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
                  ) -> EnvElement:
-    """``sum_k left[k] * right[k]``, accumulated into one term dict.
+    """``sum_k left[k] * right[k]``: the one entry of
+    :func:`sum_products_table` with one row and one column.
 
     Every factor lives over the basis and ring of ``left[0]``; each product
-    keeps its left factor on the left.  With ql, qr the common denominators
-    of the left and right coefficients and T the largest degree of a
-    product, every term is accumulated as an int numerator over
-    ql·qr·D^(T - deg m): the product of degree N = deg a + deg b is scaled
-    by D^(T - N) on top of the D^(N - deg m) that :meth:`mul_monos` stores.
+    keeps its left factor on the left.
     """
-    first = left[0]
-    for x, y in zip(left, right, strict=True):
-        first._check_compatible(x)
-        first._check_compatible(y)
-    return _converted_products(first, _numerators(left), _numerators(right))
+    return sum_products_table((left,), (right,))[0][0]
 
 
 def sum_products_table(rows: Sequence[Sequence[EnvElement]],
@@ -664,35 +659,40 @@ def sum_products_table(rows: Sequence[Sequence[EnvElement]],
                        grades: Optional[Sequence[int]] = None,
                        budget: Optional[int] = None
                        ) -> List[List[EnvElement]]:
-    """``sum_products(row, column)`` for every row and column, row-major.
+    """``sum_k row[k] * column[k]`` for every row and column, row-major.
 
     Each row and each column is converted to int numerators once, not once
     per entry it meets; a matrix product of size n converts 2n operands
-    instead of 2n².
+    instead of 2n².  With ql, qr the common denominators of a row's and a
+    column's coefficients and T the largest degree of a product, every term
+    is accumulated as an int numerator over ql·qr·D^(T - deg m): the product
+    of degree N = deg a + deg b is scaled by D^(T - N) on top of the
+    D^(N - deg m) that :meth:`OrderedBasis.mul_monos` stores.
 
-    With ``grades`` (one int per basis index) and ``budget``, a pair of
-    monomials (a, b) is never multiplied when
-    ``mono_grade(a) + mono_grade(b) > budget``.  Every operand is sorted by
-    grade once, so a run of left terms of one grade scans a prefix of each
-    right element and stops at the budget; without grades every pair is
-    multiplied, with no test per pair.
+    Every operand is sorted by grade once (``grades``, one int per basis
+    index; all 0 when not given).  With ``budget``, a pair of monomials
+    (a, b) is never multiplied when ``mono_grade(a) + mono_grade(b) >
+    budget``: a run of left terms of one grade scans a prefix of each right
+    element and stops at the budget.  Without a budget every pair is
+    multiplied.
     """
     first = rows[0][0]
     for operand in (*rows, *columns):
         for x in operand:
             first._check_compatible(x)
-    convert = _numerators if grades is None else (
-        lambda operand: _by_grade(_numerators(operand), grades))
-    converted = [convert(column) for column in columns]
+    converted = [_by_grade(column, grades) for column in columns]
     return [[_converted_products(first, left, right, budget)
              for right in converted]
-            for left in map(convert, rows)]
+            for left in (_by_grade(row, grades) for row in rows)]
 
 
-def _by_grade(converted: Tuple[int, list], grades: Sequence[int]
+def _by_grade(operand: Sequence[EnvElement], grades: Optional[Sequence[int]]
               ) -> Tuple[int, list, list]:
-    """A converted operand with each element sorted by grade, and the grades."""
-    q, elems = converted
+    """An operand in :func:`_numerators` form with each element's terms
+    sorted by grade, and their grades (all 0 without ``grades``)."""
+    q, elems = _numerators(operand)
+    if grades is None:
+        return q, elems, [[0] * len(terms) for terms in elems]
     ranked = [sorted(((mono_grade(t[0], grades), t) for t in terms),
                      key=itemgetter(0)) for terms in elems]
     return (q, [[t for _g, t in terms] for terms in ranked],
@@ -700,33 +700,32 @@ def _by_grade(converted: Tuple[int, list], grades: Sequence[int]
 
 
 def _within(left: Tuple[int, list, list], right: Tuple[int, list, list],
-            budget: int):
+            budget: Optional[int]):
     """Runs (left terms, right terms) of :func:`_by_grade` operands, position
     by position: the left terms of one grade g and the right terms of grade
-    at most ``budget - g``."""
-    for xs, xkeys, ys, ykeys in zip(left[1], left[2], right[1], right[2]):
+    at most ``budget - g`` (all of them without a budget)."""
+    for xs, xkeys, ys, ykeys in zip(left[1], left[2], right[1], right[2],
+                                    strict=True):
         start = 0
         for g, run in groupby(xkeys):
             stop = start + sum(1 for _ in run)
-            yield xs[start:stop], ys[:bisect_right(ykeys, budget - g)]
+            yield xs[start:stop], (ys if budget is None else
+                                   ys[:bisect_right(ykeys, budget - g)])
             start = stop
 
 
 def _converted_products(first: EnvElement, left: tuple, right: tuple,
-                        budget: Optional[int] = None) -> EnvElement:
-    """The sum of products of two operands already in :func:`_numerators`
-    form, or, with ``budget``, in :func:`_by_grade` form (see
+                        budget: Optional[int]) -> EnvElement:
+    """The sum of products of two operands in :func:`_by_grade` form (see
     :func:`sum_products_table`)."""
     basis = first.basis
-    (ql, lefts), (qr, rights) = left[:2], right[:2]
+    (ql, lefts, _), (qr, rights, _) = left, right
     top = max((max(da for _m, da, _p in xs) + max(db for _m, db, _p in ys)
-               for xs, ys in zip(lefts, rights, strict=True) if xs and ys),
+               for xs, ys in zip(lefts, rights) if xs and ys),
               default=0)
     powers = [basis.scale ** i for i in range(top + 1)]
     out: Dict[Monomial, Numerators] = {}
-    pairs = zip(lefts, rights) if budget is None else _within(left, right,
-                                                              budget)
-    for xs, ys in pairs:
+    for xs, ys in _within(left, right, budget):
         for ma, da, pa in xs:
             for mb, db, pb in ys:
                 shift = powers[top - da - db]
@@ -804,42 +803,40 @@ def _generator_images(source: OrderedBasis, target: OrderedBasis
     return scale_e, images
 
 
-def _map_terms(
-    elem: EnvElement,
-    target: OrderedBasis,
-    cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]],
-    dropped: range,
-) -> EnvElement:
-    """Map every monomial of ``elem`` through :func:`_word_image` and sum.
-
-    A term of degree N is accumulated as an int numerator over
-    q·E^T·D^(T - deg m), with q the common denominator of the coefficients
-    and T the top degree of ``elem``, so its image is scaled by (E·D)^(T - N).
-    """
-    scale_e, images = _generator_images(elem.basis, target)
-    q, (terms,) = _numerators([elem])
-    top = max((n for _m, n, _p in terms), default=0)
-    step = scale_e * target.scale
-    out: Dict[Monomial, Numerators] = {}
-    for mono, n, coeff in terms:
-        shift = step ** (top - n)
-        _accumulate(out, {e: k * shift for e, k in coeff.items()},
-                    _word_image(target, images, mono, cache, dropped))
-    return _finish(target, elem.ring, out, q * scale_e ** top, top)
-
-
 def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
     """Re-express an element over another closed basis of the same span.
 
-    Every source generator's ambient matrix is expanded over ``target``; a
-    source monomial then maps to the normal-ordered product of those images.
-    This full conversion is the test oracle for :func:`project_mod_n`; the
-    reduction path never calls it, and it keeps no word images between
-    calls.
+    Every source generator's ambient matrix is expanded over ``target``, and
+    a source monomial maps to the product of those images, multiplied in
+    from the left by :func:`sum_products` (so through
+    :meth:`OrderedBasis._gen_times`).  The monomials that lead with the same
+    generator share that factor: Horner's rule over the words, one
+    :func:`sum_products` per distinct prefix.  This full conversion shares
+    no straightening loop with :func:`project_mod_n`, whose oracle it is;
+    the reduction path never calls it.
     """
     if elem.basis is target:
         return elem
-    return _map_terms(elem, target, {}, range(0))
+    if elem.basis.ambient != target.ambient:
+        raise ValueError("bases live in different ambient gl_N")
+    ring = elem.ring
+    gens = [EnvElement.from_gl_matrix(target, ring, mat)
+            for mat in elem.basis.matrices]
+    one = EnvElement.scalar(target, ring.one())
+
+    def convert(terms: Mapping[Monomial, ParamPoly]) -> EnvElement:
+        tails: Dict[int, Dict[Monomial, ParamPoly]] = {}
+        for mono, c in terms.items():
+            if mono:
+                g, e = mono[0]
+                rest = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
+                tails.setdefault(g, {})[rest] = c
+        return sum_products(
+            [EnvElement.scalar(target, terms.get((), ring.zero()))]
+            + [gens[g] for g in tails],
+            [one] + [convert(rests) for rests in tails.values()])
+
+    return convert(elem.terms)
 
 
 def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
@@ -849,14 +846,29 @@ def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
     monomial lies in nU(g) iff it leads with an n-generator and U(g) is the
     direct sum of nU(g) and the span of the n-free monomials.  The result
     equals :func:`change_basis` with every n-leading monomial dropped, but
-    those monomials are never built.  The images of source monomials and
-    their prefixes are rational and depend only on the two bases, so they
-    are cached on the source basis and shared by every later call.
+    those monomials are never built: every monomial goes through
+    :func:`_word_image`.  The images of source monomials and their prefixes
+    are rational and depend only on the two bases, so they are cached on the
+    source basis and shared by every later call.
+
+    A term of degree N is accumulated as an int numerator over
+    q·E^T·D^(T - deg m), with q the common denominator of the coefficients
+    and T the top degree of ``elem``, so its image is scaled by (E·D)^(T - N).
     """
     if target.zones[0] != "n":
         raise ValueError(f"basis {target.basis_id} does not lead with an n zone")
-    return _map_terms(elem, target, elem.basis._conversion_cache,
-                      target.zone_indices("n"))
+    scale_e, images = _generator_images(elem.basis, target)
+    q, (terms,) = _numerators([elem])
+    top = max((n for _m, n, _p in terms), default=0)
+    step = scale_e * target.scale
+    n_zone = target.zone_indices("n")
+    out: Dict[Monomial, Numerators] = {}
+    for mono, n, coeff in terms:
+        shift = step ** (top - n)
+        _accumulate(out, {e: k * shift for e, k in coeff.items()},
+                    _word_image(target, images, mono,
+                                elem.basis._conversion_cache, n_zone))
+    return _finish(target, elem.ring, out, q * scale_e ** top, top)
 
 
 def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],

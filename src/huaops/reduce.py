@@ -28,23 +28,26 @@ chains: :func:`gl_lemma_check` (GL(n,R) trace lemma), :func:`hua_sp_system`
 :func:`upq_scalar_recursion` (the scalar recursion that re-derives the
 U(p,q) reduction by elementary bookkeeping).  Each driver returns a
 JSON-ready report: case id, parameters, one record per check (with the
-residue in canonical string form), an overall pass flag and the wall time.
-The matrix drivers take the generator matrix from
-:func:`~huaops.matop.generator_matrix` (over the Iwasawa basis where they
-peel k directly) and state each identity through three helpers:
+residue in canonical string form) and an overall pass flag; a report holds
+no timing, so identical requests give identical reports.  The matrix
+drivers take the generator matrix from
+:func:`~huaops.matop.generator_matrix` (over the basis whose k they peel:
+the Iwasawa basis, or the Hua block basis of Sp(n,R)) and state each
+identity through three helpers:
 ``_congruences`` (entrywise congruence modulo the k-character),
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
 product).  Every product of factors ``F - r`` (the two-factor product,
 the power chains of the GL(n,R) lemma, the U(p,q) membership chains)
 comes from :func:`~huaops.matop.factor_columns`.  Both U(p,q) membership
-drivers pass it the k-character of their spec, so the factors of the
-minimal polynomial act one at a time on unit columns of the induced module
+drivers pass it their real form, whose k-character their reduction peels,
+so the factors of the minimal polynomial act one at a time on unit
+columns of the induced module
 M = U(g)/U(g)(k - chi), over the Iwasawa basis with every k-tail peeled
 after each factor, and reduce the resulting entries with
 :func:`reduce_iwasawa`: the theorem case only its kept columns after the
 last factor, the kernel comparison of the recursion every column after
-every factor.  The chain gets the form's grades with the character and is
-pruned by restricted weight: after factor m of K it keeps only the terms
+every factor.  The chain reads the form's grades too and is pruned by
+restricted weight: after factor m of K it keeps only the terms
 whose n-part has phi <= (K - m)·2q.  One factor lowers phi by at most 2q,
 so no dropped term can reach the n-free part of a later prefix, and the
 n-free part is all that :func:`reduce_iwasawa` reads.  The k-peel is
@@ -53,7 +56,6 @@ n-free part is all that :func:`reduce_iwasawa` reads.  The k-peel is
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import lcm
@@ -241,14 +243,12 @@ def gamma_ell(d: EnvElement, form: RealFormData,
 # ---------------------------------------------------------------------------
 
 
-def _report(case: str, parameters: Mapping, checks: List[dict],
-            started: float) -> dict:
+def _report(case: str, parameters: Mapping, checks: List[dict]) -> dict:
     return {
         "case": case,
         "parameters": dict(parameters),
         "checks": checks,
         "pass": all(c["pass"] for c in checks),
-        "wallTime": round(time.perf_counter() - started, 3),
     }
 
 
@@ -379,7 +379,6 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     schedule is shifted by one, which must break membership (a soundness
     control).
     """
-    started = time.perf_counter()
     blocks = tuple(blocks)
     form, theta = upq_form_and_theta(p, q, blocks)
     if perturb:
@@ -392,7 +391,7 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     spec = upq_reduction_spec(form, blocks)
     fmat = generator_matrix(algebra, form.ring, form.basis)
     for columns in factor_columns(fmat, minimal_polynomial(theta).roots, kept,
-                                  spec.k_character, form.grades):
+                                  form):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
@@ -402,7 +401,7 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     parameters.update({"p": p, "q": q, "blocks": list(blocks),
                        "perturbed": perturb})
     case = "upq-theorem" + ("-perturbed" if perturb else "")
-    return _report(case, parameters, checks, started)
+    return _report(case, parameters, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +551,6 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     n-free part of every prefix, the part each comparison reduces.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
-    started = time.perf_counter()
     blocks = tuple(blocks)
     L = len(blocks)
     symbols = upq_symbols(blocks)
@@ -580,8 +578,7 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
         kernel_spec = ReductionSpec(form)
         prefixes = factor_columns(
             generator_matrix(form.complex_algebra, ring, form.basis),
-            [-v for v in lam], range(1, p + q + 1), kernel_spec.k_character,
-            form.grades)
+            [-v for v in lam], range(1, p + q + 1), form)
 
     for m in range(1, 2 * L + 1):
         if m > 1:
@@ -657,7 +654,7 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
                 rec.bari[i - 1].substitute(a_sub), show))
 
     report = _report("upq-recursion", {"p": p, "q": q, "blocks": list(blocks)},
-                     checks, started)
+                     checks)
     if notes:
         report["notes"] = notes
     report["tables"] = {
@@ -687,7 +684,6 @@ def upq_shilov_identity(p: int, q: int) -> dict:
     5. the product reduces to ``((PQ - (s-t) p, 0), ((q-p) Q, QP))``
        minus ``(lambda + (s-t)/2)(lambda - p - (s-t)/2)``.
     """
-    started = time.perf_counter()
     form = make_upq(p, q, symbols=("lambda", "s", "t"))
     ring = form.ring
     lam, s, t = ring.var("lambda"), ring.var("s"), ring.var("t")
@@ -741,7 +737,7 @@ def upq_shilov_identity(p: int, q: int) -> dict:
         "block scalar (bottom-right)",
         (-t * (ring.const(p) + s) - scalar4) - (-scalar5)))
 
-    return _report("upq-shilov", {"p": p, "q": q}, checks, started)
+    return _report("upq-shilov", {"p": p, "q": q}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -760,7 +756,6 @@ def hua_sp_system(n: int) -> dict:
     ``(F - lambda)(F + lambda - (n+1)/2)``, which collapses to
     ``diag(PQ - (n+1) ell, QP) - (lambda+ell)(lambda-ell-(n+1)/2)``.
     """
-    started = time.perf_counter()
     form = make_spnr(n, symbols=("lambda", "ell"))
     ring = form.ring
     basis = form.hua_basis
@@ -781,20 +776,13 @@ def hua_sp_system(n: int) -> dict:
     def qq(i: int, j: int) -> EnvElement:
         return gen(f"Q_{min(i, j)}_{max(i, j)}")
 
-    entries = []
-    for a in range(1, big + 1):
-        row = []
-        for b in range(1, big + 1):
-            if a <= n and b <= n:
-                row.append(kk(a, b))
-            elif a <= n < b:
-                row.append(pp(a, b - n))
-            elif b <= n < a:
-                row.append(qq(a - n, b))
-            else:
-                row.append(-kk(b - n, a - n))
-        entries.append(tuple(row))
-    f_mat = OpMatrix(basis, ring, tuple(entries))
+    # F = ((K, P), (Q, -K^T)) in the block realization: half the generator
+    # matrix over the Hua basis, with the second block read in reverse
+    # (row and column a > n of F is 3n + 1 - a of the antidiagonal sp_n).
+    gen_mat = generator_matrix(form.complex_algebra, ring, basis)
+    block = [a if a <= n else 3 * n + 1 - a for a in range(1, big + 1)]
+    f_mat = OpMatrix(basis, ring, tuple(
+        tuple(gen_mat.entry(a, b).scale(half) for b in block) for a in block))
 
     checks: List[dict] = []
     rng = range(1, n + 1)
@@ -865,7 +853,7 @@ def hua_sp_system(n: int) -> dict:
     degenerate = eig.substitute({"ell": ring.zero()}) - lam * (lam - scale)
     checks.append(_zero_check("ell = 0 degeneration", degenerate))
 
-    return _report("sp-hua", {"n": n}, checks, started)
+    return _report("sp-hua", {"n": n}, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -892,7 +880,6 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     """
     if n < 2 or m_max < 1:
         raise ValueError("need n >= 2 and m_max >= 1")
-    started = time.perf_counter()
     form = make_glnr(n)
     ring = form.ring
     basis = form.basis
@@ -995,7 +982,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 f"single-shift trace form tr((E-(n-1)/2)^{m - 1}E) misses "
                 f"tr(P^{m}) mod U(g)k by: {shift_residue}")
 
-    report = _report("gl-lemma", {"n": n, "mMax": m_max}, checks, started)
+    report = _report("gl-lemma", {"n": n, "mMax": m_max}, checks)
     if notes:
         report["notes"] = notes
     return report

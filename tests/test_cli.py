@@ -386,15 +386,22 @@ def test_human_summaries_lead_with_their_verdict(tmp_path, capsys, argv, code, h
          "no barred variant for kind 'gl'"),
         (["degrees", "--diagram", "A_n^1"], "A_n^1:SL(n+1,R) needs a rank value"),
         (["degrees", "--diagram", "A_n^1", "--n", "2", "--m", "3"], "A_n^1:SL(n+1,R) takes no extra parameter"),
+        (["ideal", "--form", "spnr", "--n", "2", "--blocks", "1,2", "--p", "3"], "--form spnr takes no --p"),
+        (["ideal", "--form", "glnr", "--n", "2", "--blocks", "1,2", "--p", "3", "--q", "1"],
+         "--form glnr takes no --p or --q"),
+        (["ideal", "--form", "upq", "--p", "2", "--q", "1", "--n", "3", "--blocks", "1"], "--form upq takes no --n"),
+        (["cfun", "--form", "upq", "--p", "2", "--q", "1", "--n", "3"], "--form upq takes no --n"),
+        (["cfun", "--form", "spnr", "--n", "2", "--q", "1"], "--form spnr takes no --q"),
     ],
-    ids=["gl-lemma-n", "gl-lemma-m", "sp-hua-n", "glnr-n", "spnr-n", "glnr-barred", "degrees-rank", "degrees-param"],
+    ids=["gl-lemma-n", "gl-lemma-m", "sp-hua-n", "glnr-n", "spnr-n", "glnr-barred", "degrees-rank", "degrees-param",
+         "ideal-spnr-p", "ideal-glnr-pq", "ideal-upq-n", "cfun-upq-n", "cfun-spnr-q"],
 )
 def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
     # Each request is refused before anything is built.
     def forbidden(*args, **kwargs):
         raise AssertionError("built a case for a refused request")
 
-    for name in ("gl_lemma_check", "hua_sp_system", "ideal_generators"):
+    for name in ("gl_lemma_check", "hua_sp_system", "ideal_generators", "upq_form_and_theta", "e_function"):
         monkeypatch.setattr(cli, name, forbidden)
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

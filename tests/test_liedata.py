@@ -48,7 +48,7 @@ def test_unknown_kind_rejected():
 def test_iwasawa_form_structure(form):
     basis = form.basis
     assert basis.zones == ("n", "a", "k")
-    assert len(form.a_names) == form.rank
+    assert len(form.a_names) == form.root_system.rank
     # the character covers the whole k-zone and nothing else, by index
     assert set(form.k_character) == set(basis.zone_indices("k"))
     # every n-zone generator carries a restricted weight
@@ -204,3 +204,42 @@ def test_wrong_grades_are_rejected(form):
     broken[y] = (ranges[y][0] + 1, ranges[y][1] + 1)
     with pytest.raises(AssertionError):
         liedata._check_grades(form.basis, form.n_weights, broken)
+
+
+def _zone_lists(form):
+    """The n-, a- and k-zone lists that rebuild ``form.basis``."""
+    basis = form.basis
+
+    def members(zone, data=None):
+        return [(basis.names[i], basis.matrices[i]) + (() if data is None else (data[i],))
+                for i in basis.zone_indices(zone)]
+
+    return members("n", form.n_weights), members("a"), members("k", form.k_character)
+
+
+@pytest.mark.parametrize("form", [make_upq(2, 1), make_spnr(2), make_glnr(3)], ids=lambda f: f.name + str(f.params))
+@pytest.mark.parametrize(
+    "defect, message",
+    [("n-weight", "is not an ad-a eigenvector"), ("k-dropped", "has dimension"), ("rho", "root half-sum")],
+    ids=["n-weight", "k-dropped", "rho"],
+)
+def test_real_form_refuses_inconsistent_zones(form, defect, message):
+    n_zone, a_zone, k_zone = _zone_lists(form)
+    rho = form.rho
+
+    def build():
+        return liedata._real_form(form.name, form.params, form.ring, form.complex_algebra,
+                                  n_zone, a_zone, k_zone, form.root_system, rho)
+
+    rebuilt = build()
+    assert (rebuilt.basis.basis_id, rebuilt.basis.names) == (form.basis.basis_id, form.basis.names)
+    assert rebuilt.n_weights == form.n_weights and rebuilt.k_character == form.k_character
+    if defect == "n-weight":
+        name, mat, weight = n_zone[0]
+        n_zone[0] = (name, mat, (weight[0] + 1,) + weight[1:])
+    elif defect == "k-dropped":
+        k_zone.pop()
+    else:
+        rho = (rho[0] + 1,) + rho[1:]
+    with pytest.raises(AssertionError, match=message):
+        build()

@@ -118,12 +118,12 @@ def test_ideal_generators_gl2_shapes():
     theta = ThetaData(
         kind="gl", rank=2, blocks=(1, 2), char_values=(ring.var("l1"), ring.var("l2"))
     )
-    gens = ideal_generators(alg, theta, ring=ring)
+    gens = ideal_generators(alg, theta)
     assert len(gens.entries()) == 4
     assert [(c.index, c.order) for c in gens.central] == [(1, 1)]
     assert gens.central[0].eigenvalue == ring.var("l1") + ring.var("l2")
     assert not gens.pfaffian_omitted
-    restricted = ideal_generators(alg, theta, ring=ring, column_range=(2, 2))
+    restricted = ideal_generators(alg, theta, column_range=(2, 2))
     assert [(i, j) for i, j, _ in restricted.entries()] == [(1, 2), (2, 2)]
 
 
@@ -131,8 +131,8 @@ def test_ideal_generators_gl2_shapes():
 def test_restricted_entries_equal_the_unrestricted_ones(p, q, blocks):
     form, theta = upq_form_and_theta(p, q, blocks)
     alg = make_algebra("gl", p + q)
-    full = {(i, j): e for i, j, e in ideal_generators(alg, theta, ring=form.ring).entries()}
-    restricted = ideal_generators(alg, theta, ring=form.ring, column_range=(p + 1, p + q))
+    full = {(i, j): e for i, j, e in ideal_generators(alg, theta).entries()}
+    restricted = ideal_generators(alg, theta, column_range=(p + 1, p + q))
     entries = restricted.entries()
     assert [(i, j) for i, j, _ in entries] == [(i, j) for i in range(1, p + q + 1) for j in range(p + 1, p + q + 1)]
     for i, j, e in entries:
@@ -158,7 +158,7 @@ def test_restricted_ideal_builds_no_unexported_column(monkeypatch):
         return table
 
     monkeypatch.setattr(matop_module, "sum_products_table", recording)
-    ideal_generators(alg, theta, ring=form.ring, column_range=(3, 3))
+    ideal_generators(alg, theta, column_range=(3, 3))
     assert kept <= built
     assert not unexported & built
 
@@ -167,7 +167,7 @@ def test_ideal_generators_even_orthogonal_pfaffian_flag():
     alg = make_algebra("o-even", 2)
     ring = ParamRing(("l1",))
     theta = ThetaData(kind="o-even", rank=2, blocks=(2,), char_values=(ring.var("l1"),))
-    gens = ideal_generators(alg, theta, ring=ring)
+    gens = ideal_generators(alg, theta)
     assert gens.pfaffian_omitted
     assert gens.central == ()
 
@@ -180,7 +180,7 @@ def test_ideal_generator_matrix_entries_live_in_the_ideal_certificably():
     theta = ThetaData(
         kind="gl", rank=2, blocks=(1, 2), char_values=(ring.var("l1"), ring.var("l2"))
     )
-    gens = ideal_generators(alg, theta, ring=ring)
+    gens = ideal_generators(alg, theta)
     weight = theta_weight(alg, theta)
     d = gens.central[0]
     assert central_eigenvalue(alg, d.element, weight) == d.eigenvalue

@@ -244,7 +244,7 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     assert step == 2 * q
     prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
     iwasawa = generator_matrix(form.complex_algebra, form.ring, form.basis)
-    steps = factor_columns(iwasawa, roots, range(1, size + 1), spec.k_character, form.grades)
+    steps = factor_columns(iwasawa, roots, range(1, size + 1), form)
     dropped = kept_n_leading = 0
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
         budget = (len(roots) - m) * step
@@ -318,12 +318,12 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("projection or basis conversion called")
 
-    characters = []
+    forms = []
 
-    def recording(mat, roots, columns, character=None, grades=None):
-        characters.append((character, grades))
+    def recording(mat, roots, columns, form=None):
+        forms.append((form, mat.basis))
         k_zone = mat.basis.zone_indices("k")
-        for state in factor_columns(mat, roots, columns, character, grades):
+        for state in factor_columns(mat, roots, columns, form):
             for column in state:
                 for x in column:
                     assert not any(g in k_zone for m in x.terms for g, _e in m)
@@ -335,8 +335,8 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     assert upq_theorem_case(2, 1, (1,))["pass"]
     assert not upq_theorem_case(2, 1, (1,), perturb=True)["pass"]
     assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
-    assert len(characters) == 3
-    assert all(character and grades for character, grades in characters)
+    assert len(forms) == 3
+    assert all(form is not None and form.basis is basis for form, basis in forms)
 
 
 def _residues_through_ideal_generators(p, q, blocks, perturb):
@@ -345,7 +345,7 @@ def _residues_through_ideal_generators(p, q, blocks, perturb):
     if perturb:
         theta = replace(theta, char_values=(theta.char_values[0] - 1,) + theta.char_values[1:])
     column_range = (p + 1, p + q) if p > q else None
-    gens = ideal_generators(form.complex_algebra, theta, ring=form.ring, column_range=column_range)
+    gens = ideal_generators(form.complex_algebra, theta, column_range=column_range)
     spec = upq_reduction_spec(form, blocks)
     residues = [(f"entry[{i},{j}]", str(reduce_iwasawa(e, spec))) for i, j, e in gens.entries()]
     return gens.metadata(), residues

@@ -52,6 +52,8 @@ PERTURBED_22 = f"{GOLDEN}[verify upq-theorem --p 2 --q 2 --blocks 1,2 --perturb]
 KERNEL_32 = f"{GOLDEN}[verify upq-recursion --p 3 --q 2 --blocks 1,2 --kernel]"
 GRADES = "tests/test_liedata.py::test_upq32_grades_table"
 LEMMA = "tests/test_reduce.py::test_left_action_moves_phi_by_at_least_the_grade"
+REAL_FORM = "tests/test_liedata.py::test_real_form_refuses_inconsistent_zones"
+BOUNDARY = "tests/test_cli.py::test_ranks_are_checked_at_the_boundary"
 
 MUTANTS: Tuple[Mutant, ...] = (
     # The restricted-weight bound of the character chain.
@@ -110,9 +112,21 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_matop.py::test_central_eigenvalue_gl2_degree_two",
             "tests/test_matop.py::test_ideal_generators_gl2_shapes")),
     Mutant("theorem-driver-passes-no-character", "src/huaops/reduce.py",
-           "kept,\n                                  spec.k_character, form.grades)",
+           "kept,\n                                  form)",
            "kept)",
            (DRIVERS,)),
+    # The one real-form constructor and the CLI boundary.
+    Mutant("dimension-check-skipped", "src/huaops/liedata.py",
+           "if len(basis) != len(algebra.basis):",
+           "if False:",
+           tuple(f"{REAL_FORM}[k-dropped-{form}]"
+                 for form in ("upq(2, 1)", "spnr(2,)", "glnr(3,)"))),
+    Mutant("foreign-rank-flags-ignored", "src/huaops/cli.py",
+           "if name not in wanted and getattr(args, name) is not None]",
+           "if False]",
+           tuple(f"{BOUNDARY}[{case}]" for case in (
+               "ideal-spnr-p", "ideal-glnr-pq", "ideal-upq-n", "cfun-upq-n",
+               "cfun-spnr-q"))),
     # The int arithmetic under the products.
     Mutant("scale-forced-to-1", "src/huaops/pbw.py",
            "return lcm(*(c.denominator for i in range(n)",
