@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -243,3 +244,48 @@ def test_real_form_refuses_inconsistent_zones(form, defect, message):
         rho = (rho[0] + 1,) + rho[1:]
     with pytest.raises(AssertionError, match=message):
         build()
+
+
+def _catalog_dump() -> str:
+    """A canonical text dump of every catalog algebra and real form at small
+    rank: ids, generator names, zones and matrices, the a-diagonal and every
+    F_ij, and for the real forms their characters, n-weights, rho and grades."""
+    lines = []
+
+    def matrix(mat):
+        return ";".join(",".join(str(x) for x in row) for row in mat)
+
+    def basis_lines(basis):
+        lines.append(f"basis {basis.basis_id} {basis.ambient} {'|'.join(basis.zones)}")
+        lines.extend(f"  {name} {zone} {matrix(mat)}"
+                     for name, zone, mat in zip(basis.names, basis.zone_of, basis.matrices))
+
+    for kind in liedata.ALGEBRA_KINDS:
+        for n in range(1, 5):
+            alg = make_algebra(kind, n)
+            lines.append(f"algebra {kind} {n} {alg.ambient} {alg.a_diagonal}")
+            basis_lines(alg.basis)
+            lines.extend(f"  F_{i}_{j} {matrix(alg.f_matrix(i, j))}"
+                         for i in range(1, alg.ambient + 1) for j in range(1, alg.ambient + 1))
+    forms = [make_upq(p, q) for p in range(1, 6) for q in range(1, p + 1) if p + q <= 6]
+    forms += [make_spnr(n) for n in range(1, 4)] + [make_glnr(n) for n in range(1, 5)]
+    for form in forms:
+        alg = form.complex_algebra
+        lines.append(f"form {form.name} {form.params} {alg.kind} {alg.rank} "
+                     f"{form.root_system.label} rho={form.rho}")
+        for basis, character in ((form.basis, form.k_character),
+                                 (form.hua_basis, form.hua_character)):
+            if basis is None:
+                continue
+            basis_lines(basis)
+            lines.append(f"  character {sorted((i, str(v)) for i, v in character.items())}")
+        lines.append(f"  n-weights {sorted(form.n_weights.items())}")
+        lines.append(f"  grades {form.grades}")
+    return "\n".join(lines) + "\n"
+
+
+def test_catalog_is_pinned():
+    # Every catalog basis, F_ij and real-form datum at small rank, hashed:
+    # a change to how the catalog is built must leave all of it unchanged.
+    digest = hashlib.sha256(_catalog_dump().encode("utf-8")).hexdigest()
+    assert digest == "5dc1becf09019f339864d0a43c3e8de4de6fdc11ebd9c970ef0111e689918088"
