@@ -247,32 +247,22 @@ def line_bundle_products(
     if "ell" not in ring.symbols:
         raise ValueError("the ring must declare the level symbol 'ell'")
     ell = ring.var("ell")
-    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    half = Fraction(1, 2)
 
     e_factors: List[GammaFactor] = []
+    for root in classes[0]:
+        label = root_label(root)
+        base = (_lambda_alpha(rs, ring, root) * half
+                + Fraction(rs.half_multiplicity(root), 4) + half)
+        e_factors.append(GammaFactor(DENOMINATOR, base + ell * half, label))
+        e_factors.append(GammaFactor(DENOMINATOR, base - ell * half, label))
+    e_factors += _plain_factors(rs, ring, sum(classes[1:], []))
     c_extra: List[GammaFactor] = []
     log2 = ring.zero()
     for k, roots in enumerate(classes, start=1):
         for root in roots:
-            label = root_label(root)
-            la = _lambda_alpha(rs, ring, root)
-            if k == 1:
-                base = (la * half
-                        + Fraction(rs.half_multiplicity(root), 4) + half)
-                e_factors.append(GammaFactor(
-                    DENOMINATOR, base + ell * half, label))
-                e_factors.append(GammaFactor(
-                    DENOMINATOR, base - ell * half, label))
-            else:
-                shifted = la * quarter + Fraction(root.multiplicity, 4)
-                e_factors.append(GammaFactor(
-                    DENOMINATOR, shifted + half, label))
-                e_factors.append(GammaFactor(
-                    DENOMINATOR,
-                    shifted + Fraction(rs.double_multiplicity(root), 2),
-                    label))
-            scaled = la / k
-            c_extra.append(GammaFactor(NUMERATOR, scaled, label))
+            scaled = _lambda_alpha(rs, ring, root) / k
+            c_extra.append(GammaFactor(NUMERATOR, scaled, root_label(root)))
             log2 = log2 - scaled
     e_prod = GammaProduct(ring, tuple(e_factors), ring.zero())
     c_prod = GammaProduct(ring, tuple(e_factors + c_extra), log2)
@@ -325,6 +315,35 @@ def _normalize(product: GammaProduct,
     return -ref["logValue"]
 
 
+def _normalized(product: GammaProduct, rho: Mapping[str, Fraction],
+                point: Mapping[str, Fraction], rho_key: str) -> dict:
+    """``product`` at ``point``, times the constant that makes it 1 at
+    ``rho``, with that constant and a re-evaluation at ``rho`` in reversed
+    floating-point order (reported as ``rho_key``) as a stability check."""
+    log_c = _normalize(product, rho)
+    val = product.evaluate(point)
+    value: Optional[float] = None
+    if val["defined"]:
+        value = 0.0 if val["zero"] else math.exp(log_c + val["logValue"])
+    rho_again = product.evaluate(rho, reverse=True)
+    reassociated = math.exp(log_c + rho_again["logValue"])
+    drift = abs(reassociated - 1.0)
+    return {
+        "defined": val["defined"],
+        "zero": val["zero"],
+        "value": value,
+        "C": math.exp(log_c),
+        "zeros": val["zeros"],
+        "poles": val["poles"],
+        "normalization": {
+            rho_key: 1.0,
+            "reassociated": reassociated,
+            "drift": drift,
+            "stable": drift <= FLOAT_TOL,
+        },
+    }
+
+
 def c_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
     """Evaluate the c-function, normalized so that ``c(rho) = 1``.
 
@@ -333,30 +352,11 @@ def c_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
     normalization constant and a re-evaluation of ``c(rho)`` under a
     reassociated floating-point order as a stability check.
     """
-    product = c_product(rs)
-    rho = _bindings(rs, rs.half_sum())
-    log_c = _normalize(product, rho)
-    val = product.evaluate(_bindings(rs, lam))
-    value: Optional[float] = None
-    if val["defined"]:
-        value = 0.0 if val["zero"] else math.exp(log_c + val["logValue"])
-    rho_again = product.evaluate(rho, reverse=True)
-    drift = abs(math.exp(log_c + rho_again["logValue"]) - 1.0)
     return {
         "rootSystem": rs.label,
         "lambda": [str(as_fraction(v)) for v in lam],
-        "defined": val["defined"],
-        "zero": val["zero"],
-        "value": value,
-        "C": math.exp(log_c),
-        "zeros": val["zeros"],
-        "poles": val["poles"],
-        "normalization": {
-            "cRho": 1.0,
-            "reassociated": math.exp(log_c + rho_again["logValue"]),
-            "drift": drift,
-            "stable": drift <= FLOAT_TOL,
-        },
+        **_normalized(c_product(rs), _bindings(rs, rs.half_sum()),
+                      _bindings(rs, lam), "cRho"),
     }
 
 
@@ -371,15 +371,7 @@ def e_c_line_bundle(rs: RestrictedRootSystem, lam: Sequence[ScalarLike],
     """
     e_prod, c_prod = line_bundle_products(rs)
     point = _bindings(rs, lam, ell)
-    rho0 = _bindings(rs, rs.half_sum(), 0)
-    log_c = _normalize(c_prod, rho0)
     e_val = e_prod.evaluate(point)
-    c_val = c_prod.evaluate(point)
-    c_value: Optional[float] = None
-    if c_val["defined"]:
-        c_value = 0.0 if c_val["zero"] else math.exp(log_c + c_val["logValue"])
-    rho_again = c_prod.evaluate(rho0, reverse=True)
-    drift = abs(math.exp(log_c + rho_again["logValue"]) - 1.0)
     at_zero = e_prod.evaluate(_bindings(rs, lam, 0))
     plain = e_product(rs).evaluate(_bindings(rs, lam))
     return {
@@ -394,20 +386,8 @@ def e_c_line_bundle(rs: RestrictedRootSystem, lam: Sequence[ScalarLike],
             "logValue": e_val["logValue"],
             "value": e_val["value"],
         },
-        "c": {
-            "defined": c_val["defined"],
-            "zero": c_val["zero"],
-            "value": c_value,
-            "C": math.exp(log_c),
-            "zeros": c_val["zeros"],
-            "poles": c_val["poles"],
-            "normalization": {
-                "cRhoZero": 1.0,
-                "reassociated": math.exp(log_c + rho_again["logValue"]),
-                "drift": drift,
-                "stable": drift <= FLOAT_TOL,
-            },
-        },
+        "c": _normalized(c_prod, _bindings(rs, rs.half_sum(), 0), point,
+                         "cRhoZero"),
         "consistency": {
             "eZeroAtLevelZero": at_zero["zero"],
             "plainEZero": plain["zero"],

@@ -286,11 +286,10 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         records = list(doc.get("entries", []))
     except (ValueError, TypeError, AttributeError) as exc:  # not a set
         raise UsageError(str(exc)) from None
-    if built_on != ambient.basis.basis_id:
+    if built_on != ambient.basis_id:
         raise UsageError(
             f"generator set was built on basis {built_on!r}, "
-            f"but --form upq --p {p} --q {q} expects "
-            f"{ambient.basis.basis_id!r}")
+            f"but --form upq --p {p} --q {q} expects {ambient.basis_id!r}")
     spec = upq_reduction_spec(form, blocks)
     entries = []
     all_zero = True

@@ -16,12 +16,15 @@ Conventions
   with a leading n-factor and peel trailing k-factors against a character.
 * ``ibar`` abbreviates the reflected index ``N + 1 - i``.
 
-Each catalog real form (:func:`make_upq`, :func:`make_spnr`,
-:func:`make_glnr`) only lists its Iwasawa zones, with the restricted weight
-of each n-generator and the character value of each k-generator, and its
-rho; one constructor builds the basis from them and checks every form the
-same way, the weights, the root multiplicities, the character and rho
-against each other and the dimension against the complex algebra.
+A catalog algebra (:func:`make_algebra`) is its kind and rank: the entries
+F_ij of its generator matrix follow from an index rule, and its Verma basis
+is built, and checked, only where it is read.  Each catalog real form
+(:func:`make_upq`, :func:`make_spnr`, :func:`make_glnr`) only lists its
+Iwasawa zones, with the restricted weight of each n-generator and the
+character value of each k-generator, and its rho; one constructor builds
+the basis from them and checks every form the same way, the weights, the
+root multiplicities, the character and rho against each other and the
+dimension against that of the complex algebra.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .params import ParamPoly, ParamRing
 from .pbw import (
@@ -45,7 +48,6 @@ from .pbw import (
     mat_mul,
     mat_scale,
     mat_transpose,
-    is_zero_matrix,
 )
 
 ALGEBRA_KINDS = ("gl", "o-odd", "o-even", "sp")
@@ -55,7 +57,7 @@ ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
-# elementary matrices and involutions
+# classical algebras with Verma-ordered bases
 # ---------------------------------------------------------------------------
 
 def elementary(n: int, i: int, j: int) -> Matrix:
@@ -63,76 +65,71 @@ def elementary(n: int, i: int, j: int) -> Matrix:
     return make_matrix(n, {(i, j): 1})
 
 
-def antidiagonal_identity(n: int) -> Matrix:
-    """The antidiagonal permutation matrix (ones at (i, n+1-i))."""
-    return make_matrix(n, {(i, n + 1 - i): 1 for i in range(1, n + 1)})
-
-
-def symplectic_structure(n: int) -> Matrix:
-    """The antidiagonal symplectic form on gl_{2n}.
-
-    Entries sit at (a, 2n+1-a): +1 for a <= n and -1 for a > n, i.e. the
-    block-antidiagonal matrix ((0, I~), (-I~, 0)) with I~ the antidiagonal
-    identity of size n.  Its square is -1.
-    """
-    big = 2 * n
-    entries = {}
-    for a in range(1, big + 1):
-        entries[(a, big + 1 - a)] = 1 if a <= n else -1
-    return make_matrix(big, entries)
-
-
-def orthogonal_involution(ambient: int) -> Callable[[Matrix], Matrix]:
-    """sigma(X) = -I~ X^t I~ with I~ the antidiagonal identity."""
-    itilde = antidiagonal_identity(ambient)
-
-    def sigma(x: Matrix) -> Matrix:
-        return mat_scale(mat_mul(mat_mul(itilde, mat_transpose(x)), itilde), -1)
-
-    return sigma
-
-
-def symplectic_involution(rank: int) -> Callable[[Matrix], Matrix]:
-    """sigma(X) = J~ X^t J~ with J~ the antidiagonal symplectic form.
-
-    Because J~^2 = -1 this equals -J~^{-1} X^t J~; on elementary matrices
-    sigma(E_{ij}) = eps_i eps_{jbar} E_{jbar, ibar} with eps_a = +1 for
-    a <= rank and -1 otherwise.
-    """
-    jtilde = symplectic_structure(rank)
-
-    def sigma(x: Matrix) -> Matrix:
-        return mat_mul(mat_mul(jtilde, mat_transpose(x)), jtilde)
-
-    return sigma
-
-
-# ---------------------------------------------------------------------------
-# classical algebras with Verma-ordered bases
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class AlgebraData:
     """A classical complex Lie algebra realized as matrices in gl_N.
 
-    ``basis`` is Verma-ordered with zones ("nbar", "a", "n"); its a-zone
-    generators are F_11 .. F_nn (E_11 .. E_NN for gl).  ``a_diagonal`` maps
-    each a-zone position to the diagonal index i of its generator F_ii.
+    Everything follows from ``kind`` and ``rank`` by one index rule:
+    F_ij = E_ij for gl, and F_ij = E_ij + c_ij·E_{jbar,ibar} for o and sp,
+    with c_ij = -1 for o and eps_i·eps_{jbar} for sp (eps_a = +1 for
+    a <= rank, -1 otherwise).  ``basis`` (built and checked on first read)
+    is Verma-ordered with zones ("nbar", "a", "n"); its a-zone generators
+    are F_11 .. F_nn (E_11 .. E_NN for gl).  ``a_diagonal`` maps each a-zone
+    position to the diagonal index i of its generator F_ii.
     """
 
     kind: str
     rank: int
-    ambient: int
-    basis: OrderedBasis
-    sigma: Optional[Callable[[Matrix], Matrix]] = field(compare=False)
-    a_diagonal: Tuple[int, ...]
+
+    @property
+    def ambient(self) -> int:
+        """N: the size of the matrices."""
+        if self.kind == "gl":
+            return self.rank
+        return 2 * self.rank + 1 if self.kind == "o-odd" else 2 * self.rank
+
+    @property
+    def basis_id(self) -> str:
+        return f"{self.kind}{self.rank}-verma"
+
+    @property
+    def a_diagonal(self) -> Tuple[int, ...]:
+        return tuple(range(1, self.rank + 1))
 
     def f_matrix(self, i: int, j: int) -> Matrix:
-        """The operator-matrix entry F_{ij} (possibly zero or dependent)."""
-        e = elementary(self.ambient, i, j)
-        if self.sigma is None:
-            return e
-        return mat_add(e, self.sigma(e))
+        """The operator-matrix entry F_{ij} (zero for F_{i,ibar} in o)."""
+        if self.kind == "gl":
+            return elementary(self.ambient, i, j)
+        size, bar = self.ambient, self.ambient + 1
+        sign = -1
+        if self.kind == "sp":  # eps_i·eps_{jbar}
+            sign = 1 if (i <= self.rank) == (bar - j <= self.rank) else -1
+        return mat_add(elementary(size, i, j),
+                       mat_scale(elementary(size, bar - j, bar - i), sign))
+
+    @cached_property
+    def basis(self) -> OrderedBasis:
+        """The F_ij scanning the upper triangle, the diagonal, then the lower
+        triangle, keeping the first of each pair F_ij / F_{jbar,ibar} (one
+        is a multiple of the other) and skipping zeros.  Checked on first
+        read: independence, the dimension and the triangular brackets."""
+        size, letter = self.ambient, "E" if self.kind == "gl" else "F"
+        cells = range(1, size + 1)
+        scan = [("nbar", i, j) for i in cells for j in cells if i < j]
+        scan += [("a", i, i) for i in cells]
+        scan += [("n", i, j) for i in cells for j in cells if i > j]
+        gens = []
+        for zone, i, j in scan:
+            if self.kind != "gl" and (i, j) > (size + 1 - j, size + 1 - i):
+                continue  # F_ij is the second of its pair
+            mat = self.f_matrix(i, j)
+            if any(map(any, mat)):
+                gens.append((f"{letter}_{i}_{j}", zone, mat))
+        basis = OrderedBasis(self.basis_id, size, gens,
+                             zones=("nbar", "a", "n"))
+        _check_dimension(basis, self)
+        _check_triangular_zones(basis)
+        return basis
 
     def weight_map(self, values: Sequence[ParamPoly]) -> Dict[int, ParamPoly]:
         """Map a-zone generator index -> value, from per-diagonal values.
@@ -143,20 +140,8 @@ class AlgebraData:
             raise ValueError(
                 f"expected {len(self.a_diagonal)} weight values, got {len(values)}"
             )
-        out: Dict[int, ParamPoly] = {}
-        for pos, diag in zip(self.basis.zone_indices("a"), self.a_diagonal):
-            out[pos] = values[diag - 1]
-        return out
-
-
-def _ambient_size(kind: str, n: int) -> int:
-    if kind == "gl":
-        return n
-    if kind == "o-odd":
-        return 2 * n + 1
-    if kind in ("o-even", "sp"):
-        return 2 * n
-    raise ValueError(f"unknown algebra kind {kind!r}; expected one of {ALGEBRA_KINDS}")
+        return {pos: values[diag - 1] for pos, diag
+                in zip(self.basis.zone_indices("a"), self.a_diagonal)}
 
 
 def _expected_dimension(kind: str, n: int) -> int:
@@ -169,62 +154,23 @@ def _expected_dimension(kind: str, n: int) -> int:
     return n * (2 * n + 1)  # sp
 
 
+def _check_dimension(basis: OrderedBasis, algebra: AlgebraData) -> None:
+    """``basis`` spans as many dimensions as ``algebra`` has."""
+    expected = _expected_dimension(algebra.kind, algebra.rank)
+    if len(basis) != expected:
+        raise AssertionError(f"{basis.basis_id} has dimension {len(basis)}, "
+                             f"expected {expected}")
+
+
 @lru_cache(maxsize=None)
 def make_algebra(kind: str, n: int) -> AlgebraData:
-    """Build the catalog algebra of the given kind and rank.
-
-    gl: all E_{ij}.  o/sp: the sigma-fixed combinations F_{ij} = E_{ij} +
-    sigma(E_{ij}), scanning the upper triangle, the diagonal, then the lower
-    triangle and keeping one representative per dependent pair.
-    """
+    """The catalog algebra of the given kind and rank (see
+    :class:`AlgebraData`); its Verma basis is built on first read."""
     if n < 1:
         raise ValueError("rank must be >= 1")
-    ambient = _ambient_size(kind, n)
-    if kind == "gl":
-        sigma = None
-    elif kind in ("o-odd", "o-even"):
-        sigma = orthogonal_involution(ambient)
-    else:
-        sigma = symplectic_involution(n)
-
-    gens: List[Tuple[str, str, Matrix]] = []
-    a_diagonal: List[int] = []
-    span = RationalSpan(ambient * ambient)
-    letter = "E" if kind == "gl" else "F"
-
-    def consider(zone: str, i: int, j: int) -> None:
-        e = elementary(ambient, i, j)
-        mat = e if sigma is None else mat_add(e, sigma(e))
-        flat = [x for row in mat for x in row]
-        if is_zero_matrix(mat) or not span.add(flat):
-            return
-        gens.append((f"{letter}_{i}_{j}", zone, mat))
-        if zone == "a":
-            a_diagonal.append(i)
-
-    for i in range(1, ambient + 1):
-        for j in range(i + 1, ambient + 1):
-            consider("nbar", i, j)
-    for i in range(1, ambient + 1):
-        consider("a", i, i)
-    for i in range(1, ambient + 1):
-        for j in range(1, i):
-            consider("n", i, j)
-
-    basis = OrderedBasis(
-        basis_id=f"{kind}{n}-verma", ambient=ambient, generators=gens,
-        zones=("nbar", "a", "n"),
-    )
-    if len(basis) != _expected_dimension(kind, n):
-        raise AssertionError(
-            f"{kind}_{n}: got dimension {len(basis)}, "
-            f"expected {_expected_dimension(kind, n)}"
-        )
-    _check_triangular_zones(basis)
-    return AlgebraData(
-        kind=kind, rank=n, ambient=ambient, basis=basis, sigma=sigma,
-        a_diagonal=tuple(a_diagonal),
-    )
+    if kind not in ALGEBRA_KINDS:
+        raise ValueError(f"unknown algebra kind {kind!r}; expected one of {ALGEBRA_KINDS}")
+    return AlgebraData(kind=kind, rank=n)
 
 
 def _check_triangular_zones(basis: OrderedBasis) -> None:
@@ -634,9 +580,7 @@ def _zoned_basis(basis_id: str, algebra: AlgebraData,
     gens += [(x, "k", mat) for x, mat, _value in k_zone]
     basis = OrderedBasis(basis_id, algebra.ambient, gens,
                          zones=tuple(zone for zone, _ in zones) + ("k",))
-    if len(basis) != len(algebra.basis):
-        raise AssertionError(f"{basis_id} has dimension {len(basis)}, "
-                             f"expected {len(algebra.basis)}")
+    _check_dimension(basis, algebra)
     _check_k_character(basis, character)
     return basis, character
 
@@ -758,42 +702,15 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
 
 # -- Sp(n, R) ----------------------------------------------------------------
 
-def spnr_kpq_matrices(n: int):
-    """The block generators of sp_n in the symmetric-pair form.
-
-    With ibar = 2n+1-i: 2K_ij = E_ij - E_{jbar,ibar}; 2P_ij = E_{i,jbar} +
-    E_{j,ibar}; 2Q_ij = E_{ibar,j} + E_{jbar,i}.  P and Q are symmetric in
-    (i, j).  This is the block realization (second block index j+n)
-    conjugated by diag(I_n, I~_n), which keeps every structure constant and
-    lands in the antidiagonal realization of ``make_algebra("sp", n)``.
-    Returns (K, P, Q) as dicts keyed by (i, j), 1-based.
-    """
-    big = 2 * n
-    half = Fraction(1, 2)
-
-    def e(i: int, j: int) -> Matrix:
-        return elementary(big, i, j)
-
-    def bar(i: int) -> int:
-        return big + 1 - i
-
-    k_mat: Dict[Tuple[int, int], Matrix] = {}
-    p_mat: Dict[Tuple[int, int], Matrix] = {}
-    q_mat: Dict[Tuple[int, int], Matrix] = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            k_mat[(i, j)] = mat_scale(
-                mat_add(e(i, j), mat_scale(e(bar(j), bar(i)), -1)), half
-            )
-            p_mat[(i, j)] = mat_scale(mat_add(e(i, bar(j)), e(j, bar(i))), half)
-            q_mat[(i, j)] = mat_scale(mat_add(e(bar(i), j), e(bar(j), i)), half)
-    return k_mat, p_mat, q_mat
-
-
 @lru_cache(maxsize=None)
 def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
-    """The real form Sp(n, R) inside gl_{2n}, from :func:`spnr_kpq_matrices`.
+    """The real form Sp(n, R) inside gl_{2n}, in the antidiagonal sp_n of
+    ``make_algebra("sp", n)``.
 
+    With ibar = 2n+1-i, the block generators are halves of that algebra's
+    F: K_ij = F_ij/2, P_ij = F_{i,jbar}/2 and Q_ij = F_{ibar,j}/2 (i, j <= n),
+    so 2K_ij = E_ij - E_{jbar,ibar}, 2P_ij = E_{i,jbar} + E_{j,ibar} and
+    2Q_ij = E_{ibar,j} + E_{jbar,i}; P and Q are symmetric in (i, j).
     The Iwasawa basis (zones n | a | k) uses the real-split picture:
     n-zone root vectors X_{e_i-e_j} = K_ij - K_ji + P_ij + Q_ij,
     X_{e_i+e_j} = K_ij + K_ji - P_ij + Q_ij (i < j), X_{2e_i} = 2K_ii - P_ii
@@ -808,7 +725,18 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
     if "ell" not in symbols:
         raise ValueError("Sp(n,R) parameter ring must contain 'ell'")
     ring = ParamRing(symbols)
-    k_mat, p_mat, q_mat = spnr_kpq_matrices(n)
+    algebra = make_algebra("sp", n)
+    bar = 2 * n + 1
+
+    def k_mat(i: int, j: int) -> Matrix:
+        return mat_scale(algebra.f_matrix(i, j), Fraction(1, 2))
+
+    def p_mat(i: int, j: int) -> Matrix:
+        return k_mat(i, bar - j)
+
+    def q_mat(i: int, j: int) -> Matrix:
+        return k_mat(bar - i, j)
+
     ell_val, zero = ring.var("ell"), ring.zero()
     upper = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
 
@@ -816,34 +744,34 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
     for i, j in upper:
         if i < j:
             n_zone.append((f"Xm_{i}_{j}", mat_add(
-                mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1)),
-                mat_add(p_mat[(i, j)], q_mat[(i, j)])),
+                mat_add(k_mat(i, j), mat_scale(k_mat(j, i), -1)),
+                mat_add(p_mat(i, j), q_mat(i, j))),
                 _coords(n, **{f"i{i}": 1, f"i{j}": -1})))
             n_zone.append((f"Xp_{i}_{j}", mat_add(
-                mat_add(k_mat[(i, j)], k_mat[(j, i)]),
-                mat_add(mat_scale(p_mat[(i, j)], -1), q_mat[(i, j)])),
+                mat_add(k_mat(i, j), k_mat(j, i)),
+                mat_add(mat_scale(p_mat(i, j), -1), q_mat(i, j))),
                 _coords(n, **{f"i{i}": 1, f"i{j}": 1})))
     for i in range(1, n + 1):
         n_zone.append((f"X2_{i}", mat_add(
-            mat_scale(k_mat[(i, i)], 2),
-            mat_add(mat_scale(p_mat[(i, i)], -1), q_mat[(i, i)])),
+            mat_scale(k_mat(i, i), 2),
+            mat_add(mat_scale(p_mat(i, i), -1), q_mat(i, i))),
             _coords(n, **{f"i{i}": 2})))
 
-    a_zone = [(f"A_{i}", mat_add(p_mat[(i, i)], q_mat[(i, i)]))
+    a_zone = [(f"A_{i}", mat_add(p_mat(i, i), q_mat(i, i)))
               for i in range(1, n + 1)]
     k_zone = [(f"KK_{i}_{j}",
-               mat_add(k_mat[(i, j)], mat_scale(k_mat[(j, i)], -1)), zero)
+               mat_add(k_mat(i, j), mat_scale(k_mat(j, i), -1)), zero)
               for i, j in upper if i < j]
     k_zone += [(f"PQ_{i}_{j}",
-                mat_add(p_mat[(i, j)], mat_scale(q_mat[(i, j)], -1)),
+                mat_add(p_mat(i, j), mat_scale(q_mat(i, j), -1)),
                 ell_val if i == j else zero) for i, j in upper]
 
-    hua = ([(f"P_{i}_{j}", p_mat[(i, j)]) for i, j in upper],
-           [(f"Q_{i}_{j}", q_mat[(i, j)]) for i, j in upper],
-           [(f"K_{i}_{j}", k_mat[(i, j)], ell_val if i == j else zero)
+    hua = ([(f"P_{i}_{j}", p_mat(i, j)) for i, j in upper],
+           [(f"Q_{i}_{j}", q_mat(i, j)) for i, j in upper],
+           [(f"K_{i}_{j}", k_mat(i, j), ell_val if i == j else zero)
             for i in range(1, n + 1) for j in range(1, n + 1)])
     rho = tuple(Fraction(n - i + 1) for i in range(1, n + 1))
-    return _real_form("spnr", (n,), ring, make_algebra("sp", n), n_zone,
+    return _real_form("spnr", (n,), ring, algebra, n_zone,
                       a_zone, k_zone, spnr_root_system(n), rho, hua)
 
 

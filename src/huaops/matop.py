@@ -310,17 +310,17 @@ def entry_positions(size: int, column_range: Optional[Tuple[int, int]] = None
     return [(i, j) for i in range(1, size + 1) for j in cols]
 
 
-def ideal_metadata(theta: ThetaData, basis: OrderedBasis,
+def ideal_metadata(theta: ThetaData, algebra: AlgebraData,
                    column_range: Optional[Tuple[int, int]] = None) -> dict:
     """What an ideal's generators are built from: pattern, basis, columns."""
     meta = {
         "kind": theta.kind,
         "rank": theta.rank,
-        "ambient": basis.ambient,
+        "ambient": algebra.ambient,
         "blocks": list(theta.blocks),
         "charValues": [str(v) for v in theta.char_values],
         "variant": theta.variant,
-        "basisId": basis.basis_id,
+        "basisId": algebra.basis_id,
     }
     if column_range is not None:
         meta["columnRange"] = list(column_range)
@@ -345,18 +345,18 @@ class GeneratorSet:
 
     theta: ThetaData
     polynomial: MinPoly
-    basis: OrderedBasis
+    algebra: AlgebraData
     columns: Mapping[int, Sequence[EnvElement]]
     central: Tuple[CentralGenerator, ...]
     pfaffian_omitted: bool
     column_range: Optional[Tuple[int, int]] = None
 
     def entries(self) -> List[Tuple[int, int, EnvElement]]:
-        positions = entry_positions(self.basis.ambient, self.column_range)
+        positions = entry_positions(self.algebra.ambient, self.column_range)
         return [(i, j, self.columns[j][i - 1]) for i, j in positions]
 
     def metadata(self) -> dict:
-        return ideal_metadata(self.theta, self.basis, self.column_range)
+        return ideal_metadata(self.theta, self.algebra, self.column_range)
 
     def to_json_dict(self) -> dict:
         return {
@@ -424,7 +424,7 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
     return GeneratorSet(
         theta=theta,
         polynomial=poly,
-        basis=fmat.basis,
+        algebra=algebra,
         columns=dict(zip(kept, columns)),
         central=tuple(central),
         pfaffian_omitted=pfaffian_omitted,

@@ -145,10 +145,6 @@ def mat_transpose(a: Matrix) -> Matrix:
     return tuple(zip(*a))
 
 
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(all(x == 0 for x in r) for r in a)
-
-
 class RationalSpan:
     """Row-echelon store of rational vectors with exact membership solving.
 

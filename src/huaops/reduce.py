@@ -397,7 +397,7 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     checks = [_zero_check(f"entry[{i},{j}]",
                           reduce_iwasawa(final[j][i - 1], spec))
               for i, j in positions]
-    parameters = ideal_metadata(theta, algebra.basis, column_range)
+    parameters = ideal_metadata(theta, algebra, column_range)
     parameters.update({"p": p, "q": q, "blocks": list(blocks),
                        "perturbed": perturb})
     case = "upq-theorem" + ("-perturbed" if perturb else "")

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import huaops.pbw as pbw_module
+from huaops import liedata
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq, phi
 from huaops.matop import OpMatrix, factor_columns, generator_matrix, ideal_generators, trace_power
@@ -467,3 +468,17 @@ def test_exact_quadratic_records_mismatch_for_a_wrong_square():
     assert product.entries == e2.add(e_mat.scale(-3)).shift(ring.const(2)).entries
     reduce_module._exact_quadratic(checks, "probe", e_mat, e2.shift(ring.const(1)), ring.const(1), ring.const(2))
     assert checks[-1] == {"name": "probe", "pass": False, "residue": "mismatch"}
+
+
+def test_real_form_drivers_never_build_a_verma_basis(monkeypatch):
+    # A property is a data descriptor, so it also shadows a basis already
+    # cached on an algebra by an earlier test.
+    def forbidden(algebra):
+        raise AssertionError(f"built the Verma basis of {algebra.kind}{algebra.rank}")
+
+    monkeypatch.setattr(liedata.AlgebraData, "basis", property(forbidden))
+    assert upq_theorem_case(2, 1, (1,))["pass"]
+    assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
+    assert upq_shilov_identity(2, 1)["pass"]
+    assert hua_sp_system(1)["pass"]
+    assert gl_lemma_check(2, 1)["pass"]

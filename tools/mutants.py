@@ -53,6 +53,8 @@ KERNEL_32 = f"{GOLDEN}[verify upq-recursion --p 3 --q 2 --blocks 1,2 --kernel]"
 GRADES = "tests/test_liedata.py::test_upq32_grades_table"
 LEMMA = "tests/test_reduce.py::test_left_action_moves_phi_by_at_least_the_grade"
 REAL_FORM = "tests/test_liedata.py::test_real_form_refuses_inconsistent_zones"
+CATALOG = "tests/test_liedata.py::test_catalog_is_pinned"
+CENTRAL = "tests/test_matop.py::test_trace_powers_are_central"
 BOUNDARY = "tests/test_cli.py::test_ranks_are_checked_at_the_boundary"
 
 MUTANTS: Tuple[Mutant, ...] = (
@@ -96,6 +98,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "_peel(x, character)",
            "_peel(x, {g: -v for g, v in character.items()})",
            (EXACT, DRIVERS, PERTURBED_22)),
+    Mutant("column-b-started-at-e-b-plus-1", "src/huaops/matop.py",
+           "[one if a == b else zero for a in range(1, mat.size + 1)]",
+           "[one if a == b + 1 else zero for a in range(1, mat.size + 1)]",
+           ("tests/test_matop.py::test_factor_columns_match_coefficient_form",
+            "tests/test_matop.py::test_restricted_entries_equal_the_unrestricted_ones",
+            "tests/test_matop.py::test_trace_power_matches_power_trace")),
     Mutant("last-root-dropped", "src/huaops/matop.py",
            "enumerate(roots, start=1)",
            "enumerate(roots[:-1], start=1)",
@@ -115,9 +123,19 @@ MUTANTS: Tuple[Mutant, ...] = (
            "kept,\n                                  form)",
            "kept)",
            (DRIVERS,)),
+    # The catalog algebras' index rule.
+    Mutant("sp-sign-flipped", "src/huaops/liedata.py",
+           "sign = 1 if (i <= self.rank) == (bar - j <= self.rank) else -1",
+           "sign = -1 if (i <= self.rank) == (bar - j <= self.rank) else 1",
+           (CENTRAL, "tests/test_acceptance.py::test_criterion_2_sp_hua_system",
+            f"{GOLDEN}[verify sp-hua --n 2]")),
+    Mutant("pair-partner-kept", "src/huaops/liedata.py",
+           "(i, j) > (size + 1 - j, size + 1 - i)",
+           "False",
+           ("tests/test_liedata.py::test_algebra_dimensions", CATALOG, CENTRAL)),
     # The one real-form constructor and the CLI boundary.
     Mutant("dimension-check-skipped", "src/huaops/liedata.py",
-           "if len(basis) != len(algebra.basis):",
+           "if len(basis) != expected:",
            "if False:",
            tuple(f"{REAL_FORM}[k-dropped-{form}]"
                  for form in ("upq(2, 1)", "spnr(2,)", "glnr(3,)"))),
