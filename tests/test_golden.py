@@ -34,6 +34,10 @@ GOLDEN = {
         "03e72a8dc6493d936acf3d7167500bb9c2718048740182244a15e3df82516063",
     "verify gl-lemma --n 3 --m 3":
         "8f3d5577116d9730e615a03ba2161014a03954c077337451095e461e6aaac051",
+    # The cheapest lemma request whose last step product is m_max + 1 = 5
+    # and whose notes hold the nonzero single-shift trace defects.
+    "verify gl-lemma --n 3 --m 4":
+        "07028b34855499b98bf9cea1042a10665856ebafded2fbc9faaa975dc00b53be",
     # The digests pinned by the benchmark's theorem and kernel workloads.
     "verify upq-theorem --p 3 --q 2 --blocks 1,2":
         "7bd44fa21aeadb0f788e1c032d84d7d5b6adbd8085e29479fdffb4e96e135348",
