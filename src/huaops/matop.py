@@ -12,14 +12,15 @@ exact two-factor identities and the power chains of the GL(n,R) lemma;
 Horner's rule on the expanded coefficients (:func:`mat_eval_poly`) is its
 oracle.  Given a real form it peels every entry through the form's
 k-character after each root, which runs the chain in the induced module
-U(g)/U(g)(k - chi); the U(p,q) membership drivers of
-:mod:`huaops.reduce` use it so.  Such a chain is pruned by restricted
-weight: after root m of K it keeps only the terms whose n-part has
+U(g)/U(g)(k - chi); the U(p,q) membership drivers and the GL(n,R) lemma
+of :mod:`huaops.reduce` use it so.  Such a chain is pruned by restricted
+weight unless told not to (the lemma's congruences read every term):
+after root m of K it keeps only the terms whose n-part has
 phi <= (K - m)·L, the only ones that can still reach the n-free part that
 the reduction reads, and it never multiplies a pair whose product lies
-over that bound.  Chains without a character keep every term.  A matrix product
-converts each row and column to int numerators once
-(:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
+over that bound.  Chains without a character keep every term and peel
+none.  A matrix product converts each row and column to int numerators
+once (:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
 generator matrix supply the central generators; their eigenvalues are read
 off a highest-weight evaluation, one peel over the Verma basis.
 :func:`ideal_metadata` describes what a generator set is built from.
@@ -141,7 +142,8 @@ def generator_matrix(algebra: AlgebraData, ring: ParamRing,
 
 
 def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
-                   columns: Sequence[int], form: Optional[RealFormData] = None
+                   columns: Sequence[int], form: Optional[RealFormData] = None,
+                   *, prune: bool = True
                    ) -> Iterator[List[List[EnvElement]]]:
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
@@ -159,8 +161,9 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     ideal and every factor multiplies from the left, so an entry may be
     replaced by its peeled representative at any step.
 
-    Such a chain keeps only what can still reach the n-free part, which is
-    all that :func:`~huaops.reduce.reduce_iwasawa` reads.  Grade each n|a
+    With ``prune`` (the default), such a chain keeps only what can still
+    reach the n-free part, which is all that
+    :func:`~huaops.reduce.reduce_iwasawa` reads.  Grade each n|a
     monomial by phi of its n-part (``mono_grade`` with ``form.grades``; 0
     iff n-free).  Left action by a generator moves phi by at least its
     grade: an n-generator raises it by phi of its weight, an a-generator
@@ -171,8 +174,11 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     prefix.  Each step skips the pairs whose product lies over that budget
     (:func:`~huaops.pbw.sum_products_table`) and drops, after the peel,
     every term over it.  The n-free part of every prefix is exactly that of
-    the unpruned chain.  A chain without a form (an ideal export, a trace
-    power) keeps every term.
+    the unpruned chain.  With ``prune=False`` the chain only peels, and
+    column b is exactly the peeled prefix, n-leading terms included (the
+    GL(n,R) lemma's congruences read all of it).  A chain without a form
+    (an ideal export, a trace power, a matrix that an exact check reads)
+    keeps every term, and ``prune`` does not apply.
     """
     basis, ring = mat.basis, mat.ring
     one = EnvElement.scalar(basis, ring.one())
@@ -181,19 +187,21 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
              for b in columns]
     grades = character = None
     if form is not None:
-        grades, character = form.grades, form.k_character
-        step = max([0] + [-mono_grade(m, grades) for row in mat.entries
-                          for x in row for m in x.terms])
+        character = form.k_character
+        if prune:
+            grades = form.grades
+            step = max([0] + [-mono_grade(m, grades) for row in mat.entries
+                              for x in row for m in x.terms])
     for m, root in enumerate(roots, start=1):
-        budget = None if form is None else (len(roots) - m) * step
+        budget = None if grades is None else (len(roots) - m) * step
         table = sum_products_table(mat.shift(-root).entries, state, grades,
                                    budget)
-        if form is None:
+        if character is None:
             state = [list(column) for column in zip(*table)]
         else:
             state = [[EnvElement(basis, ring, {
                 mono: c for mono, c in _peel(x, character).items()
-                if mono_grade(mono, grades) <= budget})
+                if budget is None or mono_grade(mono, grades) <= budget})
                 for x in column] for column in zip(*table)]
         yield state
 

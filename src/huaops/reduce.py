@@ -38,20 +38,21 @@ identity through three helpers:
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
 product).  Every product of factors ``F - r`` (the two-factor product,
 the power chains of the GL(n,R) lemma, the U(p,q) membership chains)
-comes from :func:`~huaops.matop.factor_columns`.  Both U(p,q) membership
-drivers pass it their real form, whose k-character their reduction peels,
-so the factors of the minimal polynomial act one at a time on unit
-columns of the induced module
-M = U(g)/U(g)(k - chi), over the Iwasawa basis with every k-tail peeled
-after each factor, and reduce the resulting entries with
-:func:`reduce_iwasawa`: the theorem case only its kept columns after the
-last factor, the kernel comparison of the recursion every column after
-every factor.  The chain reads the form's grades too and is pruned by
-restricted weight: after factor m of K it keeps only the terms
-whose n-part has phi <= (K - m)·2q.  One factor lowers phi by at most 2q,
-so no dropped term can reach the n-free part of a later prefix, and the
-n-free part is all that :func:`reduce_iwasawa` reads.  The k-peel is
-:func:`~huaops.pbw._peel`, shared with the highest-weight evaluation.
+comes from :func:`~huaops.matop.factor_columns`.  The lemma passes its
+form, unpruned, to the two chains that only its congruences read.  Both
+U(p,q) membership drivers pass their real form, whose k-character their
+reduction peels, so the factors of the minimal polynomial act one at a
+time on unit columns of the induced module M = U(g)/U(g)(k - chi), over
+the Iwasawa basis with every k-tail peeled after each factor, and reduce
+the resulting entries with :func:`reduce_iwasawa`: the theorem case only
+its kept columns after the last factor, the kernel comparison of the
+recursion every column after every factor.  Their chain reads the form's
+grades too and is pruned by restricted weight: after factor m of K it
+keeps only the terms whose n-part has phi <= (K - m)·2q.  One factor
+lowers phi by at most 2q, so no dropped term can reach the n-free part
+of a later prefix, and the n-free part is all that :func:`reduce_iwasawa`
+reads.  The k-peel is :func:`~huaops.pbw._peel`, shared with the
+highest-weight evaluation.
 """
 
 from __future__ import annotations
@@ -877,6 +878,17 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     verified modulo the trailing-k peel with the zero character.  The
     one-line variant ``tr(P^m) == tr((E - (n-1)/2)^{m-1} E)`` only holds at
     m = 1; its defect for m >= 2 is recorded in the report notes.
+
+    A matrix that only a congruence reads is built in the induced module
+    M = U(g)/U(g)k: U(g)k is a left ideal and every factor multiplies from
+    the left, so a right factor may be replaced by its peeled
+    representative.  The step product (E - n/2) P^m and P^(m_max+1) are
+    built on the peeled P^m, and the closed-form and trace chains run
+    through :func:`~huaops.matop.factor_columns` with the form, unpruned
+    (their congruences read the whole representative, not only its n-free
+    part).  Two stay whole: P^1..P^m_max, which the exact ``K P^m`` checks
+    read in full, and ``(E - n/2)^k``, which is multiplied on the right by
+    traces.
     """
     if n < 2 or m_max < 1:
         raise ValueError("need n >= 2 and m_max >= 1")
@@ -893,20 +905,25 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     zero, half_n = ring.zero(), ring.const(Fraction(n, 2))
     half_n1 = ring.const(Fraction(n - 1, 2))
 
-    def chain(mat: OpMatrix, roots: Sequence[ParamPoly]) -> List[OpMatrix]:
+    def chain(mat: OpMatrix, roots: Sequence[ParamPoly],
+              module: Optional[RealFormData] = None) -> List[OpMatrix]:
         return [from_columns(mat, columns)
-                for columns in factor_columns(mat, roots, range(1, n + 1))]
+                for columns in factor_columns(mat, roots, range(1, n + 1),
+                                              module, prune=False)]
 
-    # P^0..P^(m_max+1); (E - n/2)^0..(E - n/2)^(m_max-2); (E - n/2)^(m-1) E
-    # and (E - (n-1)/2)^(m-1) E for m = 1..m_max.
-    p_pow = [identity] + chain(p_mat, [zero] * (m_max + 1))
+    # Whole: P^0..P^m_max and (E - n/2)^0..(E - n/2)^(m_max-2).  In M:
+    # the peeled P^m, P^(m_max+1), (E - n/2)^(m-1) E and
+    # (E - (n-1)/2)^(m-1) E for m = 1..m_max.
+    zero_chi = zero_character(form)
+    p_pow = [identity] + chain(p_mat, [zero] * m_max)
     p_traces = [m.trace() for m in p_pow]
+    p_module = [m.map_entries(lambda e: peel_k(e, zero_chi)) for m in p_pow]
+    p_pow.append(p_mat.mul(p_module[m_max]))
     shifted = e_mat.shift(-half_n)
     shifted_pow = [identity] + chain(e_mat, [half_n] * (m_max - 2))
-    closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1))
-    tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1))
+    closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1), form)
+    tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1), form)
 
-    zero_chi = zero_character(form)
     checks: List[dict] = []
 
     def residue_zero(name: str, element: EnvElement) -> None:
@@ -952,7 +969,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
         half_trace = p_traces[m].scale(-half)
         stepped = p_pow[m + 1].add(
             p_pow[0].map_entries(lambda e: e * half_trace))
-        _congruences(checks, "step", shifted.mul(p_pow[m]), stepped,
+        _congruences(checks, "step", shifted.mul(p_module[m]), stepped,
                      zero_chi, f" at m={m}")
 
         # Closed form: P^m == (E - n/2)^{m-1} E + (1/2) sum_{k=2}^m

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 import huaops.matop as matop_module
-from huaops.liedata import make_algebra
+from huaops.liedata import make_algebra, make_glnr
 from huaops.matop import (
     CentralityError,
     OpMatrix,
@@ -21,7 +23,7 @@ from huaops.matop import (
 from huaops.minpoly import ThetaData, minimal_polynomial
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, sum_products_table
-from huaops.reduce import upq_form_and_theta
+from huaops.reduce import peel_k, upq_form_and_theta
 
 
 def _gl2():
@@ -58,6 +60,23 @@ def test_factor_columns_match_coefficient_form(columns):
         assert len(prefix) == len(columns)
         for b, column in zip(columns, prefix):
             assert column == [expected.entry(a, b) for a in range(1, 4)]
+
+
+def test_unpruned_module_chain_is_the_peeled_prefix():
+    # GL(3,R) with its zero character, no pruning: after every root the
+    # chain holds exactly the peeled prefix, n-leading terms included.
+    form = make_glnr(3)
+    ring = form.ring
+    emat = generator_matrix(form.complex_algebra, ring, form.basis)
+    roots = [ring.zero(), ring.const(Fraction(3, 2)), ring.const(Fraction(3, 2))]
+    columns = (1, 2, 3)
+    prefixes = factor_columns(emat, roots, columns)
+    steps = factor_columns(emat, roots, columns, form, prune=False)
+    n_zone = form.basis.zone_indices("n")
+    for prefix, state in zip(prefixes, steps, strict=True):
+        for whole, column in zip(prefix, state, strict=True):
+            assert column == [peel_k(x, form.k_character) for x in whole]
+    assert any(mono and mono[0][0] in n_zone for column in state for x in column for mono in x.terms)
 
 
 def test_trace_power_matches_power_trace():

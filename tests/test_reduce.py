@@ -412,6 +412,33 @@ def test_gl_lemma_antisymmetrization_check_sees_each_entry(monkeypatch):
     assert not checks["antisymmetrization term lies in U(g)k at m=2"]["pass"]
 
 
+def test_gl_lemma_runs_only_the_congruence_chains_in_the_module(monkeypatch):
+    # The closed-form and trace chains are read modulo U(g)k only; the P
+    # chain feeds the exact K P^m checks and stays whole.  An unpeeled
+    # module chain changes no residue, so only a capture can see it.
+    calls = []
+
+    def recording(mat, roots, columns, form=None, *, prune=True):
+        calls.append((mat.entry(1, 2) == mat.entry(2, 1), [str(r) for r in roots], form, prune))
+        k_zone = mat.basis.zone_indices("k")
+        for state in factor_columns(mat, roots, columns, form, prune=prune):
+            if form is not None:
+                for column in state:
+                    for x in column:
+                        assert not any(g in k_zone for m in x.terms for g, _e in m)
+            yield state
+
+    monkeypatch.setattr(reduce_module, "factor_columns", recording)
+    assert gl_lemma_check(3, 3)["pass"]
+    assert [(symmetric, roots, form is not None) for symmetric, roots, form, _prune in calls] == [
+        (True, ["0", "0", "0"], False),
+        (False, ["3/2"], False),
+        (False, ["0", "3/2", "3/2"], True),
+        (False, ["0", "1", "1"], True),
+    ]
+    assert all(form.name == "glnr" and not prune for _s, _r, form, prune in calls[2:])
+
+
 def test_sp_hua_driver_small():
     report = hua_sp_system(1)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]

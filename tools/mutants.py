@@ -56,6 +56,10 @@ REAL_FORM = "tests/test_liedata.py::test_real_form_refuses_inconsistent_zones"
 CATALOG = "tests/test_liedata.py::test_catalog_is_pinned"
 CENTRAL = "tests/test_matop.py::test_trace_powers_are_central"
 BOUNDARY = "tests/test_cli.py::test_ranks_are_checked_at_the_boundary"
+LEMMA_CHAINS = "tests/test_reduce.py::test_gl_lemma_runs_only_the_congruence_chains_in_the_module"
+UNPRUNED = "tests/test_matop.py::test_unpruned_module_chain_is_the_peeled_prefix"
+GL_LEMMA_GOLDEN = tuple(f"{GOLDEN}[verify gl-lemma --n {n} --m {m}]"
+                        for n, m in ((2, 2), (3, 3), (3, 4)))
 
 MUTANTS: Tuple[Mutant, ...] = (
     # The restricted-weight bound of the character chain.
@@ -76,8 +80,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "return tuple(-lo if lo > 0 else lo for lo, _hi in ranges)",
            (GRADES, EXACT)),
     Mutant("pair-skip-without-post-filter", "src/huaops/matop.py",
-           "if mono_grade(mono, grades) <= budget}",
-           "if True}",
+           "or mono_grade(mono, grades) <= budget}",
+           "or True}",
            (EXACT,)),
     Mutant("pair-skip-one-grade-tight", "src/huaops/pbw.py",
            "ys[:bisect_right(ykeys, budget - g)]",
@@ -123,6 +127,20 @@ MUTANTS: Tuple[Mutant, ...] = (
            "kept,\n                                  form)",
            "kept)",
            (DRIVERS,)),
+    # The GL(n,R) lemma: only its congruence-only chains run in the module.
+    Mutant("lemma-module-chains-unpeeled", "src/huaops/reduce.py",
+           "module, prune=False)",
+           "None, prune=False)",
+           (LEMMA_CHAINS,)),
+    Mutant("p-chain-peeled", "src/huaops/reduce.py",
+           "chain(p_mat, [zero] * m_max)",
+           "chain(p_mat, [zero] * m_max, form)",
+           GL_LEMMA_GOLDEN
+           + ("tests/test_acceptance.py::test_criterion_1_gl_lemma",)),
+    Mutant("prune-false-ignored", "src/huaops/matop.py",
+           "if prune:",
+           "if True:",
+           (UNPRUNED,)),
     # The catalog algebras' index rule.
     Mutant("sp-sign-flipped", "src/huaops/liedata.py",
            "sign = 1 if (i <= self.rank) == (bar - j <= self.rank) else -1",
