@@ -205,19 +205,17 @@ def _plain_factors(rs: RestrictedRootSystem, ring: ParamRing,
     return factors
 
 
-def e_product(rs: RestrictedRootSystem,
-              ring: Optional[ParamRing] = None) -> GammaProduct:
+def e_product(rs: RestrictedRootSystem) -> GammaProduct:
     """Reciprocal-Gamma product over the indivisible positive roots."""
-    ring = ring or spectral_ring(rs)
+    ring = spectral_ring(rs)
     factors = _plain_factors(rs, ring, rs.indivisible_positive())
     return GammaProduct(ring, tuple(factors), ring.zero())
 
 
-def c_product(rs: RestrictedRootSystem,
-              ring: Optional[ParamRing] = None) -> GammaProduct:
+def c_product(rs: RestrictedRootSystem) -> GammaProduct:
     """Unnormalized c-function: e-product times ``2^(-l_a/2) Gamma(l_a/2)``."""
-    ring = ring or spectral_ring(rs)
-    base = e_product(rs, ring)
+    base = e_product(rs)
+    ring = base.ring
     factors = list(base.factors)
     log2 = ring.zero()
     half = Fraction(1, 2)
@@ -228,10 +226,10 @@ def c_product(rs: RestrictedRootSystem,
     return GammaProduct(ring, tuple(factors), log2)
 
 
-def line_bundle_products(
-        rs: RestrictedRootSystem,
-        ring: Optional[ParamRing] = None) -> Tuple[GammaProduct, GammaProduct]:
-    """The level-``ell`` e- and (unnormalized) c-products.
+def line_bundle_products(rs: RestrictedRootSystem
+                         ) -> Tuple[GammaProduct, GammaProduct]:
+    """The level-``ell`` e- and (unnormalized) c-products, over
+    :func:`spectral_ring` with ``line_bundle=True``.
 
     The longest root-length class carries the ``ell``-dependent factor pair
     with the half-root multiplicity; the second class carries the plain
@@ -243,9 +241,7 @@ def line_bundle_products(
         raise ValueError(
             f"{rs.label} has {len(classes)} root-length classes; the "
             "line-bundle product is defined for at most two")
-    ring = ring or spectral_ring(rs, line_bundle=True)
-    if "ell" not in ring.symbols:
-        raise ValueError("the ring must declare the level symbol 'ell'")
+    ring = spectral_ring(rs, line_bundle=True)
     ell = ring.var("ell")
     half = Fraction(1, 2)
 

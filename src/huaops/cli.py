@@ -19,6 +19,13 @@ canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
 file.  Identical requests produce byte-identical JSON: no report holds a
 timing.  A rank flag that does not apply to ``--form`` (``--n`` with
 ``upq``, ``--p`` or ``--q`` with ``spnr`` or ``glnr``) is a usage error.
+A U(p,q) request (``ideal --form upq``, ``reduce``, ``verify upq-theorem``
+and ``upq-recursion``) first builds its :class:`~huaops.reduce.UpqCase`,
+which checks the ranks, the blocks and (through
+:meth:`~huaops.reduce.UpqCase.bindings`) every ``--bind`` symbol, so each
+of those is refused before any input is read; ``verify upq-shilov`` and
+``cfun --form upq`` check their ranks with
+:func:`~huaops.liedata.check_upq_ranks`, the function the case calls.
 """
 
 from __future__ import annotations
@@ -27,19 +34,18 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .cfun import c_function, e_c_line_bundle, e_function
-from .liedata import (glnr_root_system, make_algebra, make_upq, satake_table,
-                      spnr_root_system, upq_root_system)
+from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
+                      satake_table, spnr_root_system, upq_root_system)
 from .matop import GeneratorSet, ideal_generators
-from .minpoly import THETA, THETA_BAR, ThetaData, check_upq_blocks
+from .minpoly import THETA, THETA_BAR, ThetaData
 from .params import ParamRing, as_fraction
 from .pbw import EnvElement
-from .reduce import (gl_lemma_check, hua_sp_system, reduce_iwasawa,
-                     upq_form_and_theta, upq_reduction_spec,
+from .reduce import (UpqCase, gl_lemma_check, hua_sp_system, reduce_iwasawa,
                      upq_scalar_recursion, upq_shilov_identity,
-                     upq_symbols, upq_theorem_case)
+                     upq_theorem_case)
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -202,34 +208,17 @@ def _ranks(args: argparse.Namespace) -> List[int]:
 # subcommand handlers (each returns (report dict, exit code))
 # ---------------------------------------------------------------------------
 
-def _upq_ranks(p: int, q: int) -> Tuple[int, int]:
-    """The ``--p``/``--q`` of a upq request, as typed: ``1 <= q <= p``."""
-    if not 1 <= q <= p:
-        raise UsageError(f"U(p,q) needs 1 <= q <= p, got p={p} q={q}")
-    return p, q
+def _upq(check, *args):
+    """``check(*args)``, with its ``ValueError`` as a :class:`UsageError`.
 
-
-def _upq_blocks(args: argparse.Namespace) -> Tuple[int, ...]:
-    """The ``--blocks`` of a upq request: positive, increasing, ending at q.
-
-    The ranks are checked first, so no request reads its input or builds
-    anything for a U(p,q) that does not exist.
+    ``check`` is :func:`~huaops.liedata.check_upq_ranks`, :class:`UpqCase`
+    or :meth:`UpqCase.bindings`: every upq request checks its ranks, blocks
+    and bindings this way before it reads any input or builds anything.
     """
-    _upq_ranks(args.p, args.q)
     try:
-        return check_upq_blocks(args.q, args.blocks)
+        return check(*args)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def _upq_bindings(args: argparse.Namespace) -> Dict[str, Fraction]:
-    """The ``--bind`` values of a upq request; only ``mu_1..mu_L, s, t``."""
-    symbols = upq_symbols(args.blocks)
-    unknown = [name for name, _ in args.bind if name not in symbols]
-    if unknown:
-        raise UsageError(f"unknown symbols {unknown}; expected "
-                         f"{', '.join(symbols)}")
-    return dict(args.bind)
 
 
 def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
@@ -239,9 +228,9 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
                 "the upq construction fixes the plain variant; use "
                 "--form spnr for the barred one")
         p, q = _ranks(args)
-        _, theta = upq_form_and_theta(p, q, _upq_blocks(args))
+        case = _upq(UpqCase, p, q, args.blocks)
         column_range = (p + 1, p + q) if args.restrict_columns else None
-        return ideal_generators(make_algebra("gl", p + q), theta,
+        return ideal_generators(make_algebra("gl", p + q), case.theta,
                                 column_range=column_range)
     if args.restrict_columns:
         raise UsageError("--restrict-columns applies to --form upq only")
@@ -270,10 +259,10 @@ def _cmd_ideal(args: argparse.Namespace) -> Tuple[dict, int]:
 
 
 def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
-    blocks = _upq_blocks(args)
-    bindings = _upq_bindings(args)
     p, q = args.p, args.q
-    form = make_upq(p, q, symbols=upq_symbols(blocks))
+    case = _upq(UpqCase, p, q, args.blocks)
+    bindings = _upq(case.bindings, args.bind)
+    form = case.form
     ambient = make_algebra("gl", p + q)
     try:
         if args.infile:
@@ -290,7 +279,6 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         raise UsageError(
             f"generator set was built on basis {built_on!r}, "
             f"but --form upq --p {p} --q {q} expects {ambient.basis_id!r}")
-    spec = upq_reduction_spec(form, blocks)
     entries = []
     all_zero = True
     for record in records:
@@ -300,7 +288,7 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
                                                 ambient.basis, form.ring)
         except (ValueError, KeyError, TypeError) as exc:  # a malformed entry
             raise UsageError(str(exc)) from None
-        residue = reduce_iwasawa(element, spec)
+        residue = reduce_iwasawa(element, case.spec)
         if bindings:
             # Bind after reducing: the spec's k- and a-values carry the same
             # symbols as the element, and binding commutes with reduction.
@@ -315,7 +303,7 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         })
     report = {
         "case": "reduce",
-        "parameters": {"p": p, "q": q, "blocks": list(blocks),
+        "parameters": {"p": p, "q": q, "blocks": list(case.blocks),
                        "bindings": {k: str(v) for k, v in args.bind}},
         "metadata": meta,
         "entries": entries,
@@ -334,20 +322,25 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
             raise UsageError("Sp(n,R) requires n >= 1")
         report = hua_sp_system(args.n)
     elif args.target == "upq-shilov":
-        report = upq_shilov_identity(*_upq_ranks(args.p, args.q))
+        _upq(check_upq_ranks, args.p, args.q)
+        report = upq_shilov_identity(args.p, args.q)
     elif args.target == "upq-theorem":
-        report = upq_theorem_case(args.p, args.q, _upq_blocks(args),
+        case = _upq(UpqCase, args.p, args.q, args.blocks)
+        report = upq_theorem_case(case.p, case.q, case.blocks,
                                   perturb=args.perturb)
     else:
-        report = upq_scalar_recursion(args.p, args.q, _upq_blocks(args),
-                                      params=_upq_bindings(args) or None,
+        case = _upq(UpqCase, args.p, args.q, args.blocks)
+        report = upq_scalar_recursion(case.p, case.q, case.blocks,
+                                      params=_upq(case.bindings, args.bind),
                                       compare_kernel=args.kernel)
     return report, 0 if report["pass"] else 1
 
 
 def _root_system(args: argparse.Namespace):
     if args.form == "upq":
-        return upq_root_system(*_upq_ranks(*_ranks(args)))
+        p, q = _ranks(args)
+        _upq(check_upq_ranks, p, q)
+        return upq_root_system(p, q)
     (n,) = _ranks(args)
     if n < 1:
         raise UsageError(f"--form {args.form} needs --n >= 1, got {n}")

@@ -635,6 +635,12 @@ def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
 
 # -- U(p, q) -----------------------------------------------------------------
 
+def check_upq_ranks(p: int, q: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= q <= p``, the ranks of a U(p, q)."""
+    if not 1 <= q <= p:
+        raise ValueError(f"U(p,q) needs 1 <= q <= p, got p={p} q={q}")
+
+
 @lru_cache(maxsize=None)
 def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormData:
     """The real form U(p, q), complexified to gl_{p+q}.
@@ -643,8 +649,7 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
     index ibar = p+q+1-i lies in the second block.  The k-character is the
     template tau_{s,t}: E_{mu,nu} -> s delta, E_{ibar,jbar} -> t delta.
     """
-    if not (1 <= q <= p):
-        raise ValueError("U(p,q) requires 1 <= q <= p")
+    check_upq_ranks(p, q)
     if "s" not in symbols or "t" not in symbols:
         raise ValueError("U(p,q) parameter ring must contain 's' and 't'")
     ring = ParamRing(symbols)

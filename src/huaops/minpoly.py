@@ -7,7 +7,10 @@ matrix yields two-sided ideal generators.  This module builds the pattern
 data (:class:`ThetaData`), the factored polynomial (:class:`MinPoly`), the
 per-family rules mapping a boundary node of a real form to such a pattern
 (:func:`boundary_theta` / :func:`boundary_degree`), and the eigenvalue
-schedule used by the rank-one recursion for U(p,q).
+schedule used by the rank-one recursion for U(p,q).  The U(p,q) functions
+check nothing: their p, q and blocks are those of a checked
+:class:`~huaops.reduce.UpqCase`, and they read ``mu_1..mu_L``, ``s`` and
+``t`` off the case's ring.
 """
 
 from __future__ import annotations
@@ -359,24 +362,8 @@ def boundary_degree(family: str, node: int, **args: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-def check_upq_blocks(q: int, blocks: Sequence[int]) -> Tuple[int, ...]:
-    """The U(p,q) block ends ``0 < n_1 < ... < n_L = q``, as a tuple.
-
-    Raises ``ValueError`` naming the blocks as given when they are not
-    positive, not strictly increasing or do not end at q.
-    """
-    blocks = tuple(blocks)
-    if (not blocks or blocks[0] < 1 or blocks[-1] != q
-            or any(a >= b for a, b in zip(blocks, blocks[1:]))):
-        raise ValueError(f"blocks {','.join(map(str, blocks))} must be "
-                         f"positive, strictly increasing and end at q={q}")
-    return blocks
-
-
 def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
-                        mu: Sequence[ValueLike], s: ValueLike,
-                        t: ValueLike, ring: ParamRing,
-                        ) -> Tuple[ParamPoly, ...]:
+                        ring: ParamRing) -> Tuple[ParamPoly, ...]:
     """The ``2L`` recursion eigenvalues for blocks ``n_1 < ... < n_L = q``.
 
     The first ``L`` values descend through the blocks
@@ -384,50 +371,34 @@ def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
     reflected through the full size ``p + q``
     (``lambda_k = mu_j - (s+t)/2 - (p+q) + n_j`` with ``j = 2L+1-k``), so the
     reflected block ``j`` contributes the root ``-mu_j + (s+t)/2`` shifted by
-    its position ``p + q - n_j``.
+    its position ``p + q - n_j``.  ``mu_1..mu_L``, ``s`` and ``t`` are the
+    symbols of ``ring``; p, q and the blocks are those of a checked
+    :class:`~huaops.reduce.UpqCase`.
     """
-    blocks = check_upq_blocks(q, blocks)
-    if q > p:
-        raise ValueError(f"need q <= p, got p={p} q={q}")
     L = len(blocks)
-    if len(mu) != L:
-        raise ValueError("need one mu value per block")
-    mu_p = [_as_poly(ring, v) for v in mu]
-    s_p = _as_poly(ring, s)
-    t_p = _as_poly(ring, t)
-    half = (s_p + t_p) / 2
-
-    def block_end(j: int) -> int:
-        return 0 if j == 0 else blocks[j - 1]
-
-    lam: List[ParamPoly] = []
-    for k in range(1, L + 1):
-        lam.append(-mu_p[k - 1] - half - block_end(k - 1))
-    for k in range(L + 1, 2 * L + 1):
-        j = 2 * L + 1 - k
-        lam.append(mu_p[j - 1] - half - (p + q) + block_end(j))
+    mu = [ring.var(f"mu_{j}") for j in range(1, L + 1)]
+    half = (ring.var("s") + ring.var("t")) / 2
+    ends = (0,) + tuple(blocks)
+    lam = [-mu[k - 1] - half - ends[k - 1] for k in range(1, L + 1)]
+    lam += [mu[j - 1] - half - (p + q) + ends[j] for j in range(L, 0, -1)]
     return tuple(lam)
 
 
-def upq_f_polys(p: int, q: int, blocks: Sequence[int], mu: Sequence[ValueLike],
-                s: ValueLike, t: ValueLike, ring: ParamRing,
+def upq_f_polys(p: int, q: int, blocks: Sequence[int], ring: ParamRing,
                 ) -> Tuple[MinPoly, MinPoly]:
     """The product polynomial of the recursion and its Shilov extension.
 
     Returns ``(f, f_ext)`` where ``f(x) = prod_k (x + lambda_k)`` over the
     schedule and ``f_ext(x) = (x - s - q) f(x)``.
     """
-    lam = upq_lambda_schedule(p, q, blocks, mu, s, t, ring=ring)
-    s_p = _as_poly(ring, s)
+    lam = upq_lambda_schedule(p, q, blocks, ring)
     f = MinPoly(ring, tuple(-v for v in lam))
-    f_ext = MinPoly(ring, (s_p + ring.const(q),) + f.roots)
+    f_ext = MinPoly(ring, (ring.var("s") + ring.const(q),) + f.roots)
     return f, f_ext
 
 
 def upq_complexified_theta(p: int, q: int, blocks: Sequence[int],
-                           mu: Sequence[ValueLike], s: ValueLike,
-                           t: ValueLike, ring: ParamRing,
-                           ) -> ThetaData:
+                           ring: ParamRing) -> ThetaData:
     """The block pattern on ``gl_{p+q}`` matching the recursion polynomial.
 
     Its blocks walk up one side, cross the middle (with an extra block of
@@ -435,9 +406,8 @@ def upq_complexified_theta(p: int, q: int, blocks: Sequence[int],
     :func:`minimal_polynomial` on it reproduces ``f`` (for ``p = q``) or
     ``f_ext`` (for ``p > q``) from :func:`upq_f_polys`.
     """
-    lam = upq_lambda_schedule(p, q, blocks, mu, s, t, ring=ring)
-    s_p = _as_poly(ring, s)
-    L = len(tuple(blocks))
+    lam = upq_lambda_schedule(p, q, blocks, ring)
+    L = len(blocks)
 
     big: List[int] = list(blocks[:-1]) + [q]
     if p > q:
@@ -450,7 +420,7 @@ def upq_complexified_theta(p: int, q: int, blocks: Sequence[int],
     for j, end in enumerate(big, start=1):
         prev = big[j - 2] if j >= 2 else 0
         if p > q and j == L + 1:
-            values.append(s_p)
+            values.append(ring.var("s"))
             continue
         values.append(-lam[pos] - prev)
         pos += 1

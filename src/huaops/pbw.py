@@ -40,9 +40,9 @@ one basis (:func:`sum_products` is its one-entry case).  It brings every
 operand over one common denominator (the lcm of the denominators, read
 from the fields), accumulates int numerators, and reduces each output
 term by one gcd; a matrix product converts each row and column once, not
-once per entry.  Every operand is sorted by grade (all 0 without per-index
-grades); given a budget, every pair of monomials whose grades sum over it
-is skipped, the restricted-weight bound of a character chain
+once per entry.  Each converted term carries its grade (0 without
+per-index grades); given a budget, every pair of monomials whose grades sum
+over it is skipped, the restricted-weight bound of a character chain
 (:func:`~huaops.matop.factor_columns`), and without one every pair is
 multiplied.  :func:`project_mod_n` maps a monomial of another basis word
 by word, solving each source generator over the target once per pair of
@@ -62,11 +62,9 @@ and the a|n tail at a highest weight in
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
-from math import lcm
+from math import inf, lcm
 from operator import add, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -665,65 +663,48 @@ def sum_products_table(rows: Sequence[Sequence[EnvElement]],
     of degree N = deg a + deg b is scaled by D^(T - N) on top of the
     D^(N - deg m) that :meth:`OrderedBasis.mul_monos` stores.
 
-    Every operand is sorted by grade once (``grades``, one int per basis
-    index; all 0 when not given).  With ``budget``, a pair of monomials
-    (a, b) is never multiplied when ``mono_grade(a) + mono_grade(b) >
-    budget``: a run of left terms of one grade scans a prefix of each right
-    element and stops at the budget.  Without a budget every pair is
-    multiplied.
+    With ``grades`` (one int per basis index) and ``budget``, a pair of
+    monomials (a, b) is never multiplied when ``mono_grade(a) +
+    mono_grade(b) > budget``; each term carries its grade, so the test is
+    one sum per pair.  Without a budget every pair is multiplied.
     """
     first = rows[0][0]
     for operand in (*rows, *columns):
         for x in operand:
             first._check_compatible(x)
-    converted = [_by_grade(column, grades) for column in columns]
-    return [[_converted_products(first, left, right, budget)
+    converted = [_graded(column, grades) for column in columns]
+    return [[_converted_products(first, left, right,
+                                 inf if budget is None else budget)
              for right in converted]
-            for left in (_by_grade(row, grades) for row in rows)]
+            for left in (_graded(row, grades) for row in rows)]
 
 
-def _by_grade(operand: Sequence[EnvElement], grades: Optional[Sequence[int]]
-              ) -> Tuple[int, list, list]:
-    """An operand in :func:`_numerators` form with each element's terms
-    sorted by grade, and their grades (all 0 without ``grades``)."""
+def _graded(operand: Sequence[EnvElement], grades: Optional[Sequence[int]]
+            ) -> Tuple[int, list]:
+    """An operand in :func:`_numerators` form, each term
+    ``(monomial, degree, numerators)`` followed by its grade (0 without
+    ``grades``)."""
     q, elems = _numerators(operand)
-    if grades is None:
-        return q, elems, [[0] * len(terms) for terms in elems]
-    ranked = [sorted(((mono_grade(t[0], grades), t) for t in terms),
-                     key=itemgetter(0)) for terms in elems]
-    return (q, [[t for _g, t in terms] for terms in ranked],
-            [[g for g, _t in terms] for terms in ranked])
-
-
-def _within(left: Tuple[int, list, list], right: Tuple[int, list, list],
-            budget: Optional[int]):
-    """Runs (left terms, right terms) of :func:`_by_grade` operands, position
-    by position: the left terms of one grade g and the right terms of grade
-    at most ``budget - g`` (all of them without a budget)."""
-    for xs, xkeys, ys, ykeys in zip(left[1], left[2], right[1], right[2],
-                                    strict=True):
-        start = 0
-        for g, run in groupby(xkeys):
-            stop = start + sum(1 for _ in run)
-            yield xs[start:stop], (ys if budget is None else
-                                   ys[:bisect_right(ykeys, budget - g)])
-            start = stop
+    return q, [[(*t, 0 if grades is None else mono_grade(t[0], grades))
+                for t in terms] for terms in elems]
 
 
 def _converted_products(first: EnvElement, left: tuple, right: tuple,
-                        budget: Optional[int]) -> EnvElement:
-    """The sum of products of two operands in :func:`_by_grade` form (see
+                        budget: float) -> EnvElement:
+    """The sum of products of two :func:`_graded` operands (see
     :func:`sum_products_table`)."""
     basis = first.basis
-    (ql, lefts, _), (qr, rights, _) = left, right
-    top = max((max(da for _m, da, _p in xs) + max(db for _m, db, _p in ys)
+    (ql, lefts), (qr, rights) = left, right
+    top = max((max(t[1] for t in xs) + max(t[1] for t in ys)
                for xs, ys in zip(lefts, rights) if xs and ys),
               default=0)
     powers = [basis.scale ** i for i in range(top + 1)]
     out: Dict[Monomial, Numerators] = {}
-    for xs, ys in _within(left, right, budget):
-        for ma, da, pa in xs:
-            for mb, db, pb in ys:
+    for xs, ys in zip(lefts, rights, strict=True):
+        for ma, da, pa, ga in xs:
+            for mb, db, pb, gb in ys:
+                if ga + gb > budget:
+                    continue
                 shift = powers[top - da - db]
                 cab: Numerators = {}
                 for ea, ka in pa.items():

@@ -26,11 +26,15 @@ chains: :func:`gl_lemma_check` (GL(n,R) trace lemma), :func:`hua_sp_system`
 (Sp(n,R) Hua system), :func:`upq_shilov_identity` (U(p,q) Shilov chain),
 :func:`upq_theorem_case` (U(p,q) boundary ideal membership) and
 :func:`upq_scalar_recursion` (the scalar recursion that re-derives the
-U(p,q) reduction by elementary bookkeeping).  Each driver returns a
-JSON-ready report: case id, parameters, one record per check (with the
-residue in canonical string form) and an overall pass flag; a report holds
-no timing, so identical requests give identical reports.  The matrix
-drivers take the generator matrix from
+U(p,q) reduction by elementary bookkeeping).  A U(p,q) boundary case is
+one :class:`UpqCase`, fixed by ``(p, q, blocks)``: it checks the ranks and
+the blocks once and owns the coefficient symbols, the real form, the
+complexified block pattern, the reduction spec and the binding check, so
+the two U(p,q) membership drivers and the CLI decide the case in one
+place.  Each driver returns a JSON-ready report: case id, parameters, one
+record per check (with the residue in canonical string form) and an
+overall pass flag; a report holds no timing, so identical requests give
+identical reports.  The matrix drivers take the generator matrix from
 :func:`~huaops.matop.generator_matrix` (over the basis whose k they peel:
 the Iwasawa basis, or the Hua block basis of Sp(n,R)) and state each
 identity through three helpers:
@@ -59,14 +63,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
+                    Union)
 
-from .liedata import (RealFormData, _check_k_character, make_glnr, make_spnr,
-                      make_upq)
+from .liedata import (RealFormData, _check_k_character, check_upq_ranks,
+                      make_glnr, make_spnr, make_upq)
 from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
                     generator_matrix, ideal_metadata)
-from .minpoly import (minimal_polynomial, upq_complexified_theta,
+from .minpoly import (ThetaData, minimal_polynomial, upq_complexified_theta,
                       upq_lambda_schedule)
 from .params import ParamPoly, ParamRing, _over, _reduced
 from .pbw import EnvElement, _peel, project_mod_n, sum_products
@@ -81,9 +87,7 @@ __all__ = [
     "peel_k",
     "gamma",
     "gamma_ell",
-    "upq_symbols",
-    "upq_form_and_theta",
-    "upq_reduction_spec",
+    "UpqCase",
     "upq_theorem_case",
     "upq_scalar_recursion",
     "upq_shilov_identity",
@@ -325,40 +329,65 @@ def _exact_quadratic(checks: List[dict], name: str, mat: OpMatrix,
 # ---------------------------------------------------------------------------
 
 
-def upq_symbols(blocks: Sequence[int]) -> Tuple[str, ...]:
-    """The coefficient symbols of a U(p,q) case: ``mu_1..mu_L, s, t``."""
-    return tuple(f"mu_{j}" for j in range(1, len(blocks) + 1)) + ("s", "t")
+@dataclass(frozen=True)
+class UpqCase:
+    """One U(p,q) boundary case, fixed by ``(p, q, blocks)`` and checked once.
 
+    Construction raises ``ValueError`` unless the ranks satisfy
+    ``1 <= q <= p`` and the block ends ``0 < n_1 < ... < n_L = q``, and
+    builds nothing.  The rest is built on first read: the coefficient
+    symbols ``mu_1..mu_L, s, t``, the real form over them, the complexified
+    block pattern on ``gl_{p+q}`` and the boundary reduction (tau_{s,t} on
+    k, ``E_i = 2 mu_j`` on a with j the block of i).
+    """
 
-def upq_form_and_theta(p: int, q: int, blocks: Sequence[int]):
-    """U(p,q) over :func:`upq_symbols` and its complexified block pattern."""
-    form = make_upq(p, q, symbols=upq_symbols(blocks))
-    ring = form.ring
-    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
-    theta = upq_complexified_theta(p, q, blocks, mu, ring.var("s"),
-                                   ring.var("t"), ring=ring)
-    return form, theta
+    p: int
+    q: int
+    blocks: Tuple[int, ...]
 
+    def __post_init__(self):
+        check_upq_ranks(self.p, self.q)
+        blocks = tuple(self.blocks)
+        if (not blocks or blocks[0] < 1 or blocks[-1] != self.q
+                or any(a >= b for a, b in zip(blocks, blocks[1:]))):
+            raise ValueError(f"blocks {','.join(map(str, blocks))} must be "
+                             f"positive, strictly increasing and end at "
+                             f"q={self.q}")
+        object.__setattr__(self, "blocks", blocks)
 
-def _block_of(blocks: Sequence[int], i: int) -> int:
-    """1-based block index ell with ``n_{ell-1} < i <= n_ell``."""
-    prev = 0
-    for j, end in enumerate(blocks, start=1):
-        if prev < i <= end:
-            return j
-        prev = end
-    raise ValueError(f"index {i} beyond the last block")
+    @property
+    def symbols(self) -> Tuple[str, ...]:
+        return tuple(f"mu_{j}" for j in range(1, len(self.blocks) + 1)) + (
+            "s", "t")
 
+    @cached_property
+    def form(self) -> RealFormData:
+        return make_upq(self.p, self.q, symbols=self.symbols)
 
-def upq_reduction_spec(form: RealFormData, blocks: Sequence[int]
-                       ) -> ReductionSpec:
-    """The U(p,q) boundary reduction: tau_{s,t} on k and ``E_i = 2 mu`` on a."""
-    ring = form.ring
-    a_values = {
-        index: ring.var(f"mu_{_block_of(blocks, i)}") * 2
-        for i, index in enumerate(form.basis.zone_indices("a"), start=1)
-    }
-    return ReductionSpec(form, a_values=a_values)
+    @cached_property
+    def theta(self) -> ThetaData:
+        return upq_complexified_theta(self.p, self.q, self.blocks,
+                                      self.form.ring)
+
+    @cached_property
+    def spec(self) -> ReductionSpec:
+        ring = self.form.ring
+        a_values = {
+            index: ring.var(f"mu_{1 + sum(end < i for end in self.blocks)}") * 2
+            for i, index in enumerate(self.form.basis.zone_indices("a"),
+                                      start=1)
+        }
+        return ReductionSpec(self.form, a_values=a_values)
+
+    def bindings(self, pairs: Iterable[Tuple[str, ScalarLike]]
+                 ) -> Dict[str, ScalarLike]:
+        """``pairs`` as a dict; ``ValueError`` unless each name is a symbol."""
+        pairs = list(pairs)
+        unknown = [name for name, _ in pairs if name not in self.symbols]
+        if unknown:
+            raise ValueError(f"unknown symbols {unknown}; expected "
+                             f"{', '.join(self.symbols)}")
+        return dict(pairs)
 
 
 def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
@@ -380,8 +409,8 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     schedule is shifted by one, which must break membership (a soundness
     control).
     """
-    blocks = tuple(blocks)
-    form, theta = upq_form_and_theta(p, q, blocks)
+    case = UpqCase(p, q, blocks)
+    form, theta = case.form, case.theta
     if perturb:
         values = (theta.char_values[0] - 1,) + theta.char_values[1:]
         theta = replace(theta, char_values=values)
@@ -389,20 +418,19 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     column_range = (p + 1, p + q) if p > q else None
     positions = entry_positions(p + q, column_range)
     kept = sorted({j for _i, j in positions})
-    spec = upq_reduction_spec(form, blocks)
     fmat = generator_matrix(algebra, form.ring, form.basis)
     for columns in factor_columns(fmat, minimal_polynomial(theta).roots, kept,
                                   form):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
-                          reduce_iwasawa(final[j][i - 1], spec))
+                          reduce_iwasawa(final[j][i - 1], case.spec))
               for i, j in positions]
     parameters = ideal_metadata(theta, algebra, column_range)
-    parameters.update({"p": p, "q": q, "blocks": list(blocks),
+    parameters.update({"p": p, "q": q, "blocks": list(case.blocks),
                        "perturbed": perturb})
-    case = "upq-theorem" + ("-perturbed" if perturb else "")
-    return _report(case, parameters, checks)
+    return _report("upq-theorem" + ("-perturbed" if perturb else ""),
+                   parameters, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -552,22 +580,17 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     n-free part of every prefix, the part each comparison reduces.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
-    blocks = tuple(blocks)
-    L = len(blocks)
-    symbols = upq_symbols(blocks)
-    unknown = sorted(set(params or ()) - set(symbols))
-    if unknown:
-        raise ValueError(f"unknown symbols {unknown}; expected {list(symbols)}")
-    form = make_upq(p, q, symbols=symbols)  # also validates p, q
+    case = UpqCase(p, q, blocks)
+    params = case.bindings((params or {}).items())
+    blocks, L = case.blocks, len(case.blocks)
+    form = case.form
     ring = form.ring
-    mu = [ring.var(f"mu_{j}") for j in range(1, L + 1)]
-    lam = upq_lambda_schedule(p, q, blocks, mu, ring.var("s"), ring.var("t"),
-                              ring=ring)
+    lam = upq_lambda_schedule(p, q, blocks, ring)
 
     rec = _UpqRecursion(p, q, ring, form.a_names, lam)
     s, t = rec.s, rec.t
-    a_sub = {f"E_{i}": rec.radial.var(f"mu_{_block_of(blocks, i)}") * 2
-             for i in range(1, q + 1)}
+    a_sub = {form.basis.names[i]: v.rename(rec.radial)
+             for i, v in case.spec.a_values.items()}
 
     def show(value: ParamPoly) -> str:
         return radial_str(value, ring)
@@ -659,7 +682,7 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     if notes:
         report["notes"] = notes
     report["tables"] = {
-        stage: {family: [show(v.substitute(params or {})) for v in column]
+        stage: {family: [show(v.substitute(params)) for v in column]
                 for family, column in table.items()}
         for stage, table in tables.items()
     }

@@ -153,9 +153,8 @@ def test_products_cover_indivisible_roots():
 
 def test_product_substitute_binds_symbols():
     rs = spnr_root_system(1)
-    ring = spectral_ring(rs, line_bundle=True)
-    e_prod, _ = line_bundle_products(rs, ring)
-    bound = e_prod.substitute({"ell": ring.const(0)})
+    e_prod, _ = line_bundle_products(rs)
+    bound = e_prod.substitute({"ell": e_prod.ring.const(0)})
     assert all("ell" not in str(f.argument) for f in bound.factors)
 
 

@@ -401,7 +401,7 @@ def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
     def forbidden(*args, **kwargs):
         raise AssertionError("built a case for a refused request")
 
-    for name in ("gl_lemma_check", "hua_sp_system", "ideal_generators", "upq_form_and_theta", "e_function"):
+    for name in ("gl_lemma_check", "hua_sp_system", "ideal_generators", "UpqCase", "e_function"):
         monkeypatch.setattr(cli, name, forbidden)
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -23,7 +23,7 @@ from huaops.matop import (
 from huaops.minpoly import ThetaData, minimal_polynomial
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, sum_products_table
-from huaops.reduce import peel_k, upq_form_and_theta
+from huaops.reduce import UpqCase, peel_k
 
 
 def _gl2():
@@ -148,7 +148,8 @@ def test_ideal_generators_gl2_shapes():
 
 @pytest.mark.parametrize("p, q, blocks", [(2, 1, (1,)), (3, 1, (1,))])
 def test_restricted_entries_equal_the_unrestricted_ones(p, q, blocks):
-    form, theta = upq_form_and_theta(p, q, blocks)
+    case = UpqCase(p, q, blocks)
+    form, theta = case.form, case.theta
     alg = make_algebra("gl", p + q)
     full = {(i, j): e for i, j, e in ideal_generators(alg, theta).entries()}
     restricted = ideal_generators(alg, theta, column_range=(p + 1, p + q))
@@ -163,7 +164,8 @@ def test_restricted_entries_equal_the_unrestricted_ones(p, q, blocks):
 def test_restricted_ideal_builds_no_unexported_column(monkeypatch):
     # Every U(g) product of matop goes through sum_products_table; record
     # what it builds and look for the entries of q(F) outside column 3.
-    form, theta = upq_form_and_theta(2, 1, (1,))
+    case = UpqCase(2, 1, (1,))
+    form, theta = case.form, case.theta
     alg = make_algebra("gl", 3)
     full = mat_eval_poly(generator_matrix(alg, form.ring), minimal_polynomial(theta).coefficients())
     kept = {str(full.entry(a, 3)) for a in (1, 2, 3)}

@@ -86,39 +86,22 @@ def test_lambda_schedule_frozen():
     mu1, mu2 = ring.var("mu_1"), ring.var("mu_2")
     s, t = ring.var("s"), ring.var("t")
     half = (s + t) / 2
-    lam = upq_lambda_schedule(2, 2, (1, 2), (mu1, mu2), s, t, ring=ring)
+    lam = upq_lambda_schedule(2, 2, (1, 2), ring)
     assert lam == (
         -mu1 - half,
         -mu2 - half - 1,
         mu2 - half - 4 + 2,
         mu1 - half - 4 + 1,
     )
-    lam21 = upq_lambda_schedule(2, 1, (1,), (mu1,), s, t, ring=ring)
+    lam21 = upq_lambda_schedule(2, 1, (1,), ring)
     assert lam21 == (-mu1 - half, mu1 - half - 3 + 1)
-
-
-def test_lambda_schedule_validation():
-    ring = ParamRing(("mu_1", "s", "t"))
-    mu, s, t = ring.var("mu_1"), ring.var("s"), ring.var("t")
-    with pytest.raises(ValueError):
-        upq_lambda_schedule(2, 1, (2,), (mu,), s, t, ring=ring)  # blocks must end at q
-    with pytest.raises(ValueError):
-        upq_lambda_schedule(1, 2, (2,), (mu,), s, t, ring=ring)  # q <= p
-    with pytest.raises(ValueError):
-        upq_lambda_schedule(2, 2, (1, 2), (mu,), s, t, ring=ring)  # one mu per block
-    for p, q, blocks in [(2, 2, (2, 2)), (3, 2, (0, 2)), (2, 2, (1, 1, 2)), (3, 3, (2, 1, 3))]:
-        with pytest.raises(ValueError, match="positive, strictly increasing"):
-            upq_lambda_schedule(p, q, blocks, (mu,) * len(blocks), s, t, ring=ring)
 
 
 @pytest.mark.parametrize("p,q,blocks", [(1, 1, (1,)), (2, 1, (1,)), (2, 2, (1, 2)), (3, 2, (1, 2))])
 def test_complexified_theta_reproduces_f(p, q, blocks):
-    names = tuple(f"mu_{k}" for k in range(1, len(blocks) + 1)) + ("s", "t")
-    ring = ParamRing(names)
-    mu = tuple(ring.var(f"mu_{k}") for k in range(1, len(blocks) + 1))
-    s, t = ring.var("s"), ring.var("t")
-    f, f_ext = upq_f_polys(p, q, blocks, mu, s, t, ring=ring)
-    theta = upq_complexified_theta(p, q, blocks, mu, s, t, ring=ring)
+    ring = ParamRing(tuple(f"mu_{k}" for k in range(1, len(blocks) + 1)) + ("s", "t"))
+    f, f_ext = upq_f_polys(p, q, blocks, ring)
+    theta = upq_complexified_theta(p, q, blocks, ring)
     produced = minimal_polynomial(theta)
     expected = f if p == q else f_ext
     assert produced.coefficients() == expected.coefficients()
@@ -127,11 +110,10 @@ def test_complexified_theta_reproduces_f(p, q, blocks):
 
 def test_f_polys_roots():
     ring = ParamRing(("mu_1", "s", "t"))
-    mu, s, t = ring.var("mu_1"), ring.var("s"), ring.var("t")
-    f, f_ext = upq_f_polys(2, 1, (1,), (mu,), s, t, ring=ring)
-    lam = upq_lambda_schedule(2, 1, (1,), (mu,), s, t, ring=ring)
+    f, f_ext = upq_f_polys(2, 1, (1,), ring)
+    lam = upq_lambda_schedule(2, 1, (1,), ring)
     assert f.roots == tuple(-v for v in lam)
-    assert f_ext.roots[0] == s + 1  # extra Shilov factor x - s - q
+    assert f_ext.roots[0] == ring.var("s") + 1  # extra Shilov factor x - s - q
 
 
 def test_boundary_theta_and_degree_spots():

@@ -18,14 +18,13 @@ from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
 from huaops.reduce import (
     ReductionSpec,
+    UpqCase,
     gamma,
     gamma_ell,
     gl_lemma_check,
     hua_sp_system,
     peel_k,
     reduce_iwasawa,
-    upq_form_and_theta,
-    upq_reduction_spec,
     upq_scalar_recursion,
     upq_shilov_identity,
     upq_theorem_case,
@@ -222,10 +221,8 @@ def test_projection_matches_change_basis_on_perturbed_theorem(monkeypatch):
 
 
 def _kernel_setup(p, q, blocks):
-    form = make_upq(p, q, symbols=reduce_module.upq_symbols(blocks))
-    ring = form.ring
-    mu = [ring.var(f"mu_{j}") for j in range(1, len(blocks) + 1)]
-    lam = upq_lambda_schedule(p, q, blocks, mu, ring.var("s"), ring.var("t"), ring=ring)
+    form = UpqCase(p, q, blocks).form
+    lam = upq_lambda_schedule(p, q, blocks, form.ring)
     return form, ReductionSpec(form), [-v for v in lam]
 
 
@@ -342,13 +339,13 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
 
 def _residues_through_ideal_generators(p, q, blocks, perturb):
     """The membership residues as the full generator set gives them."""
-    form, theta = upq_form_and_theta(p, q, blocks)
+    case = UpqCase(p, q, blocks)
+    form, theta = case.form, case.theta
     if perturb:
         theta = replace(theta, char_values=(theta.char_values[0] - 1,) + theta.char_values[1:])
     column_range = (p + 1, p + q) if p > q else None
     gens = ideal_generators(form.complex_algebra, theta, column_range=column_range)
-    spec = upq_reduction_spec(form, blocks)
-    residues = [(f"entry[{i},{j}]", str(reduce_iwasawa(e, spec))) for i, j, e in gens.entries()]
+    residues = [(f"entry[{i},{j}]", str(reduce_iwasawa(e, case.spec))) for i, j, e in gens.entries()]
     return gens.metadata(), residues
 
 
@@ -369,10 +366,32 @@ def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
 
 
 def test_upq_a_substitution_spec_is_total():
-    form = make_upq(2, 1, symbols=("mu_1", "s", "t"))
-    spec = upq_reduction_spec(form, (1,))
+    case = UpqCase(2, 1, (1,))
+    spec = case.spec
     assert spec.total_a()
-    assert spec.k_character is form.k_character
+    assert spec.k_character is case.form.k_character
+    # E_i = 2 mu_j, with j the block of i: n_(j-1) < i <= n_j.
+    for p, q, blocks, expected in [(3, 2, (1, 2), ["mu_1", "mu_2"]), (3, 3, (1, 3), ["mu_1", "mu_2", "mu_2"]),
+                                   (3, 3, (2, 3), ["mu_1", "mu_1", "mu_2"])]:
+        case = UpqCase(p, q, blocks)
+        names = case.form.basis.names
+        ring = case.form.ring
+        assert {names[i]: v for i, v in case.spec.a_values.items()} == {
+            f"E_{i}": ring.var(mu) * 2 for i, mu in enumerate(expected, start=1)}
+
+
+def test_upq_case_checks_ranks_and_blocks():
+    for p, q in [(1, 2), (2, 0), (-1, 1)]:
+        with pytest.raises(ValueError, match=rf"U\(p,q\) needs 1 <= q <= p, got p={p} q={q}"):
+            UpqCase(p, q, (q,))
+    for p, q, blocks in [(2, 1, (2,)), (2, 2, (2, 2)), (3, 2, (0, 2)), (2, 2, (1, 1, 2)), (3, 3, (2, 1, 3)), (2, 2, ())]:
+        with pytest.raises(ValueError, match=f"blocks {','.join(map(str, blocks))} must be positive, strictly increasing"):
+            UpqCase(p, q, blocks)
+    case = UpqCase(3, 2, [1, 2])
+    assert case.blocks == (1, 2) and case.symbols == ("mu_1", "mu_2", "s", "t")
+    assert case.bindings([("mu_2", 1), ("t", 0)]) == {"mu_2": 1, "t": 0}
+    with pytest.raises(ValueError, match=r"unknown symbols \['E_1'\]; expected mu_1, mu_2, s, t"):
+        case.bindings([("s", 1), ("E_1", 1)])
 
 
 @pytest.mark.parametrize(
@@ -450,14 +469,28 @@ def test_upq_shilov_driver_small():
 
 
 def test_upq_theorem_driver_small():
-    report = upq_theorem_case(1, 1, (1,))
-    assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+    # Every kept entry passes, and the perturbed control names the entries
+    # it breaks, so a chain that fills the wrong columns cannot pass.
+    for p, q, blocks, broken in [
+        (1, 1, (1,), ["entry[1,1]", "entry[1,2]", "entry[2,1]", "entry[2,2]"]),
+        (2, 1, (1,), ["entry[1,3]", "entry[3,3]"]),
+    ]:
+        report = upq_theorem_case(p, q, blocks)
+        assert report["pass"], [c for c in report["checks"] if not c["pass"]]
+        checks = upq_theorem_case(p, q, blocks, perturb=True)["checks"]
+        assert [c["name"] for c in checks] == [c["name"] for c in report["checks"]]
+        assert [c["name"] for c in checks if not c["pass"]] == broken
 
 
 def test_upq_theorem_perturbed_control_fails():
     report = upq_theorem_case(1, 1, (1,), perturb=True)
     assert not report["pass"]
-    assert any(not c["pass"] for c in report["checks"])
+    assert {c["name"]: c["residue"] for c in report["checks"]} == {
+        "entry[1,1]": "mu_1 + 1/2*s - 1/2*t - 1",
+        "entry[1,2]": "mu_1 + 1/2*s - 1/2*t",
+        "entry[2,1]": "mu_1 - 1/2*s + 1/2*t",
+        "entry[2,2]": "mu_1 - 1/2*s + 1/2*t - 1",
+    }
 
 
 def test_upq_recursion_driver_small():

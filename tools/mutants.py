@@ -56,6 +56,8 @@ REAL_FORM = "tests/test_liedata.py::test_real_form_refuses_inconsistent_zones"
 CATALOG = "tests/test_liedata.py::test_catalog_is_pinned"
 CENTRAL = "tests/test_matop.py::test_trace_powers_are_central"
 BOUNDARY = "tests/test_cli.py::test_ranks_are_checked_at_the_boundary"
+UPQ_CASE = "tests/test_reduce.py::test_upq_case_checks_ranks_and_blocks"
+BAD_RANKS = "tests/test_cli.py::test_upq_rejects_bad_ranks_before_reading_input"
 LEMMA_CHAINS = "tests/test_reduce.py::test_gl_lemma_runs_only_the_congruence_chains_in_the_module"
 UNPRUNED = "tests/test_matop.py::test_unpruned_module_chain_is_the_peeled_prefix"
 GL_LEMMA_GOLDEN = tuple(f"{GOLDEN}[verify gl-lemma --n {n} --m {m}]"
@@ -84,8 +86,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "or True}",
            (EXACT,)),
     Mutant("pair-skip-one-grade-tight", "src/huaops/pbw.py",
-           "ys[:bisect_right(ykeys, budget - g)]",
-           "ys[:bisect_right(ykeys, budget - g - 1)]",
+           "if ga + gb > budget:",
+           "if ga + gb > budget - 1:",
            (EXACT, PERTURBED_32, PERTURBED_22)),
     # The factor chain and its k-peel.
     Mutant("root-sign-flipped", "src/huaops/matop.py",
@@ -107,7 +109,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "[one if a == b + 1 else zero for a in range(1, mat.size + 1)]",
            ("tests/test_matop.py::test_factor_columns_match_coefficient_form",
             "tests/test_matop.py::test_restricted_entries_equal_the_unrestricted_ones",
-            "tests/test_matop.py::test_trace_power_matches_power_trace")),
+            "tests/test_matop.py::test_trace_power_matches_power_trace",
+            "tests/test_reduce.py::test_upq_theorem_driver_small")),
     Mutant("last-root-dropped", "src/huaops/matop.py",
            "enumerate(roots, start=1)",
            "enumerate(roots[:-1], start=1)",
@@ -163,6 +166,27 @@ MUTANTS: Tuple[Mutant, ...] = (
            tuple(f"{BOUNDARY}[{case}]" for case in (
                "ideal-spnr-p", "ideal-glnr-pq", "ideal-upq-n", "cfun-upq-n",
                "cfun-spnr-q"))),
+    # The one U(p,q) case: ranks, a-values and bindings.
+    Mutant("upq-rank-check-skipped", "src/huaops/reduce.py",
+           "check_upq_ranks(self.p, self.q)",
+           "None",
+           (UPQ_CASE,) + tuple(f"{BAD_RANKS}[{case}]" for case in (
+               "reduce-p1-q2", "ideal-p1-q2", "upq-theorem-p2-q0",
+               "upq-recursion-p1-q2", "upq-recursion-p-1-q1"))),
+    Mutant("a-value-block-off-by-one", "src/huaops/reduce.py",
+           "sum(end < i for end in self.blocks)",
+           "sum(end < i - 1 for end in self.blocks)",
+           ("tests/test_reduce.py::test_upq_a_substitution_spec_is_total",
+            f"{GOLDEN}[verify upq-theorem --p 3 --q 2 --blocks 1,2]",
+            "tests/test_acceptance.py::test_criterion_4_upq_theorem")),
+    Mutant("upq-binding-check-skipped", "src/huaops/reduce.py",
+           "if name not in self.symbols]",
+           "if False]",
+           (UPQ_CASE,)
+           + tuple(f"tests/test_cli.py::test_reduce_rejects_unknown_binding"
+                   f"[{b}]" for b in ("nosuch=1", "E_1=1"))
+           + tuple(f"tests/test_cli.py::test_upq_recursion_rejects_unknown_"
+                   f"binding[{b}]" for b in ("zzz=3", "E_1=1"))),
     # The int arithmetic under the products.
     Mutant("scale-forced-to-1", "src/huaops/pbw.py",
            "return lcm(*(c.denominator for i in range(n)",
