@@ -11,6 +11,7 @@ from huaops.liedata import make_glnr, make_spnr
 from huaops.matop import generator_matrix, trace_power
 from huaops.reduce import gamma, gamma_ell, radial_str
 
+EXPORT = "ideal --form upq --p 2 --q 1 --blocks 1 --restrict-columns"
 GOLDEN = {
     "verify upq-theorem --p 2 --q 1 --blocks 1":
         "a10264ac7aecd883a211576c12a13a42220d73f5d0a708e3126f5a737122266a",
@@ -49,6 +50,16 @@ GOLDEN = {
     # that prunes too much shows only on failing cases.
     "verify upq-theorem --p 3 --q 2 --blocks 1,2 --perturb":
         "2ccceca91447e0c6aead28b73ec67838ec33c5af2a45c40f121fba822576353e",
+    # Generator-set exports; the U(p,q) one is the input of the reduce
+    # digest below.
+    EXPORT:
+        "f6c01c3d1b745d64913b1f35d03f0b12e32124dad5e310787ac4a2a630ae4e9f",
+    "ideal --form spnr --n 2 --blocks 1,2":
+        "d11e959a607301809bce59cf339673c3607c0568cced62bcd085fbb9f03cc672",
+    # Its order-4 trace power multiplies two matrices of degree 2, so two
+    # monomials of degree 2 meet in one product.
+    "ideal --form glnr --n 5 --blocks 1,2,3,4,5":
+        "184d2d6cc5c8e275a18057801d43eaeae93b3c17eb656e64086c4f54883cf4b8",
 }
 
 
@@ -58,6 +69,18 @@ def test_canonical_json_digest(capsys, request_args):
     out = capsys.readouterr().out
     assert code == (1 if "--perturb" in request_args else 0)
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[request_args]
+
+
+def test_reduce_of_the_export_digest(tmp_path, capsys):
+    blob = tmp_path / "gens.json"
+    assert run(EXPORT.split() + ["--out", str(blob)]) == 0
+    capsys.readouterr()
+    code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1",
+                "--blocks", "1", "--in", str(blob), "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "5daa7ab303c99a90aa8553755669562ec1b07ceb40fa59dbe096698bf652b10b")
 
 
 def test_radial_image_strings():
