@@ -101,17 +101,6 @@ class GammaProduct:
             if f.argument.ring != self.ring or self.log2_coeff.ring != self.ring:
                 raise ValueError("all factors must share the product's ring")
 
-    def substitute(self, bindings: Mapping[str, ParamPoly]) -> "GammaProduct":
-        """Apply a symbolic substitution to every argument."""
-        return GammaProduct(
-            self.ring,
-            tuple(
-                GammaFactor(f.sign, f.argument.substitute(bindings), f.root)
-                for f in self.factors
-            ),
-            self.log2_coeff.substitute(bindings),
-        )
-
     def evaluate(self, bindings: Mapping[str, ScalarLike], *,
                  reverse: bool = False) -> dict:
         """Evaluate at exact parameter values.

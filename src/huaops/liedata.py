@@ -783,7 +783,7 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
 # -- GL(n, R) ----------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def make_glnr(n: int, symbols: Tuple[str, ...] = ()) -> RealFormData:
+def make_glnr(n: int) -> RealFormData:
     """The real form GL(n, R), complexified to gl_n.
 
     Iwasawa basis: n-zone E_{ij} (i < j), a-zone E_{ii}, k-zone
@@ -791,7 +791,7 @@ def make_glnr(n: int, symbols: Tuple[str, ...] = ()) -> RealFormData:
     """
     if n < 1:
         raise ValueError("GL(n,R) requires n >= 1")
-    ring = ParamRing(symbols)
+    ring = ParamRing()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     n_zone = [(f"E_{i}_{j}", elementary(n, i, j),
                _coords(n, **{f"i{i}": 1, f"i{j}": -1})) for i, j in pairs]

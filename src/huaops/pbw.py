@@ -23,15 +23,17 @@ lowers the degree by one and contributes one factor D.  Every scaled value
 is checked to be integral, never rounded, so a wrong scale raises instead of
 giving a wrong product.
 
-Every operator-matrix entry is of degree one, so nearly every product has a
-single generator on one side.  A monomial times a generator is straightened
-from the back of the monomial and memoised in ``_mono_gen_cache``.  A
-generator g times a monomial b = h^e·rest is straightened from the front:
+Every product of two monomials is one memoised recursion,
+:meth:`OrderedBasis.mul_monos`.  A generator g times a monomial
+b = h^e·rest is straightened from the front:
 g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest when g > h, memoised in
 ``_mono_mono_cache`` under ``(((g, 1),), b)``; when g <= h the product is
-read off and not stored.  Only two factors of degree at least 2 go through
-(a·g)·rest, memoised in the same dict under ``(a, b)``.  The memos hold
-ints and live as long as the basis.
+read off and not stored.  A longer a = g·a' is multiplied as g·(a'·b),
+memoised in the same dict under ``(a, b)``.  The projection of
+:func:`project_mod_n` multiplies generators in on the right instead, with
+:meth:`OrderedBasis.mul_mono_gen`, which straightens from the back of a
+monomial and is memoised in ``_mono_gen_cache``.  The memos hold ints and
+live as long as the basis.
 
 Coefficients are :class:`~huaops.params.ParamPoly` int numerators over one
 denominator, so the arithmetic around straightening builds no ``Fraction``.
@@ -203,7 +205,7 @@ class OrderedBasis:
         basis_id: str,
         ambient: int,
         generators: Sequence[Tuple[str, str, Matrix]],
-        zones: Sequence[str] = ("all",),
+        zones: Sequence[str],
     ):
         self.basis_id = basis_id
         self.ambient = ambient
@@ -333,69 +335,50 @@ class OrderedBasis:
         return result
 
     def mul_monos(self, a: Monomial, b: Monomial) -> Dict[Monomial, int]:
-        """Normal form of a·b, scaled like :meth:`mul_mono_gen`.
+        """Normal form of a·b, scaled: {m: D^(deg a + deg b - deg m) * coefficient}.
 
-        The int stored for m is D^(deg a + deg b - deg m) times its
-        coefficient.  A single generator on the left is straightened from
-        the front of b (:meth:`_gen_times`), and one on the right is
-        :meth:`mul_mono_gen`.  Otherwise a·b = (a·g)·rest for the first
-        generator g of b, and the scalings of a·g and of (a·g)·rest
-        multiply to the one above.
+        A single generator g is straightened from the front of b = h^e·rest:
+        g·b is g prepended when g < h, and h^(e+1)·rest when g = h; neither
+        is stored.  When g > h, g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest,
+        with the bracket D·[g, h] in place of [g, h], memoised under
+        ``(((g, 1),), b)``.  A longer a = g·a' is multiplied as g·(a'·b),
+        memoised under ``(a, b)``; the scalings of a'·b and of g times each
+        of its terms multiply to the one above.
         """
         if not b:
             return {a: 1}
         if not a:
             return {b: 1}
+        g, e = a[0]
+        single = e == 1 and len(a) == 1
+        if single:
+            h, f = b[0]
+            if g < h:
+                return {a + b: 1}
+            if g == h:
+                return {((g, f + 1),) + b[1:]: 1}
         key = (a, b)
         hit = self._mono_mono_cache.get(key)
         if hit is not None:
             return hit
-        if len(a) == 1 and a[0][1] == 1:
-            return self._gen_times(a[0][0], b)
-        if len(b) == 1 and b[0][1] == 1:
-            return self.mul_mono_gen(a, b[0][0])
-        g, e = b[0]
-        rest: Monomial = ((g, e - 1),) + b[1:] if e > 1 else b[1:]
+        if single:
+            rest: Monomial = ((h, f - 1),) + b[1:] if f > 1 else b[1:]
+            front, inner = h, self.mul_monos(a, rest)
+        else:
+            front = g
+            inner = self.mul_monos(((g, e - 1),) + a[1:] if e > 1 else a[1:], b)
         acc: Dict[Monomial, int] = {}
-        for m1, c1 in self.mul_mono_gen(a, g).items():
-            for m2, c2 in self.mul_monos(m1, rest).items():
+        for m1, c1 in inner.items():
+            for m2, c2 in self.mul_monos(((front, 1),), m1).items():
                 c = c1 * c2
                 prev = acc.get(m2)
                 acc[m2] = c if prev is None else prev + c
-        result = {m: c for m, c in acc.items() if c != 0}
-        self._mono_mono_cache[key] = result
-        return result
-
-    def _gen_times(self, g: int, b: Monomial) -> Dict[Monomial, int]:
-        """Normal form of g·b for one generator g, scaled as in :meth:`mul_monos`.
-
-        With b = h^e·rest, g·b is g prepended when b is empty or g < h, and
-        h^(e+1)·rest when g = h; neither is stored.  When g > h,
-        g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, with the bracket
-        D·[g, h] in place of [g, h], and the result is memoised in
-        ``_mono_mono_cache`` under ``(((g, 1),), b)``.
-        """
-        if not b or g < b[0][0]:
-            return {((g, 1),) + b: 1}
-        h, e = b[0]
-        if g == h:
-            return {((g, e + 1),) + b[1:]: 1}
-        key = (((g, 1),), b)
-        hit = self._mono_mono_cache.get(key)
-        if hit is not None:
-            return hit
-        rest: Monomial = ((h, e - 1),) + b[1:] if e > 1 else b[1:]
-        acc: Dict[Monomial, int] = {}
-        for m1, c1 in self._gen_times(g, rest).items():
-            for m2, c2 in self._gen_times(h, m1).items():
-                c = c1 * c2
-                prev = acc.get(m2)
-                acc[m2] = c if prev is None else prev + c
-        for k, ck in self._scaled_brackets[g, h]:
-            for m1, c1 in self._gen_times(k, rest).items():
-                c = ck * c1
-                prev = acc.get(m1)
-                acc[m1] = c if prev is None else prev + c
+        if single:
+            for k, ck in self._scaled_brackets[g, h]:
+                for m1, c1 in self.mul_monos(((k, 1),), rest).items():
+                    c = ck * c1
+                    prev = acc.get(m1)
+                    acc[m1] = c if prev is None else prev + c
         result = {m: c for m, c in acc.items() if c != 0}
         self._mono_mono_cache[key] = result
         return result
@@ -582,6 +565,10 @@ class EnvElement:
 
     @staticmethod
     def from_json_dict(data: dict, basis: OrderedBasis, ring: ParamRing) -> "EnvElement":
+        """The element of :meth:`to_json_dict`; raises ``ValueError`` unless
+        every monomial is normal-ordered over ``basis``: int indices in
+        ``range(len(basis))``, strictly increasing, and int exponents >= 1.
+        """
         if data.get("basisId") != basis.basis_id:
             raise ValueError(
                 f"element was serialised over basis {data.get('basisId')!r}, "
@@ -589,7 +576,18 @@ class EnvElement:
             )
         terms: Dict[Monomial, ParamPoly] = {}
         for item in data["terms"]:
-            mono = tuple((int(g), int(e)) for g, e in item["monomial"])
+            mono = tuple((g, e) for g, e in item["monomial"])
+            previous = -1
+            for g, e in mono:
+                # bool is an int subclass and float an int lookalike: both refused
+                if type(g) is not int or not previous < g < len(basis):
+                    raise ValueError(
+                        f"monomial {item['monomial']}: generator indices must "
+                        f"be increasing ints below {len(basis)}")
+                if type(e) is not int or e < 1:
+                    raise ValueError(f"monomial {item['monomial']}: exponents "
+                                     f"must be ints >= 1")
+                previous = g
             poly = poly_from_string_ring(ring, item["coeff"])
             if not poly.is_zero():
                 terms[mono] = terms.get(mono, ring.zero()) + poly
@@ -786,7 +784,7 @@ def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
     Every source generator's ambient matrix is expanded over ``target``, and
     a source monomial maps to the product of those images, multiplied in
     from the left by :func:`sum_products` (so through
-    :meth:`OrderedBasis._gen_times`).  The monomials that lead with the same
+    :meth:`OrderedBasis.mul_monos`).  The monomials that lead with the same
     generator share that factor: Horner's rule over the words, one
     :func:`sum_products` per distinct prefix.  This full conversion shares
     no straightening loop with :func:`project_mod_n`, whose oracle it is;

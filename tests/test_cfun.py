@@ -151,13 +151,6 @@ def test_products_cover_indivisible_roots():
     assert any(f.sign == NUMERATOR for f in cp.factors)
 
 
-def test_product_substitute_binds_symbols():
-    rs = spnr_root_system(1)
-    e_prod, _ = line_bundle_products(rs)
-    bound = e_prod.substitute({"ell": e_prod.ring.const(0)})
-    assert all("ell" not in str(f.argument) for f in bound.factors)
-
-
 def test_spectral_ring_names():
     rs = spnr_root_system(2)
     assert spectral_ring(rs).symbols == ("lambda_1", "lambda_2")

@@ -418,3 +418,27 @@ def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text):
     code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob)])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "monomial",
+    [[[999, 1]], [[-1, 1]], [[3, 1], [1, 1]], [[1, 1], [1, 1]], [[1, 0]],
+     [[1, -2]], [[True, 1]], [[1.0, 1]], [[1, 2.0]], [["1", 1]]],
+    ids=["index-past-the-basis", "negative-index", "indices-decreasing",
+         "index-repeated", "exponent-zero", "exponent-negative", "bool-index",
+         "float-index", "float-exponent", "string-index"],
+)
+def test_reduce_refuses_malformed_monomials(tmp_path, capsys, monomial):
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    doc = json.loads(blob.read_text())
+    doc["entries"][0]["element"]["terms"][0]["monomial"] = monomial
+    blob.write_text(json.dumps(doc))
+    code = run(["reduce"] + argv + ["--in", str(blob), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: monomial ")
+    assert captured.err.count("\n") == 1

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +23,7 @@ from huaops.pbw import (
 )
 
 RING = ParamRing()
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _oracle_bases():
@@ -142,6 +146,35 @@ def test_naive_rewriter_agrees_on_random_words():
                     == naive_normal_order(basis, word)), (basis.basis_id, word)
 
 
+def _word(mono):
+    return tuple(g for g, e in mono for _ in range(e))
+
+
+def test_monomial_products_match_naive_rewriter():
+    # The int stored for m is D^(N - deg m) times its coefficient, with N the
+    # degree of the product.  No product reaches mul_mono_gen, so it is
+    # checked here on its own.
+    for basis, scale in _oracle_bases():
+        rng = random.Random(107)
+
+        def scaled(product, top):
+            return {m: Fraction(c, scale ** (top - mono_degree(m)))
+                    for m, c in product.items()}
+
+        for _ in range(12):
+            a, b = (word_mono(sorted(rng.randrange(len(basis))
+                                     for _ in range(rng.randint(2, 3))))
+                    for _ in range(2))
+            top = mono_degree(a) + mono_degree(b)
+            assert (scaled(basis.mul_monos(a, b), top)
+                    == naive_normal_order(basis, _word(a) + _word(b))), (
+                basis.basis_id, a, b)
+            g = rng.randrange(len(basis))
+            assert (scaled(basis.mul_mono_gen(a, g), mono_degree(a) + 1)
+                    == naive_normal_order(basis, _word(a) + (g,))), (
+                basis.basis_id, a, g)
+
+
 def test_left_action_matches_naive_rewriter():
     # g·m is straightened from the front of m; a product that needs a
     # bracket is memoised under the key (((g, 1),), m).
@@ -152,7 +185,7 @@ def test_left_action_matches_naive_rewriter():
         for mono in monos:
             elem = EnvElement(basis, RING, {mono: RING.one()})
             for g in range(len(basis)):
-                word = (g,) + tuple(h for h, e in mono for _ in range(e))
+                word = (g,) + _word(mono)
                 product = EnvElement.generator(basis, RING, g) * elem
                 got = {m: c.constant_value() for m, c in product.terms.items()}
                 assert got == naive_normal_order(basis, word), (basis.basis_id, word)
@@ -233,3 +266,22 @@ def test_json_round_trip():
     back = EnvElement.from_json_dict(data, basis, ring)
     assert (back - elem).is_zero()
 
+
+
+def test_benchmark_tracer_hooks_resolve():
+    # perfbench/tracer.py wraps these methods and reads these memos by name,
+    # so a rename would break only the traced benchmark run.
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for qualified in {**tracer.COUNTED_METHODS, **tracer.SPANNED_METHODS}:
+        layer, cls_name, method = qualified.split(".")
+        cls = getattr(importlib.import_module(f"huaops.{layer}"), cls_name)
+        assert method in vars(cls), qualified
+    source = make_algebra("gl", 2).basis
+    fresh = OrderedBasis("gl2-fresh", source.ambient,
+                         list(zip(source.names, source.zone_of, source.matrices)),
+                         source.zones)
+    for cache in ("_mono_gen_cache", "_mono_mono_cache", "_conversion_cache"):
+        assert getattr(fresh, cache) == {}, cache

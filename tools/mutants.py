@@ -60,6 +60,12 @@ UPQ_CASE = "tests/test_reduce.py::test_upq_case_checks_ranks_and_blocks"
 BAD_RANKS = "tests/test_cli.py::test_upq_rejects_bad_ranks_before_reading_input"
 LEMMA_CHAINS = "tests/test_reduce.py::test_gl_lemma_runs_only_the_congruence_chains_in_the_module"
 UNPRUNED = "tests/test_matop.py::test_unpruned_module_chain_is_the_peeled_prefix"
+PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
+            "tests/test_pbw.py::test_left_action_matches_naive_rewriter",
+            "tests/test_pbw.py::test_naive_rewriter_agrees_on_random_words",
+            f"{GOLDEN}[ideal --form glnr --n 5 --blocks 1,2,3,4,5]",
+            f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
+            f"{GOLDEN}[verify gl-lemma --n 3 --m 3]")
 GL_LEMMA_GOLDEN = tuple(f"{GOLDEN}[verify gl-lemma --n {n} --m {m}]"
                         for n, m in ((2, 2), (3, 3), (3, 4)))
 
@@ -187,6 +193,17 @@ MUTANTS: Tuple[Mutant, ...] = (
                    f"[{b}]" for b in ("nosuch=1", "E_1=1"))
            + tuple(f"tests/test_cli.py::test_upq_recursion_rejects_unknown_"
                    f"binding[{b}]" for b in ("zzz=3", "E_1=1"))),
+    # The one straightening recursion of mul_monos.
+    Mutant("front-bracket-sign-flipped", "src/huaops/pbw.py",
+           "self.mul_monos(((k, 1),), rest).items():\n"
+           "                    c = ck * c1",
+           "self.mul_monos(((k, 1),), rest).items():\n"
+           "                    c = -ck * c1",
+           PRODUCTS),
+    Mutant("merge-keeps-the-old-exponent", "src/huaops/pbw.py",
+           "return {((g, f + 1),) + b[1:]: 1}",
+           "return {((g, f),) + b[1:]: 1}",
+           PRODUCTS),
     # The int arithmetic under the products.
     Mutant("scale-forced-to-1", "src/huaops/pbw.py",
            "return lcm(*(c.denominator for i in range(n)",
