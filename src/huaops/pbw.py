@@ -367,9 +367,10 @@ class OrderedBasis:
         else:
             front = g
             inner = self.mul_monos(((g, e - 1),) + a[1:] if e > 1 else a[1:], b)
+        lead: Monomial = ((front, 1),)
         acc: Dict[Monomial, int] = {}
         for m1, c1 in inner.items():
-            for m2, c2 in self.mul_monos(((front, 1),), m1).items():
+            for m2, c2 in self.mul_monos(lead, m1).items():
                 c = c1 * c2
                 prev = acc.get(m2)
                 acc[m2] = c if prev is None else prev + c
