@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
 import importlib.util
 import random
 from fractions import Fraction
@@ -265,7 +264,6 @@ def test_json_round_trip():
     data = elem.to_json_dict()
     back = EnvElement.from_json_dict(data, basis, ring)
     assert (back - elem).is_zero()
-
 
 
 def test_benchmark_tracer_hooks_resolve():
