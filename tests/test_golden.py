@@ -12,6 +12,7 @@ from huaops.matop import generator_matrix, trace_power
 from huaops.reduce import gamma, gamma_ell, radial_str
 
 EXPORT = "ideal --form upq --p 2 --q 1 --blocks 1 --restrict-columns"
+BENCH_EXPORT = "ideal --form upq --p 2 --q 2 --blocks 1,2 --restrict-columns"
 GOLDEN = {
     "verify upq-theorem --p 2 --q 1 --blocks 1":
         "a10264ac7aecd883a211576c12a13a42220d73f5d0a708e3126f5a737122266a",
@@ -60,6 +61,14 @@ GOLDEN = {
     # monomials of degree 2 meet in one product.
     "ideal --form glnr --n 5 --blocks 1,2,3,4,5":
         "184d2d6cc5c8e275a18057801d43eaeae93b3c17eb656e64086c4f54883cf4b8",
+    # The exports of the benchmark's roundtrip workload; the last one is the
+    # input of the second reduce digest below.
+    "ideal --form upq --p 3 --q 2 --blocks 1,2 --restrict-columns":
+        "b1b5a234cd1602d4da4b3c0744ccfc1c84799dd01efdb3c8209f97a4afcaef04",
+    "ideal --form spnr --n 3 --blocks 1,3":
+        "b2eb617a2316ff1217c1a80148d19656e887a893e52d0d22a93e550e039923e8",
+    BENCH_EXPORT:
+        "aa2198f2496e1d5da9d29f36d05a6a702429d2c3cc124d6794be4e47e0bf2dcb",
 }
 
 
@@ -71,16 +80,26 @@ def test_canonical_json_digest(capsys, request_args):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN[request_args]
 
 
-def test_reduce_of_the_export_digest(tmp_path, capsys):
+def _reduce_of_export_digest(tmp_path, capsys, export: str) -> str:
+    """The sha256 of ``reduce --json`` of the set that ``export`` writes."""
     blob = tmp_path / "gens.json"
-    assert run(EXPORT.split() + ["--out", str(blob)]) == 0
+    assert run(export.split() + ["--out", str(blob)]) == 0
     capsys.readouterr()
-    code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1",
-                "--blocks", "1", "--in", str(blob), "--json"])
+    ranks = export.split()[3:9]  # --p P --q Q --blocks B
+    code = run(["reduce", "--form", "upq"] + ranks + ["--in", str(blob), "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_reduce_of_the_export_digest(tmp_path, capsys):
+    assert _reduce_of_export_digest(tmp_path, capsys, EXPORT) == (
         "5daa7ab303c99a90aa8553755669562ec1b07ceb40fa59dbe096698bf652b10b")
+
+
+def test_reduce_of_the_benchmark_export_digest(tmp_path, capsys):
+    assert _reduce_of_export_digest(tmp_path, capsys, BENCH_EXPORT) == (
+        "73daf703197ec55472d9783ba3c06ca01efe7423f20926d12a06ef7d38471ffc")
 
 
 def test_radial_image_strings():
