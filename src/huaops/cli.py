@@ -16,8 +16,13 @@ this boundary and refused as a :class:`UsageError`, so a ``ValueError`` or
 the request.  An internal fault prints one line on standard error,
 ``internal error: <type>: <message>``.  ``--json`` prints the report as
 canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
-file.  Identical requests produce byte-identical JSON: no report holds a
-timing.  A rank flag that does not apply to ``--form`` (``--n`` with
+file, rendered once for both.  Identical requests produce byte-identical
+JSON: no report holds a timing.  Canonical JSON is exactly the bytes of
+``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, but is not
+written by it: with an ``indent`` that call runs the pure-Python encoder,
+which took longer than building a large ``ideal`` export and held every
+chunk of it at once.  :func:`_canonical_json` writes the same bytes in one
+pass, with the C string escaper that ``json.dumps`` itself uses.  A rank flag that does not apply to ``--form`` (``--n`` with
 ``upq``, ``--p`` or ``--q`` with ``spnr`` or ``glnr``) is a usage error.
 A U(p,q) request (``ideal --form upq``, ``reduce``, ``verify upq-theorem``
 and ``upq-recursion``) first builds its :class:`~huaops.reduce.UpqCase`,
@@ -34,6 +39,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Sequence, Tuple
 
 from .cfun import c_function, e_c_line_bundle, e_function
@@ -406,8 +412,43 @@ def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
 # rendering
 # ---------------------------------------------------------------------------
 
+def _json_text(value, newline: str) -> str:
+    """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
+    at the depth ``newline`` (a line break plus that depth's indent).
+
+    Lists and tuples are written alike; dict keys are str.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        return ("{" + inner + ("," + inner).join(
+            [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
+             for key in sorted(value)]) + newline + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        if all(type(item) is int for item in value):
+            items = map(int.__repr__, value)
+        else:
+            items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    return json.dumps(value)  # a float
+
+
 def _canonical_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return _json_text(doc, "\n") + "\n"
 
 
 def _summarize(report: dict, stream) -> None:
@@ -486,15 +527,17 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             KeyError) as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if args.out or args.json:
+        text = _canonical_json(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(_canonical_json(report))
+                fh.write(text)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     if args.json:
-        sys.stdout.write(_canonical_json(report))
+        sys.stdout.write(text)
     else:
         _summarize(report, sys.stdout)
     return status

@@ -559,7 +559,7 @@ class EnvElement:
         return {
             "basisId": self.basis.basis_id,
             "terms": [
-                {"coeff": str(p), "monomial": [[g, e] for g, e in m]}
+                {"coeff": str(p), "monomial": m}
                 for m, p in self.sorted_terms()
             ],
         }
@@ -567,9 +567,13 @@ class EnvElement:
     @staticmethod
     def from_json_dict(data: dict, basis: OrderedBasis, ring: ParamRing) -> "EnvElement":
         """The element of :meth:`to_json_dict`; raises ``ValueError`` unless
-        every monomial is normal-ordered over ``basis``: int indices in
-        ``range(len(basis))``, strictly increasing, and int exponents >= 1.
+        ``data`` is a dict, every coefficient a string, and every monomial
+        normal-ordered over ``basis``: int indices in ``range(len(basis))``,
+        strictly increasing, and int exponents >= 1.  A monomial may be a
+        list of ``[index, exponent]`` lists or a tuple of pairs.
         """
+        if not isinstance(data, dict):
+            raise ValueError(f"an element must be an object, got {data!r}")
         if data.get("basisId") != basis.basis_id:
             raise ValueError(
                 f"element was serialised over basis {data.get('basisId')!r}, "
@@ -589,7 +593,10 @@ class EnvElement:
                     raise ValueError(f"monomial {item['monomial']}: exponents "
                                      f"must be ints >= 1")
                 previous = g
-            poly = poly_from_string_ring(ring, item["coeff"])
+            coeff = item["coeff"]
+            if not isinstance(coeff, str):
+                raise ValueError(f"coefficient {coeff!r} must be a string")
+            poly = poly_from_string_ring(ring, coeff)
             if not poly.is_zero():
                 terms[mono] = terms.get(mono, ring.zero()) + poly
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})

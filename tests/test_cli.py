@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from huaops import cli
@@ -409,8 +409,14 @@ def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
 
 @pytest.mark.parametrize(
     "text",
-    ["{not json", "[1, 2]", '{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1}]}'],
-    ids=["syntax", "not-an-object", "missing-key"],
+    ["{not json", "[1, 2]", '{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1}]}']
+    + ['{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1, "col": 1, "element": %s}]}' % element
+       for element in ("5", "[]", '"x"')]
+    + ['{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1, "col": 1, "element": '
+       '{"basisId": "gl3-verma", "terms": [{"coeff": %s, "monomial": []}]}}]}' % coeff
+       for coeff in ("5", "null")],
+    ids=["syntax", "not-an-object", "missing-key", "element-int", "element-list", "element-string",
+         "coeff-int", "coeff-null"],
 )
 def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text):
     blob = tmp_path / "gens.json"
@@ -442,3 +448,82 @@ def test_reduce_refuses_malformed_monomials(tmp_path, capsys, monomial):
     assert captured.out == ""
     assert captured.err.startswith("error: monomial ")
     assert captured.err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# canonical JSON: the bytes of json.dumps(doc, indent=2, sort_keys=True)
+# ---------------------------------------------------------------------------
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", "\x00\x1f\n\t", "é ü 中 \U0001f600", "a\"b\\c"])
+_SCALARS = (st.none() | st.booleans() | _TEXT
+            | st.integers() | st.integers(min_value=2**64, max_value=2**80).flatmap(lambda n: st.sampled_from([n, -n]))
+            | st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 1e-05, 1e16]))
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_VALUES)
+@example({"zeta": [3, -1, 2**64 + 1], "alpha": ((0, 1), (2, 3)), "": {}, "mid": [[], (), {}],
+          "\x00\"\\é": (True, False, None, -0.0, 1e-05, 1e16, "x")})
+def test_canonical_json_matches_json_dumps(doc):
+    assert cli._canonical_json(doc) == _oracle(doc)
+
+
+_REPORTS = {
+    "ideal-upq": "ideal --form upq --p 2 --q 1 --blocks 1 --restrict-columns",
+    "ideal-spnr": "ideal --form spnr --n 2 --blocks 1,2",
+    "ideal-glnr": "ideal --form glnr --n 2 --blocks 1,2",
+    "ideal-theta-bar": "ideal --form spnr --n 2 --blocks 1,2 --variant theta-bar",
+    "reduce": "reduce --form upq --p 2 --q 1 --blocks 1 --in {export}",
+    "gl-lemma": "verify gl-lemma --n 2 --m 2",
+    "sp-hua": "verify sp-hua --n 1",
+    "upq-shilov": "verify upq-shilov --p 2 --q 1",
+    "upq-theorem": "verify upq-theorem --p 2 --q 1 --blocks 1",
+    "upq-recursion": "verify upq-recursion --p 2 --q 1 --blocks 1 --kernel",
+    "cfun-value": "cfun --form glnr --n 2",
+    "cfun-pole": "cfun --form spnr --n 1 --bind lambda_1=0",
+    "degrees": "degrees --diagram A_n^1 --n 4",
+}
+
+
+def _rendered(monkeypatch, capsys, tmp_path, argv):
+    """Run ``argv``; returns its exit code, stdout and every report it rendered."""
+    export = tmp_path / "gens.json"
+    if any("{export}" in arg for arg in argv):
+        assert run(_REPORTS["ideal-upq"].split() + ["--out", str(export)]) == 0
+    capsys.readouterr()
+    docs = []
+    render = cli._canonical_json
+
+    def recording(doc):
+        docs.append(doc)
+        return render(doc)
+
+    monkeypatch.setattr(cli, "_canonical_json", recording)
+    code = run([arg.format(export=export) for arg in argv])
+    return code, capsys.readouterr().out, docs
+
+
+@pytest.mark.parametrize("name", sorted(_REPORTS))
+def test_canonical_json_matches_json_dumps_on_reports(monkeypatch, capsys, tmp_path, name):
+    code, out, docs = _rendered(monkeypatch, capsys, tmp_path, _REPORTS[name].split() + ["--json"])
+    assert code == 0
+    assert len(docs) == 1
+    assert out == _oracle(docs[0])
+
+
+def test_out_and_json_render_once(monkeypatch, capsys, tmp_path):
+    blob = tmp_path / "report.json"
+    argv = _REPORTS["ideal-upq"].split() + ["--json", "--out", str(blob)]
+    code, out, docs = _rendered(monkeypatch, capsys, tmp_path, argv)
+    assert code == 0
+    assert len(docs) == 1
+    assert blob.read_bytes() == out.encode("utf-8")

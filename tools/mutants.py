@@ -66,6 +66,10 @@ PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
             f"{GOLDEN}[ideal --form glnr --n 5 --blocks 1,2,3,4,5]",
             f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
             f"{GOLDEN}[verify gl-lemma --n 3 --m 3]")
+WRITER = ("tests/test_cli.py::test_canonical_json_matches_json_dumps",
+          f"{GOLDEN}[ideal --form upq --p 3 --q 2 --blocks 1,2 --restrict-columns]",
+          f"{GOLDEN}[ideal --form spnr --n 3 --blocks 1,3]",
+          f"{GOLDEN}[ideal --form upq --p 2 --q 2 --blocks 1,2 --restrict-columns]")
 GL_LEMMA_GOLDEN = tuple(f"{GOLDEN}[verify gl-lemma --n {n} --m {m}]"
                         for n, m in ((2, 2), (3, 3), (3, 4)))
 
@@ -172,6 +176,15 @@ MUTANTS: Tuple[Mutant, ...] = (
            tuple(f"{BOUNDARY}[{case}]" for case in (
                "ideal-spnr-p", "ideal-glnr-pq", "ideal-upq-n", "cfun-upq-n",
                "cfun-spnr-q"))),
+    # The canonical JSON writer.
+    Mutant("dict-keys-unsorted", "src/huaops/cli.py",
+           "for key in sorted(value)]",
+           "for key in value]",
+           WRITER),
+    Mutant("tuple-written-compact", "src/huaops/cli.py",
+           "if isinstance(value, (list, tuple)):",
+           "if isinstance(value, list):",
+           WRITER),
     # The one U(p,q) case: ranks, a-values and bindings.
     Mutant("upq-rank-check-skipped", "src/huaops/reduce.py",
            "check_upq_ranks(self.p, self.q)",
