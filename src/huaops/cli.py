@@ -416,7 +416,9 @@ def _json_text(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
     at the depth ``newline`` (a line break plus that depth's indent).
 
-    Lists and tuples are written alike; dict keys are str.
+    Lists and tuples are written alike, and the int items of one are
+    written in place, without a call: an exported monomial is a tuple of
+    int pairs.  Dict keys are str.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -431,11 +433,9 @@ def _json_text(value, newline: str) -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        if all(type(item) is int for item in value):
-            items = map(int.__repr__, value)
-        else:
-            items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return ("[" + inner + ("," + inner).join(
+            [int.__repr__(item) if type(item) is int else _json_text(item, inner)
+             for item in value]) + newline + "]")
     if value is None:
         return "null"
     if value is True:
