@@ -418,7 +418,8 @@ def _json_text(value, newline: str) -> str:
 
     Lists and tuples are written alike, and the int items of one are
     written in place, without a call: an exported monomial is a tuple of
-    int pairs.  Dict keys are str.
+    int pairs.  Dict keys are str.  Each level is one f-string, so a long
+    body is copied once per level.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -426,16 +427,18 @@ def _json_text(value, newline: str) -> str:
         if not value:
             return "{}"
         inner = newline + "  "
-        return ("{" + inner + ("," + inner).join(
-            [encode_basestring_ascii(key) + ": " + _json_text(value[key], inner)
-             for key in sorted(value)]) + newline + "}")
+        body = f",{inner}".join(
+            [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+             for key in sorted(value)])
+        return f"{{{inner}{body}{newline}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        return ("[" + inner + ("," + inner).join(
+        body = f",{inner}".join(
             [int.__repr__(item) if type(item) is int else _json_text(item, inner)
-             for item in value]) + newline + "]")
+             for item in value])
+        return f"[{inner}{body}{newline}]"
     if value is None:
         return "null"
     if value is True:
