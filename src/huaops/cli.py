@@ -412,14 +412,21 @@ def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
 # rendering
 # ---------------------------------------------------------------------------
 
-def _json_text(value, newline: str) -> str:
+_INT_ONLY = frozenset({int})
+
+
+def _json_text(value, newline: str, texts: dict) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
     at the depth ``newline`` (a line break plus that depth's indent).
 
-    Lists and tuples are written alike, and the int items of one are
-    written in place, without a call: an exported monomial is a tuple of
-    int pairs.  Dict keys are str.  Each level is one f-string, so a long
-    body is copied once per level.
+    Lists and tuples are written alike; dict keys are str.  Each level is
+    one f-string, so a long body is copied once per level.  An int item of
+    a list is written in place.  A tuple item made only of ints is written
+    once per depth and kept in ``texts`` under ``(indent, tuple)``: an
+    exported monomial is a tuple of (index, exponent) pairs, and few pairs
+    recur (70 distinct among the 31,855 of the U(3,2) export).  Two tuples
+    of ints are equal exactly when their texts are; a bool or a float is
+    equal to an int but written otherwise, so it never enters ``texts``.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -428,16 +435,26 @@ def _json_text(value, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         body = f",{inner}".join(
-            [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner)}"
+            [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner, texts)}"
              for key in sorted(value)])
         return f"{{{inner}{body}{newline}}}"
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = newline + "  "
-        body = f",{inner}".join(
-            [int.__repr__(item) if type(item) is int else _json_text(item, inner)
-             for item in value])
+        items = []
+        for item in value:
+            if type(item) is int:
+                items.append(int.__repr__(item))
+            elif type(item) is tuple and {*map(type, item)} == _INT_ONLY:
+                text = texts.get((inner, item))
+                if text is None:
+                    text = texts[inner, item] = _json_text(item, inner, texts)
+                items.append(text)
+            else:
+                items.append(_json_text(item, inner, texts))
+        body = f",{inner}".join(items)
+        del items  # freed before the body is copied into the bracketed text
         return f"[{inner}{body}{newline}]"
     if value is None:
         return "null"
@@ -451,7 +468,7 @@ def _json_text(value, newline: str) -> str:
 
 
 def _canonical_json(doc: dict) -> str:
-    return _json_text(doc, "\n") + "\n"
+    return _json_text(doc, "\n", {}) + "\n"
 
 
 def _summarize(report: dict, stream) -> None:

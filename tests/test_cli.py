@@ -473,6 +473,8 @@ _VALUES = st.recursive(
 @given(_VALUES)
 @example({"zeta": [3, -1, 2**64 + 1], "alpha": ((0, 1), (2, 3)), "": {}, "mid": [[], (), {}],
           "\x00\"\\é": (True, False, None, -0.0, 1e-05, 1e16, "x")})
+# Equal tuples at one depth whose texts differ.
+@example([(1, 0), (True, False), (1.0, 0.0), (1, 0), ((1, 0),), (([1],),), ([1],)])
 def test_canonical_json_matches_json_dumps(doc):
     assert cli._canonical_json(doc) == _oracle(doc)
 

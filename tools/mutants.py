@@ -185,6 +185,10 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if isinstance(value, (list, tuple)):",
            "if isinstance(value, list):",
            WRITER),
+    Mutant("int-tuple-texts-untyped", "src/huaops/cli.py",
+           "elif type(item) is tuple and {*map(type, item)} == _INT_ONLY:",
+           "elif type(item) is tuple:",
+           (WRITER[0],)),
     # The one U(p,q) case: ranks, a-values and bindings.
     Mutant("upq-rank-check-skipped", "src/huaops/reduce.py",
            "check_upq_ranks(self.p, self.q)",
