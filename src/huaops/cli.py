@@ -22,8 +22,9 @@ JSON: no report holds a timing.  Canonical JSON is exactly the bytes of
 written by it: with an ``indent`` that call runs the pure-Python encoder,
 which took longer than building a large ``ideal`` export and held every
 chunk of it at once.  :func:`_canonical_json` writes the same bytes in one
-pass, with the C string escaper that ``json.dumps`` itself uses.  A rank flag that does not apply to ``--form`` (``--n`` with
-``upq``, ``--p`` or ``--q`` with ``spnr`` or ``glnr``) is a usage error.
+pass, with the C string escaper that ``json.dumps`` itself uses.  A rank
+flag that does not apply to ``--form`` (``--n`` with ``upq``, ``--p`` or
+``--q`` with ``spnr`` or ``glnr``) is a usage error.
 A U(p,q) request (``ideal --form upq``, ``reduce``, ``verify upq-theorem``
 and ``upq-recursion``) first builds its :class:`~huaops.reduce.UpqCase`,
 which checks the ranks, the blocks and (through
@@ -435,7 +436,8 @@ def _json_text(value, newline: str, texts: dict) -> str:
             return "{}"
         inner = newline + "  "
         body = f",{inner}".join(
-            [f"{encode_basestring_ascii(key)}: {_json_text(value[key], inner, texts)}"
+            [f"{encode_basestring_ascii(key)}: "
+             f"{_json_text(value[key], inner, texts)}"
              for key in sorted(value)])
         return f"{{{inner}{body}{newline}}}"
     if isinstance(value, (list, tuple)):
