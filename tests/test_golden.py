@@ -69,6 +69,9 @@ GOLDEN = {
         "b2eb617a2316ff1217c1a80148d19656e887a893e52d0d22a93e550e039923e8",
     BENCH_EXPORT:
         "aa2198f2496e1d5da9d29f36d05a6a702429d2c3cc124d6794be4e47e0bf2dcb",
+    # An exceptional row: its black nodes are written as null.
+    "degrees --diagram A_2^8:EIV":
+        "44d16a95ba246021e0815f1c02405b602aff2d8f5c3115632f503131cc6b382b",
 }
 
 

@@ -140,6 +140,31 @@ def test_satake_row_lookup_and_degrees():
         table.row("Z_n^9")
 
 
+EXCEPTIONAL_DEGREES = {
+    "E_6^1:EI": [3, 4, 5, 4, 3, 3],
+    "F_4^{2,1}:EII": [6, 8, 5, 8, 6, 3],
+    "BC_2^{8,6,1}:EIII": [6, None, None, None, 6, 3],
+    "A_2^8:EIV": [3, None, None, None, 3, None],
+    "E_7^1:EV": [3, 5, 7, 6, 5, 4, 4],
+    "F_4^{4,1}:EVI": [3, 5, 7, None, 5, None, 4],
+    "C_3^{8,1}:EVII": [3, None, None, None, 6, 4, 4],
+    "E_7^1:EVIII": [6, 11, 16, 13, 11, 9, 6, 8],
+    "F_4^{8,1}:EIX": [6, None, None, None, 11, 9, 6, None],
+    "F_4^{1,1}:FI": [3, 5, 8, 6],
+    "BC_1^{8,7}:FII": [None, None, None, 6],
+    "G_2^{1}:G_2": [3, 5],
+}
+
+
+def test_exceptional_rows_are_pinned():
+    # The drawn nodes in chain-then-branch order; None is a black node.
+    rows = [row for row in satake_table().rows if row.family != "classical"]
+    assert sorted(row.full_label for row in rows) == sorted(EXCEPTIONAL_DEGREES)
+    for row in rows:
+        degrees = [node.degree for node in row.node_degrees()]
+        assert degrees == EXCEPTIONAL_DEGREES[row.full_label], row.full_label
+
+
 def test_satake_parametric_row_needs_param():
     table = satake_table()
     row = table.row("BC_n^{2m,2,1}")
