@@ -381,11 +381,11 @@ def e_c_line_bundle(rs: RestrictedRootSystem, lam: Sequence[ScalarLike],
     }
 
 
-def dominant_grid_report(rs: RestrictedRootSystem, *, height: int = 3) -> dict:
+def dominant_grid_report(rs: RestrictedRootSystem) -> dict:
     """Spot-check finiteness of c on strictly dominant integer points.
 
     Candidate points are the strictly decreasing positive integer vectors
-    drawn from ``1..rank+height-1``; each is certified strictly dominant by
+    drawn from ``1..rank+2``; each is certified strictly dominant by
     exact pairing with every positive root, then checked to produce neither a
     zero nor a pole certificate, with a finite positive float value.
     """
@@ -394,7 +394,7 @@ def dominant_grid_report(rs: RestrictedRootSystem, *, height: int = 3) -> dict:
     log_c = _normalize(product, rho)
     points = 0
     failures: List[dict] = []
-    pool = range(1, rs.rank + height)
+    pool = range(1, rs.rank + 3)
     for combo in itertools.combinations(pool, rs.rank):
         lam = tuple(Fraction(c) for c in sorted(combo, reverse=True))
         if any(rs.lambda_alpha(lam, root) <= 0 for root in rs.positive):

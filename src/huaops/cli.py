@@ -32,6 +32,8 @@ which checks the ranks, the blocks and (through
 of those is refused before any input is read; ``verify upq-shilov`` and
 ``cfun --form upq`` check their ranks with
 :func:`~huaops.liedata.check_upq_ranks`, the function the case calls.
+``reduce`` refuses a generator set whose metadata, ``columnRange`` aside,
+is not :func:`~huaops.matop.ideal_metadata` of the requested case.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import List, Optional, Sequence, Tuple
 from .cfun import c_function, e_c_line_bundle, e_function
 from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
                       satake_table, spnr_root_system, upq_root_system)
-from .matop import GeneratorSet, ideal_generators
+from .matop import GeneratorSet, ideal_generators, ideal_metadata
 from .minpoly import THETA, THETA_BAR, ThetaData
 from .params import ParamRing, as_fraction
 from .pbw import EnvElement
@@ -183,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
         "degrees", parents=[output],
         help="boundary degrees at every node of a diagram row")
     deg.add_argument("--diagram", required=True,
-                     help='row label, e.g. "A_n^1" or "BC_q^{2(p-q),2,1}"')
+                     help='row label, e.g. "A_n^1" or "BC_n^{2m,2,1}"')
     deg.add_argument("--n", type=int, help="rank for parametric rows")
     deg.add_argument("--m", type=int,
                      help="extra row parameter when the label needs one")
@@ -278,14 +280,18 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         else:
             doc = json.load(sys.stdin)
         meta = doc.get("metadata", {})
-        built_on = meta.get("basisId")
+        built_for = {k: v for k, v in meta.items() if k != "columnRange"}
         records = list(doc.get("entries", []))
     except (ValueError, TypeError, AttributeError) as exc:  # not a set
         raise UsageError(str(exc)) from None
-    if built_on != ambient.basis_id:
+    expected = ideal_metadata(case.theta, ambient)
+    wrong = sorted(key for key in expected.keys() | built_for.keys()
+                   if built_for.get(key) != expected.get(key))
+    if wrong:
+        found = ", ".join(f"{key}={built_for.get(key)!r}" for key in wrong)
         raise UsageError(
-            f"generator set was built on basis {built_on!r}, "
-            f"but --form upq --p {p} --q {q} expects {ambient.basis_id!r}")
+            f"generator set was built for {found}, not for --form upq "
+            f"--p {p} --q {q} --blocks {','.join(map(str, case.blocks))}")
     entries = []
     all_zero = True
     for record in records:
@@ -399,7 +405,7 @@ def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
         row = satake_table().row(args.diagram)
         nodes = row.node_degrees(args.n, args.m)
     except (KeyError, ValueError) as exc:  # the label, --n or --m
-        raise UsageError(str(exc)) from None
+        raise UsageError(exc.args[0]) from None
     report = {
         "diagram": row.full_label,
         "rank": args.n,
@@ -413,21 +419,14 @@ def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
 # rendering
 # ---------------------------------------------------------------------------
 
-_INT_ONLY = frozenset({int})
-
-
-def _json_text(value, newline: str, texts: dict) -> str:
+def _json_text(value, newline: str) -> str:
     """``value`` as ``json.dumps(value, indent=2, sort_keys=True)`` writes it
     at the depth ``newline`` (a line break plus that depth's indent).
 
     Lists and tuples are written alike; dict keys are str.  Each level is
     one f-string, so a long body is copied once per level.  An int item of
-    a list is written in place.  A tuple item made only of ints is written
-    once per depth and kept in ``texts`` under ``(indent, tuple)``: an
-    exported monomial is a tuple of (index, exponent) pairs, and few pairs
-    recur (70 distinct among the 31,855 of the U(3,2) export).  Two tuples
-    of ints are equal exactly when their texts are; a bool or a float is
-    equal to an int but written otherwise, so it never enters ``texts``.
+    a list is written in place, with no recursive call: most items of an
+    export are the ints of its monomials' (index, exponent) pairs.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -437,7 +436,7 @@ def _json_text(value, newline: str, texts: dict) -> str:
         inner = newline + "  "
         body = f",{inner}".join(
             [f"{encode_basestring_ascii(key)}: "
-             f"{_json_text(value[key], inner, texts)}"
+             f"{_json_text(value[key], inner)}"
              for key in sorted(value)])
         return f"{{{inner}{body}{newline}}}"
     if isinstance(value, (list, tuple)):
@@ -448,13 +447,8 @@ def _json_text(value, newline: str, texts: dict) -> str:
         for item in value:
             if type(item) is int:
                 items.append(int.__repr__(item))
-            elif type(item) is tuple and {*map(type, item)} == _INT_ONLY:
-                text = texts.get((inner, item))
-                if text is None:
-                    text = texts[inner, item] = _json_text(item, inner, texts)
-                items.append(text)
             else:
-                items.append(_json_text(item, inner, texts))
+                items.append(_json_text(item, inner))
         body = f",{inner}".join(items)
         del items  # freed before the body is copied into the bracketed text
         return f"[{inner}{body}{newline}]"
@@ -470,7 +464,7 @@ def _json_text(value, newline: str, texts: dict) -> str:
 
 
 def _canonical_json(doc: dict) -> str:
-    return _json_text(doc, "\n", {}) + "\n"
+    return _json_text(doc, "\n") + "\n"
 
 
 def _summarize(report: dict, stream) -> None:

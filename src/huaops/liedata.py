@@ -212,14 +212,17 @@ class RestrictedRoot:
 
 
 class RestrictedRootSystem:
-    """Positive restricted roots with multiplicities, in the e_i basis."""
+    """Positive restricted roots with multiplicities, in the e_i basis.
+
+    Only the positive roots are stored: multiplicities, rho, root lengths
+    and every pairing the c-functions take are read off them.
+    """
 
     def __init__(
         self,
         label: str,
         rank: int,
         positive: Sequence[Tuple[Sequence[object], int]],
-        simple: Sequence[Sequence[object]],
     ):
         self.label = label
         self.rank = rank
@@ -231,13 +234,6 @@ class RestrictedRootSystem:
             raise ValueError("multiplicities must be positive")
         if len({r.coords for r in self.positive}) != len(self.positive):
             raise ValueError("duplicate positive roots")
-        self.simple: Tuple[Tuple[Fraction, ...], ...] = tuple(
-            tuple(Fraction(c) for c in coords) for coords in simple
-        )
-        known = {r.coords for r in self.positive}
-        for s in self.simple:
-            if s not in known:
-                raise ValueError(f"simple root {s} is not a positive root")
         self._mult: Dict[Tuple[Fraction, ...], int] = {
             r.coords: r.multiplicity for r in self.positive
         }
@@ -300,16 +296,10 @@ def upq_root_system(p: int, q: int) -> RestrictedRootSystem:
     if p > q:
         for i in range(1, q + 1):
             positive.append((_coords(q, **{f"i{i}": 1}), 2 * (p - q)))
-    simple = [
-        _coords(q, **{f"i{i}": 1, f"i{i+1}": -1}) for i in range(1, q)
-    ]
-    if p > q:
-        simple.append(_coords(q, **{f"i{q}": 1}))
         label = f"BC_{q}^{{{2*(p-q)},2,1}}"
     else:
-        simple.append(_coords(q, **{f"i{q}": 2}))
         label = f"C_{q}^{{2,1}}"
-    return RestrictedRootSystem(label, q, positive, simple)
+    return RestrictedRootSystem(label, q, positive)
 
 
 def spnr_root_system(n: int) -> RestrictedRootSystem:
@@ -321,9 +311,7 @@ def spnr_root_system(n: int) -> RestrictedRootSystem:
             positive.append((_coords(n, **{f"i{i}": 1, f"i{j}": 1}), 1))
     for i in range(1, n + 1):
         positive.append((_coords(n, **{f"i{i}": 2}), 1))
-    simple = [_coords(n, **{f"i{i}": 1, f"i{i+1}": -1}) for i in range(1, n)]
-    simple.append(_coords(n, **{f"i{n}": 2}))
-    return RestrictedRootSystem(f"C_{n}^{{1,1}}", n, positive, simple)
+    return RestrictedRootSystem(f"C_{n}^{{1,1}}", n, positive)
 
 
 def glnr_root_system(n: int) -> RestrictedRootSystem:
@@ -332,8 +320,7 @@ def glnr_root_system(n: int) -> RestrictedRootSystem:
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             positive.append((_coords(n, **{f"i{i}": 1, f"i{j}": -1}), 1))
-    simple = [_coords(n, **{f"i{i}": 1, f"i{i+1}": -1}) for i in range(1, n)]
-    return RestrictedRootSystem(f"A_{n-1}^{{1}}", n, positive, simple)
+    return RestrictedRootSystem(f"A_{n-1}^{{1}}", n, positive)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +841,7 @@ def eval_linear(expr: object, env: Mapping[str, int]) -> int:
 
 @dataclass(frozen=True)
 class NodeDegree:
-    degree: Optional[int]
-    shilov: bool = False
-    black: bool = False
+    degree: Optional[int]  # None at a black node
 
 
 class SatakeRow:
@@ -873,7 +858,6 @@ class SatakeRow:
         self.restricted: Optional[List[dict]] = record.get("restricted")
         self.nodes: Optional[List[dict]] = record.get("nodes")
         self.construction: Optional[dict] = record.get("construction")
-        self.note: Optional[str] = record.get("note")
 
     @property
     def full_label(self) -> str:
@@ -909,11 +893,12 @@ class SatakeRow:
 
     def node_degrees(self, rank: Optional[int] = None,
                      m: Optional[int] = None) -> List[NodeDegree]:
-        """Per-node degree/Shilov data.
+        """The boundary degree at each node.
 
         Classical rows expand the restricted pattern for the given rank and
         index restricted Dynkin nodes 1..rank; exceptional rows return the
-        drawn nodes in chain-then-branch order (black nodes included).
+        drawn nodes in chain-then-branch order, with degree None at a black
+        node.
         """
         if self.family == "classical":
             env = self._env(rank, m)
@@ -924,23 +909,12 @@ class SatakeRow:
                     raise ValueError(
                         f"negative repeat count in {self.full_label}"
                     )
-                node = NodeDegree(
-                    degree=entry["degree"], shilov=bool(entry.get("shilov"))
-                )
-                out.extend([node] * count)
+                out.extend([NodeDegree(entry["degree"])] * count)
             return out
         if rank is not None or m is not None:
             raise ValueError(f"{self.full_label} is exceptional: fixed nodes")
-        out = []
-        for entry in self.nodes or []:
-            if entry.get("black"):
-                out.append(NodeDegree(degree=None, black=True))
-            else:
-                out.append(
-                    NodeDegree(degree=entry["degree"],
-                               shilov=bool(entry.get("shilov")))
-                )
-        return out
+        return [NodeDegree(None if entry.get("black") else entry["degree"])
+                for entry in self.nodes or []]
 
     def construction_args(self, node: int, rank: Optional[int],
                           m: Optional[int]) -> Optional[Dict[str, int]]:

@@ -16,7 +16,7 @@ check nothing: their p, q and blocks are those of a checked
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .params import ParamPoly, ParamRing, ScalarLike
 
@@ -245,17 +245,6 @@ def minimal_polynomial(theta: ThetaData) -> MinPoly:
 # Boundary nodes of real forms
 # ---------------------------------------------------------------------------
 
-BOUNDARY_FAMILIES = (
-    "sl_split",
-    "su_star",
-    "su_pq",
-    "so_pq",
-    "sp_split",
-    "sp_pq",
-    "so_star",
-)
-
-
 def _zero_theta(ring: ParamRing, kind: str, blocks: Sequence[int],
                 variant: str = THETA) -> ThetaData:
     blocks = tuple(blocks)
@@ -268,16 +257,14 @@ def _zero_theta(ring: ParamRing, kind: str, blocks: Sequence[int],
     )
 
 
-def boundary_theta(family: str, node: int, *, ring: Optional[ParamRing] = None,
-                   **args: int) -> ThetaData:
+def boundary_theta(family: str, node: int, **args: int) -> ThetaData:
     """Block pattern attached to one boundary node of a real form.
 
     ``node`` is the 1-based restricted Dynkin index.  The pattern's character
     values are left at zero: the polynomial's degree and block structure do
     not depend on them.
     """
-    if ring is None:
-        ring = ParamRing()
+    ring = ParamRing()
     i = node
 
     if family == "sl_split":

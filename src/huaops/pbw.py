@@ -215,11 +215,14 @@ class OrderedBasis:
         self.matrices: Tuple[Matrix, ...] = tuple(g[2] for g in generators)
         if len(set(self.names)) != len(self.names):
             raise ValueError("duplicate generator names")
-        seen_order = [z for i, z in enumerate(self.zone_of) if i == 0 or z != self.zone_of[i - 1]]
+        starts = [i for i, z in enumerate(self.zone_of) if i == 0 or z != self.zone_of[i - 1]]
+        seen_order = [self.zone_of[i] for i in starts]
         if len(set(seen_order)) != len(seen_order) or any(z not in self.zones for z in seen_order):
             raise ValueError(f"generators not grouped by zones {self.zones}: {seen_order}")
         if seen_order != [z for z in self.zones if z in seen_order]:
             raise ValueError(f"zone groups out of declared order: {seen_order}")
+        self._zone_ranges: Dict[str, range] = {
+            self.zone_of[lo]: range(lo, hi) for lo, hi in zip(starts, starts[1:] + [len(self.zone_of)])}
         self._span = RationalSpan(ambient * ambient)
         for name, _zone, mat in generators:
             if len(mat) != ambient or any(len(r) != ambient for r in mat):
@@ -242,13 +245,7 @@ class OrderedBasis:
         return self.names.index(name)
 
     def zone_indices(self, zone: str) -> range:
-        members = [i for i, z in enumerate(self.zone_of) if z == zone]
-        if not members:
-            return range(0)
-        lo, hi = members[0], members[-1]
-        if members != list(range(lo, hi + 1)):
-            raise AssertionError("zone not contiguous")  # guarded in __init__
-        return range(lo, hi + 1)
+        return self._zone_ranges.get(zone, range(0))
 
     def expand_matrix(self, mat: Matrix) -> Tuple[Fraction, ...]:
         """Coordinates of a gl_N matrix over this basis (raises if outside)."""

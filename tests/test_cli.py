@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from huaops import cli
 from huaops.cli import run
+from huaops.liedata import satake_table
 
 
 def _run_json(capsys, argv):
@@ -246,6 +248,25 @@ def test_bad_diagram_label_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "label, message",
+    [("nope", "unknown diagram label 'nope'"),
+     ("E_7^1", "ambiguous label 'E_7^1'; use one of: E_7^1:EV, E_7^1:EVIII")],
+    ids=["unknown", "ambiguous"],
+)
+def test_degrees_label_error_prints_the_message(capsys, label, message):
+    assert run(["degrees", "--diagram", label]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_degrees_help_examples_are_table_rows(capsys):
+    assert run(["degrees", "--help"]) == 0
+    labels = re.findall(r'"([^"]+)"', capsys.readouterr().out)
+    assert labels
+    for label in labels:
+        satake_table().row(label)
+
+
 def test_missing_p_is_usage_error(capsys):
     code = run(["ideal", "--form", "upq", "--q", "1", "--blocks", "1"])
     assert code == 2
@@ -407,23 +428,49 @@ def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+# The metadata of ``ideal --form upq --p 2 --q 1 --blocks 1 --restrict-columns``.
+_META_21 = json.dumps({"ambient": 3, "basisId": "gl3-verma", "blocks": [1, 2, 3],
+                       "charValues": ["mu_1 + 1/2*s + 1/2*t", "s", "-mu_1 + 1/2*s + 1/2*t"],
+                       "columnRange": [3, 3], "kind": "gl", "rank": 3, "variant": "theta"})
+
+
 @pytest.mark.parametrize(
-    "text",
-    ["{not json", "[1, 2]", '{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1}]}']
-    + ['{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1, "col": 1, "element": %s}]}' % element
-       for element in ("5", "[]", '"x"')]
-    + ['{"metadata": {"basisId": "gl3-verma"}, "entries": [{"row": 1, "col": 1, "element": '
-       '{"basisId": "gl3-verma", "terms": [{"coeff": %s, "monomial": []}]}}]}' % coeff
-       for coeff in ("5", "null")],
+    "text, message",
+    [("{not json", "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+     ("[1, 2]", "'list' object has no attribute 'get'"),
+     ('{"metadata": %s, "entries": [{"row": 1}]}' % _META_21, "'col'")]
+    + [('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": %s}]}' % (_META_21, element),
+        f"an element must be an object, got {shown}")
+       for element, shown in (("5", "5"), ("[]", "[]"), ('"x"', "'x'"))]
+    + [('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": '
+        '{"basisId": "gl3-verma", "terms": [{"coeff": %s, "monomial": []}]}}]}' % (_META_21, coeff),
+        f"coefficient {shown} must be a string")
+       for coeff, shown in (("5", "5"), ("null", "None"))],
     ids=["syntax", "not-an-object", "missing-key", "element-int", "element-list", "element-string",
          "coeff-int", "coeff-null"],
 )
-def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text):
+def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message):
     blob = tmp_path / "gens.json"
     blob.write_text(text)
     code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob)])
     assert code == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_reduce_refuses_a_set_built_for_another_case(tmp_path, capsys):
+    # Same ranks and basis, other blocks: the set belongs to another ideal.
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "2", "--restrict-columns", "--out", str(blob)]
+    assert run(["ideal"] + argv + ["--blocks", "2"]) == 0
+    capsys.readouterr()
+    code = run(["reduce", "--form", "upq", "--p", "2", "--q", "2", "--blocks", "1,2", "--in", str(blob), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: generator set was built for blocks=[2, 4], "
+        "charValues=['mu_1 + 1/2*s + 1/2*t', '-mu_1 + 1/2*s + 1/2*t'], "
+        "not for --form upq --p 2 --q 2 --blocks 1,2\n")
 
 
 @pytest.mark.parametrize(

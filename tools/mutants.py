@@ -185,11 +185,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if isinstance(value, (list, tuple)):",
            "if isinstance(value, list):",
            WRITER),
-    Mutant("int-tuple-texts-untyped", "src/huaops/cli.py",
-           "elif type(item) is tuple and {*map(type, item)} == _INT_ONLY:",
-           "elif type(item) is tuple:",
-           (WRITER[0],)),
-    # The one U(p,q) case: ranks, a-values and bindings.
+    # The one U(p,q) case: ranks, a-values, bindings and the set reduce reads.
     Mutant("upq-rank-check-skipped", "src/huaops/reduce.py",
            "check_upq_ranks(self.p, self.q)",
            "None",
@@ -210,6 +206,10 @@ MUTANTS: Tuple[Mutant, ...] = (
                    f"[{b}]" for b in ("nosuch=1", "E_1=1"))
            + tuple(f"tests/test_cli.py::test_upq_recursion_rejects_unknown_"
                    f"binding[{b}]" for b in ("zzz=3", "E_1=1"))),
+    Mutant("reduce-case-check-skipped", "src/huaops/cli.py",
+           "if built_for.get(key) != expected.get(key))",
+           'if key == "basisId" and built_for.get(key) != expected.get(key))',
+           ("tests/test_cli.py::test_reduce_refuses_a_set_built_for_another_case",)),
     # The one straightening recursion of mul_monos.
     Mutant("front-bracket-sign-flipped", "src/huaops/pbw.py",
            "self.mul_monos(((k, 1),), rest).items():\n"
