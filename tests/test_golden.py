@@ -40,7 +40,10 @@ GOLDEN = {
     # and whose notes hold the nonzero single-shift trace defects.
     "verify gl-lemma --n 3 --m 4":
         "07028b34855499b98bf9cea1042a10665856ebafded2fbc9faaa975dc00b53be",
-    # The digests pinned by the benchmark's theorem and kernel workloads.
+    # The digests pinned by the benchmark's lemma, theorem and kernel
+    # workloads.
+    "verify gl-lemma --n 4 --m 4":
+        "428c6fc97c4459e08a96e4bb1ad0daaf0c8260b0dc9c92a37b016f213051231f",
     "verify upq-theorem --p 3 --q 2 --blocks 1,2":
         "7bd44fa21aeadb0f788e1c032d84d7d5b6adbd8085e29479fdffb4e96e135348",
     "verify upq-theorem --p 2 --q 2 --blocks 1,2 --perturb":
