@@ -905,13 +905,23 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     A matrix that only a congruence reads is built in the induced module
     M = U(g)/U(g)k: U(g)k is a left ideal and every factor multiplies from
     the left, so a right factor may be replaced by its peeled
-    representative.  The step product (E - n/2) P^m and P^(m_max+1) are
-    built on the peeled P^m, and the closed-form and trace chains run
-    through :func:`~huaops.matop.factor_columns` with the form, unpruned
-    (their congruences read the whole representative, not only its n-free
-    part).  Two stay whole: P^1..P^m_max, which the exact ``K P^m`` checks
+    representative.  The step products (E - n/2) P^m are taken on the
+    peeled P^m, and the closed-form and trace chains run through
+    :func:`~huaops.matop.factor_columns` with the form, unpruned (their
+    congruences read the whole representative, not only its n-free part).
+    Two chains stay whole: P^1..P^m_max, which the exact ``K P^m`` checks
     read in full, and ``(E - n/2)^k``, which is multiplied on the right by
     traces.
+
+    No product matrix is built.  Each entry of the exact ``K P^m`` check
+    and of its congruence is decided on one difference, ``K P^m`` minus
+    the right-hand side: its two sums of products, ``sum_nu K_{i nu}
+    (P^m)_{nu j}`` and ``-sum_nu (P^m)_{nu j} K_{i nu}``, go into one
+    :func:`~huaops.pbw.sum_products` call, so their equal top-degree parts
+    cancel as int numerators before any coefficient is built.  Each step
+    entry is likewise one call, ``sum_nu (E - n/2)_{i nu} (P^m)_{nu j}``,
+    minus P^(m+1) from the chain; at m = m_max, which has no P^(m+1) in
+    the chain, the pairs ``(-P_{i nu}, (P^m)_{nu j})`` join the same call.
     """
     if n < 2 or m_max < 1:
         raise ValueError("need n >= 2 and m_max >= 1")
@@ -935,17 +945,18 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                                               module, prune=False)]
 
     # Whole: P^0..P^m_max and (E - n/2)^0..(E - n/2)^(m_max-2).  In M:
-    # the peeled P^m, P^(m_max+1), (E - n/2)^(m-1) E and
-    # (E - (n-1)/2)^(m-1) E for m = 1..m_max.
+    # the peeled P^m, (E - n/2)^(m-1) E and (E - (n-1)/2)^(m-1) E for
+    # m = 1..m_max.
     zero_chi = zero_character(form)
     p_pow = [identity] + chain(p_mat, [zero] * m_max)
     p_traces = [m.trace() for m in p_pow]
     p_module = [m.map_entries(lambda e: peel_k(e, zero_chi)) for m in p_pow]
-    p_pow.append(p_mat.mul(p_module[m_max]))
     shifted = e_mat.shift(-half_n)
     shifted_pow = [identity] + chain(e_mat, [half_n] * (m_max - 2))
     closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1), form)
     tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1), form)
+    neg_k = k_mat.map_entries(lambda e: -e).entries
+    neg_p = p_mat.map_entries(lambda e: -e).entries
 
     checks: List[dict] = []
 
@@ -957,22 +968,26 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
 
     notes: List[str] = []
     for m in range(1, m_max + 1):
-        kpm = k_mat.mul(p_pow[m])
+        # diff = K P^m - (n/2) P^m + (1/2) tr(P^m) - sum_nu (P^m)_{nu j}
+        # K_{i nu}, which the exact identity equals to the antisymmetrization
+        # term and the congruence to 0 modulo U(g) k.
+        power = p_pow[m]
+        columns = tuple(zip(*power.entries))
+        half_trace = p_traces[m].scale(half)
         antisyms = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
-                rhs = p_pow[m].entry(i, j).scale(half_n)
+                column = columns[j - 1]
+                diff = (sum_products(k_mat.entries[i - 1] + column,
+                                     column + neg_k[i - 1])
+                        - power.entry(i, j).scale(half_n))
                 if i == j:
-                    rhs = rhs - p_traces[m].scale(half)
-                rhs = rhs + sum_products(
-                    [p_pow[m].entry(nu, j) for nu in range(1, n + 1)],
-                    [k_mat.entry(i, nu) for nu in range(1, n + 1)])
-                antisym = (p_pow[m].entry(j, i) - p_pow[m].entry(i, j)).scale(half)
+                    diff = diff + half_trace
+                antisym = (power.entry(j, i) - power.entry(i, j)).scale(half)
                 antisyms.append(antisym)
                 checks.append(_check(f"exact K P^{m} entry[{i},{j}]",
-                                     kpm.entry(i, j) == rhs + antisym))
-                residue_zero(f"K P^{m} congruence entry[{i},{j}]",
-                             kpm.entry(i, j) - rhs)
+                                     diff == antisym))
+                residue_zero(f"K P^{m} congruence entry[{i},{j}]", diff)
         # Entry by entry: entries (i, j) and (j, i) cancel in any sum.
         residues = [peel_k(a, zero_chi) for a in antisyms]
         checks.append(_zero_check(
@@ -988,12 +1003,21 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 f"term (1/2)((P^{m})^T - P^{m}); it lies in U(g)k, so the "
                 "congruence form is unaffected")
 
-        # (E - n/2) P^m == P^{m+1} - (1/2) tr(P^m)  mod U(g) k.
-        half_trace = p_traces[m].scale(-half)
-        stepped = p_pow[m + 1].add(
-            p_pow[0].map_entries(lambda e: e * half_trace))
-        _congruences(checks, "step", shifted.mul(p_module[m]), stepped,
-                     zero_chi, f" at m={m}")
+        # (E - n/2) P^m == P^{m+1} - (1/2) tr(P^m)  mod U(g) k, on the
+        # peeled P^m; the last P^{m+1} is P times it, in the same call.
+        peeled_columns = tuple(zip(*p_module[m].entries))
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                column = peeled_columns[j - 1]
+                if m < m_max:
+                    step = (sum_products(shifted.entries[i - 1], column)
+                            - p_pow[m + 1].entry(i, j))
+                else:
+                    step = sum_products(shifted.entries[i - 1] + neg_p[i - 1],
+                                        column + column)
+                if i == j:
+                    step = step + half_trace
+                residue_zero(f"step entry[{i},{j}] at m={m}", step)
 
         # Closed form: P^m == (E - n/2)^{m-1} E + (1/2) sum_{k=2}^m
         #              (E - n/2)^{m-k} tr(P^{k-1})  mod U(g) k.

@@ -458,6 +458,21 @@ def test_gl_lemma_runs_only_the_congruence_chains_in_the_module(monkeypatch):
     assert all(form.name == "glnr" and not prune for _s, _r, form, prune in calls[2:])
 
 
+def test_gl_lemma_builds_no_product_matrix(monkeypatch):
+    # Each K P^m and step entry is decided on one accumulated difference,
+    # so neither K P^m, its mirror, (E - n/2) P^m nor P^(m_max+1) is built.
+    calls = []
+    original = OpMatrix.mul
+
+    def counting(self, other):
+        calls.append(self.size)
+        return original(self, other)
+
+    monkeypatch.setattr(OpMatrix, "mul", counting)
+    assert gl_lemma_check(3, 3)["pass"]
+    assert calls == []
+
+
 def test_sp_hua_driver_small():
     report = hua_sp_system(1)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]

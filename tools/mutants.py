@@ -150,6 +150,22 @@ MUTANTS: Tuple[Mutant, ...] = (
            "chain(p_mat, [zero] * m_max, form)",
            GL_LEMMA_GOLDEN
            + ("tests/test_acceptance.py::test_criterion_1_gl_lemma",)),
+    # The GL(n,R) lemma: each K P^m and step entry is one accumulated
+    # difference.
+    Mutant("lemma-mirror-product-dropped", "src/huaops/reduce.py",
+           "sum_products(k_mat.entries[i - 1] + column,\n"
+           "                                     column + neg_k[i - 1])",
+           "sum_products(k_mat.entries[i - 1], column)",
+           GL_LEMMA_GOLDEN),
+    Mutant("lemma-step-trace-sign-flipped", "src/huaops/reduce.py",
+           "step = step + half_trace",
+           "step = step - half_trace",
+           GL_LEMMA_GOLDEN),
+    Mutant("lemma-last-step-p-pairs-dropped", "src/huaops/reduce.py",
+           "sum_products(shifted.entries[i - 1] + neg_p[i - 1],\n"
+           "                                        column + column)",
+           "sum_products(shifted.entries[i - 1], column)",
+           GL_LEMMA_GOLDEN),
     Mutant("prune-false-ignored", "src/huaops/matop.py",
            "if prune:",
            "if True:",
