@@ -16,7 +16,9 @@ this boundary and refused as a :class:`UsageError`, so a ``ValueError`` or
 the request.  An internal fault prints one line on standard error,
 ``internal error: <type>: <message>``.  ``--json`` prints the report as
 canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
-file, rendered once for both.  Identical requests produce byte-identical
+file, rendered once for both.  An ``--out`` target that is a directory,
+or whose parent is missing or not a directory, is refused as a usage error
+before the request's work starts.  Identical requests produce byte-identical
 JSON: no report holds a timing.  Canonical JSON is exactly the bytes of
 ``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, but is not
 written by it: with an ``indent`` that call runs the pure-Python encoder,
@@ -39,11 +41,14 @@ is not :func:`~huaops.matop.ideal_metadata` of the requested case.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
+import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NoReturn, Optional, Sequence, Tuple
 
 from .cfun import c_function, e_c_line_bundle, e_function
 from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
@@ -521,6 +526,27 @@ def _summarize(report: dict, stream) -> None:
 # entry points
 # ---------------------------------------------------------------------------
 
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` target that cannot be opened for writing.
+
+    A directory, or a target whose parent is missing or not a directory, is
+    refused with the :class:`OSError` that ``open(path, "w")`` would raise,
+    so the request stops before its work.  Nothing is created or truncated;
+    any other failure is still caught when the report is written.
+    """
+    def refuse(code: int) -> NoReturn:
+        raise OSError(code, os.strerror(code), path)
+
+    if os.path.isdir(path):
+        refuse(errno.EISDIR)
+    try:
+        mode = os.stat(os.path.dirname(path) or os.curdir).st_mode
+    except OSError as exc:
+        refuse(exc.errno)
+    if not stat.S_ISDIR(mode):
+        refuse(errno.ENOTDIR)
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -535,6 +561,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         "degrees": _cmd_degrees,
     }
     try:
+        if args.out:
+            _check_out(args.out)
         report, status = handlers[args.command](args)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -361,6 +361,37 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert captured.err.startswith("error: ") and str(target) in captured.err
 
 
+@pytest.mark.parametrize("target", ["missing/report.json", "file/report.json",
+                                    "file/sub/report.json", "directory"])
+def test_unwritable_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch, target):
+    (tmp_path / "file").write_text("kept", encoding="utf-8")
+    (tmp_path / "directory").mkdir()
+    path = tmp_path / target
+    with pytest.raises(OSError) as refused:
+        open(path, "w", encoding="utf-8")
+
+    def spy(_args):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setattr(cli, "_cmd_verify", spy)
+    code = run(["verify", "gl-lemma", "--n", "4", "--m", "4", "--out", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {refused.value}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["directory", "file"]
+    assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+
+
+def test_a_fault_writes_no_report(tmp_path, capsys, monkeypatch):
+    def fault(_args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_cmd_verify", fault)
+    target = tmp_path / "report.json"
+    assert run(["verify", "gl-lemma", "--n", "2", "--m", "1", "--out", str(target)]) == 3
+    assert capsys.readouterr().err.startswith("internal error: MemoryError")
+    assert not target.exists()
+
+
 @pytest.mark.parametrize(
     "argv, code, heads",
     [
