@@ -913,15 +913,17 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     read in full, and ``(E - n/2)^k``, which is multiplied on the right by
     traces.
 
-    No product matrix is built.  Each entry of the exact ``K P^m`` check
-    and of its congruence is decided on one difference, ``K P^m`` minus
-    the right-hand side: its two sums of products, ``sum_nu K_{i nu}
+    None of ``K P^m``, its mirror, ``(E - n/2) P^m`` or P^(m_max+1) is
+    built as a matrix.  Each entry of the exact ``K P^m`` check and of its
+    congruence is decided on one difference, ``K P^m`` minus the
+    right-hand side: its two sums of products, ``sum_nu K_{i nu}
     (P^m)_{nu j}`` and ``-sum_nu (P^m)_{nu j} K_{i nu}``, go into one
     :func:`~huaops.pbw.sum_products` call, so their equal top-degree parts
     cancel as int numerators before any coefficient is built.  Each step
-    entry is likewise one call, ``sum_nu (E - n/2)_{i nu} (P^m)_{nu j}``,
-    minus P^(m+1) from the chain; at m = m_max, which has no P^(m+1) in
-    the chain, the pairs ``(-P_{i nu}, (P^m)_{nu j})`` join the same call.
+    entry is likewise one call, ``sum_nu (E - n/2)_{i nu} (P^m)_{nu j}``
+    on the peeled P^m, minus P^(m+1) from the chain; at m = m_max, which
+    has no P^(m+1) in the chain, the pairs ``(-P_{i nu}, (P^m)_{nu j})``
+    join the same call.
     """
     if n < 2 or m_max < 1:
         raise ValueError("need n >= 2 and m_max >= 1")
@@ -950,7 +952,6 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     zero_chi = zero_character(form)
     p_pow = [identity] + chain(p_mat, [zero] * m_max)
     p_traces = [m.trace() for m in p_pow]
-    p_module = [m.map_entries(lambda e: peel_k(e, zero_chi)) for m in p_pow]
     shifted = e_mat.shift(-half_n)
     shifted_pow = [identity] + chain(e_mat, [half_n] * (m_max - 2))
     closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1), form)
@@ -968,9 +969,9 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
 
     notes: List[str] = []
     for m in range(1, m_max + 1):
-        # diff = K P^m - (n/2) P^m + (1/2) tr(P^m) - sum_nu (P^m)_{nu j}
-        # K_{i nu}, which the exact identity equals to the antisymmetrization
-        # term and the congruence to 0 modulo U(g) k.
+        # diff = (K P^m)_{ij} - (n/2)(P^m)_{ij} + (1/2) tr(P^m) delta_{ij}
+        # - sum_nu (P^m)_{nu j} K_{i nu}: the exact identity equates it to
+        # the antisymmetrization term, the congruence to 0 modulo U(g) k.
         power = p_pow[m]
         columns = tuple(zip(*power.entries))
         half_trace = p_traces[m].scale(half)
@@ -1005,7 +1006,8 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
 
         # (E - n/2) P^m == P^{m+1} - (1/2) tr(P^m)  mod U(g) k, on the
         # peeled P^m; the last P^{m+1} is P times it, in the same call.
-        peeled_columns = tuple(zip(*p_module[m].entries))
+        peeled_columns = [[peel_k(x, zero_chi) for x in column]
+                          for column in columns]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 column = peeled_columns[j - 1]
