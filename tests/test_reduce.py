@@ -13,7 +13,7 @@ from huaops import liedata
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq, phi
 from huaops.matop import OpMatrix, factor_columns, generator_matrix, ideal_generators, trace_power
-from huaops.minpoly import upq_lambda_schedule
+from huaops.minpoly import minimal_polynomial, upq_lambda_schedule
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
 from huaops.reduce import (
@@ -363,6 +363,47 @@ def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
         assert sum(residue != "0" for _, residue in expected) == 8
     else:
         assert report["pass"]
+
+
+def _shifted_chain_residues(case, shifted, prune):
+    """Residues of every entry of q(F)·v_chi, row by row, with root
+    ``shifted`` (an index, or None) raised by 1."""
+    form = case.form
+    roots = list(minimal_polynomial(case.theta).roots)
+    if shifted is not None:
+        roots[shifted] = roots[shifted] + 1
+    size = case.p + case.q
+    fmat = generator_matrix(form.complex_algebra, form.ring, form.basis)
+    for columns in factor_columns(fmat, roots, range(1, size + 1), form, prune=prune):
+        pass
+    return {(a, b): str(reduce_iwasawa(columns[b - 1][a - 1], case.spec))
+            for a in range(1, size + 1) for b in range(1, size + 1)}
+
+
+@pytest.mark.parametrize("p, q, blocks, kept_counts, all_counts, middle", [
+    (2, 2, (1, 2), (8, 8, 8, 4), (8, 8, 8, 4), None),
+    (3, 2, (1, 2), (4, 4, 0, 4, 2), (9, 9, 5, 8, 4), [(1, 1), (2, 2), (3, 3), (4, 2), (5, 1)]),
+    (2, 1, (1,), (2, 0, 2), (5, 3, 4), [(1, 1), (2, 2), (3, 1)]),
+], ids=["2-2", "3-2", "2-1"])
+def test_every_shifted_root_is_seen_by_the_pruned_chain(p, q, blocks, kept_counts, all_counts, middle):
+    # Shift each root by +1 in turn: the pruned chain gives the residues of
+    # the unpruned one, string for string, and breaks a pinned number of
+    # entries.  When p > q the kept columns cannot see the middle root;
+    # all p + q columns can.
+    case = UpqCase(p, q, blocks)
+    size = p + q
+    kept = range(p + 1, size + 1) if p > q else range(1, size + 1)
+    assert set(_shifted_chain_residues(case, None, True).values()) == {"0"}
+    got_kept, got_all = [], []
+    for shifted in range(len(all_counts)):
+        residues = _shifted_chain_residues(case, shifted, True)
+        assert residues == _shifted_chain_residues(case, shifted, False), shifted
+        broken = sorted(pos for pos, residue in residues.items() if residue != "0")
+        got_kept.append(sum(b in kept for _a, b in broken))
+        got_all.append(len(broken))
+        if middle is not None and shifted == len(all_counts) // 2:
+            assert broken == middle
+    assert (tuple(got_kept), tuple(got_all)) == (kept_counts, all_counts)
 
 
 def test_upq_a_substitution_spec_is_total():
