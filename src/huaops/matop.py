@@ -19,10 +19,12 @@ after root m of K it keeps only the terms whose n-part has
 phi <= (K - m)·L, the only ones that can still reach the n-free part that
 the reduction reads, and it never multiplies a pair whose product lies
 over that bound.  Chains without a character keep every term and peel
-none.  A matrix product converts each row and column to int numerators
-once (:func:`~huaops.pbw.sum_products_table`).  Trace powers of the
-generator matrix supply the central generators; their eigenvalues are read
-off a highest-weight evaluation, one peel over the Verma basis.
+none.  Every product multiplies a matrix by one column
+(:func:`~huaops.pbw.sum_products_column`): a chain step once per column,
+peeling each before it builds the next, and :meth:`OpMatrix.mul` once per
+column of its right factor.  Trace powers of the generator matrix supply
+the central generators; their eigenvalues are read off a highest-weight
+evaluation, one peel over the Verma basis.
 :func:`ideal_metadata` describes what a generator set is built from.
 """
 
@@ -35,7 +37,7 @@ from .liedata import AlgebraData, RealFormData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
 from .pbw import (EnvElement, OrderedBasis, _peel, mono_grade, sum_products,
-                  sum_products_table)
+                  sum_products_column)
 
 
 class CentralityError(ValueError):
@@ -107,8 +109,8 @@ class OpMatrix:
     def mul(self, other: "OpMatrix") -> "OpMatrix":
         """Matrix product; entry products keep the left factor on the left."""
         self._check_compatible(other)
-        table = sum_products_table(self.entries, tuple(zip(*other.entries)))
-        return OpMatrix(self.basis, self.ring, tuple(map(tuple, table)))
+        return from_columns(self, [sum_products_column(self.entries, column)
+                                   for column in zip(*other.entries)])
 
     def trace(self) -> EnvElement:
         one = EnvElement.scalar(self.basis, self.ring.one())
@@ -148,7 +150,7 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
     Column b starts as the unit column e_b, and each root maps every column
-    x to ``(mat - r) x``.  After the roots ``r_1..r_m`` column b is
+    x to ``(mat - r) x``, one column at a time.  After the roots ``r_1..r_m`` column b is
     ``(mat - r_m)...(mat - r_1) e_b``, which is column b of the m-th prefix
     ``(mat - r_1)...(mat - r_m)``: the factors commute.  Yields the columns,
     in the order of ``columns``, after every root, each as the list of its
@@ -159,7 +161,9 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     chain runs in the induced module U(g)/U(g)(k - chi) and column b holds
     the prefix applied to v_chi.  The peel is exact: U(g)(k - chi) is a left
     ideal and every factor multiplies from the left, so an entry may be
-    replaced by its peeled representative at any step.
+    replaced by its peeled representative at any step.  Each column is
+    peeled (and cut, below) before the next is built, so a step holds at
+    most one unpeeled column.
 
     With ``prune`` (the default), such a chain keeps only what can still
     reach the n-free part, which is all that
@@ -172,7 +176,7 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     ``mat`` (2q for the generator matrix of U(p,q)), and after root m of K a
     term with phi > (K - m)·L can never reach the n-free part of a later
     prefix.  Each step skips the pairs whose product lies over that budget
-    (:func:`~huaops.pbw.sum_products_table`) and drops, after the peel,
+    (:func:`~huaops.pbw.sum_products_column`) and drops, after the peel,
     every term over it.  The n-free part of every prefix is exactly that of
     the unpruned chain.  With ``prune=False`` the chain only peels, and
     column b is exactly the peeled prefix, n-leading terms included (the
@@ -194,15 +198,17 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
                               for x in row for m in x.terms])
     for m, root in enumerate(roots, start=1):
         budget = None if grades is None else (len(roots) - m) * step
-        table = sum_products_table(mat.shift(-root).entries, state, grades,
-                                   budget)
-        if character is None:
-            state = [list(column) for column in zip(*table)]
-        else:
-            state = [[EnvElement(basis, ring, {
-                mono: c for mono, c in _peel(x, character).items()
-                if budget is None or mono_grade(mono, grades) <= budget})
-                for x in column] for column in zip(*table)]
+        rows = mat.shift(-root).entries
+        done = []
+        for column in state:
+            product = sum_products_column(rows, column, grades, budget)
+            if character is not None:
+                product = [EnvElement(basis, ring, {
+                    mono: c for mono, c in _peel(x, character).items()
+                    if budget is None or mono_grade(mono, grades) <= budget})
+                    for x in product]
+            done.append(product)
+        state = done
         yield state
 
 

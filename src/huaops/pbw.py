@@ -37,14 +37,14 @@ live as long as the basis.
 
 Coefficients are :class:`~huaops.params.ParamPoly` int numerators over one
 denominator, so the arithmetic around straightening builds no ``Fraction``.
-:func:`sum_products_table` is the one loop that multiplies elements over
-one basis (:func:`sum_products` is its one-entry case).  It brings every
-operand over one common denominator (the lcm of the denominators, read
-from the fields), accumulates int numerators, and reduces each output
-term by one gcd; a matrix product converts each row and column once, not
-once per entry.  Each converted term carries its grade (0 without
-per-index grades); given a budget, every pair of monomials whose grades sum
-over it is skipped, the restricted-weight bound of a character chain
+:func:`sum_products_column` is the one loop that multiplies elements over
+one basis: a matrix times one column (:func:`sum_products` is its one-row
+case).  It brings every operand over one common denominator (the lcm of
+the denominators, read from the fields), accumulates int numerators, and
+reduces each output term by one gcd; the column is converted once, not
+once per row.  Each converted term carries its grade (0 without per-index
+grades); given a budget, every pair of monomials whose grades sum over it
+is skipped, the restricted-weight bound of a character chain
 (:func:`~huaops.matop.factor_columns`), and without one every pair is
 multiplied.  :func:`project_mod_n` maps a monomial of another basis word
 by word, solving each source generator over the target once per pair of
@@ -642,29 +642,27 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators
 
 def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
                  ) -> EnvElement:
-    """``sum_k left[k] * right[k]``: the one entry of
-    :func:`sum_products_table` with one row and one column.
+    """``sum_k left[k] * right[k]``: :func:`sum_products_column` with one
+    row.
 
     Every factor lives over the basis and ring of ``left[0]``; each product
     keeps its left factor on the left.
     """
-    return sum_products_table((left,), (right,))[0][0]
+    return sum_products_column((left,), right)[0]
 
 
-def sum_products_table(rows: Sequence[Sequence[EnvElement]],
-                       columns: Sequence[Sequence[EnvElement]],
-                       grades: Optional[Sequence[int]] = None,
-                       budget: Optional[int] = None
-                       ) -> List[List[EnvElement]]:
-    """``sum_k row[k] * column[k]`` for every row and column, row-major.
+def sum_products_column(rows: Sequence[Sequence[EnvElement]],
+                        column: Sequence[EnvElement],
+                        grades: Optional[Sequence[int]] = None,
+                        budget: Optional[int] = None) -> List[EnvElement]:
+    """``sum_k row[k] * column[k]`` for every row: a matrix times a column.
 
-    Each row and each column is converted to int numerators once, not once
-    per entry it meets; a matrix product of size n converts 2n operands
-    instead of 2n².  With ql, qr the common denominators of a row's and a
-    column's coefficients and T the largest degree of a product, every term
-    is accumulated as an int numerator over ql·qr·D^(T - deg m): the product
-    of degree N = deg a + deg b is scaled by D^(T - N) on top of the
-    D^(N - deg m) that :meth:`OrderedBasis.mul_monos` stores.
+    The column is converted to int numerators once, not once per row.  With
+    ql, qr the common denominators of a row's and the column's coefficients
+    and T the largest degree of a product, every term is accumulated as an
+    int numerator over ql·qr·D^(T - deg m): the product of degree
+    N = deg a + deg b is scaled by D^(T - N) on top of the D^(N - deg m)
+    that :meth:`OrderedBasis.mul_monos` stores.
 
     With ``grades`` (one int per basis index) and ``budget``, a pair of
     monomials (a, b) is never multiplied when ``mono_grade(a) +
@@ -672,14 +670,34 @@ def sum_products_table(rows: Sequence[Sequence[EnvElement]],
     one sum per pair.  Without a budget every pair is multiplied.
     """
     first = rows[0][0]
-    for operand in (*rows, *columns):
+    for operand in (*rows, column):
         for x in operand:
             first._check_compatible(x)
-    converted = [_graded(column, grades) for column in columns]
-    return [[_converted_products(first, left, right,
-                                 inf if budget is None else budget)
-             for right in converted]
-            for left in (_graded(row, grades) for row in rows)]
+    basis = first.basis
+    budget = inf if budget is None else budget
+    qr, rights = _graded(column, grades)
+    out_column = []
+    for row in rows:
+        ql, lefts = _graded(row, grades)
+        top = max((max(t[1] for t in xs) + max(t[1] for t in ys)
+                   for xs, ys in zip(lefts, rights) if xs and ys),
+                  default=0)
+        powers = [basis.scale ** i for i in range(top + 1)]
+        out: Dict[Monomial, Numerators] = {}
+        for xs, ys in zip(lefts, rights, strict=True):
+            for ma, da, pa, ga in xs:
+                for mb, db, pb, gb in ys:
+                    if ga + gb > budget:
+                        continue
+                    shift = powers[top - da - db]
+                    cab: Numerators = {}
+                    for ea, ka in pa.items():
+                        for eb, kb in pb.items():
+                            e = tuple(map(add, ea, eb))
+                            cab[e] = cab.get(e, 0) + ka * kb * shift
+                    _accumulate(out, cab, basis.mul_monos(ma, mb))
+        out_column.append(_finish(basis, first.ring, out, ql * qr, top))
+    return out_column
 
 
 def _graded(operand: Sequence[EnvElement], grades: Optional[Sequence[int]]
@@ -690,32 +708,6 @@ def _graded(operand: Sequence[EnvElement], grades: Optional[Sequence[int]]
     q, elems = _numerators(operand)
     return q, [[(*t, 0 if grades is None else mono_grade(t[0], grades))
                 for t in terms] for terms in elems]
-
-
-def _converted_products(first: EnvElement, left: tuple, right: tuple,
-                        budget: float) -> EnvElement:
-    """The sum of products of two :func:`_graded` operands (see
-    :func:`sum_products_table`)."""
-    basis = first.basis
-    (ql, lefts), (qr, rights) = left, right
-    top = max((max(t[1] for t in xs) + max(t[1] for t in ys)
-               for xs, ys in zip(lefts, rights) if xs and ys),
-              default=0)
-    powers = [basis.scale ** i for i in range(top + 1)]
-    out: Dict[Monomial, Numerators] = {}
-    for xs, ys in zip(lefts, rights, strict=True):
-        for ma, da, pa, ga in xs:
-            for mb, db, pb, gb in ys:
-                if ga + gb > budget:
-                    continue
-                shift = powers[top - da - db]
-                cab: Numerators = {}
-                for ea, ka in pa.items():
-                    for eb, kb in pb.items():
-                        e = tuple(map(add, ea, eb))
-                        cab[e] = cab.get(e, 0) + ka * kb * shift
-                _accumulate(out, cab, basis.mul_monos(ma, mb))
-    return _finish(basis, first.ring, out, ql * qr, top)
 
 
 def _word_image(

@@ -22,7 +22,7 @@ from huaops.matop import (
 )
 from huaops.minpoly import ThetaData, minimal_polynomial
 from huaops.params import ParamRing
-from huaops.pbw import EnvElement, sum_products_table
+from huaops.pbw import EnvElement, sum_products_column
 from huaops.reduce import UpqCase, peel_k
 
 
@@ -162,7 +162,7 @@ def test_restricted_entries_equal_the_unrestricted_ones(p, q, blocks):
 
 
 def test_restricted_ideal_builds_no_unexported_column(monkeypatch):
-    # Every U(g) product of matop goes through sum_products_table; record
+    # Every U(g) product of matop goes through sum_products_column; record
     # what it builds and look for the entries of q(F) outside column 3.
     case = UpqCase(2, 1, (1,))
     form, theta = case.form, case.theta
@@ -173,12 +173,12 @@ def test_restricted_ideal_builds_no_unexported_column(monkeypatch):
     assert len(unexported) == 6
     built = set()
 
-    def recording(rows, columns, *bound):
-        table = sum_products_table(rows, columns, *bound)
-        built.update(str(x) for row in table for x in row)
-        return table
+    def recording(rows, column, *bound):
+        product = sum_products_column(rows, column, *bound)
+        built.update(str(x) for x in product)
+        return product
 
-    monkeypatch.setattr(matop_module, "sum_products_table", recording)
+    monkeypatch.setattr(matop_module, "sum_products_column", recording)
     ideal_generators(alg, theta, column_range=(3, 3))
     assert kept <= built
     assert not unexported & built
