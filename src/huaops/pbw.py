@@ -599,16 +599,19 @@ class EnvElement:
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})
 
 
-def _numerators(elems: Sequence[EnvElement]
-                ) -> Tuple[int, List[List[Tuple[Monomial, int, Numerators]]]]:
+def _numerators(elems: Sequence[EnvElement],
+                grades: Optional[Sequence[int]] = None
+                ) -> Tuple[int, List[List[Tuple[Monomial, int, Numerators, int]]]]:
     """One common denominator q of every coefficient, and the int numerators.
 
-    Each element becomes a list of ``(monomial, degree, {exponents: q*c})``.
-    q is the lcm of the coefficients' denominators; a coefficient already
-    over q lends its own numerators, which are never mutated.
+    Each element becomes a list of ``(monomial, degree, {exponents: q*c},
+    grade)``, the grade 0 without ``grades``.  q is the lcm of the
+    coefficients' denominators; a coefficient already over q lends its own
+    numerators, which are never mutated.
     """
     q = lcm(*(poly.denominator for x in elems for poly in x.terms.values()))
-    return q, [[(m, mono_degree(m), _over(poly, q))
+    return q, [[(m, mono_degree(m), _over(poly, q),
+                 0 if grades is None else mono_grade(m, grades))
                 for m, poly in x.terms.items()] for x in elems]
 
 
@@ -675,10 +678,10 @@ def sum_products_column(rows: Sequence[Sequence[EnvElement]],
             first._check_compatible(x)
     basis = first.basis
     budget = inf if budget is None else budget
-    qr, rights = _graded(column, grades)
+    qr, rights = _numerators(column, grades)
     out_column = []
     for row in rows:
-        ql, lefts = _graded(row, grades)
+        ql, lefts = _numerators(row, grades)
         top = max((max(t[1] for t in xs) + max(t[1] for t in ys)
                    for xs, ys in zip(lefts, rights) if xs and ys),
                   default=0)
@@ -698,16 +701,6 @@ def sum_products_column(rows: Sequence[Sequence[EnvElement]],
                     _accumulate(out, cab, basis.mul_monos(ma, mb))
         out_column.append(_finish(basis, first.ring, out, ql * qr, top))
     return out_column
-
-
-def _graded(operand: Sequence[EnvElement], grades: Optional[Sequence[int]]
-            ) -> Tuple[int, list]:
-    """An operand in :func:`_numerators` form, each term
-    ``(monomial, degree, numerators)`` followed by its grade (0 without
-    ``grades``)."""
-    q, elems = _numerators(operand)
-    return q, [[(*t, 0 if grades is None else mono_grade(t[0], grades))
-                for t in terms] for terms in elems]
 
 
 def _word_image(
@@ -831,11 +824,11 @@ def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
         raise ValueError(f"basis {target.basis_id} does not lead with an n zone")
     scale_e, images = _generator_images(elem.basis, target)
     q, (terms,) = _numerators([elem])
-    top = max((n for _m, n, _p in terms), default=0)
+    top = max((n for _m, n, _p, _g in terms), default=0)
     step = scale_e * target.scale
     n_zone = target.zone_indices("n")
     out: Dict[Monomial, Numerators] = {}
-    for mono, n, coeff in terms:
+    for mono, n, coeff, _g in terms:
         shift = step ** (top - n)
         _accumulate(out, {e: k * shift for e, k in coeff.items()},
                     _word_image(target, images, mono,
@@ -852,10 +845,11 @@ def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],
     normal-ordered word leaves a normal-ordered word: the tail evaluates
     multiplicatively, one relation ``X = value(X)`` per factor (the k-tail
     through a k-character, or the a|n tail on a highest-weight vector).
-    Monomials leading with a generator in ``dropped``, or holding a factor
-    whose value is 0, are skipped.  Each power of a value is built once per
-    call, and the values landing on one prefix are summed once, over their
-    lcm denominator.
+    Partial a-values are exact too, as U(a) is commutative
+    (:func:`~huaops.reduce.reduce_iwasawa`).  Monomials leading with a
+    generator in ``dropped``, or holding a factor whose value is 0, are
+    skipped.  Each power of a value is built once per call, and the values
+    landing on one prefix are summed once, over their lcm denominator.
     """
     parts: Dict[Monomial, List[ParamPoly]] = {}
     powers: Dict[Tuple[int, int], ParamPoly] = {}

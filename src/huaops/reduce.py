@@ -182,20 +182,24 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     projected onto U(g)/nU(g) over ``spec.form.basis`` by
     :func:`~huaops.pbw.project_mod_n`, which never builds its n-leading
     monomials; an element already over that basis has those monomials
-    dropped here.  The trailing k-part of each remaining monomial is then
-    peeled into character values, and (if present) the a-values evaluate
-    the remainder.  Returns a polynomial over ``u.ring`` when the a-values
-    are total, otherwise one over ``radial_ring(u.ring, spec.form.a_names)``.
+    dropped here.  One peel then evaluates the trailing k-part of each
+    remaining monomial through the character and its a-generators through
+    the a-values, and ``rho_shift`` moves the a-generators left without a
+    value.  Returns a polynomial over ``u.ring`` when the a-values are
+    total, otherwise one over ``radial_ring(u.ring, spec.form.a_names)``.
     """
     basis = spec.form.basis
     if basis.zones[:2] != ("n", "a"):
         raise ValueError(f"basis {basis.basis_id} is not Iwasawa-ordered")
     if u.basis is not basis and u.basis.basis_id != basis.basis_id:
         u = project_mod_n(u, basis)
+    peeled = _peel(u, {**spec.k_character, **spec.a_values},
+                   basis.zone_indices("n"))
+    if spec.total_a():
+        return peeled.get((), u.ring.zero())
     names = spec.form.a_names
     radial = radial_ring(u.ring, names)
     a_zone = basis.zone_indices("a")
-    peeled = _peel(u, spec.k_character, basis.zone_indices("n"))
     den = lcm(*(coeff.denominator for coeff in peeled.values()))
     terms = {}
     for mono, coeff in peeled.items():
@@ -204,15 +208,12 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
         for exp, k in _over(coeff, den).items():
             terms[exp + a_exp] = k
     result = _reduced(radial, terms, den)
-
-    bindings = {basis.names[i]: v.rename(radial)
-                for i, v in spec.a_values.items()}
     if spec.rho_shift:
-        for name, r in zip(names, spec.form.rho):
-            bindings.setdefault(name, radial.var(name) + r)
-    if bindings:
-        result = result.substitute(bindings)
-    return result.rename(u.ring) if spec.total_a() else result
+        result = result.substitute({
+            name: radial.var(name) + r
+            for i, name, r in zip(a_zone, names, spec.form.rho)
+            if i not in spec.a_values})
+    return result
 
 
 def zero_character(form: RealFormData) -> Dict[int, ParamPoly]:
@@ -361,13 +362,16 @@ class UpqCase:
             "s", "t")
 
     @cached_property
+    def ring(self) -> ParamRing:
+        return ParamRing(self.symbols)
+
+    @cached_property
     def form(self) -> RealFormData:
         return make_upq(self.p, self.q, symbols=self.symbols)
 
     @cached_property
     def theta(self) -> ThetaData:
-        return upq_complexified_theta(self.p, self.q, self.blocks,
-                                      self.form.ring)
+        return upq_complexified_theta(self.p, self.q, self.blocks, self.ring)
 
     @cached_property
     def spec(self) -> ReductionSpec:

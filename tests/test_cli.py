@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import huaops.reduce as reduce_module
 from huaops import cli
 from huaops.cli import run
 from huaops.liedata import satake_table
@@ -50,6 +52,21 @@ def test_ideal_restricted_columns_count(capsys):
     assert code == 0
     assert len(report["entries"]) == 8
     assert sorted({e["col"] for e in report["entries"]}) == [3, 4]
+
+
+def test_upq_export_builds_no_real_form(monkeypatch, capsys):
+    # The export reads only the complexified pattern, so it must not build
+    # (and validate) the U(p,q) Iwasawa form.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("real form built")
+
+    monkeypatch.setattr(reduce_module, "make_upq", forbidden)
+    code = run(["ideal", "--form", "upq", "--p", "3", "--q", "2", "--blocks", "1,2",
+                "--restrict-columns", "--json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "b1b5a234cd1602d4da4b3c0744ccfc1c84799dd01efdb3c8209f97a4afcaef04")
 
 
 def test_round_trip_ideal_reduce(tmp_path, capsys):

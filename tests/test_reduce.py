@@ -24,6 +24,7 @@ from huaops.reduce import (
     gl_lemma_check,
     hua_sp_system,
     peel_k,
+    radial_ring,
     reduce_iwasawa,
     upq_scalar_recursion,
     upq_shilov_identity,
@@ -404,6 +405,33 @@ def test_every_shifted_root_is_seen_by_the_pruned_chain(p, q, blocks, kept_count
         if middle is not None and shifted == len(all_counts) // 2:
             assert broken == middle
     assert (tuple(got_kept), tuple(got_all)) == (kept_counts, all_counts)
+
+
+@pytest.mark.parametrize("p, q, blocks", [(2, 1, (1,)), (3, 2, (1, 2))])
+def test_a_values_peeled_equal_a_values_substituted(p, q, blocks):
+    # Oracle: reduce with no a-values, then substitute them (and the rho
+    # shift of the a-generators left without one) over the radial ring.
+    case = UpqCase(p, q, blocks)
+    form, spec = case.form, case.spec
+    radial = radial_ring(form.ring, form.a_names)
+    names = [form.basis.names[i] for i in form.basis.zone_indices("a")]
+    values = {form.basis.names[i]: v.rename(radial) for i, v in spec.a_values.items()}
+    first = form.basis.zone_indices("a")[0]
+    partial = ReductionSpec(form, a_values={first: spec.a_values[first]}, rho_shift=True)
+    shifted = {name: radial.var(name) + r for name, r in zip(names[1:], form.rho[1:])}
+    rng = random.Random(41)
+    coefficient = form.ring.var("s") - form.ring.var("mu_1") * 2
+    seen = 0
+    for _ in range(8):
+        u = _random_element(form.basis, form.ring, rng, max_degree=3, max_terms=4)
+        u = u.scale(coefficient) + _random_element(form.basis, form.ring, rng)
+        plain = reduce_iwasawa(u, ReductionSpec(form))
+        assert reduce_iwasawa(u, spec) == plain.substitute(values).rename(form.ring)
+        if shifted:  # a partial a-value needs two a-generators
+            expected = plain.substitute({names[0]: values[names[0]], **shifted})
+            assert reduce_iwasawa(u, partial) == expected
+        seen += not plain.is_zero()
+    assert seen >= 4
 
 
 def test_upq_a_substitution_spec_is_total():
