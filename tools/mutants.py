@@ -60,6 +60,7 @@ UPQ_CASE = "tests/test_reduce.py::test_upq_case_checks_ranks_and_blocks"
 BAD_RANKS = "tests/test_cli.py::test_upq_rejects_bad_ranks_before_reading_input"
 LEMMA_CHAINS = "tests/test_reduce.py::test_gl_lemma_runs_only_the_congruence_chains_in_the_module"
 UNPRUNED = "tests/test_matop.py::test_unpruned_module_chain_is_the_peeled_prefix"
+SHIFTED_ROOTS = "tests/test_reduce.py::test_every_shifted_root_is_seen_by_the_pruned_chain"
 PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
             "tests/test_pbw.py::test_left_action_matches_naive_rewriter",
             "tests/test_pbw.py::test_naive_rewriter_agrees_on_random_words",
@@ -110,6 +111,16 @@ MUTANTS: Tuple[Mutant, ...] = (
            "_peel(x, character).items()",
            "(x.terms if m == 1 else _peel(x, character)).items()",
            (EXACT, DRIVERS)),
+    Mutant("module-column-left-unpeeled", "src/huaops/matop.py",
+           "if character is not None:",
+           "if character is not None and len(done) < len(state) - 1:",
+           (EXACT, DRIVERS, UNPRUNED)),
+    Mutant("middle-root-shifted", "src/huaops/minpoly.py",
+           'values.append(ring.var("s"))',
+           'values.append(ring.var("s") + 1)',
+           (f"{SHIFTED_ROOTS}[3-2]", f"{SHIFTED_ROOTS}[2-1]",
+            f"{GOLDEN}[verify upq-theorem --p 3 --q 2 --blocks 1,2]",
+            PERTURBED_32)),
     Mutant("character-negated", "src/huaops/matop.py",
            "_peel(x, character)",
            "_peel(x, {g: -v for g, v in character.items()})",
