@@ -150,11 +150,12 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
     Column b starts as the unit column e_b, and each root maps every column
-    x to ``(mat - r) x``, one column at a time.  After the roots ``r_1..r_m`` column b is
-    ``(mat - r_m)...(mat - r_1) e_b``, which is column b of the m-th prefix
-    ``(mat - r_1)...(mat - r_m)``: the factors commute.  Yields the columns,
-    in the order of ``columns``, after every root, each as the list of its
-    entries from row 1 down.  Columns that are not listed are never built.
+    x, one at a time, to ``(mat - r) x``.  After the roots ``r_1..r_m``
+    column b is ``(mat - r_m)...(mat - r_1) e_b``, which is column b of the
+    m-th prefix ``(mat - r_1)...(mat - r_m)``: the factors commute.  Yields
+    the columns, in the order of ``columns``, after every root, each as the
+    list of its entries from row 1 down.  Columns that are not listed are
+    never built.
 
     With a real ``form`` (``mat`` over ``form.basis``), every entry has its
     k-tails peeled through ``form.k_character`` after each root, so the

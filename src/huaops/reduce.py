@@ -337,9 +337,10 @@ class UpqCase:
     Construction raises ``ValueError`` unless the ranks satisfy
     ``1 <= q <= p`` and the block ends ``0 < n_1 < ... < n_L = q``, and
     builds nothing.  The rest is built on first read: the coefficient
-    symbols ``mu_1..mu_L, s, t``, the real form over them, the complexified
-    block pattern on ``gl_{p+q}`` and the boundary reduction (tau_{s,t} on
-    k, ``E_i = 2 mu_j`` on a with j the block of i).
+    symbols ``mu_1..mu_L, s, t`` and their ring, the real form over them
+    (which an export never builds), the complexified block pattern on
+    ``gl_{p+q}`` and the boundary reduction (tau_{s,t} on k,
+    ``E_i = 2 mu_j`` on a with j the block of i).
     """
 
     p: int

@@ -86,6 +86,7 @@ def run_case(case: Case) -> bool:
             raise
         finally:
             timer.cancel()
+            timer.join()
         wall = time.perf_counter() - start
         proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
