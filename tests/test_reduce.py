@@ -394,6 +394,7 @@ def test_every_shifted_root_is_seen_by_the_pruned_chain(p, q, blocks, kept_count
     case = UpqCase(p, q, blocks)
     size = p + q
     kept = range(p + 1, size + 1) if p > q else range(1, size + 1)
+    assert len(minimal_polynomial(case.theta).roots) == len(all_counts)
     assert set(_shifted_chain_residues(case, None, True).values()) == {"0"}
     got_kept, got_all = [], []
     for shifted in range(len(all_counts)):
