@@ -168,8 +168,7 @@ def spectral_ring(rs: RestrictedRootSystem, *,
     return ParamRing(names)
 
 
-def _lambda_alpha(rs: RestrictedRootSystem, ring: ParamRing,
-                  root: RestrictedRoot) -> ParamPoly:
+def _lambda_alpha(ring: ParamRing, root: RestrictedRoot) -> ParamPoly:
     """``lambda_alpha = 2 <lambda, alpha> / <alpha, alpha>`` symbolically."""
     denom = root.squared_length()
     out = ring.zero()
@@ -185,7 +184,7 @@ def _plain_factors(rs: RestrictedRootSystem, ring: ParamRing,
     quarter, half = Fraction(1, 4), Fraction(1, 2)
     for root in roots:
         label = root_label(root)
-        la = _lambda_alpha(rs, ring, root)
+        la = _lambda_alpha(ring, root)
         base = la * quarter + Fraction(root.multiplicity, 4)
         factors.append(GammaFactor(DENOMINATOR, base + half, label))
         factors.append(GammaFactor(
@@ -209,7 +208,7 @@ def c_product(rs: RestrictedRootSystem) -> GammaProduct:
     log2 = ring.zero()
     half = Fraction(1, 2)
     for root in rs.indivisible_positive():
-        la = _lambda_alpha(rs, ring, root)
+        la = _lambda_alpha(ring, root)
         factors.append(GammaFactor(NUMERATOR, la * half, root_label(root)))
         log2 = log2 - la * half
     return GammaProduct(ring, tuple(factors), log2)
@@ -237,7 +236,7 @@ def line_bundle_products(rs: RestrictedRootSystem
     e_factors: List[GammaFactor] = []
     for root in classes[0]:
         label = root_label(root)
-        base = (_lambda_alpha(rs, ring, root) * half
+        base = (_lambda_alpha(ring, root) * half
                 + Fraction(rs.half_multiplicity(root), 4) + half)
         e_factors.append(GammaFactor(DENOMINATOR, base + ell * half, label))
         e_factors.append(GammaFactor(DENOMINATOR, base - ell * half, label))
@@ -246,7 +245,7 @@ def line_bundle_products(rs: RestrictedRootSystem
     log2 = ring.zero()
     for k, roots in enumerate(classes, start=1):
         for root in roots:
-            scaled = _lambda_alpha(rs, ring, root) / k
+            scaled = _lambda_alpha(ring, root) / k
             c_extra.append(GammaFactor(NUMERATOR, scaled, root_label(root)))
             log2 = log2 - scaled
     e_prod = GammaProduct(ring, tuple(e_factors), ring.zero())
@@ -392,15 +391,17 @@ def dominant_grid_report(rs: RestrictedRootSystem) -> dict:
     product = c_product(rs)
     rho = _bindings(rs, rs.half_sum())
     log_c = _normalize(product, rho)
+    pairings = [_lambda_alpha(product.ring, root) for root in rs.positive]
     points = 0
     failures: List[dict] = []
     pool = range(1, rs.rank + 3)
     for combo in itertools.combinations(pool, rs.rank):
         lam = tuple(Fraction(c) for c in sorted(combo, reverse=True))
-        if any(rs.lambda_alpha(lam, root) <= 0 for root in rs.positive):
+        point = _bindings(rs, lam)
+        if any(la.eval_rational(point) <= 0 for la in pairings):
             continue
         points += 1
-        val = product.evaluate(_bindings(rs, lam))
+        val = product.evaluate(point)
         value = None
         if val["defined"] and not val["zero"]:
             value = math.exp(log_c + val["logValue"])

@@ -28,10 +28,11 @@ pass, with the C string escaper that ``json.dumps`` itself uses.  A rank
 flag that does not apply to ``--form`` (``--n`` with ``upq``, ``--p`` or
 ``--q`` with ``spnr`` or ``glnr``) is a usage error.
 A U(p,q) request (``ideal --form upq``, ``reduce``, ``verify upq-theorem``
-and ``upq-recursion``) first builds its :class:`~huaops.reduce.UpqCase`,
+and ``upq-recursion``) first builds its one :class:`~huaops.reduce.UpqCase`,
 which checks the ranks, the blocks and (through
 :meth:`~huaops.reduce.UpqCase.bindings`) every ``--bind`` symbol, so each
-of those is refused before any input is read; ``verify upq-shilov`` and
+of those is refused before any input is read, and which the two ``verify``
+drivers take as it is; ``verify upq-shilov`` and
 ``cfun --form upq`` check their ranks with
 :func:`~huaops.liedata.check_upq_ranks`, the function the case calls.
 ``reduce`` refuses a generator set whose metadata, ``columnRange`` aside,
@@ -344,11 +345,10 @@ def _cmd_verify(args: argparse.Namespace) -> Tuple[dict, int]:
         report = upq_shilov_identity(args.p, args.q)
     elif args.target == "upq-theorem":
         case = _upq(UpqCase, args.p, args.q, args.blocks)
-        report = upq_theorem_case(case.p, case.q, case.blocks,
-                                  perturb=args.perturb)
+        report = upq_theorem_case(case, perturb=args.perturb)
     else:
         case = _upq(UpqCase, args.p, args.q, args.blocks)
-        report = upq_scalar_recursion(case.p, case.q, case.blocks,
+        report = upq_scalar_recursion(case,
                                       params=_upq(case.bindings, args.bind),
                                       compare_kernel=args.kernel)
     return report, 0 if report["pass"] else 1

@@ -260,14 +260,6 @@ class RestrictedRootSystem:
             by_len.setdefault(r.squared_length(), []).append(r)
         return [by_len[k] for k in sorted(by_len, reverse=True)]
 
-    def lambda_alpha(self, lam: Sequence[object], root: RestrictedRoot) -> Fraction:
-        """2 <lam, alpha> / <alpha, alpha> with <e_i, e_j> = delta_ij."""
-        lam_f = [Fraction(c) for c in lam]
-        if len(lam_f) != self.rank:
-            raise ValueError(f"lambda must have {self.rank} coordinates")
-        num = sum((a * b for a, b in zip(lam_f, root.coords)), ZERO)
-        return 2 * num / root.squared_length()
-
     def half_sum(self) -> Tuple[Fraction, ...]:
         """rho = (1/2) sum of m_alpha * alpha over positive roots."""
         acc = [ZERO] * self.rank

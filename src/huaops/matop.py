@@ -408,15 +408,13 @@ def ideal_generators(algebra: AlgebraData, theta: ThetaData,
     is omitted with a flag.
     """
     ring = theta.ring
-    if algebra.rank != theta.rank:
-        raise ValueError("block pattern rank does not match the algebra")
+    weight = theta_weight(algebra, theta)
     poly = minimal_polynomial(theta)
     fmat = generator_matrix(algebra, ring)
     kept = sorted({j for _i, j in entry_positions(fmat.size, column_range)})
     for columns in factor_columns(fmat, poly.roots, kept):
         pass
 
-    weight = theta_weight(algebra, theta)
     central: List[CentralGenerator] = []
     pfaffian_omitted = False
     indices = theta.central_index_set()

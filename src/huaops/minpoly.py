@@ -6,11 +6,10 @@ block determines a polynomial ``q(x)`` whose evaluation at the generator
 matrix yields two-sided ideal generators.  This module builds the pattern
 data (:class:`ThetaData`), the factored polynomial (:class:`MinPoly`), the
 per-family rules mapping a boundary node of a real form to such a pattern
-(:func:`boundary_theta` / :func:`boundary_degree`), and the eigenvalue
-schedule used by the rank-one recursion for U(p,q).  The U(p,q) functions
-check nothing: their p, q and blocks are those of a checked
-:class:`~huaops.reduce.UpqCase`, and they read ``mu_1..mu_L``, ``s`` and
-``t`` off the case's ring.
+(:func:`boundary_theta` / :func:`boundary_degree`), and the product
+polynomials of the U(p,q) recursion (:func:`upq_f_polys`), the oracle for
+the block pattern of a :class:`~huaops.reduce.UpqCase`, which owns the
+U(p,q) eigenvalue schedule and pattern.
 """
 
 from __future__ import annotations
@@ -345,78 +344,19 @@ def boundary_degree(family: str, node: int, **args: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue schedule for the U(p,q) rank-one recursion
+# The U(p,q) recursion polynomials
 # ---------------------------------------------------------------------------
 
 
-def upq_lambda_schedule(p: int, q: int, blocks: Sequence[int],
-                        ring: ParamRing) -> Tuple[ParamPoly, ...]:
-    """The ``2L`` recursion eigenvalues for blocks ``n_1 < ... < n_L = q``.
-
-    The first ``L`` values descend through the blocks
-    (``lambda_k = -mu_k - (s+t)/2 - n_{k-1}``); the last ``L`` retrace them
-    reflected through the full size ``p + q``
-    (``lambda_k = mu_j - (s+t)/2 - (p+q) + n_j`` with ``j = 2L+1-k``), so the
-    reflected block ``j`` contributes the root ``-mu_j + (s+t)/2`` shifted by
-    its position ``p + q - n_j``.  ``mu_1..mu_L``, ``s`` and ``t`` are the
-    symbols of ``ring``; p, q and the blocks are those of a checked
-    :class:`~huaops.reduce.UpqCase`.
-    """
-    L = len(blocks)
-    mu = [ring.var(f"mu_{j}") for j in range(1, L + 1)]
-    half = (ring.var("s") + ring.var("t")) / 2
-    ends = (0,) + tuple(blocks)
-    lam = [-mu[k - 1] - half - ends[k - 1] for k in range(1, L + 1)]
-    lam += [mu[j - 1] - half - (p + q) + ends[j] for j in range(L, 0, -1)]
-    return tuple(lam)
-
-
-def upq_f_polys(p: int, q: int, blocks: Sequence[int], ring: ParamRing,
+def upq_f_polys(schedule: Sequence[ParamPoly], q: int
                 ) -> Tuple[MinPoly, MinPoly]:
-    """The product polynomial of the recursion and its Shilov extension.
+    """The product polynomial of the U(p,q) recursion and its Shilov extension.
 
     Returns ``(f, f_ext)`` where ``f(x) = prod_k (x + lambda_k)`` over the
-    schedule and ``f_ext(x) = (x - s - q) f(x)``.
+    eigenvalue ``schedule`` (:attr:`~huaops.reduce.UpqCase.schedule`) and
+    ``f_ext(x) = (x - s - q) f(x)``, over the schedule's ring.
     """
-    lam = upq_lambda_schedule(p, q, blocks, ring)
-    f = MinPoly(ring, tuple(-v for v in lam))
+    ring = schedule[0].ring
+    f = MinPoly(ring, tuple(-v for v in schedule))
     f_ext = MinPoly(ring, (ring.var("s") + ring.const(q),) + f.roots)
     return f, f_ext
-
-
-def upq_complexified_theta(p: int, q: int, blocks: Sequence[int],
-                           ring: ParamRing) -> ThetaData:
-    """The block pattern on ``gl_{p+q}`` matching the recursion polynomial.
-
-    Its blocks walk up one side, cross the middle (with an extra block of
-    character ``s`` when ``p > q``), and retrace the other side; evaluating
-    :func:`minimal_polynomial` on it reproduces ``f`` (for ``p = q``) or
-    ``f_ext`` (for ``p > q``) from :func:`upq_f_polys`.
-    """
-    lam = upq_lambda_schedule(p, q, blocks, ring)
-    L = len(blocks)
-
-    big: List[int] = list(blocks[:-1]) + [q]
-    if p > q:
-        big.append(p)
-    big.extend(p + q - blocks[j - 1] for j in range(L - 1, 0, -1))
-    big.append(p + q)
-
-    values: List[ParamPoly] = []
-    pos = 0  # position in the lambda schedule
-    for j, end in enumerate(big, start=1):
-        prev = big[j - 2] if j >= 2 else 0
-        if p > q and j == L + 1:
-            values.append(ring.var("s"))
-            continue
-        values.append(-lam[pos] - prev)
-        pos += 1
-    assert pos == 2 * L
-
-    return ThetaData(
-        kind="gl",
-        rank=p + q,
-        blocks=tuple(big),
-        char_values=tuple(values),
-        variant=THETA,
-    )

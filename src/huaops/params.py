@@ -432,7 +432,9 @@ def poly_from_string_ring(ring: ParamRing, text: str) -> ParamPoly:
     """Parse the canonical string format back into a polynomial.
 
     Accepts exactly the shapes produced by ``__str__``: terms joined by
-    " + " / " - ", each term ``coef*sym^e*...`` with optional coefficient.
+    " + " / " - ", each term ``coef*sym^e*...`` with optional coefficient
+    and each exponent ``e`` a decimal integer >= 1 (``ValueError``
+    otherwise).
     The terms are summed over the lcm of their denominators.
     """
     text = text.strip()
@@ -461,6 +463,9 @@ def poly_from_string_ring(ring: ParamRing, text: str) -> ParamPoly:
             else:
                 if "^" in factor:
                     sym, _, p = factor.partition("^")
+                    if not (p.isascii() and p.isdigit()) or int(p) < 1:
+                        raise ValueError(f"exponent {p!r} in term {tok!r} "
+                                         f"is not an integer >= 1")
                     exp[ring.index(sym)] += int(p)
                 else:
                     exp[ring.index(factor)] += 1

@@ -29,12 +29,14 @@ chains: :func:`gl_lemma_check` (GL(n,R) trace lemma), :func:`hua_sp_system`
 U(p,q) reduction by elementary bookkeeping).  A U(p,q) boundary case is
 one :class:`UpqCase`, fixed by ``(p, q, blocks)``: it checks the ranks and
 the blocks once and owns the coefficient symbols, the real form, the
-complexified block pattern, the reduction spec and the binding check, so
-the two U(p,q) membership drivers and the CLI decide the case in one
-place.  Each driver returns a JSON-ready report: case id, parameters, one
-record per check (with the residue in canonical string form) and an
-overall pass flag; a report holds no timing, so identical requests give
-identical reports.  The matrix drivers take the generator matrix from
+eigenvalue schedule, the complexified block pattern built from it, the
+theorem's kept columns, the module chain, the reduction spec and the
+binding check.  The CLI builds the case and the two U(p,q) membership
+drivers take it, so a case is decided in one place.  Each driver returns
+a JSON-ready report: case id, parameters, one record per check (with the
+residue in canonical string form) and an overall pass flag; a report
+holds no timing, so identical requests give identical reports.  The
+matrix drivers take the generator matrix from
 :func:`~huaops.matop.generator_matrix` (over the basis whose k they peel:
 the Iwasawa basis, or the Hua block basis of Sp(n,R)) and state each
 identity through three helpers:
@@ -44,18 +46,18 @@ product).  Every product of factors ``F - r`` (the two-factor product,
 the power chains of the GL(n,R) lemma, the U(p,q) membership chains)
 comes from :func:`~huaops.matop.factor_columns`.  The lemma passes its
 form, unpruned, to the two chains that only its congruences read.  Both
-U(p,q) membership drivers pass their real form, whose k-character their
-reduction peels, so the factors of the minimal polynomial act one at a
-time on unit columns of the induced module M = U(g)/U(g)(k - chi), over
-the Iwasawa basis with every k-tail peeled after each factor, and reduce
-the resulting entries with :func:`reduce_iwasawa`: the theorem case only
-its kept columns after the last factor, the kernel comparison of the
-recursion every column after every factor.  Their chain reads the form's
-grades too and is pruned by restricted weight: after factor m of K it
-keeps only the terms whose n-part has phi <= (K - m)·2q.  One factor
-lowers phi by at most 2q, so no dropped term can reach the n-free part
-of a later prefix, and the n-free part is all that :func:`reduce_iwasawa`
-reads.  The k-peel is :func:`~huaops.pbw._peel`, shared with the
+U(p,q) membership drivers run the case's module chain, which passes the
+case's real form, whose k-character their reduction peels, so the
+factors of the minimal polynomial act one at a time on unit columns of
+the induced module M = U(g)/U(g)(k - chi), over the Iwasawa basis with
+every k-tail peeled after each factor, and reduce the resulting entries
+with :func:`reduce_iwasawa`: the theorem case only its kept columns after
+the last factor, the kernel comparison of the recursion every column
+after every factor.  Their chain reads the form's grades too and is
+pruned by restricted weight: after factor m of K it keeps only the terms
+whose n-part has phi <= (K - m)·2q.  One factor lowers phi by at most
+2q, so no dropped term can reach the n-free part of a later prefix, and
+the n-free part is all that :func:`reduce_iwasawa` reads.  The k-peel is :func:`~huaops.pbw._peel`, shared with the
 highest-weight evaluation.
 """
 
@@ -65,15 +67,14 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import (Dict, Iterable, List, Mapping, Optional, Sequence, Tuple,
-                    Union)
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from .liedata import (RealFormData, _check_k_character, check_upq_ranks,
                       make_glnr, make_spnr, make_upq)
 from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
                     generator_matrix, ideal_metadata)
-from .minpoly import (ThetaData, minimal_polynomial, upq_complexified_theta,
-                      upq_lambda_schedule)
+from .minpoly import ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing, _over, _reduced
 from .pbw import EnvElement, _peel, project_mod_n, sum_products
 
@@ -336,11 +337,13 @@ class UpqCase:
 
     Construction raises ``ValueError`` unless the ranks satisfy
     ``1 <= q <= p`` and the block ends ``0 < n_1 < ... < n_L = q``, and
-    builds nothing.  The rest is built on first read: the coefficient
-    symbols ``mu_1..mu_L, s, t`` and their ring, the real form over them
-    (which an export never builds), the complexified block pattern on
-    ``gl_{p+q}`` and the boundary reduction (tau_{s,t} on k,
-    ``E_i = 2 mu_j`` on a with j the block of i).
+    builds nothing.  The rest is built on first read, once per case: the
+    coefficient symbols ``mu_1..mu_L, s, t`` and their ring, the real form
+    over them (which an export never builds), the eigenvalue schedule of
+    the recursion, the complexified block pattern on ``gl_{p+q}`` built
+    from it and the boundary reduction (tau_{s,t} on k, ``E_i = 2 mu_j``
+    on a with j the block of i).  The case also fixes the theorem's kept
+    columns and runs the module chain of both membership drivers.
     """
 
     p: int
@@ -371,8 +374,55 @@ class UpqCase:
         return make_upq(self.p, self.q, symbols=self.symbols)
 
     @cached_property
+    def schedule(self) -> Tuple[ParamPoly, ...]:
+        """The ``2L`` recursion eigenvalues.
+
+        The first ``L`` values descend through the blocks
+        (``lambda_k = -mu_k - (s+t)/2 - n_{k-1}``); the last ``L`` retrace
+        them reflected through the full size ``p + q``
+        (``lambda_k = mu_j - (s+t)/2 - (p+q) + n_j`` with ``j = 2L+1-k``),
+        so the reflected block ``j`` contributes the root
+        ``-mu_j + (s+t)/2`` shifted by its position ``p + q - n_j``.
+        """
+        ring, L = self.ring, len(self.blocks)
+        mu = [ring.var(f"mu_{j}") for j in range(1, L + 1)]
+        half = (ring.var("s") + ring.var("t")) / 2
+        ends = (0,) + self.blocks
+        size = self.p + self.q
+        return tuple([-mu[k - 1] - half - ends[k - 1] for k in range(1, L + 1)]
+                     + [mu[j - 1] - half - size + ends[j]
+                        for j in range(L, 0, -1)])
+
+    @cached_property
     def theta(self) -> ThetaData:
-        return upq_complexified_theta(self.p, self.q, self.blocks, self.ring)
+        """The block pattern on ``gl_{p+q}`` matching the recursion.
+
+        Its blocks walk up one side, cross the middle (with an extra block
+        of character ``s`` when ``p > q``), and retrace the other side; the
+        character of every other block is minus the next eigenvalue of the
+        schedule, less the block's start.  Its minimal polynomial is ``f``
+        (for ``p = q``) or ``f_ext`` (for ``p > q``) of
+        :func:`~huaops.minpoly.upq_f_polys`.
+        """
+        p, q, blocks, ring = self.p, self.q, self.blocks, self.ring
+        middle = [p] if p > q else []
+        big = (list(blocks) + middle + [p + q - b for b in blocks[-2::-1]]
+               + [p + q])
+        values: List[ParamPoly] = []
+        lam = iter(self.schedule)
+        for j, start in enumerate([0] + big[:-1]):
+            if middle and j == len(blocks):
+                values.append(ring.var("s"))
+            else:
+                values.append(-next(lam) - start)
+        return ThetaData(kind="gl", rank=p + q, blocks=tuple(big),
+                         char_values=tuple(values))
+
+    @property
+    def column_range(self) -> Optional[Tuple[int, int]]:
+        """The theorem's kept columns: the last q when ``p > q``, else all
+        (``None``)."""
+        return (self.p + 1, self.p + self.q) if self.p > self.q else None
 
     @cached_property
     def spec(self) -> ReductionSpec:
@@ -383,6 +433,15 @@ class UpqCase:
                                       start=1)
         }
         return ReductionSpec(self.form, a_values=a_values)
+
+    def chain(self, roots: Sequence[ParamPoly], columns: Sequence[int], *,
+              prune: bool) -> Iterator[List[List[EnvElement]]]:
+        """The module chain: :func:`~huaops.matop.factor_columns` of the
+        generator matrix over the Iwasawa basis, run with the form, so the
+        k-character is peeled after every root."""
+        form = self.form
+        fmat = generator_matrix(form.complex_algebra, form.ring, form.basis)
+        return factor_columns(fmat, roots, columns, form, prune=prune)
 
     def bindings(self, pairs: Iterable[Tuple[str, ScalarLike]]
                  ) -> Dict[str, ScalarLike]:
@@ -395,18 +454,15 @@ class UpqCase:
         return dict(pairs)
 
 
-def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
-                     perturb: bool = False) -> dict:
+def upq_theorem_case(case: UpqCase, perturb: bool = False) -> dict:
     """One boundary-ideal membership case for U(p,q).
 
-    Builds the block pattern on ``gl_{p+q}`` for the given ``blocks``
-    (ending at q) and applies its minimal polynomial q(F) to the cyclic
+    Applies the minimal polynomial q(F) of ``case.theta`` to the cyclic
     vector v_chi of the induced module, one factor at a time, on the kept
-    unit columns only (the last q columns when p > q, all when p = q):
-    :func:`~huaops.matop.factor_columns` on the generator matrix over the
-    Iwasawa basis, with the k-character of the reduction peeled after each
-    factor and every term that can no longer reach the n-free part dropped
-    (phi of its n-part over (K - m)·2q after factor m of K; see
+    unit columns only (``case.column_range``): the case's module chain,
+    with the k-character of the reduction peeled after each factor and
+    every term that can no longer reach the n-free part dropped (phi of its
+    n-part over (K - m)·2q after factor m of K; see
     :func:`~huaops.matop.factor_columns`), so the last factor leaves only
     n-free terms.  Every kept entry, row by row, is then reduced
     modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff every
@@ -414,25 +470,22 @@ def upq_theorem_case(p: int, q: int, blocks: Sequence[int],
     schedule is shifted by one, which must break membership (a soundness
     control).
     """
-    case = UpqCase(p, q, blocks)
-    form, theta = case.form, case.theta
+    theta = case.theta
     if perturb:
         values = (theta.char_values[0] - 1,) + theta.char_values[1:]
         theta = replace(theta, char_values=values)
-    algebra = form.complex_algebra
-    column_range = (p + 1, p + q) if p > q else None
-    positions = entry_positions(p + q, column_range)
+    positions = entry_positions(case.p + case.q, case.column_range)
     kept = sorted({j for _i, j in positions})
-    fmat = generator_matrix(algebra, form.ring, form.basis)
-    for columns in factor_columns(fmat, minimal_polynomial(theta).roots, kept,
-                                  form):
+    for columns in case.chain(minimal_polynomial(theta).roots, kept,
+                              prune=True):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
                           reduce_iwasawa(final[j][i - 1], case.spec))
               for i, j in positions]
-    parameters = ideal_metadata(theta, algebra, column_range)
-    parameters.update({"p": p, "q": q, "blocks": list(case.blocks),
+    parameters = ideal_metadata(theta, case.form.complex_algebra,
+                                case.column_range)
+    parameters.update({"p": case.p, "q": case.q, "blocks": list(case.blocks),
                        "perturbed": perturb})
     return _report("upq-theorem" + ("-perturbed" if perturb else ""),
                    parameters, checks)
@@ -563,14 +616,14 @@ def _kernel_records(columns: Sequence[Sequence[EnvElement]],
     return checks
 
 
-def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
+def upq_scalar_recursion(case: UpqCase,
                          params: Optional[Mapping[str, ScalarLike]] = None,
                          compare_kernel: bool = False) -> dict:
     """Run the five-family recursion and check its vanishing pattern.
 
     The recursion starts from the reduced entries of ``E + lambda_1`` and
-    iterates ``F^m = tilde F^{m-1} + lambda_m F^{m-1}`` through the
-    eigenvalue schedule of the blocks.  Checked here, with ``E_i = 2 mu``
+    iterates ``F^m = tilde F^{m-1} + lambda_m F^{m-1}`` through
+    ``case.schedule``.  Checked here, with ``E_i = 2 mu``
     substituted: ``F_i^m = 0`` when ``m >= L`` or ``i <= n_m``;
     ``F_{i,ibar}^m = 0`` when ``m > L`` and ``i > n_{2L-m}``; at ``m = 2L``
     the whole last q columns vanish (first p columns too when p = q).  The
@@ -579,20 +632,18 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     every entry of the PBW product ``(E + lambda_1)...(E + lambda_m)`` is
     reduced independently and compared, with off-pattern entries checked to
     reduce to 0.  The product is applied to v_chi of the induced module, every
-    column after every factor, by :func:`~huaops.matop.factor_columns` with
+    column after every factor, by the case's module chain, with
     the k-character peeled after each factor; the chain drops every term
     whose n-part has phi > (K - m)·2q after factor m of K, which keeps the
     n-free part of every prefix, the part each comparison reduces.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
-    case = UpqCase(p, q, blocks)
     params = case.bindings((params or {}).items())
-    blocks, L = case.blocks, len(case.blocks)
+    p, q, blocks, L = case.p, case.q, case.blocks, len(case.blocks)
     form = case.form
     ring = form.ring
-    lam = upq_lambda_schedule(p, q, blocks, ring)
 
-    rec = _UpqRecursion(p, q, ring, form.a_names, lam)
+    rec = _UpqRecursion(p, q, ring, form.a_names, case.schedule)
     s, t = rec.s, rec.t
     a_sub = {form.basis.names[i]: v.rename(rec.radial)
              for i, v in case.spec.a_values.items()}
@@ -605,9 +656,8 @@ def upq_scalar_recursion(p: int, q: int, blocks: Sequence[int],
     tables: Dict[str, Dict[str, List[ParamPoly]]] = {}
     if compare_kernel:
         kernel_spec = ReductionSpec(form)
-        prefixes = factor_columns(
-            generator_matrix(form.complex_algebra, ring, form.basis),
-            [-v for v in lam], range(1, p + q + 1), form)
+        prefixes = case.chain([-v for v in case.schedule],
+                              range(1, p + q + 1), prune=True)
 
     for m in range(1, 2 * L + 1):
         if m > 1:

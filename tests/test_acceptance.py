@@ -31,6 +31,7 @@ from huaops.minpoly import boundary_degree
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, naive_normal_order, word_mono
 from huaops.reduce import (
+    UpqCase,
     gl_lemma_check,
     hua_sp_system,
     upq_scalar_recursion,
@@ -87,11 +88,11 @@ def test_criterion_4_upq_theorem():
     # every generator-matrix entry reduces to exactly 0 with symbolic mu, s, t
     for p, q, blocks in THEOREM_CASES:
         start = time.perf_counter()
-        report = upq_theorem_case(p, q, blocks)
+        report = upq_theorem_case(UpqCase(p, q, blocks))
         _assert_report(
             report, f"theorem ({p},{q},{blocks})", 300.0, time.perf_counter() - start
         )
-    control = upq_theorem_case(2, 1, (1,), perturb=True)
+    control = upq_theorem_case(UpqCase(2, 1, (1,)), perturb=True)
     assert not control["pass"], "perturbed eigenvalue schedule must break membership"
     assert any(c["residue"] != "0" for c in control["checks"])
     print("[criterion 4] PASS: boundary membership exact on 5 cases; perturbed control FAILS")
@@ -105,13 +106,13 @@ def test_criterion_5_scalar_recursion_oracle():
             for inner in itertools.combinations(ends, L - 1):
                 blocks = tuple(inner) + (q,)
                 for p in (q, q + 1):
-                    report = upq_scalar_recursion(p, q, blocks)
+                    report = upq_scalar_recursion(UpqCase(p, q, blocks))
                     failing = [c["name"] for c in report["checks"] if not c["pass"]]
                     assert report["pass"], f"recursion ({p},{q},{blocks}): {failing}"
     # diagonal values agree exactly with the kernel pipeline before the
     # a-substitution, on the criterion-4 cases
     for p, q, blocks in THEOREM_CASES:
-        report = upq_scalar_recursion(p, q, blocks, compare_kernel=True)
+        report = upq_scalar_recursion(UpqCase(p, q, blocks), compare_kernel=True)
         failing = [c["name"] for c in report["checks"] if not c["pass"]]
         assert report["pass"], f"kernel-compare ({p},{q},{blocks}): {failing}"
     print("[criterion 5] PASS: recursion vanishing for q<=4, L<=3; kernel agreement exact")

@@ -9,6 +9,7 @@ import pytest
 
 from huaops.cfun import (
     DENOMINATOR,
+    _lambda_alpha,
     FLOAT_TOL,
     GammaFactor,
     NUMERATOR,
@@ -47,6 +48,17 @@ def test_root_label():
     assert root_label(RestrictedRoot((Fraction(1), Fraction(-1)), 1)) == "e1-e2"
     assert root_label(RestrictedRoot((Fraction(2), Fraction(0)), 1)) == "2e1"
     assert root_label(RestrictedRoot((Fraction(1), Fraction(1)), 2)) == "e1+e2"
+
+
+def test_lambda_alpha():
+    # 2 <lambda, alpha> / <alpha, alpha>, evaluated at lambda = (3, 1).
+    rs = spnr_root_system(2)
+    ring = spectral_ring(rs)
+    point = {"lambda_1": 3, "lambda_2": 1}
+    long_root = next(r for r in rs.positive if r.coords == (Fraction(2), Fraction(0)))
+    assert _lambda_alpha(ring, long_root).eval_rational(point) == Fraction(3)
+    short_root = next(r for r in rs.positive if r.coords == (Fraction(1), Fraction(-1)))
+    assert _lambda_alpha(ring, short_root).eval_rational(point) == Fraction(2)
 
 
 def test_gamma_factor_requires_affine_argument():

@@ -125,6 +125,27 @@ def test_reduce_rejects_unknown_binding(tmp_path, capsys, binding):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "upq-theorem", "--p", "2", "--q", "1", "--blocks", "1"],
+     ["verify", "upq-recursion", "--p", "2", "--q", "1", "--blocks", "1", "--kernel"]],
+    ids=["upq-theorem", "upq-recursion-kernel"],
+)
+def test_one_case_per_request(monkeypatch, capsys, argv):
+    # The CLI builds the case and the driver takes it as it is.
+    built = []
+    check = reduce_module.UpqCase.__post_init__
+
+    def counting(case):
+        check(case)
+        built.append((case.p, case.q, case.blocks))
+
+    monkeypatch.setattr(reduce_module.UpqCase, "__post_init__", counting)
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert built == [(2, 1, (1,))]
+
+
 @pytest.mark.parametrize("binding", ["zzz=3", "E_1=1"])
 def test_upq_recursion_rejects_unknown_binding(capsys, binding):
     code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", "--bind", binding])
@@ -480,6 +501,9 @@ def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
 _META_21 = json.dumps({"ambient": 3, "basisId": "gl3-verma", "blocks": [1, 2, 3],
                        "charValues": ["mu_1 + 1/2*s + 1/2*t", "s", "-mu_1 + 1/2*s + 1/2*t"],
                        "columnRange": [3, 3], "kind": "gl", "rank": 3, "variant": "theta"})
+# A set of that case with one entry: one constant term, its coefficient left as %s.
+_ONE_TERM = ('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": '
+             '{"basisId": "gl3-verma", "terms": [{"coeff": %%s, "monomial": []}]}}]}' % _META_21)
 
 
 @pytest.mark.parametrize(
@@ -490,12 +514,12 @@ _META_21 = json.dumps({"ambient": 3, "basisId": "gl3-verma", "blocks": [1, 2, 3]
     + [('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": %s}]}' % (_META_21, element),
         f"an element must be an object, got {shown}")
        for element, shown in (("5", "5"), ("[]", "[]"), ('"x"', "'x'"))]
-    + [('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": '
-        '{"basisId": "gl3-verma", "terms": [{"coeff": %s, "monomial": []}]}}]}' % (_META_21, coeff),
-        f"coefficient {shown} must be a string")
-       for coeff, shown in (("5", "5"), ("null", "None"))],
+    + [(_ONE_TERM % coeff, f"coefficient {shown} must be a string")
+       for coeff, shown in (("5", "5"), ("null", "None"))]
+    + [(_ONE_TERM % json.dumps(coeff), f"exponent {exponent!r} in term {coeff!r} is not an integer >= 1")
+       for coeff, exponent in (("mu_1^-1", "-1"), ("s^0", "0"))],
     ids=["syntax", "not-an-object", "missing-key", "element-int", "element-list", "element-string",
-         "coeff-int", "coeff-null"],
+         "coeff-int", "coeff-null", "exponent-negative", "exponent-zero"],
 )
 def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message):
     blob = tmp_path / "gens.json"
@@ -503,6 +527,20 @@ def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message
     code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("coeff, exponent", [("mu_1^-1", "-1"), ("s^0", "0")])
+def test_bound_reduce_refuses_an_exponent_below_one(tmp_path, capsys, coeff, exponent):
+    # --bind substitutes into the residue, where a negative power was an
+    # internal fault; the exponent is refused when the set is read.
+    blob = tmp_path / "gens.json"
+    blob.write_text(_ONE_TERM % json.dumps(coeff))
+    code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob),
+                "--bind", "mu_1=2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: exponent {exponent!r} in term {coeff!r} is not an integer >= 1\n"
+    assert captured.out == ""
 
 
 def test_reduce_refuses_a_set_built_for_another_case(tmp_path, capsys):

@@ -107,16 +107,6 @@ def test_indivisible_and_length_classes():
     assert len(upq_root_system(2, 2).length_classes()) == 2
 
 
-def test_lambda_alpha():
-    rs = spnr_root_system(2)
-    long_root = next(r for r in rs.positive if r.coords == (Fraction(2), Fraction(0)))
-    assert rs.lambda_alpha((3, 1), long_root) == Fraction(3)
-    short_root = next(
-        r for r in rs.positive if r.coords == (Fraction(1), Fraction(-1))
-    )
-    assert rs.lambda_alpha((3, 1), short_root) == Fraction(2)
-
-
 def test_upq_requires_p_at_least_q():
     with pytest.raises(ValueError):
         make_upq(1, 2)

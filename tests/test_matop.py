@@ -184,6 +184,17 @@ def test_restricted_ideal_builds_no_unexported_column(monkeypatch):
     assert not unexported & built
 
 
+def test_ideal_generators_check_the_rank_before_any_product(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("built a product for a pattern of the wrong rank")
+
+    monkeypatch.setattr(matop_module, "sum_products_column", forbidden)
+    ring = ParamRing(("l1",))
+    theta = ThetaData(kind="gl", rank=2, blocks=(2,), char_values=(ring.var("l1"),))
+    with pytest.raises(ValueError, match="^block pattern rank does not match the algebra$"):
+        ideal_generators(make_algebra("gl", 3), theta)
+
+
 def test_ideal_generators_even_orthogonal_pfaffian_flag():
     alg = make_algebra("o-even", 2)
     ring = ParamRing(("l1",))

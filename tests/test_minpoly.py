@@ -11,11 +11,10 @@ from huaops.minpoly import (
     boundary_degree,
     boundary_theta,
     minimal_polynomial,
-    upq_complexified_theta,
     upq_f_polys,
-    upq_lambda_schedule,
 )
 from huaops.params import ParamRing
+from huaops.reduce import UpqCase
 
 
 def _values(ring, count):
@@ -86,34 +85,35 @@ def test_lambda_schedule_frozen():
     mu1, mu2 = ring.var("mu_1"), ring.var("mu_2")
     s, t = ring.var("s"), ring.var("t")
     half = (s + t) / 2
-    lam = upq_lambda_schedule(2, 2, (1, 2), ring)
+    lam = UpqCase(2, 2, (1, 2)).schedule
     assert lam == (
         -mu1 - half,
         -mu2 - half - 1,
         mu2 - half - 4 + 2,
         mu1 - half - 4 + 1,
     )
-    lam21 = upq_lambda_schedule(2, 1, (1,), ring)
+    ring = ParamRing(("mu_1", "s", "t"))
+    mu1, half = ring.var("mu_1"), (ring.var("s") + ring.var("t")) / 2
+    lam21 = UpqCase(2, 1, (1,)).schedule
     assert lam21 == (-mu1 - half, mu1 - half - 3 + 1)
+    assert all(v.ring == ring for v in lam21)
 
 
 @pytest.mark.parametrize("p,q,blocks", [(1, 1, (1,)), (2, 1, (1,)), (2, 2, (1, 2)), (3, 2, (1, 2))])
 def test_complexified_theta_reproduces_f(p, q, blocks):
-    ring = ParamRing(tuple(f"mu_{k}" for k in range(1, len(blocks) + 1)) + ("s", "t"))
-    f, f_ext = upq_f_polys(p, q, blocks, ring)
-    theta = upq_complexified_theta(p, q, blocks, ring)
-    produced = minimal_polynomial(theta)
+    case = UpqCase(p, q, blocks)
+    f, f_ext = upq_f_polys(case.schedule, q)
+    produced = minimal_polynomial(case.theta)
     expected = f if p == q else f_ext
     assert produced.coefficients() == expected.coefficients()
     assert f_ext.degree == f.degree + 1
 
 
 def test_f_polys_roots():
-    ring = ParamRing(("mu_1", "s", "t"))
-    f, f_ext = upq_f_polys(2, 1, (1,), ring)
-    lam = upq_lambda_schedule(2, 1, (1,), ring)
-    assert f.roots == tuple(-v for v in lam)
-    assert f_ext.roots[0] == ring.var("s") + 1  # extra Shilov factor x - s - q
+    case = UpqCase(2, 1, (1,))
+    f, f_ext = upq_f_polys(case.schedule, 1)
+    assert f.roots == tuple(-v for v in case.schedule)
+    assert f_ext.roots[0] == case.ring.var("s") + 1  # extra Shilov factor x - s - q
 
 
 def test_boundary_theta_and_degree_spots():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -100,6 +101,21 @@ def test_evaluation_is_a_homomorphism(a, b):
 @settings(max_examples=40, deadline=None)
 def test_string_round_trip(a):
     assert poly_from_string_ring(RING, str(a)) == a
+
+
+@pytest.mark.parametrize("text, term, exponent", [
+    ("mu_1^-1", "mu_1^-1", "-1"),
+    ("s^0", "s^0", "0"),
+    ("1 + 3*t*s^-2", "3*t*s^-2", "-2"),
+    ("2*s^+2", "2*s^+2", "+2"),
+    ("s^1.5", "s^1.5", "1.5"),
+], ids=["negative", "zero", "negative-in-a-sum", "signed", "fractional"])
+def test_malformed_exponents_are_refused(text, term, exponent):
+    # ``__str__`` writes no exponent but a decimal integer >= 2.
+    message = f"exponent {exponent!r} in term {term!r} is not an integer >= 1"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        poly_from_string_ring(RING, text)
+    assert poly_from_string_ring(RING, "s^1*t^12") == RING.var("s") * RING.var("t") ** 12
 
 
 def test_substitute_composes():

@@ -12,8 +12,8 @@ import huaops.pbw as pbw_module
 from huaops import liedata
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq, phi
-from huaops.matop import OpMatrix, factor_columns, generator_matrix, ideal_generators, trace_power
-from huaops.minpoly import minimal_polynomial, upq_lambda_schedule
+from huaops.matop import OpMatrix, entry_positions, factor_columns, generator_matrix, ideal_generators, trace_power
+from huaops.minpoly import minimal_polynomial
 from huaops.params import ParamRing
 from huaops.pbw import EnvElement, change_basis
 from huaops.reduce import (
@@ -221,12 +221,6 @@ def test_projection_matches_change_basis_on_perturbed_theorem(monkeypatch):
     assert sum(r != "0" for _, r in projected) == 8
 
 
-def _kernel_setup(p, q, blocks):
-    form = UpqCase(p, q, blocks).form
-    lam = upq_lambda_schedule(p, q, blocks, form.ring)
-    return form, ReductionSpec(form), [-v for v in lam]
-
-
 def _n_phi(form, mono):
     """phi of the n-part of a monomial, from the recorded n-weights."""
     return sum(phi(form.n_weights[g]) * e for g, e in mono if g in form.n_weights)
@@ -237,19 +231,19 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     # Exactly: column b after step m of K is column b of the m-th prefix
     # applied to v_chi (converted to the Iwasawa basis with its k-tails
     # peeled), less every term whose n-part has phi > (K - m)·L, L = phi(2e_1).
-    form, spec, roots = _kernel_setup(p, q, blocks)
+    case = UpqCase(p, q, blocks)
+    form, roots = case.form, [-v for v in case.schedule]
     size = p + q
     step = phi((2,) + (0,) * (q - 1))
     assert step == 2 * q
     prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
-    iwasawa = generator_matrix(form.complex_algebra, form.ring, form.basis)
-    steps = factor_columns(iwasawa, roots, range(1, size + 1), form)
+    steps = case.chain(roots, range(1, size + 1), prune=True)
     dropped = kept_n_leading = 0
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
         budget = (len(roots) - m) * step
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                full = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), spec.k_character).terms
+                full = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), form.k_character).terms
                 expected = {mono: c for mono, c in full.items() if _n_phi(form, mono) <= budget}
                 assert columns[b - 1][a - 1].terms == expected, (m, a, b)
                 dropped += len(full) - len(expected)
@@ -319,10 +313,10 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
 
     forms = []
 
-    def recording(mat, roots, columns, form=None):
+    def recording(mat, roots, columns, form=None, *, prune=True):
         forms.append((form, mat.basis))
         k_zone = mat.basis.zone_indices("k")
-        for state in factor_columns(mat, roots, columns, form):
+        for state in factor_columns(mat, roots, columns, form, prune=prune):
             for column in state:
                 for x in column:
                     assert not any(g in k_zone for m in x.terms for g, _e in m)
@@ -331,9 +325,10 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     monkeypatch.setattr(reduce_module, "project_mod_n", forbidden)
     monkeypatch.setattr(pbw_module, "change_basis", forbidden)
     monkeypatch.setattr(reduce_module, "factor_columns", recording)
-    assert upq_theorem_case(2, 1, (1,))["pass"]
-    assert not upq_theorem_case(2, 1, (1,), perturb=True)["pass"]
-    assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
+    case = UpqCase(2, 1, (1,))
+    assert upq_theorem_case(case)["pass"]
+    assert not upq_theorem_case(case, perturb=True)["pass"]
+    assert upq_scalar_recursion(case, compare_kernel=True)["pass"]
     assert len(forms) == 3
     assert all(form is not None and form.basis is basis for form, basis in forms)
 
@@ -344,8 +339,7 @@ def _residues_through_ideal_generators(p, q, blocks, perturb):
     form, theta = case.form, case.theta
     if perturb:
         theta = replace(theta, char_values=(theta.char_values[0] - 1,) + theta.char_values[1:])
-    column_range = (p + 1, p + q) if p > q else None
-    gens = ideal_generators(form.complex_algebra, theta, column_range=column_range)
+    gens = ideal_generators(form.complex_algebra, theta, column_range=case.column_range)
     residues = [(f"entry[{i},{j}]", str(reduce_iwasawa(e, case.spec))) for i, j, e in gens.entries()]
     return gens.metadata(), residues
 
@@ -355,7 +349,7 @@ def _residues_through_ideal_generators(p, q, blocks, perturb):
     [(1, 1, (1,), False), (2, 1, (1,), False), (2, 2, (1, 2), False), (2, 2, (1, 2), True), (3, 2, (1, 2), False)],
 )
 def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
-    report = upq_theorem_case(p, q, blocks, perturb=perturb)
+    report = upq_theorem_case(UpqCase(p, q, blocks), perturb=perturb)
     metadata, expected = _residues_through_ideal_generators(p, q, blocks, perturb)
     assert [(c["name"], c["residue"]) for c in report["checks"]] == expected
     assert report["parameters"] == {**metadata, "p": p, "q": q, "blocks": list(blocks), "perturbed": perturb}
@@ -369,13 +363,11 @@ def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
 def _shifted_chain_residues(case, shifted, prune):
     """Residues of every entry of q(F)·v_chi, row by row, with root
     ``shifted`` (an index, or None) raised by 1."""
-    form = case.form
     roots = list(minimal_polynomial(case.theta).roots)
     if shifted is not None:
         roots[shifted] = roots[shifted] + 1
     size = case.p + case.q
-    fmat = generator_matrix(form.complex_algebra, form.ring, form.basis)
-    for columns in factor_columns(fmat, roots, range(1, size + 1), form, prune=prune):
+    for columns in case.chain(roots, range(1, size + 1), prune=prune):
         pass
     return {(a, b): str(reduce_iwasawa(columns[b - 1][a - 1], case.spec))
             for a in range(1, size + 1) for b in range(1, size + 1)}
@@ -393,7 +385,7 @@ def test_every_shifted_root_is_seen_by_the_pruned_chain(p, q, blocks, kept_count
     # all p + q columns can.
     case = UpqCase(p, q, blocks)
     size = p + q
-    kept = range(p + 1, size + 1) if p > q else range(1, size + 1)
+    kept = {b for _a, b in entry_positions(size, case.column_range)}
     assert len(minimal_polynomial(case.theta).roots) == len(all_counts)
     assert set(_shifted_chain_residues(case, None, True).values()) == {"0"}
     got_kept, got_all = [], []
@@ -560,15 +552,16 @@ def test_upq_theorem_driver_small():
         (1, 1, (1,), ["entry[1,1]", "entry[1,2]", "entry[2,1]", "entry[2,2]"]),
         (2, 1, (1,), ["entry[1,3]", "entry[3,3]"]),
     ]:
-        report = upq_theorem_case(p, q, blocks)
+        case = UpqCase(p, q, blocks)
+        report = upq_theorem_case(case)
         assert report["pass"], [c for c in report["checks"] if not c["pass"]]
-        checks = upq_theorem_case(p, q, blocks, perturb=True)["checks"]
+        checks = upq_theorem_case(case, perturb=True)["checks"]
         assert [c["name"] for c in checks] == [c["name"] for c in report["checks"]]
         assert [c["name"] for c in checks if not c["pass"]] == broken
 
 
 def test_upq_theorem_perturbed_control_fails():
-    report = upq_theorem_case(1, 1, (1,), perturb=True)
+    report = upq_theorem_case(UpqCase(1, 1, (1,)), perturb=True)
     assert not report["pass"]
     assert {c["name"]: c["residue"] for c in report["checks"]} == {
         "entry[1,1]": "mu_1 + 1/2*s - 1/2*t - 1",
@@ -579,7 +572,7 @@ def test_upq_theorem_perturbed_control_fails():
 
 
 def test_upq_recursion_driver_small():
-    report = upq_scalar_recursion(1, 1, (1,), compare_kernel=True)
+    report = upq_scalar_recursion(UpqCase(1, 1, (1,)), compare_kernel=True)
     assert report["pass"], [c for c in report["checks"] if not c["pass"]]
 
 
@@ -622,8 +615,9 @@ def test_real_form_drivers_never_build_a_verma_basis(monkeypatch):
         raise AssertionError(f"built the Verma basis of {algebra.kind}{algebra.rank}")
 
     monkeypatch.setattr(liedata.AlgebraData, "basis", property(forbidden))
-    assert upq_theorem_case(2, 1, (1,))["pass"]
-    assert upq_scalar_recursion(2, 1, (1,), compare_kernel=True)["pass"]
+    case = UpqCase(2, 1, (1,))
+    assert upq_theorem_case(case)["pass"]
+    assert upq_scalar_recursion(case, compare_kernel=True)["pass"]
     assert upq_shilov_identity(2, 1)["pass"]
     assert hua_sp_system(1)["pass"]
     assert gl_lemma_check(2, 1)["pass"]

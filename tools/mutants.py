@@ -115,7 +115,7 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if character is not None:",
            "if character is not None and len(done) < len(state) - 1:",
            (EXACT, DRIVERS, UNPRUNED)),
-    Mutant("middle-root-shifted", "src/huaops/minpoly.py",
+    Mutant("middle-root-shifted", "src/huaops/reduce.py",
            'values.append(ring.var("s"))',
            'values.append(ring.var("s") + 1)',
            (f"{SHIFTED_ROOTS}[3-2]", f"{SHIFTED_ROOTS}[2-1]",
@@ -147,9 +147,9 @@ MUTANTS: Tuple[Mutant, ...] = (
            "pass",
            ("tests/test_matop.py::test_central_eigenvalue_gl2_degree_two",
             "tests/test_matop.py::test_ideal_generators_gl2_shapes")),
-    Mutant("theorem-driver-passes-no-character", "src/huaops/reduce.py",
-           "kept,\n                                  form)",
-           "kept)",
+    Mutant("case-chain-passes-no-character", "src/huaops/reduce.py",
+           "columns, form, prune=prune)",
+           "columns, None, prune=prune)",
            (DRIVERS,)),
     # The GL(n,R) lemma: only its congruence-only chains run in the module.
     Mutant("lemma-module-chains-unpeeled", "src/huaops/reduce.py",
@@ -259,6 +259,18 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if False:",
            ("tests/test_params.py::test_canonical_fields",
             "tests/test_params.py::test_equal_polys_are_equal_whatever_built_them")),
+    # The coefficient parser refuses exponents below 1.
+    Mutant("coefficient-exponent-unchecked", "src/huaops/params.py",
+           "if not (p.isascii() and p.isdigit()) or int(p) < 1:",
+           "if False:",
+           tuple(f"tests/test_params.py::test_malformed_exponents_are_refused"
+                 f"[{case}]" for case in ("negative", "zero"))
+           + tuple(f"tests/test_cli.py::test_malformed_reduce_input_is_a_usage_"
+                   f"error[{case}]" for case in ("exponent-negative",
+                                                 "exponent-zero"))
+           + tuple(f"tests/test_cli.py::test_bound_reduce_refuses_an_exponent_"
+                   f"below_one[{coeff}-{exponent}]"
+                   for coeff, exponent in (("mu_1^-1", "-1"), ("s^0", "0")))),
 )
 
 
