@@ -36,7 +36,10 @@ drivers take as it is; ``verify upq-shilov`` and
 ``cfun --form upq`` check their ranks with
 :func:`~huaops.liedata.check_upq_ranks`, the function the case calls.
 ``reduce`` refuses a generator set whose metadata, ``columnRange`` aside,
-is not :func:`~huaops.matop.ideal_metadata` of the requested case.
+is not :func:`~huaops.matop.ideal_metadata` of the requested case, or whose
+``(row, col)`` pairs are not the ``entry_positions`` of its ``columnRange``
+in order.  A rational literal, in ``--bind`` (after an optional ``-``) or a
+coefficient, is what :func:`~huaops.params.parse_rational` reads: ``1/2``.
 """
 
 from __future__ import annotations
@@ -54,9 +57,10 @@ from typing import List, NoReturn, Optional, Sequence, Tuple
 from .cfun import c_function, e_c_line_bundle, e_function
 from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
                       satake_table, spnr_root_system, upq_root_system)
-from .matop import GeneratorSet, ideal_generators, ideal_metadata
+from .matop import (GeneratorSet, entry_positions, ideal_generators,
+                    ideal_metadata)
 from .minpoly import THETA, THETA_BAR, ThetaData
-from .params import ParamRing, as_fraction
+from .params import ParamRing, as_fraction, parse_rational
 from .pbw import EnvElement
 from .reduce import (UpqCase, gl_lemma_check, hua_sp_system, reduce_iwasawa,
                      upq_scalar_recursion, upq_shilov_identity,
@@ -86,15 +90,18 @@ def _blocks(text: str) -> Tuple[int, ...]:
 
 
 def _binding(text: str) -> Tuple[str, Fraction]:
+    """``sym=rational``: an optional ``-``, then a :func:`parse_rational`."""
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(
             f"bindings must look like sym=rational, got {text!r}")
+    negative = value.startswith("-")
     try:
-        return name, Fraction(value)
-    except (ValueError, ZeroDivisionError):
+        num, den = parse_rational(value[negative:])
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse {value!r} as a rational for {name!r}")
+    return name, Fraction(-num if negative else num, den)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,6 +114,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="print the full JSON report on stdout")
     output.add_argument("--out", metavar="FILE",
                         help="also write the JSON report to FILE")
+    upq_case = argparse.ArgumentParser(add_help=False)
+    upq_case.add_argument("--p", type=int, required=True)
+    upq_case.add_argument("--q", type=int, required=True)
+    upq_case.add_argument("--blocks", type=_blocks, required=True,
+                          help="cumulative block ends a,b,c")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -126,13 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                        default=THETA)
 
     red = sub.add_parser(
-        "reduce", parents=[output],
+        "reduce", parents=[output, upq_case],
         help="reduce an exported upq generator set modulo the boundary "
              "ideal (JSON on stdin)")
     red.add_argument("--form", required=True, choices=("upq",))
-    red.add_argument("--p", type=int, required=True)
-    red.add_argument("--q", type=int, required=True)
-    red.add_argument("--blocks", type=_blocks, required=True)
     red.add_argument("--bind", type=_binding, action="append", default=[],
                      metavar="SYM=RAT", help=_UPQ_SYMBOL_HELP)
     red.add_argument("--in", dest="infile", metavar="FILE",
@@ -154,18 +163,12 @@ def build_parser() -> argparse.ArgumentParser:
     shilov.add_argument("--p", type=int, required=True)
     shilov.add_argument("--q", type=int, required=True)
 
-    theorem = target.add_parser("upq-theorem", parents=[output])
-    theorem.add_argument("--p", type=int, required=True)
-    theorem.add_argument("--q", type=int, required=True)
-    theorem.add_argument("--blocks", type=_blocks, required=True)
+    theorem = target.add_parser("upq-theorem", parents=[output, upq_case])
     theorem.add_argument("--perturb", action="store_true",
                          help="shift the first eigenvalue by one (the "
                               "membership residues must then be nonzero)")
 
-    recursion = target.add_parser("upq-recursion", parents=[output])
-    recursion.add_argument("--p", type=int, required=True)
-    recursion.add_argument("--q", type=int, required=True)
-    recursion.add_argument("--blocks", type=_blocks, required=True)
+    recursion = target.add_parser("upq-recursion", parents=[output, upq_case])
     recursion.add_argument("--kernel", action="store_true",
                            help="also reduce every partial product of "
                                 "the factor chain through the PBW kernel "
@@ -228,7 +231,8 @@ def _upq(check, *args):
 
     ``check`` is :func:`~huaops.liedata.check_upq_ranks`, :class:`UpqCase`
     or :meth:`UpqCase.bindings`: every upq request checks its ranks, blocks
-    and bindings this way before it reads any input or builds anything.
+    and bindings this way before it reads any input or builds anything
+    (and ``reduce`` its input's ``columnRange``, with ``entry_positions``).
     """
     try:
         return check(*args)
@@ -251,15 +255,10 @@ def _build_generator_set(args: argparse.Namespace) -> GeneratorSet:
         raise UsageError("--restrict-columns applies to --form upq only")
     (n,) = _ranks(args)
     kind = {"spnr": "sp", "glnr": "gl"}[args.form]
-    count = len(args.blocks)
-    if args.variant == THETA_BAR:
-        symbols = tuple(f"lambda_{j}" for j in range(1, count))
-    else:
-        symbols = tuple(f"lambda_{j}" for j in range(1, count + 1))
-    ring = ParamRing(symbols)
-    values = [ring.var(s) for s in symbols]
-    if args.variant == THETA_BAR:
-        values.append(ring.zero())
+    barred = args.variant == THETA_BAR  # the last block's value is 0
+    ring = ParamRing(f"lambda_{j}"
+                     for j in range(1, len(args.blocks) + 1 - barred))
+    values = [ring.var(s) for s in ring.symbols] + [ring.zero()] * barred
     try:
         theta = ThetaData(kind=kind, rank=n, blocks=tuple(args.blocks),
                           char_values=tuple(values), variant=args.variant)
@@ -298,15 +297,25 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         raise UsageError(
             f"generator set was built for {found}, not for --form upq "
             f"--p {p} --q {q} --blocks {','.join(map(str, case.blocks))}")
+    bounds = meta.get("columnRange")
+    if bounds is not None and not (type(bounds) is list
+                                   and list(map(type, bounds)) == [int, int]):
+        raise UsageError(f"columnRange must be two integers, got {bounds!r}")
+    positions = _upq(entry_positions, p + q, bounds)
     entries = []
     all_zero = True
-    for record in records:
+    for index, record in enumerate(records):
         try:  # one entry at a time, so only one is held
             row, col = record["row"], record["col"]
             element = EnvElement.from_json_dict(record["element"],
                                                 ambient.basis, form.ring)
         except (ValueError, KeyError, TypeError) as exc:  # a malformed entry
             raise UsageError(str(exc)) from None
+        # Else a set with an entry left out, repeated or added would pass.
+        want = positions[index] if index < len(positions) else "no entry"
+        if (type(row), type(col)) != (int, int) or (row, col) != want:
+            raise UsageError(f"entry {index + 1} is at ({row!r}, {col!r}), "
+                             f"expected {want}")
         residue = reduce_iwasawa(element, case.spec)
         if bindings:
             # Bind after reducing: the spec's k- and a-values carry the same
@@ -320,6 +329,9 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
             "residue": str(residue),
             "zero": zero,
         })
+    if len(records) != len(positions):
+        raise UsageError(f"generator set: expected {len(positions)} "
+                         f"entries, got {len(records)}")
     report = {
         "case": "reduce",
         "parameters": {"p": p, "q": q, "blocks": list(case.blocks),
@@ -369,20 +381,17 @@ def _cmd_cfun(args: argparse.Namespace) -> Tuple[dict, int]:
     rs = _root_system(args)
     bindings = dict(args.bind)
     ell = bindings.pop("ell", None)
-    unknown = [k for k in bindings
-               if not (k.startswith("lambda_")
-                       and k[7:].isdigit()
-                       and 1 <= int(k[7:]) <= rs.rank)]
+    names = [f"lambda_{i}" for i in range(1, rs.rank + 1)]
+    unknown = [k for k in bindings if k not in names]
     if unknown:
         raise UsageError(
             f"unknown spectral coordinates {unknown}; expected "
             f"lambda_1..lambda_{rs.rank} and optionally ell")
     if bindings:
-        missing = [f"lambda_{i}" for i in range(1, rs.rank + 1)
-                   if f"lambda_{i}" not in bindings]
+        missing = [k for k in names if k not in bindings]
         if missing:
             raise UsageError(f"missing coordinates: {missing}")
-        lam = [bindings[f"lambda_{i}"] for i in range(1, rs.rank + 1)]
+        lam = [bindings[k] for k in names]
     else:
         lam = list(rs.half_sum())
     e_rep = e_function(rs, lam)
@@ -408,14 +417,14 @@ def _cmd_cfun(args: argparse.Namespace) -> Tuple[dict, int]:
 def _cmd_degrees(args: argparse.Namespace) -> Tuple[dict, int]:
     try:
         row = satake_table().row(args.diagram)
-        nodes = row.node_degrees(args.n, args.m)
+        degrees = row.node_degrees(args.n, args.m)
     except (KeyError, ValueError) as exc:  # the label, --n or --m
         raise UsageError(exc.args[0]) from None
     report = {
         "diagram": row.full_label,
         "rank": args.n,
         "param": args.m,
-        "degrees": [node.degree for node in nodes],
+        "degrees": degrees,
     }
     return report, 0
 

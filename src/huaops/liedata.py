@@ -21,10 +21,11 @@ F_ij of its generator matrix follow from an index rule, and its Verma basis
 is built, and checked, only where it is read.  Each catalog real form
 (:func:`make_upq`, :func:`make_spnr`, :func:`make_glnr`) only lists its
 Iwasawa zones, with the restricted weight of each n-generator and the
-character value of each k-generator, and its rho; one constructor builds
-the basis from them and checks every form the same way, the weights, the
-root multiplicities, the character and rho against each other and the
-dimension against that of the complex algebra.
+character value of each k-generator, and its restricted root system, whose
+half-sum is its rho; one constructor builds the basis from them and checks
+every form the same way, the weights, the root multiplicities and the
+character against each other and the dimension against that of the complex
+algebra.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ class AlgebraData:
     with c_ij = -1 for o and eps_i·eps_{jbar} for sp (eps_a = +1 for
     a <= rank, -1 otherwise).  ``basis`` (built and checked on first read)
     is Verma-ordered with zones ("nbar", "a", "n"); its a-zone generators
-    are F_11 .. F_nn (E_11 .. E_NN for gl).  ``a_diagonal`` maps each a-zone
-    position to the diagonal index i of its generator F_ii.
+    are F_11 .. F_nn (E_11 .. E_NN for gl), in that order: the i-th is F_ii.
     """
 
     kind: str
@@ -91,10 +91,6 @@ class AlgebraData:
     @property
     def basis_id(self) -> str:
         return f"{self.kind}{self.rank}-verma"
-
-    @property
-    def a_diagonal(self) -> Tuple[int, ...]:
-        return tuple(range(1, self.rank + 1))
 
     def f_matrix(self, i: int, j: int) -> Matrix:
         """The operator-matrix entry F_{ij} (zero for F_{i,ibar} in o)."""
@@ -131,32 +127,12 @@ class AlgebraData:
         _check_triangular_zones(basis)
         return basis
 
-    def weight_map(self, values: Sequence[ParamPoly]) -> Dict[int, ParamPoly]:
-        """Map a-zone generator index -> value, from per-diagonal values.
-
-        ``values[i-1]`` is the weight of F_ii for i = 1..rank (i = 1..N for gl).
-        """
-        if len(values) != len(self.a_diagonal):
-            raise ValueError(
-                f"expected {len(self.a_diagonal)} weight values, got {len(values)}"
-            )
-        return {pos: values[diag - 1] for pos, diag
-                in zip(self.basis.zone_indices("a"), self.a_diagonal)}
-
-
-def _expected_dimension(kind: str, n: int) -> int:
-    if kind == "gl":
-        return n * n
-    if kind == "o-odd":
-        return n * (2 * n + 1)
-    if kind == "o-even":
-        return n * (2 * n - 1)
-    return n * (2 * n + 1)  # sp
-
 
 def _check_dimension(basis: OrderedBasis, algebra: AlgebraData) -> None:
     """``basis`` spans as many dimensions as ``algebra`` has."""
-    expected = _expected_dimension(algebra.kind, algebra.rank)
+    n = algebra.rank
+    expected = {"gl": n * n, "o-odd": n * (2 * n + 1),
+                "o-even": n * (2 * n - 1), "sp": n * (2 * n + 1)}[algebra.kind]
     if len(basis) != expected:
         raise AssertionError(f"{basis.basis_id} has dimension {len(basis)}, "
                              f"expected {expected}")
@@ -269,11 +245,9 @@ class RestrictedRootSystem:
         return tuple(c / 2 for c in acc)
 
 
-def _coords(rank: int, **entries: int) -> Tuple[int, ...]:
-    out = [0] * rank
-    for key, value in entries.items():
-        out[int(key[1:]) - 1] = value
-    return tuple(out)
+def _coords(rank: int, entries: Mapping[int, int]) -> Tuple[int, ...]:
+    """The weight with coordinate ``entries[i]`` at e_i (1-based), else 0."""
+    return tuple(entries.get(i, 0) for i in range(1, rank + 1))
 
 
 def upq_root_system(p: int, q: int) -> RestrictedRootSystem:
@@ -281,13 +255,13 @@ def upq_root_system(p: int, q: int) -> RestrictedRootSystem:
     positive: List[Tuple[Tuple[int, ...], int]] = []
     for i in range(1, q + 1):
         for j in range(i + 1, q + 1):
-            positive.append((_coords(q, **{f"i{i}": 1, f"i{j}": -1}), 2))
-            positive.append((_coords(q, **{f"i{i}": 1, f"i{j}": 1}), 2))
+            positive.append((_coords(q, {i: 1, j: -1}), 2))
+            positive.append((_coords(q, {i: 1, j: 1}), 2))
     for i in range(1, q + 1):
-        positive.append((_coords(q, **{f"i{i}": 2}), 1))
+        positive.append((_coords(q, {i: 2}), 1))
     if p > q:
         for i in range(1, q + 1):
-            positive.append((_coords(q, **{f"i{i}": 1}), 2 * (p - q)))
+            positive.append((_coords(q, {i: 1}), 2 * (p - q)))
         label = f"BC_{q}^{{{2*(p-q)},2,1}}"
     else:
         label = f"C_{q}^{{2,1}}"
@@ -299,10 +273,10 @@ def spnr_root_system(n: int) -> RestrictedRootSystem:
     positive: List[Tuple[Tuple[int, ...], int]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            positive.append((_coords(n, **{f"i{i}": 1, f"i{j}": -1}), 1))
-            positive.append((_coords(n, **{f"i{i}": 1, f"i{j}": 1}), 1))
+            positive.append((_coords(n, {i: 1, j: -1}), 1))
+            positive.append((_coords(n, {i: 1, j: 1}), 1))
     for i in range(1, n + 1):
-        positive.append((_coords(n, **{f"i{i}": 2}), 1))
+        positive.append((_coords(n, {i: 2}), 1))
     return RestrictedRootSystem(f"C_{n}^{{1,1}}", n, positive)
 
 
@@ -311,7 +285,7 @@ def glnr_root_system(n: int) -> RestrictedRootSystem:
     positive: List[Tuple[Tuple[int, ...], int]] = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
-            positive.append((_coords(n, **{f"i{i}": 1, f"i{j}": -1}), 1))
+            positive.append((_coords(n, {i: 1, j: -1}), 1))
     return RestrictedRootSystem(f"A_{n-1}^{{1}}", n, positive)
 
 
@@ -569,7 +543,7 @@ def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
                n_zone: Sequence[Tuple[str, Matrix, Tuple[int, ...]]],
                a_zone: Sequence[Tuple[str, Matrix]],
                k_zone: Sequence[Tuple[str, Matrix, ParamPoly]],
-               root_system: RestrictedRootSystem, rho: Tuple[Fraction, ...],
+               root_system: RestrictedRootSystem,
                hua: Optional[tuple] = None) -> RealFormData:
     """Build one catalog real form from its Iwasawa zones, and validate it.
 
@@ -583,9 +557,9 @@ def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
 
     Checked, for every form: each basis has the dimension of
     ``complex_algebra`` and a character vanishing on [k, k]; the zone
-    brackets of the Iwasawa basis; every n-weight against ad a; the
-    n-weights against the multiplicities of ``root_system``; and ``rho``
-    against its half-sum.  A failed check raises ``AssertionError``, a bad
+    brackets of the Iwasawa basis; every n-weight against ad a; and the
+    n-weights against the multiplicities of ``root_system``, whose half-sum
+    is the form's rho.  A failed check raises ``AssertionError``, a bad
     character ``ValueError``.
     """
     tag = name + "".join(map(str, params))
@@ -596,9 +570,6 @@ def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
     _check_iwasawa_zones(basis)
     _check_restricted_weights(basis, n_weights)
     _check_root_multiplicities(root_system, n_weights)
-    if rho != root_system.half_sum():
-        raise AssertionError(
-            f"{tag}: rho {rho} != root half-sum {root_system.half_sum()}")
     hua_basis = hua_character = None
     if hua is not None:
         p_zone, q_zone, hua_k_zone = hua
@@ -608,8 +579,8 @@ def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
     return RealFormData(
         name=name, params=params, ring=ring, complex_algebra=complex_algebra,
         basis=basis, k_character=k_character, n_weights=n_weights,
-        root_system=root_system, rho=rho, hua_basis=hua_basis,
-        hua_character=hua_character)
+        root_system=root_system, rho=root_system.half_sum(),
+        hua_basis=hua_basis, hua_character=hua_character)
 
 
 # -- U(p, q) -----------------------------------------------------------------
@@ -643,10 +614,10 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
     # n-zone: restricted-root vectors, grouped by root for readability.
     n_zone = [(f"Y_{i}", mat({(i, i): -1, (i, bar(i)): 1, (bar(i), i): -1,
                               (bar(i), bar(i)): 1}),
-               _coords(q, **{f"i{i}": 2})) for i in range(1, q + 1)]
+               _coords(q, {i: 2})) for i in range(1, q + 1)]
     for i in range(1, q + 1):
         for k in range(q + 1, p + 1):
-            weight = _coords(q, **{f"i{i}": 1})
+            weight = _coords(q, {i: 1})
             n_zone.append((f"Y_{i}_{k}", mat({(i, k): 1, (bar(i), k): 1}), weight))
             n_zone.append((f"Y_{k}_{i}", mat({(k, i): 1, (k, bar(i)): -1}), weight))
     for i in range(1, q + 1):
@@ -655,10 +626,10 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
                 n_zone.append((f"Yplus_{i}_{j}", mat(
                     {(i, j): 1, (bar(i), j): 1, (i, bar(j)): -1,
                      (bar(i), bar(j)): -1}),
-                    _coords(q, **{f"i{i}": 1, f"i{j}": 1})))
+                    _coords(q, {i: 1, j: 1})))
     for i in range(1, q + 1):
         for j in range(i + 1, q + 1):
-            weight = _coords(q, **{f"i{i}": 1, f"i{j}": -1})
+            weight = _coords(q, {i: 1, j: -1})
             n_zone.append((f"Yone_{i}_{j}", mat(
                 {(i, j): 1, (bar(i), j): 1, (i, bar(j)): 1,
                  (bar(i), bar(j)): 1}), weight))
@@ -679,9 +650,8 @@ def make_upq(p: int, q: int, symbols: Tuple[str, ...] = ("s", "t")) -> RealFormD
                 t_val if i == j else zero)
                for i in range(1, q + 1) for j in range(1, q + 1)]
 
-    rho = tuple(Fraction(p + q + 1 - 2 * i) for i in range(1, q + 1))
     return _real_form("upq", (p, q), ring, make_algebra("gl", big), n_zone,
-                      a_zone, k_zone, upq_root_system(p, q), rho)
+                      a_zone, k_zone, upq_root_system(p, q))
 
 
 # -- Sp(n, R) ----------------------------------------------------------------
@@ -730,16 +700,16 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
             n_zone.append((f"Xm_{i}_{j}", mat_add(
                 mat_add(k_mat(i, j), mat_scale(k_mat(j, i), -1)),
                 mat_add(p_mat(i, j), q_mat(i, j))),
-                _coords(n, **{f"i{i}": 1, f"i{j}": -1})))
+                _coords(n, {i: 1, j: -1})))
             n_zone.append((f"Xp_{i}_{j}", mat_add(
                 mat_add(k_mat(i, j), k_mat(j, i)),
                 mat_add(mat_scale(p_mat(i, j), -1), q_mat(i, j))),
-                _coords(n, **{f"i{i}": 1, f"i{j}": 1})))
+                _coords(n, {i: 1, j: 1})))
     for i in range(1, n + 1):
         n_zone.append((f"X2_{i}", mat_add(
             mat_scale(k_mat(i, i), 2),
             mat_add(mat_scale(p_mat(i, i), -1), q_mat(i, i))),
-            _coords(n, **{f"i{i}": 2})))
+            _coords(n, {i: 2})))
 
     a_zone = [(f"A_{i}", mat_add(p_mat(i, i), q_mat(i, i)))
               for i in range(1, n + 1)]
@@ -754,9 +724,8 @@ def make_spnr(n: int, symbols: Tuple[str, ...] = ("ell",)) -> RealFormData:
            [(f"Q_{i}_{j}", q_mat(i, j)) for i, j in upper],
            [(f"K_{i}_{j}", k_mat(i, j), ell_val if i == j else zero)
             for i in range(1, n + 1) for j in range(1, n + 1)])
-    rho = tuple(Fraction(n - i + 1) for i in range(1, n + 1))
     return _real_form("spnr", (n,), ring, algebra, n_zone,
-                      a_zone, k_zone, spnr_root_system(n), rho, hua)
+                      a_zone, k_zone, spnr_root_system(n), hua)
 
 
 # -- GL(n, R) ----------------------------------------------------------------
@@ -773,14 +742,13 @@ def make_glnr(n: int) -> RealFormData:
     ring = ParamRing()
     pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     n_zone = [(f"E_{i}_{j}", elementary(n, i, j),
-               _coords(n, **{f"i{i}": 1, f"i{j}": -1})) for i, j in pairs]
+               _coords(n, {i: 1, j: -1})) for i, j in pairs]
     a_zone = [(f"E_{i}_{i}", elementary(n, i, i)) for i in range(1, n + 1)]
     half = Fraction(1, 2)
     k_zone = [(f"K_{i}_{j}", make_matrix(n, {(i, j): half, (j, i): -half}),
                ring.zero()) for i, j in pairs]
-    rho = tuple(Fraction(n + 1, 2) - i for i in range(1, n + 1))
     return _real_form("glnr", (n,), ring, make_algebra("gl", n), n_zone,
-                      a_zone, k_zone, glnr_root_system(n), rho)
+                      a_zone, k_zone, glnr_root_system(n))
 
 
 # ---------------------------------------------------------------------------
@@ -789,51 +757,31 @@ def make_glnr(n: int) -> RealFormData:
 
 _DATA_PATH = Path(__file__).parent / "data" / "satake_degrees.json"
 
-_TERM_RE = re.compile(r"^(\d*)([a-z]?)$")
+_LINEAR_EXPR = re.compile(r"-?(?:\d+[a-z]?|[a-z])(?:[+-](?:\d+[a-z]?|[a-z]))*")
+_SIGNED_TERM = re.compile(r"([+-]?)(?=[\da-z])(\d*)([a-z]?)")
 
 
 def eval_linear(expr: object, env: Mapping[str, int]) -> int:
     """Evaluate a small linear integer expression like "2n+m-1".
 
-    Accepts ints directly; otherwise the expression must be a sum/difference
-    of terms of the form [coefficient][variable].  No general evaluation.
+    Accepts ints directly; otherwise the expression must be one optional
+    leading "-", then terms [coefficient][variable], none empty, joined by
+    "+" or "-".  No general evaluation.
     """
     if isinstance(expr, int):
         return expr
     text = str(expr).replace(" ", "")
-    if not text:
-        raise ValueError("empty expression")
+    if not _LINEAR_EXPR.fullmatch(text):
+        raise ValueError(f"malformed expression {expr!r}")
     total = 0
-    sign = 1
-    term = ""
-    for ch in text + "+":
-        if ch in "+-":
-            if term == "" and total == 0 and sign == 1 and ch == "-":
-                sign = -1
-                continue
-            if term == "":
-                raise ValueError(f"malformed expression {expr!r}")
-            match = _TERM_RE.match(term)
-            if not match:
-                raise ValueError(f"malformed term {term!r} in {expr!r}")
-            coeff_text, var = match.groups()
-            coeff = int(coeff_text) if coeff_text else 1
-            if var:
-                if var not in env:
-                    raise ValueError(f"unbound symbol {var!r} in {expr!r}")
-                total += sign * coeff * env[var]
-            else:
-                total += sign * coeff
-            term = ""
-            sign = 1 if ch == "+" else -1
-        else:
-            term += ch
+    for sign, coeff_text, var in _SIGNED_TERM.findall(text):
+        value = int(coeff_text) if coeff_text else 1
+        if var:
+            if var not in env:
+                raise ValueError(f"unbound symbol {var!r} in {expr!r}")
+            value *= env[var]
+        total += -value if sign == "-" else value
     return total
-
-
-@dataclass(frozen=True)
-class NodeDegree:
-    degree: Optional[int]  # None at a black node
 
 
 class SatakeRow:
@@ -884,7 +832,7 @@ class SatakeRow:
         return env
 
     def node_degrees(self, rank: Optional[int] = None,
-                     m: Optional[int] = None) -> List[NodeDegree]:
+                     m: Optional[int] = None) -> List[Optional[int]]:
         """The boundary degree at each node.
 
         Classical rows expand the restricted pattern for the given rank and
@@ -894,18 +842,18 @@ class SatakeRow:
         """
         if self.family == "classical":
             env = self._env(rank, m)
-            out: List[NodeDegree] = []
+            out: List[Optional[int]] = []
             for entry in self.restricted or []:
                 count = eval_linear(entry.get("repeat", 1), env)
                 if count < 0:
                     raise ValueError(
                         f"negative repeat count in {self.full_label}"
                     )
-                out.extend([NodeDegree(entry["degree"])] * count)
+                out.extend([entry["degree"]] * count)
             return out
         if rank is not None or m is not None:
             raise ValueError(f"{self.full_label} is exceptional: fixed nodes")
-        return [NodeDegree(None if entry.get("black") else entry["degree"])
+        return [None if entry.get("black") else entry["degree"]
                 for entry in self.nodes or []]
 
     def construction_args(self, node: int, rank: Optional[int],

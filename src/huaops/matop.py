@@ -301,7 +301,7 @@ def theta_weight(algebra: AlgebraData, theta: ThetaData) -> Dict[int, ParamPoly]
     """Weight map sending each diagonal generator to its block's character."""
     if algebra.rank != theta.rank:
         raise ValueError("block pattern rank does not match the algebra")
-    return algebra.weight_map(list(theta.weight_values()))
+    return dict(zip(algebra.basis.zone_indices("a"), theta.weight_values()))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ lexicographic order, descending.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
@@ -413,19 +414,22 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
 
-def _parse_rational(text: str) -> Tuple[int, int]:
+_RATIONAL_RE = re.compile(r"([0-9]+)(?:/([0-9]+))?")
+
+
+def parse_rational(text: str) -> Tuple[int, int]:
     """Numerator and positive denominator of an unsigned literal like "3/4".
 
-    A zero denominator is malformed input, so it raises ``ValueError``.
+    ASCII digits, then optionally "/" and ASCII digits: the shape that
+    ``ParamPoly.__str__`` writes.  Anything else raises ``ValueError``.
     """
-    num, slash, den = text.partition("/")
-    if num.isdecimal() and (not slash or den.isdecimal() and int(den)):
-        return int(num), int(den) if slash else 1
-    try:
-        value = Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in coefficient {text!r}") from None
-    return value.numerator, value.denominator
+    match = _RATIONAL_RE.fullmatch(text)
+    if match is None:
+        raise ValueError(f"{text!r} is not a rational literal like 3 or 3/4")
+    num, den = match.groups()
+    if den is not None and not int(den):
+        raise ValueError(f"zero denominator in coefficient {text!r}")
+    return int(num), int(den or 1)
 
 
 def poly_from_string_ring(ring: ParamRing, text: str) -> ParamPoly:
@@ -458,7 +462,7 @@ def poly_from_string_ring(ring: ParamRing, text: str) -> ParamPoly:
             if not factor:
                 raise ValueError(f"empty factor in term {tok!r}")
             if factor[0].isdigit():
-                n, d = _parse_rational(factor)
+                n, d = parse_rational(factor)
                 num, den = num * n, den * d
             else:
                 if "^" in factor:

@@ -155,33 +155,14 @@ class RationalSpan:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.count = 0
         self._rows: List[Tuple[int, List[Fraction], List[Fraction]]] = []
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
-        """Insert a vector; returns False (and ignores it) if dependent."""
+    def _eliminate(self, vector: Sequence[Fraction]
+                   ) -> Tuple[List[Fraction], List[Fraction]]:
+        """``vector`` minus its parts along the stored rows, and those parts
+        as coordinates over the added vectors."""
         vec = list(vector)
-        combo = [_ZERO] * self.count + [_ONE]
-        for piv, rvec, rcombo in self._rows:
-            c = vec[piv]
-            if c:
-                for j in range(self.dim):
-                    if rvec[j]:
-                        vec[j] -= c * rvec[j]
-                for j in range(len(rcombo)):
-                    if rcombo[j]:
-                        combo[j] -= c * rcombo[j]
-        piv = next((j for j, x in enumerate(vec) if x != 0), None)
-        if piv is None:
-            return False
-        inv = _ONE / vec[piv]
-        self._rows.append((piv, [x * inv for x in vec], [x * inv for x in combo]))
-        self.count += 1
-        return True
-
-    def solve(self, vector: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
-        vec = list(vector)
-        combo = [_ZERO] * self.count
+        combo = [_ZERO] * len(self._rows)
         for piv, rvec, rcombo in self._rows:
             c = vec[piv]
             if c:
@@ -191,10 +172,24 @@ class RationalSpan:
                 for j, rc in enumerate(rcombo):
                     if rc:
                         combo[j] += c * rc
-        if any(vec):
-            return None
-        combo += [_ZERO] * (self.count - len(combo))
-        return tuple(combo)
+        return vec, combo
+
+    def add(self, vector: Sequence[Fraction]) -> bool:
+        """Insert a vector; returns False (and ignores it) if dependent."""
+        vec, combo = self._eliminate(vector)
+        piv = next((j for j, x in enumerate(vec) if x != 0), None)
+        if piv is None:
+            return False
+        # The new row vec·inv = (vector - combo)·inv, over the added vectors.
+        inv = _ONE / vec[piv]
+        neg = -inv
+        self._rows.append((piv, [x * inv for x in vec],
+                           [x * neg for x in combo] + [inv]))
+        return True
+
+    def solve(self, vector: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
+        vec, combo = self._eliminate(vector)
+        return None if any(vec) else tuple(combo)
 
 
 class OrderedBasis:

@@ -137,14 +137,14 @@ def test_criterion_6_degree_table():
         for rank in ranks:
             for m in params:
                 degrees = row.node_degrees(rank, m)
-                for node_index, node in enumerate(degrees, start=1):
+                for node_index, degree in enumerate(degrees, start=1):
                     args = dict(row.construction_args(node_index, rank, m))
                     family = args.pop("family")
                     node_arg = args.pop("node")
                     produced = boundary_degree(family, node_arg, **args)
-                    assert produced == node.degree, (
+                    assert produced == degree, (
                         f"{row.full_label} rank={rank} m={m} node={node_index}: "
-                        f"constructed {produced} != table {node.degree}"
+                        f"constructed {produced} != table {degree}"
                     )
                     nodes_checked += 1
     elapsed = time.perf_counter() - start

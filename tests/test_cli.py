@@ -153,6 +153,20 @@ def test_upq_recursion_rejects_unknown_binding(capsys, binding):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("binding", ["s=1e3", "s=0.5", "s=1_0", "s=+1", "s=1e5000", "s=1e999999999"])
+def test_upq_recursion_rejects_a_noncanonical_rational(capsys, binding):
+    # A value is written as ParamPoly prints it: 1/2, not 0.5.  Read as an
+    # exponent, 1e5000 would pass the int-to-string limit in the report and
+    # 1e999999999 would take hours to expand.
+    code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", "--bind", binding])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    value = binding.partition("=")[2]
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"huaops verify upq-recursion: error: argument --bind: cannot parse {value!r} as a rational for 's'"]
+
+
 _BAD_UPQ_BLOCKS = [
     ["verify", "upq-recursion", "--p", "2", "--q", "2", "--blocks", "2,2"],
     ["verify", "upq-recursion", "--p", "3", "--q", "2", "--blocks", "0,2"],
@@ -517,9 +531,12 @@ _ONE_TERM = ('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": '
     + [(_ONE_TERM % coeff, f"coefficient {shown} must be a string")
        for coeff, shown in (("5", "5"), ("null", "None"))]
     + [(_ONE_TERM % json.dumps(coeff), f"exponent {exponent!r} in term {coeff!r} is not an integer >= 1")
-       for coeff, exponent in (("mu_1^-1", "-1"), ("s^0", "0"))],
+       for coeff, exponent in (("mu_1^-1", "-1"), ("s^0", "0"))]
+    + [(_ONE_TERM % json.dumps(f"{literal}*s"), f"{literal!r} is not a rational literal like 3 or 3/4")
+       for literal in ("1e3", "1.5", "1_000", "\u0663", "1e5000")],
     ids=["syntax", "not-an-object", "missing-key", "element-int", "element-list", "element-string",
-         "coeff-int", "coeff-null", "exponent-negative", "exponent-zero"],
+         "coeff-int", "coeff-null", "exponent-negative", "exponent-zero",
+         "coeff-1e3", "coeff-1.5", "coeff-1_000", "coeff-arabic-indic-3", "coeff-1e5000"],
 )
 def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message):
     blob = tmp_path / "gens.json"
@@ -541,6 +558,44 @@ def test_bound_reduce_refuses_an_exponent_below_one(tmp_path, capsys, coeff, exp
     assert code == 2
     assert captured.err == f"error: exponent {exponent!r} in term {coeff!r} is not an integer >= 1\n"
     assert captured.out == ""
+
+
+_ENTRY_EDITS = {
+    "empty": (lambda doc: doc.update(entries=[]),
+              "generator set: expected 3 entries, got 0"),
+    "first-only": (lambda doc: doc.update(entries=doc["entries"][:1]),
+                   "generator set: expected 3 entries, got 1"),
+    "duplicated": (lambda doc: doc["entries"].insert(1, doc["entries"][0]),
+                   "entry 2 is at (1, 3), expected (2, 3)"),
+    "extra-at-7-7": (lambda doc: doc["entries"].append(dict(doc["entries"][0], row=7, col=7)),
+                     "entry 4 is at (7, 7), expected no entry"),
+    "row-x-col-9": (lambda doc: doc["entries"][0].update(row="x", col=[9]),
+                    "entry 1 is at ('x', [9]), expected (1, 3)"),
+    "range-malformed": (lambda doc: doc["metadata"].update(columnRange=[3]),
+                        "columnRange must be two integers, got [3]"),
+    "range-outside": (lambda doc: doc["metadata"].update(columnRange=[1, 9]),
+                      "column range [1, 9] out of 1..3"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_ENTRY_EDITS))
+def test_reduce_refuses_entries_that_are_not_the_set(tmp_path, capsys, edit):
+    # The (row, col) pairs must be the whole set of the metadata's
+    # columnRange, in order; else a set with its failing entries removed
+    # would pass.
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    doc = json.loads(blob.read_text())
+    change, message = _ENTRY_EDITS[edit]
+    change(doc)
+    blob.write_text(json.dumps(doc))
+    code = run(["reduce"] + argv + ["--in", str(blob), "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_reduce_refuses_a_set_built_for_another_case(tmp_path, capsys):

@@ -127,7 +127,7 @@ def test_theta_weight_values():
     weight = theta_weight(alg, theta)
     expected = {1: ring.var("l1"), 2: ring.var("l2"), 3: ring.var("l2")}
     assert set(weight) == set(alg.basis.zone_indices("a"))
-    for pos, diag in zip(alg.basis.zone_indices("a"), alg.a_diagonal):
+    for pos, diag in zip(alg.basis.zone_indices("a"), range(1, alg.rank + 1)):
         assert weight[pos] == expected[diag]
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,7 +15,9 @@ from huaops.params import ParamRing
 from huaops.pbw import (
     EnvElement,
     OrderedBasis,
+    RationalSpan,
     change_basis,
+    make_matrix,
     mat_commutator,
     mono_degree,
     naive_normal_order,
@@ -283,3 +286,66 @@ def test_benchmark_tracer_hooks_resolve():
                          source.zones)
     for cache in ("_mono_gen_cache", "_mono_mono_cache", "_conversion_cache"):
         assert getattr(fresh, cache) == {}, cache
+
+
+def _unit(i, j):
+    return make_matrix(2, {(i, j): 1})
+
+
+@pytest.mark.parametrize(
+    "generators, zones, message",
+    [([("x", "a", _unit(1, 1)), ("x", "a", _unit(2, 2))], ("a",),
+      "duplicate generator names"),
+     ([("x", "a", make_matrix(3, {(1, 1): 1}))], ("a",), "generator x is not 2x2"),
+     ([("x", "a", _unit(1, 1)), ("y", "n", _unit(2, 1)), ("z", "a", _unit(2, 2))], ("a", "n"),
+      "generators not grouped by zones ('a', 'n'): ['a', 'n', 'a']"),
+     ([("y", "n", _unit(2, 1)), ("x", "a", _unit(1, 1))], ("a", "n"),
+      "zone groups out of declared order: ['n', 'a']"),
+     ([("x", "a", _unit(1, 1)), ("y", "a", make_matrix(2, {(1, 1): 2}))], ("a",),
+      "generator y is linearly dependent on earlier ones")],
+    ids=["duplicate-names", "wrong-size", "zones-not-grouped", "zones-out-of-order", "dependent"],
+)
+def test_basis_refuses_malformed_generators(generators, zones, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        OrderedBasis("bad", 2, generators, zones)
+
+
+def test_basis_refuses_an_unclosed_span_on_the_first_bracket():
+    basis = OrderedBasis("open", 2, [("e", "n", _unit(1, 2)), ("f", "n", _unit(2, 1))], ("n",))
+    with pytest.raises(ValueError, match=re.escape(
+            "basis 'open' is not closed under brackets: [e, f] leaves the span")):
+        basis.bracket(0, 1)
+
+
+def test_rational_span_solves_combinations_and_refuses_dependent_vectors():
+    # Unit-triangular vectors under a shuffled coordinate order are
+    # independent, every combination of them is dependent, and the next unit
+    # vector of that order lies outside their span.
+    rng = random.Random(31)
+    dim = 7
+
+    def rational():
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+
+    def combination(coords, vectors):
+        return [sum((c * v[j] for c, v in zip(coords, vectors)), Fraction(0)) for j in range(dim)]
+
+    for _ in range(10):
+        order = rng.sample(range(dim), dim)
+        span, added = RationalSpan(dim), []
+        for i in range(rng.randint(1, dim - 1)):
+            if added and rng.random() < 0.5:
+                assert span.add(combination([rational() for _ in added], added)) is False
+            vec = [Fraction(0)] * dim
+            vec[order[i]] = Fraction(1)
+            for j in order[i + 1:]:
+                vec[j] = rational()
+            assert span.add(vec) is True
+            added.append(vec)
+        for _ in range(5):
+            coords = tuple(rational() for _ in added)
+            assert span.solve(combination(coords, added)) == coords
+        outside = [Fraction(0)] * dim
+        outside[order[len(added)]] = Fraction(1)
+        assert span.solve(outside) is None
+        assert span.add(outside) is True

@@ -191,6 +191,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "(i, j) > (size + 1 - j, size + 1 - i)",
            "False",
            ("tests/test_liedata.py::test_algebra_dimensions", CATALOG, CENTRAL)),
+    # The degree table's linear expressions.
+    Mutant("eval-linear-minus-ignored", "src/huaops/liedata.py",
+           'total += -value if sign == "-" else value',
+           "total += value",
+           ("tests/test_liedata.py::test_eval_linear",
+            "tests/test_acceptance.py::test_criterion_6_degree_table")),
     # The one real-form constructor and the CLI boundary.
     Mutant("dimension-check-skipped", "src/huaops/liedata.py",
            "if len(basis) != expected:",
@@ -237,6 +243,12 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if built_for.get(key) != expected.get(key))",
            'if key == "basisId" and built_for.get(key) != expected.get(key))',
            ("tests/test_cli.py::test_reduce_refuses_a_set_built_for_another_case",)),
+    Mutant("reduce-entry-positions-unchecked", "src/huaops/cli.py",
+           "if (type(row), type(col)) != (int, int) or (row, col) != want:",
+           "if False:",
+           tuple(f"tests/test_cli.py::test_reduce_refuses_entries_that_are_not_"
+                 f"the_set[{edit}]"
+                 for edit in ("duplicated", "extra-at-7-7", "row-x-col-9"))),
     # The one straightening recursion of mul_monos.
     Mutant("front-bracket-sign-flipped", "src/huaops/pbw.py",
            "self.mul_monos(((k, 1),), rest).items():\n"
@@ -271,6 +283,20 @@ MUTANTS: Tuple[Mutant, ...] = (
            + tuple(f"tests/test_cli.py::test_bound_reduce_refuses_an_exponent_"
                    f"below_one[{coeff}-{exponent}]"
                    for coeff, exponent in (("mu_1^-1", "-1"), ("s^0", "0")))),
+    # One rational literal, as ParamPoly prints it, in coefficients and
+    # --bind.  The named bind cases exclude 1e999999999: Fraction would
+    # take hours to read it.
+    Mutant("rational-literal-fallback", "src/huaops/params.py",
+           'raise ValueError(f"{text!r} is not a rational literal like 3 or 3/4")',
+           "value = Fraction(text)\n"
+           "        return value.numerator, value.denominator",
+           tuple(f"tests/test_cli.py::test_malformed_reduce_input_is_a_usage_"
+                 f"error[coeff-{literal}]"
+                 for literal in ("1e3", "1.5", "1_000", "arabic-indic-3",
+                                 "1e5000"))
+           + tuple(f"tests/test_cli.py::test_upq_recursion_rejects_a_"
+                   f"noncanonical_rational[{binding}]"
+                   for binding in ("s=1e3", "s=0.5", "s=1_0", "s=1e5000"))),
 )
 
 
