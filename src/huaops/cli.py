@@ -60,7 +60,7 @@ from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
 from .matop import (GeneratorSet, entry_positions, ideal_generators,
                     ideal_metadata)
 from .minpoly import THETA, THETA_BAR, ThetaData
-from .params import ParamRing, as_fraction, parse_rational
+from .params import ParamRing, as_fraction
 from .pbw import EnvElement
 from .reduce import (UpqCase, gl_lemma_check, hua_sp_system, reduce_iwasawa,
                      upq_scalar_recursion, upq_shilov_identity,
@@ -89,19 +89,29 @@ def _blocks(text: str) -> Tuple[int, ...]:
     return out
 
 
+# The reports print powers of a bound value (up to the 4th at U(3,2) and
+# U(4,2)), so a value of at most this many digits stays far below the
+# interpreter's 4,300-digit limit on int-to-string conversion.
+_BIND_DIGITS = 100
+
+
 def _binding(text: str) -> Tuple[str, Fraction]:
-    """``sym=rational``: an optional ``-``, then a :func:`parse_rational`."""
+    """``sym=rational``, read by :func:`as_fraction`, with a numerator and
+    a denominator of at most ``_BIND_DIGITS`` digits."""
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise argparse.ArgumentTypeError(
             f"bindings must look like sym=rational, got {text!r}")
-    negative = value.startswith("-")
     try:
-        num, den = parse_rational(value[negative:])
+        bound = as_fraction(value)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"cannot parse {value!r} as a rational for {name!r}")
-    return name, Fraction(-num if negative else num, den)
+    if max(abs(bound.numerator), bound.denominator) >= 10 ** _BIND_DIGITS:
+        raise argparse.ArgumentTypeError(
+            f"the value for {name!r} has a numerator or denominator of more "
+            f"than {_BIND_DIGITS} digits")
+    return name, bound
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -380,9 +380,8 @@ def _null_space(mat: Matrix) -> List[List[Fraction]]:
     pivots: List[int] = []
     kernel = []
     for col, column in enumerate(zip(*mat)):
-        coords = span.solve(column)
+        coords = span._insert(column)
         if coords is None:
-            span.add(column)
             pivots.append(col)
             continue
         vec = [ZERO] * len(mat)

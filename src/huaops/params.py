@@ -33,13 +33,16 @@ ScalarLike = Union[int, Fraction]
 
 
 def as_fraction(value: ScalarLike) -> Fraction:
-    """Coerce an int/Fraction (or string like "3/4") to Fraction."""
+    """Coerce an int/Fraction, or a string like "3/4" or "-3/4" (one optional
+    "-", then a :func:`parse_rational` literal), to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        negative = value.startswith("-")
+        num, den = parse_rational(value[negative:])
+        return Fraction(-num if negative else num, den)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

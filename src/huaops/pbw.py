@@ -33,14 +33,17 @@ memoised in the same dict under ``(a, b)``.  The projection of
 :func:`project_mod_n` multiplies generators in on the right instead, with
 :meth:`OrderedBasis.mul_mono_gen`, which straightens from the back of a
 monomial and is memoised in ``_mono_gen_cache``.  The memos hold ints and
-live as long as the basis.
+live as long as the basis.  ``_mono_mono_cache`` shares one object per
+distinct monomial: its results go through the basis's intern table, and
+every single-generator factor ``((g, 1),)`` is one tuple per generator.
 
 Coefficients are :class:`~huaops.params.ParamPoly` int numerators over one
 denominator, so the arithmetic around straightening builds no ``Fraction``.
 :func:`sum_products_column` is the one loop that multiplies elements over
 one basis: a matrix times one column (:func:`sum_products` is its one-row
 case).  It brings every operand over one common denominator (the lcm of
-the denominators, read from the fields), accumulates int numerators, and
+the denominators, read from the fields), accumulates int numerators in one
+flat ``{monomial: int}`` dict per coefficient exponent, and gathers and
 reduces each output term by one gcd; the column is converted once, not
 once per row.  Each converted term carries its grade (0 without per-index
 grades); given a budget, every pair of monomials whose grades sum over it
@@ -78,6 +81,7 @@ Monomial = Tuple[Tuple[int, int], ...]  # ((gen_index, power), ...) strictly inc
 LinearCombo = Tuple[Tuple[int, Fraction], ...]
 IntCombo = Tuple[Tuple[int, int], ...]
 Numerators = Dict[Exponents, int]  # int numerators of one ParamPoly
+Flat = Dict[Exponents, Dict[Monomial, int]]  # {e: {m: numerator of x^e at m}}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -174,18 +178,23 @@ class RationalSpan:
                         combo[j] += c * rc
         return vec, combo
 
-    def add(self, vector: Sequence[Fraction]) -> bool:
-        """Insert a vector; returns False (and ignores it) if dependent."""
+    def _insert(self, vector: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
+        """Insert a vector unless it is dependent: ``None`` when it is added,
+        and else its coordinates over the added vectors (it is ignored)."""
         vec, combo = self._eliminate(vector)
         piv = next((j for j, x in enumerate(vec) if x != 0), None)
         if piv is None:
-            return False
+            return tuple(combo)
         # The new row vec·inv = (vector - combo)·inv, over the added vectors.
         inv = _ONE / vec[piv]
         neg = -inv
         self._rows.append((piv, [x * inv for x in vec],
                            [x * neg for x in combo] + [inv]))
-        return True
+        return None
+
+    def add(self, vector: Sequence[Fraction]) -> bool:
+        """Insert a vector; returns False (and ignores it) if dependent."""
+        return self._insert(vector) is None
 
     def solve(self, vector: Sequence[Fraction]) -> Optional[Tuple[Fraction, ...]]:
         vec, combo = self._eliminate(vector)
@@ -227,6 +236,10 @@ class OrderedBasis:
         self._bracket_cache: Dict[Tuple[int, int], LinearCombo] = {}
         self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, int]] = {}
         self._mono_mono_cache: Dict[Tuple[Monomial, Monomial], Dict[Monomial, int]] = {}
+        # One object per distinct monomial stored in _mono_mono_cache's
+        # values, and one ((g, 1),) per generator g.
+        self._monomials: Dict[Monomial, Monomial] = {}
+        self._singles: Tuple[Monomial, ...] = tuple(((g, 1),) for g in range(len(self.names)))
         self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
         self._image_cache: Dict[str, Tuple[int, List[IntCombo]]] = {}
 
@@ -349,6 +362,9 @@ class OrderedBasis:
                 return {a + b: 1}
             if g == h:
                 return {((g, f + 1),) + b[1:]: 1}
+        singles = self._singles
+        if single:
+            a = singles[g]
         key = (a, b)
         hit = self._mono_mono_cache.get(key)
         if hit is not None:
@@ -359,7 +375,7 @@ class OrderedBasis:
         else:
             front = g
             inner = self.mul_monos(((g, e - 1),) + a[1:] if e > 1 else a[1:], b)
-        lead: Monomial = ((front, 1),)
+        lead = singles[front]
         acc: Dict[Monomial, int] = {}
         for m1, c1 in inner.items():
             for m2, c2 in self.mul_monos(lead, m1).items():
@@ -368,11 +384,12 @@ class OrderedBasis:
                 acc[m2] = c if prev is None else prev + c
         if single:
             for k, ck in self._scaled_brackets[g, h]:
-                for m1, c1 in self.mul_monos(((k, 1),), rest).items():
+                for m1, c1 in self.mul_monos(singles[k], rest).items():
                     c = ck * c1
                     prev = acc.get(m1)
                     acc[m1] = c if prev is None else prev + c
-        result = {m: c for m, c in acc.items() if c != 0}
+        intern = self._monomials.setdefault
+        result = {intern(m, m): c for m, c in acc.items() if c != 0}
         self._mono_mono_cache[key] = result
         return result
 
@@ -610,32 +627,40 @@ def _numerators(elems: Sequence[EnvElement],
                 for m, poly in x.terms.items()] for x in elems]
 
 
-def _accumulate(out: Dict[object, Numerators], coeff: Numerators,
-                image: Mapping[object, int]) -> None:
-    """Add ``coeff * c`` to ``out[m]`` for every ``m: c`` of ``image``."""
-    for m, c in image.items():
-        acc = out.get(m)
-        if acc is None:
-            out[m] = {e: k * c for e, k in coeff.items()}
+def _accumulate(out: Flat, coeff: Numerators, image: Mapping[Monomial, int]) -> None:
+    """Add ``k * c`` to ``out[e][m]`` for every ``e: k`` of ``coeff`` and
+    ``m: c`` of ``image``."""
+    for e, k in coeff.items():
+        flat = out.get(e)
+        if flat is None:
+            out[e] = {m: k * c for m, c in image.items()}
         else:
-            for e, k in coeff.items():
-                acc[e] = acc.get(e, 0) + k * c
+            get = flat.get
+            for m, c in image.items():
+                flat[m] = get(m, 0) + k * c
 
 
-def _finish(basis: OrderedBasis, ring: ParamRing, out: Dict[Monomial, Numerators],
+def _finish(basis: OrderedBasis, ring: ParamRing, out: Flat,
             denominator: int, top: int) -> EnvElement:
-    """Divide ``out[m]`` by ``denominator * D^(top - deg m)``, once per term.
+    """Divide the numerators at m by ``denominator * D^(top - deg m)``.
 
-    Each coefficient keeps its ints and is reduced by one gcd.
+    The nonzero numerators of ``out`` are gathered per monomial, and each
+    coefficient keeps its ints and is reduced by one gcd; a monomial whose
+    numerators all cancel gets no term.
     """
     d = basis.scale
     dens = [denominator * d ** (top - i) for i in range(top + 1)]
-    terms: Dict[Monomial, ParamPoly] = {}
-    for m, acc in out.items():
-        nums = {e: k for e, k in acc.items() if k}
-        if nums:
-            terms[m] = _reduced(ring, nums, dens[mono_degree(m)])
-    return EnvElement(basis, ring, terms)
+    gathered: Dict[Monomial, Numerators] = {}
+    for e, flat in out.items():
+        for m, k in flat.items():
+            if k:
+                nums = gathered.get(m)
+                if nums is None:
+                    gathered[m] = {e: k}
+                else:
+                    nums[e] = k
+    return EnvElement(basis, ring, {m: _reduced(ring, nums, dens[mono_degree(m)])
+                                    for m, nums in gathered.items()})
 
 
 def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
@@ -681,7 +706,7 @@ def sum_products_column(rows: Sequence[Sequence[EnvElement]],
                    for xs, ys in zip(lefts, rights) if xs and ys),
                   default=0)
         powers = [basis.scale ** i for i in range(top + 1)]
-        out: Dict[Monomial, Numerators] = {}
+        out: Flat = {}
         for xs, ys in zip(lefts, rights, strict=True):
             for ma, da, pa, ga in xs:
                 for mb, db, pb, gb in ys:
@@ -822,7 +847,7 @@ def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
     top = max((n for _m, n, _p, _g in terms), default=0)
     step = scale_e * target.scale
     n_zone = target.zone_indices("n")
-    out: Dict[Monomial, Numerators] = {}
+    out: Flat = {}
     for mono, n, coeff, _g in terms:
         shift = step ** (top - n)
         _accumulate(out, {e: k * shift for e, k in coeff.items()},

@@ -167,6 +167,33 @@ def test_upq_recursion_rejects_a_noncanonical_rational(capsys, binding):
         f"huaops verify upq-recursion: error: argument --bind: cannot parse {value!r} as a rational for 's'"]
 
 
+_CAP = cli._BIND_DIGITS
+
+
+@pytest.mark.parametrize("case", [["--p", "2", "--q", "1", "--blocks", "1"],
+                                  ["--p", "3", "--q", "2", "--blocks", "1,2"]],
+                         ids=["2-1", "3-2"])
+@pytest.mark.parametrize("value, code", [
+    ("9" * _CAP, 0),
+    (f"-1/{'9' * _CAP}", 0),
+    ("9" * (_CAP + 1), 2),
+    (f"1/{'9' * (_CAP + 1)}", 2),
+    ("9" * 2200, 2),
+], ids=["cap", "cap-denominator", "cap-plus-1", "cap-plus-1-denominator",
+        "2200-digits"])
+def test_upq_recursion_caps_the_digits_of_a_bound_value(capsys, case, value, code):
+    # The report prints powers of s; 2,200 digits to the 4th power passed
+    # the interpreter's int-to-string limit and ended as an internal error.
+    assert run(["verify", "upq-recursion", *case, "--bind", f"s={value}"]) == code
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error" in line]
+    if code == 0:
+        assert errors == []
+    else:
+        assert errors == [
+            f"huaops verify upq-recursion: error: argument --bind: the value for 's' "
+            f"has a numerator or denominator of more than {_CAP} digits"]
+
+
 _BAD_UPQ_BLOCKS = [
     ["verify", "upq-recursion", "--p", "2", "--q", "2", "--blocks", "2,2"],
     ["verify", "upq-recursion", "--p", "3", "--q", "2", "--blocks", "0,2"],

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
 from fractions import Fraction
 
@@ -21,6 +22,7 @@ from huaops.liedata import (
     spnr_root_system,
     upq_root_system,
 )
+from huaops.pbw import RationalSpan
 
 
 def test_algebra_dimensions():
@@ -202,6 +204,44 @@ def test_glnr_and_spnr_grades():
     sp2 = make_spnr(2)
     levels = {sp2.basis.names[i]: -sp2.grades[i] for i in sp2.basis.zone_indices("k")}
     assert levels == {"KK_1_2": 1, "PQ_1_1": 4, "PQ_1_2": 3, "PQ_2_2": 2}
+
+
+def _solve_then_add_null_space(mat):
+    """The kernel basis of ``liedata._null_space``, with each column first
+    solved over the span and then added to it: two eliminations per pivot."""
+    span, pivots, kernel = RationalSpan(len(mat)), [], []
+    for col, column in enumerate(zip(*mat)):
+        coords = span.solve(column)
+        if coords is None:
+            assert span.add(column)
+            pivots.append(col)
+            continue
+        vec = [Fraction(0)] * len(mat)
+        vec[col] = Fraction(1)
+        for pivot, c in zip(pivots, coords):
+            vec[pivot] = -c
+        kernel.append(vec)
+    return kernel
+
+
+def test_null_space_matches_solve_then_add():
+    rng = random.Random(29)
+    for _ in range(8):
+        size = rng.randint(3, 6)
+        rank = rng.randint(1, size - 1)
+        # size columns, each a combination of rank seeded columns: singular.
+        seeds = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+                 for _ in range(rank)]
+        weights = [[rng.randint(-2, 2) for _ in seeds] for _ in range(size)]
+        columns = [[sum((w * s[i] for w, s in zip(ws, seeds)), Fraction(0))
+                    for i in range(size)] for ws in weights]
+        mat = [list(row) for row in zip(*columns)]
+        kernel = liedata._null_space(mat)
+        assert kernel == _solve_then_add_null_space(mat)
+        assert len(kernel) >= size - rank
+        for vec in kernel:
+            assert all(sum((x * v for x, v in zip(row, vec)), Fraction(0)) == 0
+                       for row in mat)
 
 
 @pytest.mark.parametrize("form", [make_upq(2, 1), make_spnr(2)], ids=lambda f: f.name + str(f.params))

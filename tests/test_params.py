@@ -148,6 +148,15 @@ def test_as_fraction_accepts_strings_and_ints():
     assert as_fraction("3/4") == Fraction(3, 4)
     assert as_fraction(-2) == Fraction(-2)
     assert as_fraction(Fraction(1, 3)) == Fraction(1, 3)
+    assert as_fraction("-3/4") == Fraction(-3, 4)
+
+
+@pytest.mark.parametrize("text", ["1e3", "0.5", "1_000"])
+def test_as_fraction_refuses_other_literals(text):
+    # Fraction(text) reads each of these; a rational is written as
+    # ParamPoly prints it.
+    with pytest.raises(ValueError, match="is not a rational literal"):
+        as_fraction(text)
 
 
 def test_rings_with_different_symbols_are_distinct():

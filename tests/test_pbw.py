@@ -21,11 +21,20 @@ from huaops.pbw import (
     mat_commutator,
     mono_degree,
     naive_normal_order,
+    sum_products_column,
     word_mono,
 )
 
 RING = ParamRing()
+SYMBOLIC = ParamRing(("mu_1", "s", "t"))
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _fresh(source, suffix):
+    """A copy of ``source`` with empty memos."""
+    return OrderedBasis(f"{source.basis_id}-{suffix}", source.ambient,
+                        list(zip(source.names, source.zone_of, source.matrices)),
+                        source.zones)
 
 
 def _oracle_bases():
@@ -195,14 +204,79 @@ def test_left_action_matches_naive_rewriter():
                 assert stored == (g > mono[0][0]), (basis.basis_id, word)
 
 
+def test_memo_shares_one_object_per_monomial():
+    # Equal monomials stored in the memo's values are one object, and every
+    # single-generator key is the basis's shared ((g, 1),), also when the
+    # caller passes a tuple of its own.
+    basis = _fresh(make_upq(2, 1).basis, "interned")
+    rng = random.Random(109)
+    monos = [word_mono(sorted(rng.randrange(len(basis)) for _ in range(deg)))
+             for deg in (1, 1, 1, 2, 2, 3, 3, 3)]
+    for a in monos:
+        for b in monos:
+            basis.mul_monos(a, b)
+    memo = basis._mono_mono_cache
+    shared, singles = {}, 0
+    for (a, _b), image in memo.items():
+        if a == ((a[0][0], 1),):
+            singles += 1
+            assert a is basis._singles[a[0][0]], a
+        for m in image:
+            assert shared.setdefault(m, m) is m, m
+    # Both checks ran, and some monomial is stored more than once.
+    assert singles and len(shared) < sum(map(len, memo.values()))
+
+
+def _symbolic_element(basis, rng):
+    """A few terms of degree <= 2 with coefficients in mu_1, s, t."""
+    mu, s, t = map(SYMBOLIC.var, SYMBOLIC.symbols)
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        mono = word_mono(sorted(rng.randrange(len(basis)) for _ in range(rng.randint(0, 2))))
+        coeff = (SYMBOLIC.const(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+                 + rng.choice((mu, s, t, mu * t, s * s)) * rng.randint(-2, 2))
+        if not coeff.is_zero():
+            terms[mono] = coeff
+    return EnvElement(basis, SYMBOLIC, terms)
+
+
+def _naive_sum_products(row, column):
+    """``sum_k row[k] * column[k]``, term by term through the naive rewriter."""
+    out = {}
+    for x, y in zip(row, column):
+        for ma, pa in x.terms.items():
+            for mb, pb in y.terms.items():
+                word = _word(ma) + _word(mb)
+                for m, c in naive_normal_order(x.basis, word).items():
+                    term = pa * pb * SYMBOLIC.const(c)
+                    out[m] = out[m] + term if m in out else term
+    return {m: p for m, p in out.items() if not p.is_zero()}
+
+
+def test_sum_products_column_matches_naive_products():
+    basis = make_upq(2, 1).basis
+    rng = random.Random(113)
+    _mu, s, t = map(SYMBOLIC.var, SYMBOLIC.symbols)
+    for _ in range(3):
+        x, y, z, u, v, w = (_symbolic_element(basis, rng) for _ in range(6))
+        # s·x·z + (t - s)·x·z + y·u - y·u + v·w = t·x·z + v·w: the s-part of
+        # every x·z monomial cancels, and y·u cancels whole.
+        cancelling = [x.scale(s), x.scale(t - s), y, y, v]
+        column = [z, z, u, -u, w]
+        plain = [_symbolic_element(basis, rng) for _ in column]
+        got = sum_products_column((cancelling, plain), column)
+        assert [e.terms for e in got] == [_naive_sum_products(cancelling, column),
+                                          _naive_sum_products(plain, column)]
+        assert got[0].terms == _naive_sum_products([x.scale(t), v], [z, w])
+        only_yu = (set(_naive_sum_products([y], [u]))
+                   - set(_naive_sum_products([x], [z])) - set(_naive_sum_products([v], [w])))
+        assert only_yu and only_yu.isdisjoint(got[0].terms)
+
+
 @pytest.fixture
 def unscaled_iwasawa():
     """A fresh copy of the U(2,1) Iwasawa basis with its scale forced to 1."""
-    source = make_upq(2, 1).basis
-    basis = OrderedBasis(
-        f"{source.basis_id}-unscaled", source.ambient,
-        list(zip(source.names, source.zone_of, source.matrices)), source.zones,
-    )
+    basis = _fresh(make_upq(2, 1).basis, "unscaled")
     basis.scale = 1
     return basis
 
@@ -280,10 +354,7 @@ def test_benchmark_tracer_hooks_resolve():
         layer, cls_name, method = qualified.split(".")
         cls = getattr(importlib.import_module(f"huaops.{layer}"), cls_name)
         assert method in vars(cls), qualified
-    source = make_algebra("gl", 2).basis
-    fresh = OrderedBasis("gl2-fresh", source.ambient,
-                         list(zip(source.names, source.zone_of, source.matrices)),
-                         source.zones)
+    fresh = _fresh(make_algebra("gl", 2).basis, "fresh")
     for cache in ("_mono_gen_cache", "_mono_mono_cache", "_conversion_cache"):
         assert getattr(fresh, cache) == {}, cache
 

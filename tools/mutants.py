@@ -251,15 +251,24 @@ MUTANTS: Tuple[Mutant, ...] = (
                  for edit in ("duplicated", "extra-at-7-7", "row-x-col-9"))),
     # The one straightening recursion of mul_monos.
     Mutant("front-bracket-sign-flipped", "src/huaops/pbw.py",
-           "self.mul_monos(((k, 1),), rest).items():\n"
+           "self.mul_monos(singles[k], rest).items():\n"
            "                    c = ck * c1",
-           "self.mul_monos(((k, 1),), rest).items():\n"
+           "self.mul_monos(singles[k], rest).items():\n"
            "                    c = -ck * c1",
            PRODUCTS),
     Mutant("merge-keeps-the-old-exponent", "src/huaops/pbw.py",
            "return {((g, f + 1),) + b[1:]: 1}",
            "return {((g, f),) + b[1:]: 1}",
            PRODUCTS),
+    # One object per monomial in the memo, and the flat accumulator.
+    Mutant("memo-monomials-not-interned", "src/huaops/pbw.py",
+           "result = {intern(m, m): c for m, c in acc.items() if c != 0}",
+           "result = {m: c for m, c in acc.items() if c != 0}",
+           ("tests/test_pbw.py::test_memo_shares_one_object_per_monomial",)),
+    Mutant("flat-accumulator-keeps-zero", "src/huaops/pbw.py",
+           "            if k:\n                nums = gathered.get(m)",
+           "            if True:\n                nums = gathered.get(m)",
+           ("tests/test_pbw.py::test_sum_products_column_matches_naive_products",)),
     # The int arithmetic under the products.
     Mutant("scale-forced-to-1", "src/huaops/pbw.py",
            "return lcm(*(c.denominator for i in range(n)",
@@ -294,6 +303,8 @@ MUTANTS: Tuple[Mutant, ...] = (
                  f"error[coeff-{literal}]"
                  for literal in ("1e3", "1.5", "1_000", "arabic-indic-3",
                                  "1e5000"))
+           + tuple(f"tests/test_params.py::test_as_fraction_refuses_other_"
+                   f"literals[{literal}]" for literal in ("1e3", "0.5", "1_000"))
            + tuple(f"tests/test_cli.py::test_upq_recursion_rejects_a_"
                    f"noncanonical_rational[{binding}]"
                    for binding in ("s=1e3", "s=0.5", "s=1_0", "s=1e5000"))),
