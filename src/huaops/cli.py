@@ -90,8 +90,9 @@ def _blocks(text: str) -> Tuple[int, ...]:
 
 
 # The reports print powers of a bound value (up to the 4th at U(3,2) and
-# U(4,2)), so a value of at most this many digits stays far below the
-# interpreter's 4,300-digit limit on int-to-string conversion.
+# U(4,2)) times the coefficients of a reduce input, so a value or an input
+# coefficient of at most this many digits stays far below the interpreter's
+# 4,300-digit limit on int-to-string conversion.
 _BIND_DIGITS = 100
 
 
@@ -314,6 +315,7 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     positions = _upq(entry_positions, p + q, bounds)
     entries = []
     all_zero = True
+    cap = 10 ** _BIND_DIGITS
     for index, record in enumerate(records):
         try:  # one entry at a time, so only one is held
             row, col = record["row"], record["col"]
@@ -321,6 +323,11 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
                                                 ambient.basis, form.ring)
         except (ValueError, KeyError, TypeError) as exc:  # a malformed entry
             raise UsageError(str(exc)) from None
+        if any(max(poly.denominator, *map(abs, poly.numerators.values())) >= cap
+               for poly in element.terms.values()):
+            raise UsageError(f"entry {index + 1} has a coefficient with a "
+                             f"numerator or denominator of more than "
+                             f"{_BIND_DIGITS} digits")
         # Else a set with an entry left out, repeated or added would pass.
         want = positions[index] if index < len(positions) else "no entry"
         if (type(row), type(col)) != (int, int) or (row, col) != want:

@@ -194,6 +194,51 @@ def test_upq_recursion_caps_the_digits_of_a_bound_value(capsys, case, value, cod
             f"has a numerator or denominator of more than {_CAP} digits"]
 
 
+@pytest.mark.parametrize("coeff, code", [
+    ("9" * _CAP, 0),
+    (f"-1/{'9' * _CAP}*s", 0),
+    ("9" * (_CAP + 1), 2),
+    (f"1/{'9' * (_CAP + 1)}", 2),
+    ("9" * 4200, 2),
+], ids=["cap", "cap-denominator", "cap-plus-1", "cap-plus-1-denominator", "4200-digits"])
+def test_reduce_caps_the_digits_of_an_input_coefficient(tmp_path, capsys, coeff, code):
+    # Bound to 99-digit values, the residue of a 4,200-digit coefficient
+    # passed the interpreter's int-to-string limit and ended as an internal
+    # error.
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    doc = json.loads(blob.read_text())
+    for term in doc["entries"][0]["element"]["terms"]:
+        term["coeff"] = coeff
+    blob.write_text(json.dumps(doc))
+    bind = [arg for name in ("mu_1", "s", "t") for arg in ("--bind", f"{name}={'9' * (_CAP - 1)}")]
+    assert run(["reduce"] + argv + ["--in", str(blob)] + bind) == code
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    if code == 0:
+        assert errors == []
+    else:
+        assert errors == [f"error: entry 1 has a coefficient with a numerator or "
+                          f"denominator of more than {_CAP} digits"]
+        assert captured.out == ""
+
+
+def test_reduce_leaves_the_right_action_memo_empty(tmp_path, capsys):
+    # The projection multiplies generators in on the right through
+    # mul_monos; _mono_gen_cache is never written.
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    assert run(["reduce"] + argv + ["--in", str(blob)]) == 0
+    capsys.readouterr()
+    case = reduce_module.UpqCase(2, 1, (1,))
+    for basis in (case.form.basis, case.form.complex_algebra.basis):
+        assert basis._mono_gen_cache == {}, basis.basis_id
+    assert case.form.basis._mono_mono_cache
+
+
 _BAD_UPQ_BLOCKS = [
     ["verify", "upq-recursion", "--p", "2", "--q", "2", "--blocks", "2,2"],
     ["verify", "upq-recursion", "--p", "3", "--q", "2", "--blocks", "0,2"],

@@ -163,8 +163,8 @@ def _word(mono):
 
 def test_monomial_products_match_naive_rewriter():
     # The int stored for m is D^(N - deg m) times its coefficient, with N the
-    # degree of the product.  No product reaches mul_mono_gen, so it is
-    # checked here on its own.
+    # degree of the product.  The right action mono·g of the projection is
+    # checked for every g: below, equal to and above a's last factor.
     for basis, scale in _oracle_bases():
         rng = random.Random(107)
 
@@ -172,6 +172,7 @@ def test_monomial_products_match_naive_rewriter():
             return {m: Fraction(c, scale ** (top - mono_degree(m)))
                     for m, c in product.items()}
 
+        sides = set()
         for _ in range(12):
             a, b = (word_mono(sorted(rng.randrange(len(basis))
                                      for _ in range(rng.randint(2, 3))))
@@ -180,10 +181,31 @@ def test_monomial_products_match_naive_rewriter():
             assert (scaled(basis.mul_monos(a, b), top)
                     == naive_normal_order(basis, _word(a) + _word(b))), (
                 basis.basis_id, a, b)
-            g = rng.randrange(len(basis))
-            assert (scaled(basis.mul_mono_gen(a, g), mono_degree(a) + 1)
-                    == naive_normal_order(basis, _word(a) + (g,))), (
-                basis.basis_id, a, g)
+            for g in range(len(basis)):
+                sides.add((g > a[-1][0]) - (g < a[-1][0]))
+                assert (scaled(basis.mul_mono_gen(a, g), mono_degree(a) + 1)
+                        == naive_normal_order(basis, _word(a) + (g,))), (
+                    basis.basis_id, a, g)
+        assert sides == {-1, 0, 1}, basis.basis_id
+
+
+def test_in_order_products_are_read_off_and_not_stored():
+    # When a's last generator is below b's first, a·b is a + b; when they
+    # are equal, the two powers merge.  Neither product enters the memo.
+    basis = _fresh(make_upq(2, 1).basis, "read-off")
+    last = len(basis) - 1
+    cases = [
+        (((0, 1), (2, 2)), ((3, 1), (last, 1)), ((0, 1), (2, 2), (3, 1), (last, 1))),
+        (((0, 2), (1, 1)), ((1, 3), (last, 2)), ((0, 2), (1, 4), (last, 2))),
+        (((1, 1), (2, 1)), ((2, 1),), ((1, 1), (2, 2))),
+        (((0, 1), (last, 1)), ((last, 2),), ((0, 1), (last, 3))),
+    ]
+    for a, b, product in cases:
+        assert basis.mul_monos(a, b) == {product: 1}, (a, b)
+        assert naive_normal_order(basis, _word(a) + _word(b)) == {product: Fraction(1)}
+    assert basis.mul_mono_gen(((0, 1), (2, 1)), 2) == {((0, 1), (2, 2)): 1}
+    assert basis.mul_mono_gen(((0, 1), (2, 1)), 3) == {((0, 1), (2, 1), (3, 1)): 1}
+    assert basis._mono_mono_cache == {}
 
 
 def test_left_action_matches_naive_rewriter():

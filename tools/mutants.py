@@ -67,6 +67,7 @@ PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
             f"{GOLDEN}[ideal --form glnr --n 5 --blocks 1,2,3,4,5]",
             f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
             f"{GOLDEN}[verify gl-lemma --n 3 --m 3]")
+READ_OFF = "tests/test_pbw.py::test_in_order_products_are_read_off_and_not_stored"
 WRITER = ("tests/test_cli.py::test_canonical_json_matches_json_dumps",
           f"{GOLDEN}[ideal --form upq --p 3 --q 2 --blocks 1,2 --restrict-columns]",
           f"{GOLDEN}[ideal --form spnr --n 3 --blocks 1,3]",
@@ -257,9 +258,20 @@ MUTANTS: Tuple[Mutant, ...] = (
            "                    c = -ck * c1",
            PRODUCTS),
     Mutant("merge-keeps-the-old-exponent", "src/huaops/pbw.py",
-           "return {((g, f + 1),) + b[1:]: 1}",
-           "return {((g, f),) + b[1:]: 1}",
-           PRODUCTS),
+           "return {a[:-1] + ((g, e + f),) + b[1:]: 1}",
+           "return {a[:-1] + ((g, f),) + b[1:]: 1}",
+           PRODUCTS + (READ_OFF,)),
+    # Not the (2,1) theorem digest: its residues survive this mutant.
+    Mutant("in-order-path-takes-equal-generators", "src/huaops/pbw.py",
+           "        if g < h:\n            return {a + b: 1}",
+           "        if g <= h:\n            return {a + b: 1}",
+           tuple(t for t in PRODUCTS if "upq-theorem" not in t) + (READ_OFF,)),
+    Mutant("right-action-on-the-left", "src/huaops/pbw.py",
+           "return self.mul_monos(mono, self._singles[g])",
+           "return self.mul_monos(self._singles[g], mono)",
+           ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
+            "tests/test_reduce.py::test_projection_matches_change_basis_on_perturbed_theorem",
+            "tests/test_golden.py::test_reduce_of_the_export_digest")),
     # One object per monomial in the memo, and the flat accumulator.
     Mutant("memo-monomials-not-interned", "src/huaops/pbw.py",
            "result = {intern(m, m): c for m, c in acc.items() if c != 0}",
