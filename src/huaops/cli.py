@@ -30,7 +30,8 @@ flag that does not apply to ``--form`` (``--n`` with ``upq``, ``--p`` or
 A U(p,q) request (``ideal --form upq``, ``reduce``, ``verify upq-theorem``
 and ``upq-recursion``) first builds its one :class:`~huaops.reduce.UpqCase`,
 which checks the ranks, the blocks and (through
-:meth:`~huaops.reduce.UpqCase.bindings`) every ``--bind`` symbol, so each
+:meth:`~huaops.reduce.UpqCase.bindings`) every ``--bind`` symbol, bound
+once, so each
 of those is refused before any input is read, and which the two ``verify``
 drivers take as it is; ``verify upq-shilov`` and
 ``cfun --form upq`` check their ranks with
@@ -62,9 +63,9 @@ from .matop import (GeneratorSet, entry_positions, ideal_generators,
 from .minpoly import THETA, THETA_BAR, ThetaData
 from .params import ParamRing, as_fraction
 from .pbw import EnvElement
-from .reduce import (UpqCase, gl_lemma_check, hua_sp_system, reduce_iwasawa,
-                     upq_scalar_recursion, upq_shilov_identity,
-                     upq_theorem_case)
+from .reduce import (UpqCase, _bound_once, gl_lemma_check, hua_sp_system,
+                     reduce_iwasawa, upq_scalar_recursion,
+                     upq_shilov_identity, upq_theorem_case)
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -396,7 +397,10 @@ def _root_system(args: argparse.Namespace):
 
 def _cmd_cfun(args: argparse.Namespace) -> Tuple[dict, int]:
     rs = _root_system(args)
-    bindings = dict(args.bind)
+    try:
+        bindings = _bound_once(args.bind)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     ell = bindings.pop("ell", None)
     names = [f"lambda_{i}" for i in range(1, rs.rank + 1)]
     unknown = [k for k in bindings if k not in names]

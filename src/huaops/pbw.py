@@ -31,12 +31,12 @@ times a monomial b = h^e·rest (g > h) is straightened from the front:
 g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, memoised in
 ``_mono_mono_cache`` under ``(((g, 1),), b)``.  A longer a = g·a' is
 multiplied as g·(a'·b), memoised in the same dict under ``(a, b)``.  The
-right action of :func:`project_mod_n`, :meth:`OrderedBasis.mul_mono_gen`,
-is that recursion with b = ((g, 1),), so its products are memoised there
-too, under ``(a, ((g, 1),))``; ``_mono_gen_cache`` is never written.  The
 memo holds ints and lives as long as the basis.  It shares one object per
 distinct monomial: its results go through the basis's intern table, and
 every single-generator factor ``((g, 1),)`` is one tuple per generator.
+``_mono_gen_cache``, ``_conversion_cache`` and
+:meth:`OrderedBasis.mul_mono_gen` are stubs that only the benchmark's
+tracer reads.
 
 Coefficients are :class:`~huaops.params.ParamPoly` int numerators over one
 denominator, so the arithmetic around straightening builds no ``Fraction``.
@@ -50,23 +50,21 @@ once per row.  Each converted term carries its grade (0 without per-index
 grades); given a budget, every pair of monomials whose grades sum over it
 is skipped, the restricted-weight bound of a character chain
 (:func:`~huaops.matop.factor_columns`), and without one every pair is
-multiplied.  :func:`project_mod_n` maps a monomial of another basis word
-by word, solving each source generator over the target once per pair of
-bases; its oracle :func:`change_basis` multiplies the generator images
-with :func:`sum_products` instead.  Both straighten through
-:meth:`OrderedBasis.mul_monos`, whose oracle is ``naive_normal_order``;
-:func:`change_basis` stays the oracle of the word images, the n-drop and
-the E and D scaling of the projection.
+multiplied.  :func:`change_basis` maps an element of another basis word
+by word through the same products, multiplying each generator image in
+from the left and peeling the k-tails after every step, so every product
+in the package straightens through :meth:`OrderedBasis.mul_monos`, whose
+oracle is ``naive_normal_order``.
 
 Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
 must be contiguous and in declared order, so a normal-ordered monomial splits
 into zone segments by position — this is what the reduction module relies on.
 ``_peel`` is the one evaluation of a monomial's trailing zones through given
-values: the k-tail through a k-character, in the reduction and after each
-factor of a character-peeled :func:`~huaops.matop.factor_columns` chain,
-and the a|n tail at a highest weight in
-:func:`~huaops.matop.central_eigenvalue`.
+values: the k-tail through a k-character, in the reduction, after each
+step of :func:`change_basis` and after each factor of a character-peeled
+:func:`~huaops.matop.factor_columns` chain, and the a|n tail at a highest
+weight in :func:`~huaops.matop.central_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -238,15 +236,15 @@ class OrderedBasis:
             if not self._span.add([x for row in mat for x in row]):
                 raise ValueError(f"generator {name} is linearly dependent on earlier ones")
         self._bracket_cache: Dict[Tuple[int, int], LinearCombo] = {}
-        # Never written; the benchmark's tracer reads its size, and a test pins it.
+        # Never written; the benchmark's tracer reads their sizes, and a test
+        # pins them.
         self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, int]] = {}
+        self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
         self._mono_mono_cache: Dict[Tuple[Monomial, Monomial], Dict[Monomial, int]] = {}
         # One object per distinct monomial stored in _mono_mono_cache's
         # values, and one ((g, 1),) per generator g.
         self._monomials: Dict[Monomial, Monomial] = {}
         self._singles: Tuple[Monomial, ...] = tuple(((g, 1),) for g in range(len(self.names)))
-        self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
-        self._image_cache: Dict[str, Tuple[int, List[IntCombo]]] = {}
 
     def __len__(self) -> int:
         return len(self.names)
@@ -307,12 +305,10 @@ class OrderedBasis:
     # -- straightening engine -------------------------------------------------
 
     def mul_mono_gen(self, mono: Monomial, g: int) -> Dict[Monomial, int]:
-        """Normal form of mono·g, scaled: {m: D^(deg mono + 1 - deg m) * coefficient}.
+        """:meth:`mul_monos` with b = ((g, 1),); the package never calls it.
 
-        The right action of :func:`project_mod_n`: :meth:`mul_monos` with
-        b = ((g, 1),), read off when g is at least the last generator of
-        ``mono`` and else memoised under ``(mono, ((g, 1),))``.  It stays a
-        method of its own because ``perfbench/tracer.py`` counts its calls.
+        A stub kept because ``perfbench/tracer.py`` wraps it to count its
+        calls, so that count reads 0.
         """
         return self.mul_monos(mono, self._singles[g])
 
@@ -702,88 +698,25 @@ def sum_products_column(rows: Sequence[Sequence[EnvElement]],
     return out_column
 
 
-def _word_image(
-    target: OrderedBasis,
-    images: Sequence[IntCombo],
-    mono: Monomial,
-    cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]],
-    dropped: range,
-) -> Dict[Monomial, int]:
-    """Normal form over ``target`` of a source monomial, minus ``dropped``-led terms.
-
-    The word is multiplied in from the left, one generator at a time, and
-    every monomial whose leading generator lies in ``dropped`` is discarded
-    after each step.  That is exact when ``dropped`` is the first zone and
-    spans a subalgebra x: those monomials then span x U(g), a right ideal,
-    so no later factor can bring a discarded term back.  Images of all word
-    prefixes are memoised in ``cache``.
-
-    ``images[g]`` is E times the image of source generator g, with E the lcm
-    of the denominators of all those images, so its coefficients are ints.
-    For a word of length N the int stored for m is E^N·D^(N - deg m) times
-    its coefficient: each generator contributes one factor E, and
-    :meth:`OrderedBasis.mul_mono_gen` (that is, :meth:`OrderedBasis.mul_monos`
-    with a single generator on the right) the powers of D.
-    """
-    key = (target.basis_id, mono)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    if not mono:
-        return {(): 1}
-    g, e = mono[-1]
-    prefix = mono[:-1] + ((g, e - 1),) if e > 1 else mono[:-1]
-    acc: Dict[Monomial, int] = {}
-    for tm, c in _word_image(target, images, prefix, cache, dropped).items():
-        for k, ck in images[g]:
-            for m2, c2 in target.mul_mono_gen(tm, k).items():
-                if m2 and m2[0][0] in dropped:
-                    continue
-                c3 = c * ck * c2
-                prev = acc.get(m2)
-                acc[m2] = c3 if prev is None else prev + c3
-    result = {m: c for m, c in acc.items() if c != 0}
-    cache[key] = result
-    return result
-
-
-def _generator_images(source: OrderedBasis, target: OrderedBasis
-                      ) -> Tuple[int, List[IntCombo]]:
-    """E and E times the image over ``target`` of every ``source`` generator.
-
-    E is the lcm of the denominators of all those images.  The expansions
-    depend only on the two bases, so they are solved once per pair and kept
-    on the source basis.
-    """
-    hit = source._image_cache.get(target.basis_id)
-    if hit is not None:
-        return hit
-    if source.ambient != target.ambient:
-        raise ValueError("bases live in different ambient gl_N")
-    coords = [target.expand_matrix(mat) for mat in source.matrices]
-    scale_e = lcm(*(c.denominator for row in coords for c in row))
-    images = [tuple((k, _integral(c, scale_e)) for k, c in enumerate(row) if c)
-              for row in coords]
-    source._image_cache[target.basis_id] = scale_e, images
-    return scale_e, images
-
-
-def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
-    """Re-express an element over another closed basis of the same span.
+def change_basis(elem: EnvElement, target: OrderedBasis,
+                 character: Mapping[int, ParamPoly]) -> EnvElement:
+    """Re-express an element over another closed basis of the same span,
+    in the induced module U(g)/U(g)(k - chi) of ``character``.
 
     Every source generator's ambient matrix is expanded over ``target``, and
     a source monomial maps to the product of those images, multiplied in
     from the left by :func:`sum_products` (so through
     :meth:`OrderedBasis.mul_monos`).  The monomials that lead with the same
     generator share that factor: Horner's rule over the words, one
-    :func:`sum_products` per distinct prefix.  This full conversion is the
-    oracle of :func:`project_mod_n` for the word images, the n-drop and the
-    E and D scaling; both straighten through :meth:`OrderedBasis.mul_monos`,
-    whose own oracle is :func:`naive_normal_order`.  The reduction path
-    never calls it.
+    :func:`sum_products` per distinct prefix, after which :func:`_peel`
+    evaluates each k-tail through ``character``.  That is exact because
+    U(g)(k - chi) is a left ideal and every factor multiplies from the left;
+    ``character`` keys the trailing zone of ``target``, and ``{}`` gives
+    the plain conversion.  :func:`~huaops.reduce.reduce_iwasawa` reduces
+    every element over another basis this way, and ``{}`` followed by one
+    peel is its oracle, as :func:`naive_normal_order` is that of the
+    straightening.
     """
-    if elem.basis is target:
-        return elem
     if elem.basis.ambient != target.ambient:
         raise ValueError("bases live in different ambient gl_N")
     ring = elem.ring
@@ -798,47 +731,15 @@ def change_basis(elem: EnvElement, target: OrderedBasis) -> EnvElement:
                 g, e = mono[0]
                 rest = ((g, e - 1),) + mono[1:] if e > 1 else mono[1:]
                 tails.setdefault(g, {})[rest] = c
-        return sum_products(
-            [EnvElement.scalar(target, terms.get((), ring.zero()))]
-            + [gens[g] for g in tails],
-            [one] + [convert(rests) for rests in tails.values()])
+        constant = EnvElement.scalar(target, terms.get((), ring.zero()))
+        if not tails:
+            return constant
+        heads = [constant] + [gens[g] for g in tails]
+        converted = [one] + [convert(rests) for rests in tails.values()]
+        return EnvElement(target, ring,
+                          _peel(sum_products(heads, converted), character))
 
     return convert(elem.terms)
-
-
-def project_mod_n(elem: EnvElement, target: OrderedBasis) -> EnvElement:
-    """The image of ``elem`` in U(g)/nU(g), over the n-free monomials of ``target``.
-
-    ``target`` must list its ``n`` zone first, so that a normal-ordered
-    monomial lies in nU(g) iff it leads with an n-generator and U(g) is the
-    direct sum of nU(g) and the span of the n-free monomials.  The result
-    equals :func:`change_basis` with every n-leading monomial dropped, but
-    those monomials are never built: every monomial goes through
-    :func:`_word_image`, which multiplies generators in on the right with
-    :meth:`OrderedBasis.mul_mono_gen`, so through the one straightening
-    recursion :meth:`OrderedBasis.mul_monos`.  The images of source
-    monomials and their prefixes are rational and depend only on the two
-    bases, so they are cached on the source basis and shared by every later
-    call.
-
-    A term of degree N is accumulated as an int numerator over
-    q·E^T·D^(T - deg m), with q the common denominator of the coefficients
-    and T the top degree of ``elem``, so its image is scaled by (E·D)^(T - N).
-    """
-    if target.zones[0] != "n":
-        raise ValueError(f"basis {target.basis_id} does not lead with an n zone")
-    scale_e, images = _generator_images(elem.basis, target)
-    q, (terms,) = _numerators([elem])
-    top = max((n for _m, n, _p, _g in terms), default=0)
-    step = scale_e * target.scale
-    n_zone = target.zone_indices("n")
-    out: Flat = {}
-    for mono, n, coeff, _g in terms:
-        shift = step ** (top - n)
-        _accumulate(out, {e: k * shift for e, k in coeff.items()},
-                    _word_image(target, images, mono,
-                                elem.basis._conversion_cache, n_zone))
-    return _finish(target, elem.ring, out, q * scale_e ** top, top)
 
 
 def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],

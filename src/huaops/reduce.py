@@ -14,12 +14,13 @@ a :class:`~huaops.params.ParamPoly` over the radial ring (the coefficient
 symbols followed by the a-zone generator names, :func:`radial_ring`), printed
 as ``(coeff)*E_1^2 + ...`` by :func:`radial_str`.  An element over another
 basis of the same algebra (the ambient Verma basis of the generator
-matrices) is not converted to the Iwasawa basis first: it is projected
-straight onto U(g)/nU(g) by :func:`~huaops.pbw.project_mod_n`, multiplying
-each word in from the left and dropping n-leading monomials as they appear,
-with word images cached per basis pair.  :func:`gamma` and :func:`gamma_ell`
-compose this projection with the rho shift ``H -> H + rho(H)`` to give the
-radial (Harish-Chandra style) images.
+matrices) is reduced the way the U(p,q) chains reduce theirs, in the
+induced module M = U(g)/U(g)(k - chi): :func:`~huaops.pbw.change_basis`
+multiplies each word in from the left, one generator image at a time, and
+peels the k-tail after each step, and the n-drop and the a-values follow
+as for an element over the Iwasawa basis.  :func:`gamma` and
+:func:`gamma_ell` compose this reduction with the rho shift
+``H -> H + rho(H)`` to give the radial (Harish-Chandra style) images.
 
 On top of the engine sit the verification drivers for the catalog identity
 chains: :func:`gl_lemma_check` (GL(n,R) trace lemma), :func:`hua_sp_system`
@@ -76,7 +77,7 @@ from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
                     generator_matrix, ideal_metadata)
 from .minpoly import ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing, _over, _reduced
-from .pbw import EnvElement, _peel, project_mod_n, sum_products
+from .pbw import EnvElement, _peel, change_basis, sum_products
 
 ScalarLike = Union[ParamPoly, Fraction, int]
 
@@ -179,21 +180,22 @@ def peel_k(elem: EnvElement, character: Mapping[int, ParamPoly]
 def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     """Project onto U(a) modulo the left ideal described by ``spec``.
 
-    An element over another basis (such as the ambient Verma basis) is first
-    projected onto U(g)/nU(g) over ``spec.form.basis`` by
-    :func:`~huaops.pbw.project_mod_n`, which never builds its n-leading
-    monomials; an element already over that basis has those monomials
-    dropped here.  One peel then evaluates the trailing k-part of each
-    remaining monomial through the character and its a-generators through
-    the a-values, and ``rho_shift`` moves the a-generators left without a
-    value.  Returns a polynomial over ``u.ring`` when the a-values are
-    total, otherwise one over ``radial_ring(u.ring, spec.form.a_names)``.
+    An element over another basis (such as the ambient Verma basis) is
+    first carried into M = U(g)/U(g)(k - chi) over ``spec.form.basis`` by
+    :func:`~huaops.pbw.change_basis`, which peels the k-tails through
+    ``spec.k_character`` after every left factor.  One peel then drops the
+    n-leading monomials, evaluates the trailing k-part of each remaining
+    monomial through the character (none is left after a conversion) and
+    its a-generators through the a-values, and ``rho_shift`` moves the
+    a-generators left without a value.  Returns a polynomial over
+    ``u.ring`` when the a-values are total, otherwise one over
+    ``radial_ring(u.ring, spec.form.a_names)``.
     """
     basis = spec.form.basis
     if basis.zones[:2] != ("n", "a"):
         raise ValueError(f"basis {basis.basis_id} is not Iwasawa-ordered")
     if u.basis is not basis and u.basis.basis_id != basis.basis_id:
-        u = project_mod_n(u, basis)
+        u = change_basis(u, basis, spec.k_character)
     peeled = _peel(u, {**spec.k_character, **spec.a_values},
                    basis.zone_indices("n"))
     if spec.total_a():
@@ -445,13 +447,24 @@ class UpqCase:
 
     def bindings(self, pairs: Iterable[Tuple[str, ScalarLike]]
                  ) -> Dict[str, ScalarLike]:
-        """``pairs`` as a dict; ``ValueError`` unless each name is a symbol."""
+        """``pairs`` as a dict; ``ValueError`` unless each name is a symbol,
+        bound once."""
         pairs = list(pairs)
         unknown = [name for name, _ in pairs if name not in self.symbols]
         if unknown:
             raise ValueError(f"unknown symbols {unknown}; expected "
                              f"{', '.join(self.symbols)}")
-        return dict(pairs)
+        return _bound_once(pairs)
+
+
+def _bound_once(pairs: Sequence[Tuple[str, ScalarLike]]
+                ) -> Dict[str, ScalarLike]:
+    """``pairs`` as a dict; ``ValueError`` if a name occurs twice."""
+    names = [name for name, _ in pairs]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ValueError(f"symbols bound more than once: {repeated}")
+    return dict(pairs)
 
 
 def upq_theorem_case(case: UpqCase, perturb: bool = False) -> dict:

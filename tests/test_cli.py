@@ -112,16 +112,22 @@ def test_bound_reduce_matches_unbound_residue(tmp_path, capsys):
     assert reduced["allZero"]
 
 
-@pytest.mark.parametrize("binding", ["nosuch=1", "E_1=1"])
+def _binds(bindings):
+    """``--bind`` arguments for the space-separated ``bindings``."""
+    return [arg for binding in bindings.split() for arg in ("--bind", binding)]
+
+
+# A name bound twice is refused too, also with the same value twice.
+@pytest.mark.parametrize("binding", ["nosuch=1", "E_1=1", "s=1 s=2", "mu_1=1 t=0 mu_1=1"])
 def test_reduce_rejects_unknown_binding(tmp_path, capsys, binding):
     blob = tmp_path / "gens.json"
     argv = ["--form", "upq", "--p", "1", "--q", "1", "--blocks", "1"]
     assert run(["ideal"] + argv + ["--out", str(blob)]) == 0
     capsys.readouterr()
-    code = run(["reduce"] + argv + ["--in", str(blob), "--bind", binding, "--json"])
+    code = run(["reduce"] + argv + ["--in", str(blob), *_binds(binding), "--json"])
     captured = capsys.readouterr()
     assert code == 2
-    assert "error:" in captured.err
+    assert len([line for line in captured.err.splitlines() if "error:" in line]) == 1
     assert captured.out == ""
 
 
@@ -146,11 +152,11 @@ def test_one_case_per_request(monkeypatch, capsys, argv):
     assert built == [(2, 1, (1,))]
 
 
-@pytest.mark.parametrize("binding", ["zzz=3", "E_1=1"])
+@pytest.mark.parametrize("binding", ["zzz=3", "E_1=1", "s=1 s=2"])
 def test_upq_recursion_rejects_unknown_binding(capsys, binding):
-    code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", "--bind", binding])
+    code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", *_binds(binding)])
     assert code == 2
-    assert "error:" in capsys.readouterr().err
+    assert len([line for line in capsys.readouterr().err.splitlines() if "error:" in line]) == 1
 
 
 @pytest.mark.parametrize("binding", ["s=1e3", "s=0.5", "s=1_0", "s=+1", "s=1e5000", "s=1e999999999"])
@@ -226,8 +232,8 @@ def test_reduce_caps_the_digits_of_an_input_coefficient(tmp_path, capsys, coeff,
 
 
 def test_reduce_leaves_the_right_action_memo_empty(tmp_path, capsys):
-    # The projection multiplies generators in on the right through
-    # mul_monos; _mono_gen_cache is never written.
+    # reduce converts the export multiplying generators in on the left
+    # only; the right-action and conversion memos are never written.
     blob = tmp_path / "gens.json"
     argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
     assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
@@ -235,7 +241,7 @@ def test_reduce_leaves_the_right_action_memo_empty(tmp_path, capsys):
     capsys.readouterr()
     case = reduce_module.UpqCase(2, 1, (1,))
     for basis in (case.form.basis, case.form.complex_algebra.basis):
-        assert basis._mono_gen_cache == {}, basis.basis_id
+        assert basis._mono_gen_cache == basis._conversion_cache == {}, basis.basis_id
     assert case.form.basis._mono_mono_cache
 
 
@@ -356,6 +362,18 @@ def test_unknown_bind_coordinate_is_usage_error(capsys):
     code = run(["cfun", "--form", "glnr", "--n", "2", "--bind", "bogus=1"])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bindings, name", [("lambda_1=1 lambda_1=3 lambda_2=0", "lambda_1"),
+                                            ("lambda_1=1 lambda_2=0 ell=1 ell=1", "ell")])
+def test_cfun_refuses_a_coordinate_bound_twice(capsys, bindings, name):
+    # Before, the last value won: lambda=(3, 0).
+    code = run(["cfun", "--form", "glnr", "--n", "2", *_binds(bindings)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [
+        f"error: symbols bound more than once: ['{name}']"]
 
 
 def test_upq_ideal_rejects_barred_variant(capsys):

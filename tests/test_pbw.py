@@ -336,7 +336,7 @@ def test_change_basis_round_trip():
     rng = random.Random(13)
     for _ in range(10):
         elem = _random_element(verma, rng)
-        back = change_basis(change_basis(elem, iwasawa), verma)
+        back = change_basis(change_basis(elem, iwasawa, {}), verma, {})
         assert (back - elem).is_zero()
 
 
@@ -347,8 +347,8 @@ def test_change_basis_is_multiplicative():
     for _ in range(10):
         a = _random_element(verma, rng)
         b = _random_element(verma, rng)
-        lhs = change_basis(a * b, form.basis)
-        rhs = change_basis(a, form.basis) * change_basis(b, form.basis)
+        lhs = change_basis(a * b, form.basis, {})
+        rhs = change_basis(a, form.basis, {}) * change_basis(b, form.basis, {})
         assert (lhs - rhs).is_zero()
 
 

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-import huaops.pbw as pbw_module
 from huaops import liedata
 import huaops.reduce as reduce_module
 from huaops.liedata import make_glnr, make_spnr, make_upq, phi
@@ -207,18 +206,28 @@ def test_reduction_accepts_ambient_verma_elements(form):
     rng = random.Random(37)
     for _ in range(6):
         u = _random_element(verma, form.ring, rng, max_degree=3, max_terms=6)
-        converted = change_basis(u, form.basis)
+        converted = change_basis(u, form.basis, {})
         assert (reduce_iwasawa(u, spec) - reduce_iwasawa(converted, spec)).is_zero()
         assert (gamma(u, form) - gamma(converted, form)).is_zero()
 
 
-def test_projection_matches_change_basis_on_perturbed_theorem(monkeypatch):
-    _metadata, projected = _residues_through_ideal_generators(2, 2, (1, 2), True)
-    monkeypatch.setattr(reduce_module, "project_mod_n", change_basis)
-    _metadata, converted = _residues_through_ideal_generators(2, 2, (1, 2), True)
-    assert projected == converted
-    assert len(projected) == 16
-    assert sum(r != "0" for _, r in projected) == 8
+def test_conversion_peeled_at_every_step_matches_one_peel_at_the_end():
+    # U(g)(k - chi) is a left ideal, so peeling the k-tails after every left
+    # factor of the conversion gives the peel of the plain conversion, for
+    # the form's own character, the zero one and gamma_ell's negated one.
+    rng = random.Random(41)
+    for form in (make_upq(2, 1), make_upq(2, 2), make_spnr(2), make_glnr(3)):
+        verma, basis = form.complex_algebra.basis, form.basis
+        k_zone = basis.zone_indices("k")
+        characters = (form.k_character, zero_character(form), {i: -v for i, v in form.k_character.items()})
+        k_tails = 0
+        for _ in range(4):
+            u = _random_element(verma, form.ring, rng, max_degree=4, max_terms=5)
+            plain = change_basis(u, basis, {})
+            k_tails += any(m and m[-1][0] in k_zone for m in plain.terms)
+            for character in characters:
+                assert change_basis(u, basis, character) == peel_k(plain, character), form.name
+        assert k_tails, form.name
 
 
 def _n_phi(form, mono):
@@ -243,7 +252,7 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
         budget = (len(roots) - m) * step
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                full = peel_k(change_basis(prefix[b - 1][a - 1], form.basis), form.k_character).terms
+                full = peel_k(change_basis(prefix[b - 1][a - 1], form.basis, {}), form.k_character).terms
                 expected = {mono: c for mono, c in full.items() if _n_phi(form, mono) <= budget}
                 assert columns[b - 1][a - 1].terms == expected, (m, a, b)
                 dropped += len(full) - len(expected)
@@ -309,7 +318,7 @@ def test_terms_over_the_budget_never_reach_the_n_free_part(p, q):
 
 def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("projection or basis conversion called")
+        raise AssertionError("basis conversion called")
 
     forms = []
 
@@ -322,8 +331,7 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
                     assert not any(g in k_zone for m in x.terms for g, _e in m)
             yield state
 
-    monkeypatch.setattr(reduce_module, "project_mod_n", forbidden)
-    monkeypatch.setattr(pbw_module, "change_basis", forbidden)
+    monkeypatch.setattr(reduce_module, "change_basis", forbidden)
     monkeypatch.setattr(reduce_module, "factor_columns", recording)
     case = UpqCase(2, 1, (1,))
     assert upq_theorem_case(case)["pass"]

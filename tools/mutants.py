@@ -68,6 +68,8 @@ PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
             f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
             f"{GOLDEN}[verify gl-lemma --n 3 --m 3]")
 READ_OFF = "tests/test_pbw.py::test_in_order_products_are_read_off_and_not_stored"
+CONVERSION = ("tests/test_reduce.py::"
+              "test_conversion_peeled_at_every_step_matches_one_peel_at_the_end")
 WRITER = ("tests/test_cli.py::test_canonical_json_matches_json_dumps",
           f"{GOLDEN}[ideal --form upq --p 3 --q 2 --blocks 1,2 --restrict-columns]",
           f"{GOLDEN}[ideal --form spnr --n 3 --blocks 1,3]",
@@ -240,6 +242,17 @@ MUTANTS: Tuple[Mutant, ...] = (
                    f"[{b}]" for b in ("nosuch=1", "E_1=1"))
            + tuple(f"tests/test_cli.py::test_upq_recursion_rejects_unknown_"
                    f"binding[{b}]" for b in ("zzz=3", "E_1=1"))),
+    Mutant("repeated-binding-allowed", "src/huaops/reduce.py",
+           "if repeated:",
+           "if False:",
+           tuple(f"tests/test_cli.py::test_reduce_rejects_unknown_binding[{b}]"
+                 for b in ("s=1 s=2", "mu_1=1 t=0 mu_1=1"))
+           + ("tests/test_cli.py::test_upq_recursion_rejects_unknown_binding"
+              "[s=1 s=2]",)
+           + tuple(f"tests/test_cli.py::test_cfun_refuses_a_coordinate_bound_"
+                   f"twice[{case}]" for case in (
+                       "lambda_1=1 lambda_1=3 lambda_2=0-lambda_1",
+                       "lambda_1=1 lambda_2=0 ell=1 ell=1-ell"))),
     Mutant("reduce-case-check-skipped", "src/huaops/cli.py",
            "if built_for.get(key) != expected.get(key))",
            'if key == "basisId" and built_for.get(key) != expected.get(key))',
@@ -266,12 +279,20 @@ MUTANTS: Tuple[Mutant, ...] = (
            "        if g < h:\n            return {a + b: 1}",
            "        if g <= h:\n            return {a + b: 1}",
            tuple(t for t in PRODUCTS if "upq-theorem" not in t) + (READ_OFF,)),
-    Mutant("right-action-on-the-left", "src/huaops/pbw.py",
-           "return self.mul_monos(mono, self._singles[g])",
-           "return self.mul_monos(self._singles[g], mono)",
-           ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
-            "tests/test_reduce.py::test_projection_matches_change_basis_on_perturbed_theorem",
+    # The one conversion: each generator image multiplied in on the left,
+    # the k-tails peeled after every step.
+    Mutant("generator-multiplied-on-the-right", "src/huaops/pbw.py",
+           "sum_products(heads, converted)",
+           "sum_products(converted, heads)",
+           (CONVERSION, "tests/test_pbw.py::test_change_basis_is_multiplicative",
+            "tests/test_pbw.py::test_change_basis_round_trip",
             "tests/test_golden.py::test_reduce_of_the_export_digest")),
+    Mutant("conversion-peel-character-negated", "src/huaops/pbw.py",
+           "_peel(sum_products(heads, converted), character)",
+           "_peel(sum_products(heads, converted),\n"
+           "                                {g: -v for g, v in character.items()})",
+           (CONVERSION, "tests/test_golden.py::test_reduce_of_the_export_digest",
+            "tests/test_golden.py::test_reduce_of_the_benchmark_export_digest")),
     # One object per monomial in the memo, and the flat accumulator.
     Mutant("memo-monomials-not-interned", "src/huaops/pbw.py",
            "result = {intern(m, m): c for m, c in acc.items() if c != 0}",
