@@ -374,11 +374,13 @@ class GeneratorSet:
         return ideal_metadata(self.theta, self.algebra, self.column_range)
 
     def to_json_dict(self) -> dict:
+        """The set as JSON data; each distinct coefficient is formatted once."""
+        texts: Dict[ParamPoly, str] = {}
         return {
             "metadata": self.metadata(),
             "polynomial": self.polynomial.to_json_dict(),
             "entries": [
-                {"row": i, "col": j, "element": e.to_json_dict()}
+                {"row": i, "col": j, "element": e.to_json_dict(texts)}
                 for i, j, e in self.entries()
             ],
             "central": [
@@ -386,7 +388,7 @@ class GeneratorSet:
                     "index": c.index,
                     "order": c.order,
                     "eigenvalue": str(c.eigenvalue),
-                    "element": c.element.to_json_dict(),
+                    "element": c.element.to_json_dict(texts),
                 }
                 for c in self.central
             ],

@@ -23,18 +23,21 @@ lowers the degree by one and contributes one factor D.  Every scaled value
 is checked to be integral, never rounded, so a wrong scale raises instead of
 giving a wrong product.
 
-Every product of two monomials is one memoised recursion,
+The monomials are ints as well.  Each basis numbers every distinct
+monomial it meets once (hash-consing): ``_monomials`` maps a tuple to its
+int id, and ``_mono_tuples`` and ``_mono_degrees`` map an id back to its one
+tuple and its degree; ``()`` is id 0 and ``((g, 1),)`` is id g + 1.  Every
+product of two monomials is one memoised recursion on ids,
 :meth:`OrderedBasis.mul_monos`.  When the last generator of a is below the
 first generator of b, a·b is read off as a + b, and when the two are equal
 their powers merge; such a product is not stored.  Otherwise a generator g
 times a monomial b = h^e·rest (g > h) is straightened from the front:
-g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, memoised in
-``_mono_mono_cache`` under ``(((g, 1),), b)``.  A longer a = g·a' is
-multiplied as g·(a'·b), memoised in the same dict under ``(a, b)``.  The
-memo holds ints and lives as long as the basis.  It shares one object per
-distinct monomial: its results go through the basis's intern table, and
-every single-generator factor ``((g, 1),)`` is one tuple per generator.
-``_mono_gen_cache``, ``_conversion_cache`` and
+g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, and a longer a = g·a' is
+multiplied as g·(a'·b).  Both are memoised in ``_mono_mono_cache`` under
+the one int ``a << ID_BITS | b`` as one flat tuple ``(id, c, id, c, ...)``
+of nonzero scaled ints; the memo lives as long as the basis, and
+:meth:`OrderedBasis.mono_id` raises rather than give an id that would not
+fit its half of the key.  ``_mono_gen_cache``, ``_conversion_cache`` and
 :meth:`OrderedBasis.mul_mono_gen` are stubs that only the benchmark's
 tracer reads.
 
@@ -43,10 +46,13 @@ denominator, so the arithmetic around straightening builds no ``Fraction``.
 :func:`sum_products_column` is the one loop that multiplies elements over
 one basis: a matrix times one column (:func:`sum_products` is its one-row
 case).  It brings every operand over one common denominator (the lcm of
-the denominators, read from the fields), accumulates int numerators in one
-flat ``{monomial: int}`` dict per coefficient exponent, and gathers and
-reduces each output term by one gcd; the column is converted once, not
-once per row.  Each converted term carries its grade (0 without per-index
+the denominators, read from the fields), turns each operand monomial into
+its id once, accumulates int numerators in one flat ``{id: int}`` dict per
+coefficient exponent, and gathers and reduces each output term by one gcd;
+the column is converted once, not once per row.  Degrees are read from the
+table, and ids turn back into tuples only where an :class:`EnvElement` is
+built, so its terms, its text and JSON, and :func:`_peel` keep tuples.
+Each converted term carries its grade (0 without per-index
 grades); given a budget, every pair of monomials whose grades sum over it
 is skipped, the restricted-weight bound of a character chain
 (:func:`~huaops.matop.factor_columns`), and without one every pair is
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import inf, lcm
 from operator import add, itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -83,11 +90,12 @@ Monomial = Tuple[Tuple[int, int], ...]  # ((gen_index, power), ...) strictly inc
 LinearCombo = Tuple[Tuple[int, Fraction], ...]
 IntCombo = Tuple[Tuple[int, int], ...]
 Numerators = Dict[Exponents, int]  # int numerators of one ParamPoly
-Flat = Dict[Exponents, Dict[Monomial, int]]  # {e: {m: numerator of x^e at m}}
+Flat = Dict[Exponents, Dict[int, int]]  # {e: {monomial id: numerator of x^e}}
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
-_power = itemgetter(1)
+_second = itemgetter(1)
+ID_BITS = 32  # a memo key packs two monomial ids of this many bits
 
 
 def _integral(value: Fraction, factor: int) -> int:
@@ -240,11 +248,14 @@ class OrderedBasis:
         # pins them.
         self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, int]] = {}
         self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
-        self._mono_mono_cache: Dict[Tuple[Monomial, Monomial], Dict[Monomial, int]] = {}
-        # One object per distinct monomial stored in _mono_mono_cache's
-        # values, and one ((g, 1),) per generator g.
-        self._monomials: Dict[Monomial, Monomial] = {}
-        self._singles: Tuple[Monomial, ...] = tuple(((g, 1),) for g in range(len(self.names)))
+        self._mono_mono_cache: Dict[int, Tuple[int, ...]] = {}
+        # The intern table: one int id per distinct monomial, () first and
+        # then ((g, 1),) as id g + 1, and per id its one tuple and degree.
+        self._monomials: Dict[Monomial, int] = {}
+        self._mono_tuples: List[Monomial] = []
+        self._mono_degrees: List[int] = []
+        for mono in [()] + [((g, 1),) for g in range(len(self.names))]:
+            self.mono_id(mono)
 
     def __len__(self) -> int:
         return len(self.names)
@@ -304,73 +315,92 @@ class OrderedBasis:
 
     # -- straightening engine -------------------------------------------------
 
-    def mul_mono_gen(self, mono: Monomial, g: int) -> Dict[Monomial, int]:
+    def mono_id(self, mono: Monomial) -> int:
+        """The int id of a monomial, given on first sight (hash-consing).
+
+        Raises instead of giving an id of ``ID_BITS`` bits or more, so the
+        memo key ``a << ID_BITS | b`` never packs two pairs into one int.
+        """
+        found = self._monomials.get(mono)
+        if found is not None:
+            return found
+        new = len(self._mono_tuples)
+        if new >> ID_BITS:
+            raise OverflowError(f"basis {self.basis_id!r} would number more "
+                                f"than 2**{ID_BITS} monomials")
+        self._monomials[mono] = new
+        self._mono_tuples.append(mono)
+        self._mono_degrees.append(mono_degree(mono))
+        return new
+
+    def mul_mono_gen(self, mono: int, g: int) -> Tuple[int, ...]:
         """:meth:`mul_monos` with b = ((g, 1),); the package never calls it.
 
         A stub kept because ``perfbench/tracer.py`` wraps it to count its
         calls, so that count reads 0.
         """
-        return self.mul_monos(mono, self._singles[g])
+        return self.mul_monos(mono, g + 1)
 
-    def mul_monos(self, a: Monomial, b: Monomial) -> Dict[Monomial, int]:
-        """Normal form of a·b, scaled: {m: D^(deg a + deg b - deg m) * coefficient}.
+    def mul_monos(self, a: int, b: int) -> Tuple[int, ...]:
+        """Normal form of a·b over monomial ids, scaled and flat:
+        ``(m, c, m, c, ...)`` with c = D^(deg a + deg b - deg m) times the
+        coefficient of m, every c nonzero.  Every id, given and returned,
+        is one of :meth:`mono_id`; ``_mono_tuples`` reads its monomial back.
 
         When the last generator g of a is below the first generator h of b,
         a·b is a + b; when g = h, the two powers merge.  Neither is stored.
         Otherwise a single generator g is straightened from the front of
         b = h^e·rest: g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, with
-        the bracket D·[g, h] in place of [g, h], memoised under
-        ``(((g, 1),), b)``.  A longer a = g·a' is multiplied as g·(a'·b),
-        memoised under ``(a, b)``; the scalings of a'·b and of g times each
-        of its terms multiply to the one above.
+        the bracket D·[g, h] in place of [g, h].  A longer a = g·a' is
+        multiplied as g·(a'·b); the scalings of a'·b and of g times each of
+        its terms multiply to the one above.  Both are memoised under the
+        one int ``a << ID_BITS | b``.
         """
         if not b:
-            return {a: 1}
+            return (a, 1)
         if not a:
-            return {b: 1}
-        g, e = a[-1]
-        h, f = b[0]
+            return (b, 1)
+        tuples = self._mono_tuples
+        ta, tb = tuples[a], tuples[b]
+        g, e = ta[-1]
+        h, f = tb[0]
         if g < h:
-            return {a + b: 1}
+            return (self.mono_id(ta + tb), 1)
         if g == h:
-            return {a[:-1] + ((g, e + f),) + b[1:]: 1}
-        single = e == 1 and len(a) == 1
-        singles = self._singles
-        if single:
-            a = singles[g]
-        else:
-            g, e = a[0]
-        key = (a, b)
+            return (self.mono_id(ta[:-1] + ((g, e + f),) + tb[1:]), 1)
+        key = a << ID_BITS | b
         hit = self._mono_mono_cache.get(key)
         if hit is not None:
             return hit
+        # ids 1..n are the single generators ((g, 1),)
+        single = a <= len(self.names)
         if single:
-            rest: Monomial = ((h, f - 1),) + b[1:] if f > 1 else b[1:]
+            rest = self.mono_id(((h, f - 1),) + tb[1:] if f > 1 else tb[1:])
             front, inner = h, self.mul_monos(a, rest)
         else:
-            front = g
-            inner = self.mul_monos(((g, e - 1),) + a[1:] if e > 1 else a[1:], b)
-        lead = singles[front]
-        acc: Dict[Monomial, int] = {}
-        for m1, c1 in inner.items():
-            for m2, c2 in self.mul_monos(lead, m1).items():
-                c = c1 * c2
-                prev = acc.get(m2)
-                acc[m2] = c if prev is None else prev + c
+            front, e = ta[0]
+            inner = self.mul_monos(
+                self.mono_id(((front, e - 1),) + ta[1:] if e > 1 else ta[1:]), b)
+        lead = front + 1  # the id of ((front, 1),)
+        acc: Dict[int, int] = {}
+        get = acc.get
+        pairs = iter(inner)
+        for m1, c1 in zip(pairs, pairs):
+            image = iter(self.mul_monos(lead, m1))
+            for m2, c2 in zip(image, image):
+                acc[m2] = get(m2, 0) + c1 * c2
         if single:
             for k, ck in self._scaled_brackets[g, h]:
-                for m1, c1 in self.mul_monos(singles[k], rest).items():
-                    c = ck * c1
-                    prev = acc.get(m1)
-                    acc[m1] = c if prev is None else prev + c
-        intern = self._monomials.setdefault
-        result = {intern(m, m): c for m, c in acc.items() if c != 0}
+                image = iter(self.mul_monos(k + 1, rest))
+                for m1, c1 in zip(image, image):
+                    acc[m1] = get(m1, 0) + ck * c1
+        result = tuple(chain.from_iterable(filter(_second, acc.items())))
         self._mono_mono_cache[key] = result
         return result
 
 
 def mono_degree(mono: Monomial) -> int:
-    return sum(map(_power, mono))
+    return sum(map(_second, mono))
 
 
 def mono_grade(mono: Monomial, grades: Sequence[int]) -> int:
@@ -539,14 +569,19 @@ class EnvElement:
 
     # -- serialization ----------------------------------------------------------------
 
-    def to_json_dict(self) -> dict:
-        return {
-            "basisId": self.basis.basis_id,
-            "terms": [
-                {"coeff": str(p), "monomial": m}
-                for m, p in self.sorted_terms()
-            ],
-        }
+    def to_json_dict(self, texts: Optional[Dict[ParamPoly, str]] = None) -> dict:
+        """The element as JSON data; ``texts`` holds the printed form of
+        each coefficient already formatted, so that elements written
+        together format each distinct coefficient once."""
+        if texts is None:
+            texts = {}
+        terms = []
+        for m, p in self.sorted_terms():
+            text = texts.get(p)
+            if text is None:
+                text = texts[p] = str(p)
+            terms.append({"coeff": text, "monomial": m})
+        return {"basisId": self.basis.basis_id, "terms": terms}
 
     @staticmethod
     def from_json_dict(data: dict, basis: OrderedBasis, ring: ParamRing) -> "EnvElement":
@@ -586,32 +621,35 @@ class EnvElement:
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})
 
 
-def _numerators(elems: Sequence[EnvElement],
+def _numerators(basis: OrderedBasis, elems: Sequence[EnvElement],
                 grades: Optional[Sequence[int]] = None
-                ) -> Tuple[int, List[List[Tuple[Monomial, int, Numerators, int]]]]:
+                ) -> Tuple[int, List[List[Tuple[int, int, Numerators, int]]]]:
     """One common denominator q of every coefficient, and the int numerators.
 
-    Each element becomes a list of ``(monomial, degree, {exponents: q*c},
-    grade)``, the grade 0 without ``grades``.  q is the lcm of the
+    Each element becomes a list of ``(monomial id, degree, {exponents:
+    q*c}, grade)``, the grade 0 without ``grades``.  q is the lcm of the
     coefficients' denominators; a coefficient already over q lends its own
     numerators, which are never mutated.
     """
     q = lcm(*(poly.denominator for x in elems for poly in x.terms.values()))
-    return q, [[(m, mono_degree(m), _over(poly, q),
+    ids, degrees = basis.mono_id, basis._mono_degrees
+    return q, [[(i, degrees[i], _over(poly, q),
                  0 if grades is None else mono_grade(m, grades))
-                for m, poly in x.terms.items()] for x in elems]
+                for m, poly in x.terms.items() for i in (ids(m),)]
+               for x in elems]
 
 
-def _accumulate(out: Flat, coeff: Numerators, image: Mapping[Monomial, int]) -> None:
+def _accumulate(out: Flat, coeff: Numerators, image: Tuple[int, ...]) -> None:
     """Add ``k * c`` to ``out[e][m]`` for every ``e: k`` of ``coeff`` and
-    ``m: c`` of ``image``."""
+    every pair ``m, c`` of the flat ``image``."""
     for e, k in coeff.items():
+        pairs = iter(image)
         flat = out.get(e)
         if flat is None:
-            out[e] = {m: k * c for m, c in image.items()}
+            out[e] = {m: k * c for m, c in zip(pairs, pairs)}
         else:
             get = flat.get
-            for m, c in image.items():
+            for m, c in zip(pairs, pairs):
                 flat[m] = get(m, 0) + k * c
 
 
@@ -619,13 +657,14 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Flat,
             denominator: int, top: int) -> EnvElement:
     """Divide the numerators at m by ``denominator * D^(top - deg m)``.
 
-    The nonzero numerators of ``out`` are gathered per monomial, and each
-    coefficient keeps its ints and is reduced by one gcd; a monomial whose
-    numerators all cancel gets no term.
+    The nonzero numerators of ``out`` are gathered per monomial id, and
+    each coefficient keeps its ints and is reduced by one gcd; a monomial
+    whose numerators all cancel gets no term.  The ids turn back into
+    tuples here, where the element is built.
     """
     d = basis.scale
     dens = [denominator * d ** (top - i) for i in range(top + 1)]
-    gathered: Dict[Monomial, Numerators] = {}
+    gathered: Dict[int, Numerators] = {}
     for e, flat in out.items():
         for m, k in flat.items():
             if k:
@@ -634,7 +673,8 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Flat,
                     gathered[m] = {e: k}
                 else:
                     nums[e] = k
-    return EnvElement(basis, ring, {m: _reduced(ring, nums, dens[mono_degree(m)])
+    tuples, degrees = basis._mono_tuples, basis._mono_degrees
+    return EnvElement(basis, ring, {tuples[m]: _reduced(ring, nums, dens[degrees[m]])
                                     for m, nums in gathered.items()})
 
 
@@ -673,10 +713,10 @@ def sum_products_column(rows: Sequence[Sequence[EnvElement]],
             first._check_compatible(x)
     basis = first.basis
     budget = inf if budget is None else budget
-    qr, rights = _numerators(column, grades)
+    qr, rights = _numerators(basis, column, grades)
     out_column = []
     for row in rows:
-        ql, lefts = _numerators(row, grades)
+        ql, lefts = _numerators(basis, row, grades)
         top = max((max(t[1] for t in xs) + max(t[1] for t in ys)
                    for xs, ys in zip(lefts, rights) if xs and ys),
                   default=0)

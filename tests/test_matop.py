@@ -21,7 +21,7 @@ from huaops.matop import (
     trace_power,
 )
 from huaops.minpoly import ThetaData, minimal_polynomial
-from huaops.params import ParamRing
+from huaops.params import ParamPoly, ParamRing
 from huaops.pbw import EnvElement, sum_products_column
 from huaops.reduce import UpqCase, peel_k
 
@@ -144,6 +144,29 @@ def test_ideal_generators_gl2_shapes():
     assert not gens.pfaffian_omitted
     restricted = ideal_generators(alg, theta, column_range=(2, 2))
     assert [(i, j) for i, j, _ in restricted.entries()] == [(1, 2), (2, 2)]
+
+
+def test_generator_set_formats_each_distinct_coefficient_once(monkeypatch):
+    # The elements of one set share a memo of printed coefficients: the
+    # JSON data is the same as with one str per term, and each distinct
+    # coefficient is printed once.
+    case = UpqCase(2, 1, (1,))
+    gens = ideal_generators(make_algebra("gl", 3), case.theta)
+    elements = [e for _i, _j, e in gens.entries()] + [c.element for c in gens.central]
+    expected = gens.to_json_dict()
+    assert [x["element"] for x in expected["entries"] + expected["central"]] == [
+        {"basisId": e.basis.basis_id,
+         "terms": [{"coeff": str(p), "monomial": m} for m, p in e.sorted_terms()]}
+        for e in elements]
+    coefficients = {id(p): p for e in elements for p in e.terms.values()}
+    printed = []
+    plain = ParamPoly.__str__
+    monkeypatch.setattr(ParamPoly, "__str__",
+                        lambda poly: printed.append(poly) or plain(poly))
+    assert gens.to_json_dict() == expected
+    printed = [p for p in printed if id(p) in coefficients]
+    assert len(printed) == len(set(printed)) == len(set(coefficients.values()))
+    assert len(printed) < len(coefficients)
 
 
 @pytest.mark.parametrize("p, q, blocks", [(2, 1, (1,)), (3, 1, (1,))])

@@ -12,7 +12,10 @@ import pytest
 
 from huaops.liedata import make_algebra, make_glnr, make_upq
 from huaops.params import ParamRing
+from huaops.reduce import UpqCase, gl_lemma_check, upq_theorem_case
+from huaops import pbw
 from huaops.pbw import (
+    ID_BITS,
     EnvElement,
     OrderedBasis,
     RationalSpan,
@@ -161,6 +164,12 @@ def _word(mono):
     return tuple(g for g, e in mono for _ in range(e))
 
 
+def _decoded(basis, flat):
+    """A flat ``(id, c, id, c, ...)`` product as ``{monomial: c}``."""
+    pairs = iter(flat)
+    return {basis._mono_tuples[m]: c for m, c in zip(pairs, pairs)}
+
+
 def test_monomial_products_match_naive_rewriter():
     # The int stored for m is D^(N - deg m) times its coefficient, with N the
     # degree of the product.  The right action mono·g of the projection is
@@ -170,7 +179,7 @@ def test_monomial_products_match_naive_rewriter():
 
         def scaled(product, top):
             return {m: Fraction(c, scale ** (top - mono_degree(m)))
-                    for m, c in product.items()}
+                    for m, c in _decoded(basis, product).items()}
 
         sides = set()
         for _ in range(12):
@@ -178,12 +187,14 @@ def test_monomial_products_match_naive_rewriter():
                                      for _ in range(rng.randint(2, 3))))
                     for _ in range(2))
             top = mono_degree(a) + mono_degree(b)
-            assert (scaled(basis.mul_monos(a, b), top)
+            product = basis.mul_monos(basis.mono_id(a), basis.mono_id(b))
+            assert (scaled(product, top)
                     == naive_normal_order(basis, _word(a) + _word(b))), (
                 basis.basis_id, a, b)
             for g in range(len(basis)):
                 sides.add((g > a[-1][0]) - (g < a[-1][0]))
-                assert (scaled(basis.mul_mono_gen(a, g), mono_degree(a) + 1)
+                product = basis.mul_mono_gen(basis.mono_id(a), g)
+                assert (scaled(product, mono_degree(a) + 1)
                         == naive_normal_order(basis, _word(a) + (g,))), (
                     basis.basis_id, a, g)
         assert sides == {-1, 0, 1}, basis.basis_id
@@ -193,6 +204,7 @@ def test_in_order_products_are_read_off_and_not_stored():
     # When a's last generator is below b's first, a·b is a + b; when they
     # are equal, the two powers merge.  Neither product enters the memo.
     basis = _fresh(make_upq(2, 1).basis, "read-off")
+    ids = basis.mono_id
     last = len(basis) - 1
     cases = [
         (((0, 1), (2, 2)), ((3, 1), (last, 1)), ((0, 1), (2, 2), (3, 1), (last, 1))),
@@ -201,16 +213,18 @@ def test_in_order_products_are_read_off_and_not_stored():
         (((0, 1), (last, 1)), ((last, 2),), ((0, 1), (last, 3))),
     ]
     for a, b, product in cases:
-        assert basis.mul_monos(a, b) == {product: 1}, (a, b)
+        assert basis.mul_monos(ids(a), ids(b)) == (ids(product), 1), (a, b)
         assert naive_normal_order(basis, _word(a) + _word(b)) == {product: Fraction(1)}
-    assert basis.mul_mono_gen(((0, 1), (2, 1)), 2) == {((0, 1), (2, 2)): 1}
-    assert basis.mul_mono_gen(((0, 1), (2, 1)), 3) == {((0, 1), (2, 1), (3, 1)): 1}
+    assert basis.mul_mono_gen(ids(((0, 1), (2, 1))), 2) == (ids(((0, 1), (2, 2))), 1)
+    assert (basis.mul_mono_gen(ids(((0, 1), (2, 1))), 3)
+            == (ids(((0, 1), (2, 1), (3, 1))), 1))
     assert basis._mono_mono_cache == {}
 
 
 def test_left_action_matches_naive_rewriter():
     # g·m is straightened from the front of m; a product that needs a
-    # bracket is memoised under the key (((g, 1),), m).
+    # bracket is memoised under the one int key of the ids of ((g, 1),)
+    # and m.
     for basis, _scale in _oracle_bases():
         rng = random.Random(103)
         monos = [word_mono(sorted(rng.randrange(len(basis)) for _ in range(deg)))
@@ -222,31 +236,104 @@ def test_left_action_matches_naive_rewriter():
                 product = EnvElement.generator(basis, RING, g) * elem
                 got = {m: c.constant_value() for m, c in product.terms.items()}
                 assert got == naive_normal_order(basis, word), (basis.basis_id, word)
-                stored = (((g, 1),), mono) in basis._mono_mono_cache
+                key = basis.mono_id(((g, 1),)) << ID_BITS | basis.mono_id(mono)
+                stored = key in basis._mono_mono_cache
                 assert stored == (g > mono[0][0]), (basis.basis_id, word)
 
 
+def _check_table(basis):
+    """Every id has one tuple and its degree, every monomial one id, and
+    every memo entry pairs two ids with a flat image of valid ids and
+    nonzero ints; returns the memo's stored (id, int) pairs."""
+    table, tuples, degrees = basis._monomials, basis._mono_tuples, basis._mono_degrees
+    assert len(table) == len(tuples) == len(degrees) < 1 << ID_BITS
+    for mono, i in table.items():
+        assert tuples[i] is mono and degrees[i] == mono_degree(mono), (mono, i)
+    stored = 0
+    for key, image in basis._mono_mono_cache.items():
+        assert 0 < key >> ID_BITS < len(tuples), key
+        assert 0 < key & ((1 << ID_BITS) - 1) < len(tuples), key
+        ids, ints = image[::2], image[1::2]
+        assert len(ids) == len(ints) == len(set(ids)), image
+        assert all(type(m) is int and 0 <= m < len(tuples) for m in ids), image
+        assert all(type(c) is int and c != 0 for c in ints), image
+        stored += len(ids)
+    return stored
+
+
 def test_memo_shares_one_object_per_monomial():
-    # Equal monomials stored in the memo's values are one object, and every
-    # single-generator key is the basis's shared ((g, 1),), also when the
-    # caller passes a tuple of its own.
+    # Each distinct monomial has one id, also when the caller passes a tuple
+    # of its own, and each id one tuple: () is id 0 and ((g, 1),) is id
+    # g + 1.  The memo stores ids, never tuples.
     basis = _fresh(make_upq(2, 1).basis, "interned")
     rng = random.Random(109)
     monos = [word_mono(sorted(rng.randrange(len(basis)) for _ in range(deg)))
              for deg in (1, 1, 1, 2, 2, 3, 3, 3)]
     for a in monos:
         for b in monos:
-            basis.mul_monos(a, b)
+            basis.mul_monos(basis.mono_id(a), basis.mono_id(b))
+    assert basis.mono_id(tuple([])) == 0
+    for g in range(len(basis)):
+        assert basis.mono_id(tuple([(g, 1)])) == g + 1, g
+    for mono in monos:
+        assert basis.mono_id(tuple(list(mono))) == basis._monomials[mono], mono
+    stored = _check_table(basis)
+    # Some monomial is stored more than once, each time as its one id.
     memo = basis._mono_mono_cache
-    shared, singles = {}, 0
-    for (a, _b), image in memo.items():
-        if a == ((a[0][0], 1),):
-            singles += 1
-            assert a is basis._singles[a[0][0]], a
-        for m in image:
-            assert shared.setdefault(m, m) is m, m
-    # Both checks ran, and some monomial is stored more than once.
-    assert singles and len(shared) < sum(map(len, memo.values()))
+    shared = {m for image in memo.values() for m in image[::2]}
+    assert memo and len(shared) < stored
+
+
+def test_each_basis_numbers_its_own_monomials():
+    # A fresh basis numbers only () and its generators, whatever other
+    # bases have interned; a larger basis built after a smaller one keeps
+    # ((g, 1),) at id g + 1 and multiplies as the rewriter does.
+    small = _fresh(make_algebra("gl", 2).basis, "own-small")
+    small.mul_monos(small.mono_id(((0, 2), (3, 1))), small.mono_id(((1, 1), (2, 2))))
+    assert len(small._monomials) > len(small) + 1
+    large = _fresh(make_algebra("gl", 3).basis, "own-large")
+    assert large._mono_tuples == [()] + [((g, 1),) for g in range(len(large))]
+    rng = random.Random(113)
+    for _ in range(20):
+        word = tuple(rng.randrange(len(large)) for _ in range(3))
+        assert (_word_coefficients(large, word)
+                == naive_normal_order(large, word)), word
+    _check_table(large)
+
+
+def test_monomial_ids_never_reach_the_key_width(monkeypatch):
+    # The memo key packs two ids of ID_BITS bits each, so a new id at
+    # 2**ID_BITS raises rather than sharing a key; checked with the width
+    # lowered, on a basis of 4 generators (ids 0..4 at construction).
+    monkeypatch.setattr(pbw, "ID_BITS", 3)
+    basis = _fresh(make_algebra("gl", 2).basis, "narrow")
+    for power in range(2, 5):
+        basis.mono_id(((0, power),))
+    assert len(basis._monomials) == 8
+    with pytest.raises(OverflowError, match=r"more than 2\*\*3 monomials"):
+        basis.mono_id(((0, 5),))
+    assert len(basis._monomials) == len(basis._mono_tuples) == 8
+    assert basis.mono_id(((0, 4),)) == 7
+    with pytest.raises(OverflowError):
+        basis.mul_monos(basis.mono_id(((0, 2),)), basis.mono_id(((0, 3),)))
+
+
+def test_every_interned_monomial_and_memo_value_is_in_normal_form():
+    # After the smallest U(p,q) theorem and GL(n,R) lemma, every monomial
+    # in the intern tables has strictly increasing generators and powers
+    # >= 1, and every memo value holds valid ids and nonzero ints: a
+    # product that leaves two powers of one generator unmerged shows here,
+    # though it changes no residue of these runs.
+    case = UpqCase(2, 1, (1,))
+    upq_theorem_case(case)
+    gl_lemma_check(2, 2)
+    for basis in (case.form.basis, make_glnr(2).basis):
+        assert _check_table(basis), basis.basis_id
+        for mono in basis._monomials:
+            generators = [g for g, _e in mono]
+            assert all(0 <= g < len(basis) for g in generators), mono
+            assert all(x < y for x, y in zip(generators, generators[1:])), mono
+            assert all(type(e) is int and e >= 1 for _g, e in mono), mono
 
 
 def _symbolic_element(basis, rng):

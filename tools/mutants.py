@@ -68,6 +68,10 @@ PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
             f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
             f"{GOLDEN}[verify gl-lemma --n 3 --m 3]")
 READ_OFF = "tests/test_pbw.py::test_in_order_products_are_read_off_and_not_stored"
+INTERNED = "tests/test_pbw.py::test_memo_shares_one_object_per_monomial"
+OWN_TABLE = "tests/test_pbw.py::test_each_basis_numbers_its_own_monomials"
+NORMAL_FORM = ("tests/test_pbw.py::"
+               "test_every_interned_monomial_and_memo_value_is_in_normal_form")
 CONVERSION = ("tests/test_reduce.py::"
               "test_conversion_peeled_at_every_step_matches_one_peel_at_the_end")
 WRITER = ("tests/test_cli.py::test_canonical_json_matches_json_dumps",
@@ -217,6 +221,11 @@ MUTANTS: Tuple[Mutant, ...] = (
            "for key in sorted(value)]",
            "for key in value]",
            WRITER),
+    Mutant("coefficient-texts-per-element", "src/huaops/matop.py",
+           '"element": e.to_json_dict(texts)}',
+           '"element": e.to_json_dict()}',
+           ("tests/test_matop.py::"
+            "test_generator_set_formats_each_distinct_coefficient_once",)),
     Mutant("tuple-written-compact", "src/huaops/cli.py",
            "if isinstance(value, (list, tuple)):",
            "if isinstance(value, list):",
@@ -265,20 +274,19 @@ MUTANTS: Tuple[Mutant, ...] = (
                  for edit in ("duplicated", "extra-at-7-7", "row-x-col-9"))),
     # The one straightening recursion of mul_monos.
     Mutant("front-bracket-sign-flipped", "src/huaops/pbw.py",
-           "self.mul_monos(singles[k], rest).items():\n"
-           "                    c = ck * c1",
-           "self.mul_monos(singles[k], rest).items():\n"
-           "                    c = -ck * c1",
+           "acc[m1] = get(m1, 0) + ck * c1",
+           "acc[m1] = get(m1, 0) - ck * c1",
            PRODUCTS),
     Mutant("merge-keeps-the-old-exponent", "src/huaops/pbw.py",
-           "return {a[:-1] + ((g, e + f),) + b[1:]: 1}",
-           "return {a[:-1] + ((g, f),) + b[1:]: 1}",
+           "return (self.mono_id(ta[:-1] + ((g, e + f),) + tb[1:]), 1)",
+           "return (self.mono_id(ta[:-1] + ((g, f),) + tb[1:]), 1)",
            PRODUCTS + (READ_OFF,)),
     # Not the (2,1) theorem digest: its residues survive this mutant.
     Mutant("in-order-path-takes-equal-generators", "src/huaops/pbw.py",
-           "        if g < h:\n            return {a + b: 1}",
-           "        if g <= h:\n            return {a + b: 1}",
-           tuple(t for t in PRODUCTS if "upq-theorem" not in t) + (READ_OFF,)),
+           "        if g < h:\n            return (self.mono_id(ta + tb), 1)",
+           "        if g <= h:\n            return (self.mono_id(ta + tb), 1)",
+           tuple(t for t in PRODUCTS if "upq-theorem" not in t)
+           + (READ_OFF, NORMAL_FORM)),
     # The one conversion: each generator image multiplied in on the left,
     # the k-tails peeled after every step.
     Mutant("generator-multiplied-on-the-right", "src/huaops/pbw.py",
@@ -293,11 +301,25 @@ MUTANTS: Tuple[Mutant, ...] = (
            "                                {g: -v for g, v in character.items()})",
            (CONVERSION, "tests/test_golden.py::test_reduce_of_the_export_digest",
             "tests/test_golden.py::test_reduce_of_the_benchmark_export_digest")),
-    # One object per monomial in the memo, and the flat accumulator.
-    Mutant("memo-monomials-not-interned", "src/huaops/pbw.py",
-           "result = {intern(m, m): c for m, c in acc.items() if c != 0}",
-           "result = {m: c for m, c in acc.items() if c != 0}",
-           ("tests/test_pbw.py::test_memo_shares_one_object_per_monomial",)),
+    # One id table per basis, its degrees, the packed memo key, and the
+    # flat accumulator.
+    Mutant("one-id-table-for-two-bases", "src/huaops/pbw.py",
+           "        self._monomials: Dict[Monomial, int] = {}\n"
+           "        self._mono_tuples: List[Monomial] = []\n"
+           "        self._mono_degrees: List[int] = []\n",
+           "        self._monomials, self._mono_tuples, self._mono_degrees = \\\n"
+           "            globals().setdefault(\"_SHARED_TABLE\", ({}, [], []))\n",
+           (OWN_TABLE, INTERNED)),
+    Mutant("stale-per-id-degree", "src/huaops/pbw.py",
+           "self._mono_degrees.append(mono_degree(mono))",
+           "self._mono_degrees.append(mono_degree(self._mono_tuples[new - 1]))",
+           (INTERNED, NORMAL_FORM,
+            "tests/test_pbw.py::test_left_action_matches_naive_rewriter",
+            f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]")),
+    Mutant("memo-key-drops-a", "src/huaops/pbw.py",
+           "key = a << ID_BITS | b",
+           "key = b",
+           PRODUCTS + ("tests/test_pbw.py::test_left_action_matches_naive_rewriter",)),
     Mutant("flat-accumulator-keeps-zero", "src/huaops/pbw.py",
            "            if k:\n                nums = gathered.get(m)",
            "            if True:\n                nums = gathered.get(m)",
