@@ -301,6 +301,8 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
         records = list(doc.get("entries", []))
     except (ValueError, TypeError, AttributeError) as exc:  # not a set
         raise UsageError(str(exc)) from None
+    except RecursionError:  # nested past the JSON decoder's depth limit
+        raise UsageError("input JSON nests too deeply") from None
     expected = ideal_metadata(case.theta, ambient)
     wrong = sorted(key for key in expected.keys() | built_for.keys()
                    if built_for.get(key) != expected.get(key))

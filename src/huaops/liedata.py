@@ -319,7 +319,6 @@ class RealFormData:
     k_character: Mapping[int, ParamPoly] = field(compare=False)
     n_weights: Mapping[int, Tuple[int, ...]] = field(compare=False)
     root_system: RestrictedRootSystem = field(compare=False)
-    rho: Tuple[Fraction, ...]
     hua_basis: Optional[OrderedBasis] = field(compare=False, default=None)
     hua_character: Optional[Mapping[int, ParamPoly]] = field(compare=False, default=None)
 
@@ -327,6 +326,11 @@ class RealFormData:
     def a_names(self) -> Tuple[str, ...]:
         """The a-zone generator names, ``a_names[i-1]`` carrying e_i."""
         return tuple(self.basis.names[i] for i in self.basis.zone_indices("a"))
+
+    @cached_property
+    def rho(self) -> Tuple[Fraction, ...]:
+        """``root_system.half_sum()``, read on first use."""
+        return self.root_system.half_sum()
 
     @cached_property
     def grades(self) -> Tuple[int, ...]:
@@ -578,7 +582,7 @@ def _real_form(name: str, params: Tuple[int, ...], ring: ParamRing,
     return RealFormData(
         name=name, params=params, ring=ring, complex_algebra=complex_algebra,
         basis=basis, k_character=k_character, n_weights=n_weights,
-        root_system=root_system, rho=root_system.half_sum(),
+        root_system=root_system,
         hua_basis=hua_basis, hua_character=hua_character)
 
 

@@ -10,16 +10,13 @@ the unit columns it is asked for, and yields every prefix.  It builds the
 exported generator sets (their kept columns only), the trace powers, the
 exact two-factor identities and the power chains of the GL(n,R) lemma;
 Horner's rule on the expanded coefficients (:func:`mat_eval_poly`) is its
-oracle.  Given a real form it peels every entry through the form's
-k-character after each root, which runs the chain in the induced module
-U(g)/U(g)(k - chi); the U(p,q) membership drivers and the GL(n,R) lemma
-of :mod:`huaops.reduce` use it so.  Such a chain is pruned by restricted
-weight unless told not to (the lemma's congruences read every term):
-after root m of K it keeps only the terms whose n-part has
-phi <= (K - m)·L, the only ones that can still reach the n-free part that
-the reduction reads, and it never multiplies a pair whose product lies
-over that bound.  Chains without a character keep every term and peel
-none.  Every product multiplies a matrix by one column
+oracle.  Given a k-character it peels every entry through it after each
+root, which runs the chain in the induced module U(g)/U(g)(k - chi); the
+U(p,q) membership drivers and the GL(n,R) lemma of :mod:`huaops.reduce`
+use it so.  Given a real form's grades too (the U(p,q) drivers), it is
+pruned by restricted weight, by the phi budget that the
+:func:`factor_columns` docstring states.  Chains without a character keep
+every term and peel none.  Every product multiplies a matrix by one column
 (:func:`~huaops.pbw.sum_products_column`): a chain step once per column,
 peeling each before it builds the next, and :meth:`OpMatrix.mul` once per
 column of its right factor.  Trace powers of the generator matrix supply
@@ -33,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .liedata import AlgebraData, RealFormData
+from .liedata import AlgebraData
 from .minpoly import MinPoly, ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing
 from .pbw import (EnvElement, OrderedBasis, _peel, mono_grade, sum_products,
@@ -144,8 +141,9 @@ def generator_matrix(algebra: AlgebraData, ring: ParamRing,
 
 
 def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
-                   columns: Sequence[int], form: Optional[RealFormData] = None,
-                   *, prune: bool = True
+                   columns: Sequence[int],
+                   character: Optional[Mapping[int, ParamPoly]] = None,
+                   grades: Optional[Sequence[int]] = None
                    ) -> Iterator[List[List[EnvElement]]]:
     """Apply the factors ``mat - r`` one root at a time to unit columns.
 
@@ -157,46 +155,41 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
     list of its entries from row 1 down.  Columns that are not listed are
     never built.
 
-    With a real ``form`` (``mat`` over ``form.basis``), every entry has its
-    k-tails peeled through ``form.k_character`` after each root, so the
-    chain runs in the induced module U(g)/U(g)(k - chi) and column b holds
-    the prefix applied to v_chi.  The peel is exact: U(g)(k - chi) is a left
+    Given a k-``character`` (keyed by the k-zone of ``mat.basis``), every
+    entry has its k-tails peeled through it after each root, so the chain
+    runs in the induced module U(g)/U(g)(k - chi) and column b holds the
+    prefix applied to v_chi.  The peel is exact: U(g)(k - chi) is a left
     ideal and every factor multiplies from the left, so an entry may be
     replaced by its peeled representative at any step.  Each column is
     peeled (and cut, below) before the next is built, so a step holds at
-    most one unpeeled column.
+    most one unpeeled column.  Given only a character, column b is exactly
+    the peeled prefix, n-leading terms included (the GL(n,R) lemma's
+    congruences read all of it).
 
-    With ``prune`` (the default), such a chain keeps only what can still
-    reach the n-free part, which is all that
-    :func:`~huaops.reduce.reduce_iwasawa` reads.  Grade each n|a
-    monomial by phi of its n-part (``mono_grade`` with ``form.grades``; 0
-    iff n-free).  Left action by a generator moves phi by at least its
-    grade: an n-generator raises it by phi of its weight, an a-generator
-    keeps it, and a k-generator lowers it by at most its level.  So one
-    factor lowers phi by at most L, the largest level among the entries of
-    ``mat`` (2q for the generator matrix of U(p,q)), and after root m of K a
-    term with phi > (K - m)·L can never reach the n-free part of a later
-    prefix.  Each step skips the pairs whose product lies over that budget
+    Given ``grades`` too (a real form's ``grades``), the phi budget prunes
+    the chain to what can still reach the n-free part, which is all that
+    :func:`~huaops.reduce.reduce_iwasawa` reads; pruning assumes the peel.
+    Grade each n|a monomial by phi of its n-part (``mono_grade``; 0 iff n-free).  Left action by a
+    generator moves phi by at least its grade: an n-generator raises it by
+    phi of its weight, an a-generator keeps it, and a k-generator lowers it
+    by at most its level.  So one factor lowers phi by at most L, the
+    largest level among the entries of ``mat`` (2q for the generator matrix
+    of U(p,q)), and after root m of K a term with phi > (K - m)·L can never
+    reach the n-free part of a later prefix.  Each step skips the pairs
+    whose product lies over that budget
     (:func:`~huaops.pbw.sum_products_column`) and drops, after the peel,
     every term over it.  The n-free part of every prefix is exactly that of
-    the unpruned chain.  With ``prune=False`` the chain only peels, and
-    column b is exactly the peeled prefix, n-leading terms included (the
-    GL(n,R) lemma's congruences read all of it).  A chain without a form
-    (an ideal export, a trace power, a matrix that an exact check reads)
-    keeps every term, and ``prune`` does not apply.
+    the unpruned chain.  A chain without a character (an ideal export, a
+    trace power, a matrix that an exact check reads) keeps every term.
     """
     basis, ring = mat.basis, mat.ring
     one = EnvElement.scalar(basis, ring.one())
     zero = EnvElement.zero(basis, ring)
     state = [[one if a == b else zero for a in range(1, mat.size + 1)]
              for b in columns]
-    grades = character = None
-    if form is not None:
-        character = form.k_character
-        if prune:
-            grades = form.grades
-            step = max([0] + [-mono_grade(m, grades) for row in mat.entries
-                              for x in row for m in x.terms])
+    if grades is not None:
+        step = max([0] + [-mono_grade(m, grades) for row in mat.entries
+                          for x in row for m in x.terms])
     for m, root in enumerate(roots, start=1):
         budget = None if grades is None else (len(roots) - m) * step
         rows = mat.shift(-root).entries
@@ -204,10 +197,11 @@ def factor_columns(mat: OpMatrix, roots: Sequence[ParamPoly],
         for column in state:
             product = sum_products_column(rows, column, grades, budget)
             if character is not None:
+                product = [_peel(x, character) for x in product]
+            if budget is not None:
                 product = [EnvElement(basis, ring, {
-                    mono: c for mono, c in _peel(x, character).items()
-                    if budget is None or mono_grade(mono, grades) <= budget})
-                    for x in product]
+                    mono: c for mono, c in x.terms.items()
+                    if mono_grade(mono, grades) <= budget}) for x in product]
             done.append(product)
         state = done
         yield state
@@ -282,7 +276,7 @@ def central_eigenvalue(algebra: AlgebraData, element: EnvElement,
     zero = element.ring.zero()
     values = {g: zero for g in basis.zone_indices("n")}
     values.update((g, weight[g]) for g in basis.zone_indices("a"))
-    buckets = _peel(element, values)
+    buckets = _peel(element, values).terms
     residue = {k: v for k, v in buckets.items() if k}
     if residue:
         sample_key = sorted(residue)[0]

@@ -66,11 +66,12 @@ Generators carry *zone* tags (for instance ``("nbar", "a", "n")`` for a
 triangular decomposition, or ``("n", "a", "k")`` for an Iwasawa one).  Zones
 must be contiguous and in declared order, so a normal-ordered monomial splits
 into zone segments by position — this is what the reduction module relies on.
-``_peel`` is the one evaluation of a monomial's trailing zones through given
-values: the k-tail through a k-character, in the reduction, after each
-step of :func:`change_basis` and after each factor of a character-peeled
-:func:`~huaops.matop.factor_columns` chain, and the a|n tail at a highest
-weight in :func:`~huaops.matop.central_eigenvalue`.
+``_peel`` is the one evaluation of a monomial's zones through given
+values, a zone valued 0 being dropped: the k-tail through a k-character
+after each step of :func:`change_basis` and after each factor of a
+character-peeled :func:`~huaops.matop.factor_columns` chain, the n-drop,
+k-tail and a-values of the reduction, and the a|n tail at a highest weight
+in :func:`~huaops.matop.central_eigenvalue`.
 """
 
 from __future__ import annotations
@@ -776,14 +777,12 @@ def change_basis(elem: EnvElement, target: OrderedBasis,
             return constant
         heads = [constant] + [gens[g] for g in tails]
         converted = [one] + [convert(rests) for rests in tails.values()]
-        return EnvElement(target, ring,
-                          _peel(sum_products(heads, converted), character))
+        return _peel(sum_products(heads, converted), character)
 
     return convert(elem.terms)
 
 
-def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],
-          dropped: range = range(0)) -> Dict[Monomial, ParamPoly]:
+def _peel(elem: EnvElement, values: Mapping[int, ParamPoly]) -> EnvElement:
     """Evaluate the generators of ``values`` in every monomial, keep the rest.
 
     ``values`` covers the trailing zones of the basis, so each monomial is a
@@ -792,16 +791,16 @@ def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],
     multiplicatively, one relation ``X = value(X)`` per factor (the k-tail
     through a k-character, or the a|n tail on a highest-weight vector).
     Partial a-values are exact too, as U(a) is commutative
-    (:func:`~huaops.reduce.reduce_iwasawa`).  Monomials leading with a
-    generator in ``dropped``, or holding a factor whose value is 0, are
-    skipped.  Each power of a value is built once per call, and the values
-    landing on one prefix are summed once, over their lcm denominator.
+    (:func:`~huaops.reduce.reduce_iwasawa`).  A value of 0 drops every
+    monomial that holds its generator, so a zone given the value 0
+    throughout is dropped whole, wherever it lies (the n-zone of the
+    reduction and of the highest-weight evaluation).  Each power of a
+    value is built once per call, and the values landing on one prefix are
+    summed once, over their lcm denominator.
     """
     parts: Dict[Monomial, List[ParamPoly]] = {}
     powers: Dict[Tuple[int, int], ParamPoly] = {}
     for mono, coeff in elem.terms.items():
-        if mono and mono[0][0] in dropped:
-            continue
         prefix = []
         value = coeff
         for g, e in mono:
@@ -823,7 +822,7 @@ def _peel(elem: EnvElement, values: Mapping[int, ParamPoly],
         total = found[0] if len(found) == 1 else _sum(elem.ring, found)
         if not total.is_zero():
             out[key] = total
-    return out
+    return EnvElement(elem.basis, elem.ring, out)
 
 
 def naive_normal_order(

@@ -45,20 +45,20 @@ identity through three helpers:
 ``_block_form`` (block targets) and ``_exact_quadratic`` (the two-factor
 product).  Every product of factors ``F - r`` (the two-factor product,
 the power chains of the GL(n,R) lemma, the U(p,q) membership chains)
-comes from :func:`~huaops.matop.factor_columns`.  The lemma passes its
-form, unpruned, to the two chains that only its congruences read.  Both
+comes from :func:`~huaops.matop.factor_columns`.  The lemma passes the
+zero character to the two chains that only its congruences read.  Both
 U(p,q) membership drivers run the case's module chain, which passes the
-case's real form, whose k-character their reduction peels, so the
-factors of the minimal polynomial act one at a time on unit columns of
-the induced module M = U(g)/U(g)(k - chi), over the Iwasawa basis with
-every k-tail peeled after each factor, and reduce the resulting entries
-with :func:`reduce_iwasawa`: the theorem case only its kept columns after
-the last factor, the kernel comparison of the recursion every column
-after every factor.  Their chain reads the form's grades too and is
-pruned by restricted weight: after factor m of K it keeps only the terms
-whose n-part has phi <= (K - m)·2q.  One factor lowers phi by at most
-2q, so no dropped term can reach the n-free part of a later prefix, and
-the n-free part is all that :func:`reduce_iwasawa` reads.  The k-peel is :func:`~huaops.pbw._peel`, shared with the
+k-character of the case's real form, the one their reduction peels, so
+the factors of the minimal polynomial act one at a time on unit columns
+of the induced module M = U(g)/U(g)(k - chi), over the Iwasawa basis
+with every k-tail peeled after each factor, and reduce the resulting
+entries with :func:`reduce_iwasawa`: the theorem case only its kept
+columns after the last factor, the kernel comparison of the recursion
+every column after every factor.  Their chain passes the form's grades
+too and is pruned by restricted weight, which keeps the n-free part that
+:func:`reduce_iwasawa` reads (the phi budget of
+:func:`~huaops.matop.factor_columns`).  Every peel, k-tails and the
+n-drop alike, is :func:`~huaops.pbw._peel`, shared with the
 highest-weight evaluation.
 """
 
@@ -86,7 +86,6 @@ __all__ = [
     "radial_str",
     "ReductionSpec",
     "reduce_iwasawa",
-    "peel_k",
     "gamma",
     "gamma_ell",
     "UpqCase",
@@ -166,17 +165,6 @@ class ReductionSpec:
         return len(self.a_values) == len(self.form.basis.zone_indices("a"))
 
 
-def peel_k(elem: EnvElement, character: Mapping[int, ParamPoly]
-           ) -> EnvElement:
-    """Reduce modulo ``sum_X U(g)(X - chi(X))`` only (no n-drop, no a-values).
-
-    ``character`` is a k-character keyed by the indices of the last zone of
-    the element's basis; the result is the canonical representative with
-    empty k-part, still an :class:`EnvElement`.
-    """
-    return EnvElement(elem.basis, elem.ring, _peel(elem, character))
-
-
 def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     """Project onto U(a) modulo the left ideal described by ``spec``.
 
@@ -184,10 +172,11 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
     first carried into M = U(g)/U(g)(k - chi) over ``spec.form.basis`` by
     :func:`~huaops.pbw.change_basis`, which peels the k-tails through
     ``spec.k_character`` after every left factor.  One peel then drops the
-    n-leading monomials, evaluates the trailing k-part of each remaining
-    monomial through the character (none is left after a conversion) and
-    its a-generators through the a-values, and ``rho_shift`` moves the
-    a-generators left without a value.  Returns a polynomial over
+    n-leading monomials (every n-zone generator takes the value 0),
+    evaluates the trailing k-part of each remaining monomial through the
+    character (none is left after a conversion) and its a-generators
+    through the a-values, and ``rho_shift`` moves the a-generators left
+    without a value.  Returns a polynomial over
     ``u.ring`` when the a-values are total, otherwise one over
     ``radial_ring(u.ring, spec.form.a_names)``.
     """
@@ -196,10 +185,12 @@ def reduce_iwasawa(u: EnvElement, spec: ReductionSpec) -> ParamPoly:
         raise ValueError(f"basis {basis.basis_id} is not Iwasawa-ordered")
     if u.basis is not basis and u.basis.basis_id != basis.basis_id:
         u = change_basis(u, basis, spec.k_character)
-    peeled = _peel(u, {**spec.k_character, **spec.a_values},
-                   basis.zone_indices("n"))
+    zero = u.ring.zero()
+    values = {**dict.fromkeys(basis.zone_indices("n"), zero),
+              **spec.k_character, **spec.a_values}
+    peeled = _peel(u, values).terms
     if spec.total_a():
-        return peeled.get((), u.ring.zero())
+        return peeled.get((), zero)
     names = spec.form.a_names
     radial = radial_ring(u.ring, names)
     a_zone = basis.zone_indices("a")
@@ -280,13 +271,13 @@ def _congruences(checks: List[dict], label: str, lhs: OpMatrix, rhs: OpMatrix,
     """Check ``lhs == rhs`` entrywise modulo the k-character ideal.
 
     Appends one ``"{label} entry[a,b]{suffix}"`` record per entry, in
-    row-major order, holding ``peel_k(lhs[a,b] - rhs[a,b])``.
+    row-major order, holding ``_peel(lhs[a,b] - rhs[a,b], character)``.
     """
     for a, (left, right) in enumerate(zip(lhs.entries, rhs.entries,
                                           strict=True), start=1):
         for b, (x, y) in enumerate(zip(left, right, strict=True), start=1):
             checks.append(_zero_check(f"{label} entry[{a},{b}]{suffix}",
-                                      peel_k(x - y, character)))
+                                      _peel(x - y, character)))
 
 
 def _block_form(mat: OpMatrix, p: int, diag: Tuple[ScalarLike, ScalarLike],
@@ -436,14 +427,16 @@ class UpqCase:
         }
         return ReductionSpec(self.form, a_values=a_values)
 
-    def chain(self, roots: Sequence[ParamPoly], columns: Sequence[int], *,
-              prune: bool) -> Iterator[List[List[EnvElement]]]:
+    def chain(self, roots: Sequence[ParamPoly], columns: Sequence[int]
+              ) -> Iterator[List[List[EnvElement]]]:
         """The module chain: :func:`~huaops.matop.factor_columns` of the
-        generator matrix over the Iwasawa basis, run with the form, so the
-        k-character is peeled after every root."""
+        generator matrix over the Iwasawa basis, run with the form's
+        k-character, peeled after every root, and its grades, which prune
+        the chain by the phi budget."""
         form = self.form
         fmat = generator_matrix(form.complex_algebra, form.ring, form.basis)
-        return factor_columns(fmat, roots, columns, form, prune=prune)
+        return factor_columns(fmat, roots, columns, form.k_character,
+                              form.grades)
 
     def bindings(self, pairs: Iterable[Tuple[str, ScalarLike]]
                  ) -> Dict[str, ScalarLike]:
@@ -474,10 +467,9 @@ def upq_theorem_case(case: UpqCase, perturb: bool = False) -> dict:
     vector v_chi of the induced module, one factor at a time, on the kept
     unit columns only (``case.column_range``): the case's module chain,
     with the k-character of the reduction peeled after each factor and
-    every term that can no longer reach the n-free part dropped (phi of its
-    n-part over (K - m)·2q after factor m of K; see
-    :func:`~huaops.matop.factor_columns`), so the last factor leaves only
-    n-free terms.  Every kept entry, row by row, is then reduced
+    every term that can no longer reach the n-free part dropped (the phi
+    budget of :func:`~huaops.matop.factor_columns`), so the last factor
+    leaves only n-free terms.  Every kept entry, row by row, is then reduced
     modulo the U(p,q) Iwasawa ideal with ``E_i = 2 mu``.  PASS iff every
     residue is exactly 0.  With ``perturb=True`` the first eigenvalue of the
     schedule is shifted by one, which must break membership (a soundness
@@ -489,8 +481,7 @@ def upq_theorem_case(case: UpqCase, perturb: bool = False) -> dict:
         theta = replace(theta, char_values=values)
     positions = entry_positions(case.p + case.q, case.column_range)
     kept = sorted({j for _i, j in positions})
-    for columns in case.chain(minimal_polynomial(theta).roots, kept,
-                              prune=True):
+    for columns in case.chain(minimal_polynomial(theta).roots, kept):
         pass
     final = dict(zip(kept, columns))
     checks = [_zero_check(f"entry[{i},{j}]",
@@ -647,8 +638,8 @@ def upq_scalar_recursion(case: UpqCase,
     reduce to 0.  The product is applied to v_chi of the induced module, every
     column after every factor, by the case's module chain, with
     the k-character peeled after each factor; the chain drops every term
-    whose n-part has phi > (K - m)·2q after factor m of K, which keeps the
-    n-free part of every prefix, the part each comparison reduces.  ``params``
+    over the phi budget of :func:`~huaops.matop.factor_columns`, which keeps
+    the n-free part of every prefix, the part each comparison reduces.  ``params``
     binds coefficient symbols (``mu_j``, ``s``, ``t``) in the printed tables.
     """
     params = case.bindings((params or {}).items())
@@ -670,7 +661,7 @@ def upq_scalar_recursion(case: UpqCase,
     if compare_kernel:
         kernel_spec = ReductionSpec(form)
         prefixes = case.chain([-v for v in case.schedule],
-                              range(1, p + q + 1), prune=True)
+                              range(1, p + q + 1))
 
     for m in range(1, 2 * L + 1):
         if m > 1:
@@ -800,7 +791,7 @@ def upq_shilov_identity(p: int, q: int) -> dict:
                                    [ent(nu, b) for nu in rows])
                 checks.append(_zero_check(
                     f"step2 ({name})[{i},{b}]",
-                    peel_k(lhs - ent(i, b).scale(value), character)))
+                    _peel(lhs - ent(i, b).scale(value), character)))
 
     # Step 3: the square against its block form.
     e2 = e_mat.mul(e_mat)
@@ -975,8 +966,9 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     the left, so a right factor may be replaced by its peeled
     representative.  The step products (E - n/2) P^m are taken on the
     peeled P^m, and the closed-form and trace chains run through
-    :func:`~huaops.matop.factor_columns` with the form, unpruned (their
-    congruences read the whole representative, not only its n-free part).
+    :func:`~huaops.matop.factor_columns` with the zero character and no
+    grades (their congruences read the whole representative, not only its
+    n-free part).
     Two chains stay whole: P^1..P^m_max, which the exact ``K P^m`` checks
     read in full, and ``(E - n/2)^k``, which is multiplied on the right by
     traces.
@@ -1009,10 +1001,11 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     half_n1 = ring.const(Fraction(n - 1, 2))
 
     def chain(mat: OpMatrix, roots: Sequence[ParamPoly],
-              module: Optional[RealFormData] = None) -> List[OpMatrix]:
+              character: Optional[Mapping[int, ParamPoly]] = None
+              ) -> List[OpMatrix]:
         return [from_columns(mat, columns)
                 for columns in factor_columns(mat, roots, range(1, n + 1),
-                                              module, prune=False)]
+                                              character)]
 
     # Whole: P^0..P^m_max and (E - n/2)^0..(E - n/2)^(m_max-2).  In M:
     # the peeled P^m, (E - n/2)^(m-1) E and (E - (n-1)/2)^(m-1) E for
@@ -1022,15 +1015,15 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     p_traces = [m.trace() for m in p_pow]
     shifted = e_mat.shift(-half_n)
     shifted_pow = [identity] + chain(e_mat, [half_n] * (m_max - 2))
-    closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1), form)
-    tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1), form)
+    closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1), zero_chi)
+    tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1), zero_chi)
     neg_k = k_mat.map_entries(lambda e: -e).entries
     neg_p = p_mat.map_entries(lambda e: -e).entries
 
     checks: List[dict] = []
 
     def residue_zero(name: str, element: EnvElement) -> None:
-        checks.append(_zero_check(name, peel_k(element, zero_chi)))
+        checks.append(_zero_check(name, _peel(element, zero_chi)))
 
     checks.append(_zero_check("tr P = tr E (K traceless)",
                               p_traces[1] - e_mat.trace()))
@@ -1058,7 +1051,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                                      diff == antisym))
                 residue_zero(f"K P^{m} congruence entry[{i},{j}]", diff)
         # Entry by entry: entries (i, j) and (j, i) cancel in any sum.
-        residues = [peel_k(a, zero_chi) for a in antisyms]
+        residues = [_peel(a, zero_chi) for a in antisyms]
         checks.append(_zero_check(
             f"antisymmetrization term lies in U(g)k at m={m}",
             next((r for r in residues if not r.is_zero()), residues[0])))
@@ -1074,7 +1067,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
 
         # (E - n/2) P^m == P^{m+1} - (1/2) tr(P^m)  mod U(g) k, on the
         # peeled P^m; the last P^{m+1} is P times it, in the same call.
-        peeled_columns = [[peel_k(x, zero_chi) for x in column]
+        peeled_columns = [[_peel(x, zero_chi) for x in column]
                           for column in columns]
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -1106,8 +1099,7 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                      p_traces[m] - closed.trace())
         # The one-line shift variant tr((E - (n-1)/2)^{m-1} E) only agrees
         # at m = 1; record its defect for higher m instead of asserting it.
-        shift_residue = peel_k(p_traces[m] - tr_pow[m - 1].trace(),
-                               zero_chi)
+        shift_residue = _peel(p_traces[m] - tr_pow[m - 1].trace(), zero_chi)
         if m == 1:
             checks.append(_zero_check("single-shift trace form at m=1",
                                       shift_residue))

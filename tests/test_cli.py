@@ -623,10 +623,14 @@ _ONE_TERM = ('{"metadata": %s, "entries": [{"row": 1, "col": 1, "element": '
     + [(_ONE_TERM % json.dumps(coeff), f"exponent {exponent!r} in term {coeff!r} is not an integer >= 1")
        for coeff, exponent in (("mu_1^-1", "-1"), ("s^0", "0"))]
     + [(_ONE_TERM % json.dumps(f"{literal}*s"), f"{literal!r} is not a rational literal like 3 or 3/4")
-       for literal in ("1e3", "1.5", "1_000", "\u0663", "1e5000")],
+       for literal in ("1e3", "1.5", "1_000", "\u0663", "1e5000")]
+    + [("[" * 10_000, "input JSON nests too deeply"),
+       (_ONE_TERM.replace('"monomial": []', '"monomial": %s]' % ("[" * 5_000)) % '"1"',
+        "input JSON nests too deeply")],
     ids=["syntax", "not-an-object", "missing-key", "element-int", "element-list", "element-string",
          "coeff-int", "coeff-null", "exponent-negative", "exponent-zero",
-         "coeff-1e3", "coeff-1.5", "coeff-1_000", "coeff-arabic-indic-3", "coeff-1e5000"],
+         "coeff-1e3", "coeff-1.5", "coeff-1_000", "coeff-arabic-indic-3", "coeff-1e5000",
+         "nested-10k", "nested-monomial"],
 )
 def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message):
     blob = tmp_path / "gens.json"

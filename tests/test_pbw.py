@@ -6,6 +6,7 @@ import importlib.util
 import random
 import re
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -318,12 +319,32 @@ def test_monomial_ids_never_reach_the_key_width(monkeypatch):
         basis.mul_monos(basis.mono_id(((0, 2),)), basis.mono_id(((0, 3),)))
 
 
-def test_every_interned_monomial_and_memo_value_is_in_normal_form():
+def _is_canonical(coeff, ring):
+    """A nonzero ParamPoly with a positive denominator, no zero numerator,
+    exponent tuples of ``ring``'s width and no factor common to the
+    denominator and all the numerators."""
+    nums, den = coeff.numerators, coeff.denominator
+    return (type(den) is int and den > 0 and bool(nums)
+            and all(type(k) is int and k != 0 for k in nums.values())
+            and all(len(exp) == len(ring) for exp in nums)
+            and gcd(den, *nums.values()) == 1)
+
+
+def test_every_interned_monomial_and_memo_value_is_in_normal_form(monkeypatch):
     # After the smallest U(p,q) theorem and GL(n,R) lemma, every monomial
     # in the intern tables has strictly increasing generators and powers
     # >= 1, and every memo value holds valid ids and nonzero ints: a
     # product that leaves two powers of one generator unmerged shows here,
-    # though it changes no residue of these runs.
+    # though it changes no residue of these runs.  Every element the two
+    # runs build has canonical coefficients.
+    built = []
+    init = EnvElement.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(EnvElement, "__init__", recording)
     case = UpqCase(2, 1, (1,))
     upq_theorem_case(case)
     gl_lemma_check(2, 2)
@@ -334,6 +355,10 @@ def test_every_interned_monomial_and_memo_value_is_in_normal_form():
             assert all(0 <= g < len(basis) for g in generators), mono
             assert all(x < y for x, y in zip(generators, generators[1:])), mono
             assert all(type(e) is int and e >= 1 for _g, e in mono), mono
+    assert {e.basis.basis_id for e in built} >= {"upq21-iwasawa", "glnr2-iwasawa"}
+    for element in built:
+        for mono, coeff in element.terms.items():
+            assert _is_canonical(coeff, element.ring), (mono, coeff.numerators, coeff.denominator)
 
 
 def _symbolic_element(basis, rng):

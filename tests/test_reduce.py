@@ -14,7 +14,7 @@ from huaops.liedata import make_glnr, make_spnr, make_upq, phi
 from huaops.matop import OpMatrix, entry_positions, factor_columns, generator_matrix, ideal_generators, trace_power
 from huaops.minpoly import minimal_polynomial
 from huaops.params import ParamRing
-from huaops.pbw import EnvElement, change_basis
+from huaops.pbw import EnvElement, _peel, change_basis
 from huaops.reduce import (
     ReductionSpec,
     UpqCase,
@@ -22,7 +22,6 @@ from huaops.reduce import (
     gamma_ell,
     gl_lemma_check,
     hua_sp_system,
-    peel_k,
     radial_ring,
     reduce_iwasawa,
     upq_scalar_recursion,
@@ -226,7 +225,7 @@ def test_conversion_peeled_at_every_step_matches_one_peel_at_the_end():
             plain = change_basis(u, basis, {})
             k_tails += any(m and m[-1][0] in k_zone for m in plain.terms)
             for character in characters:
-                assert change_basis(u, basis, character) == peel_k(plain, character), form.name
+                assert change_basis(u, basis, character) == _peel(plain, character), form.name
         assert k_tails, form.name
 
 
@@ -246,13 +245,13 @@ def test_kernel_columns_are_the_factor_product_prefixes_in_the_module(p, q, bloc
     step = phi((2,) + (0,) * (q - 1))
     assert step == 2 * q
     prefixes = factor_columns(generator_matrix(form.complex_algebra, form.ring), roots, range(1, size + 1))
-    steps = case.chain(roots, range(1, size + 1), prune=True)
+    steps = case.chain(roots, range(1, size + 1))
     dropped = kept_n_leading = 0
     for m, (prefix, columns) in enumerate(zip(prefixes, steps, strict=True), start=1):
         budget = (len(roots) - m) * step
         for a in range(1, size + 1):
             for b in range(1, size + 1):
-                full = peel_k(change_basis(prefix[b - 1][a - 1], form.basis, {}), form.k_character).terms
+                full = _peel(change_basis(prefix[b - 1][a - 1], form.basis, {}), form.k_character).terms
                 expected = {mono: c for mono, c in full.items() if _n_phi(form, mono) <= budget}
                 assert columns[b - 1][a - 1].terms == expected, (m, a, b)
                 dropped += len(full) - len(expected)
@@ -287,7 +286,7 @@ def test_left_action_moves_phi_by_at_least_the_grade(p, q):
         b = _element_of_word(form, _random_na_monomial(form, rng, rng.randint(0, 2 * q)))
         (low,) = {_n_phi(form, mono) for mono in b.terms}
         for g in range(len(form.basis)):
-            image = peel_k(EnvElement.generator(form.basis, form.ring, g) * b, form.k_character)
+            image = _peel(EnvElement.generator(form.basis, form.ring, g) * b, form.k_character)
             assert all(_n_phi(form, mono) >= low + form.grades[g] for mono in image.terms), form.basis.names[g]
 
 
@@ -311,7 +310,7 @@ def test_terms_over_the_budget_never_reach_the_n_free_part(p, q):
                 x = EnvElement.scalar(basis, ring.const(rng.randint(-3, 3)))
                 for g in rng.sample(range(len(basis)), 4):
                     x = x + EnvElement.generator(basis, ring, g).scale(rng.randint(-2, 2) or 1)
-                u = peel_k(x * u, form.k_character)
+                u = _peel(x * u, form.k_character)
                 assert all(_n_phi(form, mono) > (rounds - r) * step for mono in u.terms)
             assert reduce_iwasawa(u, spec).is_zero()
 
@@ -322,10 +321,10 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
 
     forms = []
 
-    def recording(mat, roots, columns, form=None, *, prune=True):
-        forms.append((form, mat.basis))
+    def recording(mat, roots, columns, character=None, grades=None):
+        forms.append((character, grades))
         k_zone = mat.basis.zone_indices("k")
-        for state in factor_columns(mat, roots, columns, form, prune=prune):
+        for state in factor_columns(mat, roots, columns, character, grades):
             for column in state:
                 for x in column:
                     assert not any(g in k_zone for m in x.terms for g, _e in m)
@@ -338,7 +337,7 @@ def test_membership_drivers_peel_the_character_after_every_factor(monkeypatch):
     assert not upq_theorem_case(case, perturb=True)["pass"]
     assert upq_scalar_recursion(case, compare_kernel=True)["pass"]
     assert len(forms) == 3
-    assert all(form is not None and form.basis is basis for form, basis in forms)
+    assert all(character is case.form.k_character and grades is case.form.grades for character, grades in forms)
 
 
 def _residues_through_ideal_generators(p, q, blocks, perturb):
@@ -370,12 +369,19 @@ def test_theorem_case_matches_the_generator_set_path(p, q, blocks, perturb):
 
 def _shifted_chain_residues(case, shifted, prune):
     """Residues of every entry of q(F)·v_chi, row by row, with root
-    ``shifted`` (an index, or None) raised by 1."""
+    ``shifted`` (an index, or None) raised by 1; the unpruned oracle runs
+    the chain with the character and no grades."""
     roots = list(minimal_polynomial(case.theta).roots)
     if shifted is not None:
         roots[shifted] = roots[shifted] + 1
     size = case.p + case.q
-    for columns in case.chain(roots, range(1, size + 1), prune=prune):
+    if prune:
+        chain = case.chain(roots, range(1, size + 1))
+    else:
+        form = case.form
+        fmat = generator_matrix(form.complex_algebra, form.ring, form.basis)
+        chain = factor_columns(fmat, roots, range(1, size + 1), form.k_character)
+    for columns in chain:
         pass
     return {(a, b): str(reduce_iwasawa(columns[b - 1][a - 1], case.spec))
             for a in range(1, size + 1) for b in range(1, size + 1)}
@@ -495,7 +501,7 @@ def test_gl_lemma_driver_small():
 def test_gl_lemma_antisymmetrization_check_sees_each_entry(monkeypatch):
     # With a peel that keeps everything, the check must fail wherever an
     # antisymmetrization entry is nonzero; a sum over all entries is 0.
-    monkeypatch.setattr(reduce_module, "peel_k", lambda elem, _assignment: elem)
+    monkeypatch.setattr(reduce_module, "_peel", lambda elem, _assignment: elem)
     checks = {c["name"]: c for c in gl_lemma_check(2, 2)["checks"]}
     assert checks["antisymmetrization term lies in U(g)k at m=1"]["pass"]
     assert not checks["antisymmetrization term lies in U(g)k at m=2"]["pass"]
@@ -507,11 +513,11 @@ def test_gl_lemma_runs_only_the_congruence_chains_in_the_module(monkeypatch):
     # module chain changes no residue, so only a capture can see it.
     calls = []
 
-    def recording(mat, roots, columns, form=None, *, prune=True):
-        calls.append((mat.entry(1, 2) == mat.entry(2, 1), [str(r) for r in roots], form, prune))
+    def recording(mat, roots, columns, character=None, grades=None):
+        calls.append((mat.entry(1, 2) == mat.entry(2, 1), [str(r) for r in roots], character, grades))
         k_zone = mat.basis.zone_indices("k")
-        for state in factor_columns(mat, roots, columns, form, prune=prune):
-            if form is not None:
+        for state in factor_columns(mat, roots, columns, character, grades):
+            if character is not None:
                 for column in state:
                     for x in column:
                         assert not any(g in k_zone for m in x.terms for g, _e in m)
@@ -519,13 +525,14 @@ def test_gl_lemma_runs_only_the_congruence_chains_in_the_module(monkeypatch):
 
     monkeypatch.setattr(reduce_module, "factor_columns", recording)
     assert gl_lemma_check(3, 3)["pass"]
-    assert [(symmetric, roots, form is not None) for symmetric, roots, form, _prune in calls] == [
+    assert [(symmetric, roots, character is not None) for symmetric, roots, character, _grades in calls] == [
         (True, ["0", "0", "0"], False),
         (False, ["3/2"], False),
         (False, ["0", "3/2", "3/2"], True),
         (False, ["0", "1", "1"], True),
     ]
-    assert all(form.name == "glnr" and not prune for _s, _r, form, prune in calls[2:])
+    assert all(character == zero_character(make_glnr(3)) for _s, _r, character, _g in calls[2:])
+    assert all(grades is None for *_rest, grades in calls)
 
 
 def test_gl_lemma_builds_no_product_matrix(monkeypatch):

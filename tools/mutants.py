@@ -100,8 +100,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "return tuple(-lo if lo > 0 else lo for lo, _hi in ranges)",
            (GRADES, EXACT)),
     Mutant("pair-skip-without-post-filter", "src/huaops/matop.py",
-           "or mono_grade(mono, grades) <= budget}",
-           "or True}",
+           "if mono_grade(mono, grades) <= budget})",
+           "if True})",
            (EXACT,)),
     Mutant("pair-skip-one-grade-tight", "src/huaops/pbw.py",
            "if ga + gb > budget:",
@@ -115,9 +115,9 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_reduce.py::test_upq_theorem_driver_small",
             f"{GOLDEN}[verify upq-theorem --p 3 --q 2 --blocks 1,2]")),
     Mutant("peel-skipped-at-the-first-root", "src/huaops/matop.py",
-           "_peel(x, character).items()",
-           "(x.terms if m == 1 else _peel(x, character)).items()",
-           (EXACT, DRIVERS)),
+           "[_peel(x, character) for x in product]",
+           "[x if m == 1 else _peel(x, character) for x in product]",
+           (EXACT, DRIVERS, UNPRUNED, LEMMA_CHAINS)),
     Mutant("module-column-left-unpeeled", "src/huaops/matop.py",
            "if character is not None:",
            "if character is not None and len(done) < len(state) - 1:",
@@ -155,14 +155,34 @@ MUTANTS: Tuple[Mutant, ...] = (
            ("tests/test_matop.py::test_central_eigenvalue_gl2_degree_two",
             "tests/test_matop.py::test_ideal_generators_gl2_shapes")),
     Mutant("case-chain-passes-no-character", "src/huaops/reduce.py",
-           "columns, form, prune=prune)",
-           "columns, None, prune=prune)",
-           (DRIVERS,)),
-    # The GL(n,R) lemma: only its congruence-only chains run in the module.
+           "factor_columns(fmat, roots, columns, form.k_character,",
+           "factor_columns(fmat, roots, columns, None,",
+           (EXACT, DRIVERS)),
+    # The reduction drops the n-zone by giving it the value 0; the theorem
+    # reads only the constant term and cannot see it, the radial images can.
+    Mutant("n-zone-not-valued-zero", "src/huaops/reduce.py",
+           'dict.fromkeys(basis.zone_indices("n"), zero)',
+           "{}",
+           (KERNEL_32, "tests/test_golden.py::test_radial_image_strings",
+            "tests/test_reduce.py::test_gamma_of_gl2_quadratic_casimir",
+            "tests/test_reduce.py::"
+            "test_reduction_kills_the_defining_left_ideal[upq(2, 1)]")),
+    # The GL(n,R) lemma: only its congruence-only chains run in the module,
+    # with the zero character and unpruned.
     Mutant("lemma-module-chains-unpeeled", "src/huaops/reduce.py",
-           "module, prune=False)",
-           "None, prune=False)",
+           "range(1, n + 1),\n"
+           "                                              character)]",
+           "range(1, n + 1),\n"
+           "                                              None)]",
            (LEMMA_CHAINS,)),
+    Mutant("lemma-chains-pruned", "src/huaops/reduce.py",
+           "range(1, n + 1),\n"
+           "                                              character)]",
+           "range(1, n + 1),\n"
+           "                                              character,\n"
+           "                                              character and form.grades)]",
+           (LEMMA_CHAINS, "tests/test_acceptance.py::test_criterion_1_gl_lemma")
+           + GL_LEMMA_GOLDEN),
     Mutant("p-chain-peeled", "src/huaops/reduce.py",
            "chain(p_mat, [zero] * m_max)",
            "chain(p_mat, [zero] * m_max, form)",
@@ -184,10 +204,6 @@ MUTANTS: Tuple[Mutant, ...] = (
            "                                        column + column)",
            "sum_products(shifted.entries[i - 1], column)",
            GL_LEMMA_GOLDEN),
-    Mutant("prune-false-ignored", "src/huaops/matop.py",
-           "if prune:",
-           "if True:",
-           (UNPRUNED,)),
     # The catalog algebras' index rule.
     Mutant("sp-sign-flipped", "src/huaops/liedata.py",
            "sign = 1 if (i <= self.rank) == (bar - j <= self.rank) else -1",
@@ -323,7 +339,8 @@ MUTANTS: Tuple[Mutant, ...] = (
     Mutant("flat-accumulator-keeps-zero", "src/huaops/pbw.py",
            "            if k:\n                nums = gathered.get(m)",
            "            if True:\n                nums = gathered.get(m)",
-           ("tests/test_pbw.py::test_sum_products_column_matches_naive_products",)),
+           ("tests/test_pbw.py::test_sum_products_column_matches_naive_products",
+            NORMAL_FORM)),
     # The int arithmetic under the products.
     Mutant("scale-forced-to-1", "src/huaops/pbw.py",
            "return lcm(*(c.denominator for i in range(n)",
@@ -334,7 +351,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if g != 1:",
            "if False:",
            ("tests/test_params.py::test_canonical_fields",
-            "tests/test_params.py::test_equal_polys_are_equal_whatever_built_them")),
+            "tests/test_params.py::test_equal_polys_are_equal_whatever_built_them",
+            NORMAL_FORM)),
     # The coefficient parser refuses exponents below 1.
     Mutant("coefficient-exponent-unchecked", "src/huaops/params.py",
            "if not (p.isascii() and p.isdigit()) or int(p) < 1:",
