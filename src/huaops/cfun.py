@@ -4,7 +4,12 @@ Every Gamma factor keeps its argument as an exact affine polynomial in the
 spectral coordinates ``lambda_1 .. lambda_r`` (and the line-bundle level
 ``ell``), so zeros of the reciprocal factors and poles of the direct factors
 are certified by integer arithmetic on rationals, never by floating-point
-underflow.  Log-Gamma floats enter only when a defined value is displayed.
+underflow.  Log-Gamma floats enter only when a defined value is displayed:
+``logValue`` is the log of its absolute value, and its sign is read off the
+exact arguments, as Gamma(x) < 0 exactly when x < 0 and floor(x) is odd.
+A negative argument whose float is an integer, a pole of ``math.lgamma``
+although the exact argument is none, goes through the reflection formula
+with its exact fractional part.
 
 The plain product pairs, for each indivisible positive restricted root, the
 two reciprocal factors ``Gamma(lambda_a/4 + m_a/4 + 1/2)`` and
@@ -87,7 +92,8 @@ class GammaProduct:
     Evaluation at rational parameter values is exact on the pole/zero logic:
     a reciprocal factor whose argument is a nonpositive integer contributes a
     certified zero, a numerator factor at a nonpositive integer a certified
-    pole.  When neither occurs, the value is returned through log-Gamma.
+    pole.  When neither occurs, the value is returned through log-Gamma,
+    with the sign of the exact arguments.
     """
 
     ring: ParamRing
@@ -107,9 +113,11 @@ class GammaProduct:
 
         Returns a dict with certified ``zeros`` and ``poles`` (root label and
         exact argument each), ``defined`` (no numerator pole), ``zero`` (some
-        reciprocal zero while defined), and, when the value is finite and
-        nonzero, ``logValue``/``value`` floats.  ``reverse`` reassociates the
-        floating-point accumulation to witness numeric stability.
+        reciprocal zero while defined), and, when the value is nonzero,
+        ``logValue`` (the log of its absolute value), ``negative`` and
+        ``value`` (``exp(logValue)``, negated if ``negative``).  ``reverse``
+        reassociates the floating-point accumulation to witness numeric
+        stability.
         """
         exact = {name: as_fraction(value) for name, value in bindings.items()}
         zeros: List[dict] = []
@@ -127,6 +135,7 @@ class GammaProduct:
             "defined": not poles,
             "zero": bool(zeros) and not poles,
             "logValue": None,
+            "negative": False,
             "value": None,
         }
         if poles:
@@ -138,13 +147,13 @@ class GammaProduct:
         order = reversed(evaluated) if reverse else evaluated
         log_value = 0.0
         for sign, arg, _ in order:
-            log_value += sign * math.lgamma(float(arg))
+            log_value += sign * _log_abs_gamma(arg)
         log_value += float(two_exp) * math.log(2.0)
+        negative = sum(arg < 0 and math.floor(arg) % 2 == 1
+                       for _, arg, _ in evaluated) % 2 == 1
         result["logValue"] = log_value
-        try:
-            result["value"] = math.exp(log_value)
-        except OverflowError:
-            result["value"] = math.inf
+        result["negative"] = negative
+        result["value"] = _signed_exp(log_value, negative)
         return result
 
     def factor_records(self) -> List[dict]:
@@ -157,6 +166,31 @@ class GammaProduct:
             }
             for f in self.factors
         ]
+
+
+def _log_abs_gamma(x: Fraction) -> float:
+    """``log|Gamma(x)|`` at a rational ``x`` that is not a pole.
+
+    Where ``math.lgamma`` takes the float of ``x`` for a pole (``x < 0``
+    past the floats' integer spacing), ``Gamma(x) Gamma(1 - x) =
+    pi / sin(pi x)`` is read with the exact fractional part of ``x``.
+    """
+    try:
+        return math.lgamma(float(x))
+    except ValueError:
+        fraction = x - math.floor(x)
+        return (math.log(math.pi / math.sin(math.pi * float(fraction)))
+                - math.lgamma(float(1 - x)))
+
+
+def _signed_exp(log_value: float, negative: bool) -> float:
+    """``exp(log_value)``, negated if ``negative``: an overflow gives an
+    infinity, and an underflow stays ``0.0``, never ``-0.0``."""
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        value = math.inf
+    return -value if negative and value else value
 
 
 def spectral_ring(rs: RestrictedRootSystem, *,
@@ -222,7 +256,7 @@ def line_bundle_products(rs: RestrictedRootSystem
     The longest root-length class carries the ``ell``-dependent factor pair
     with the half-root multiplicity; the second class carries the plain
     factors.  A third length class is out of the product's scope and is
-    rejected.
+    rejected; a root system with no roots has empty products.
     """
     classes = rs.length_classes()
     if len(classes) > 2:
@@ -233,14 +267,15 @@ def line_bundle_products(rs: RestrictedRootSystem
     ell = ring.var("ell")
     half = Fraction(1, 2)
 
+    longest, *rest = classes or [[]]
     e_factors: List[GammaFactor] = []
-    for root in classes[0]:
+    for root in longest:
         label = root_label(root)
         base = (_lambda_alpha(ring, root) * half
                 + Fraction(rs.half_multiplicity(root), 4) + half)
         e_factors.append(GammaFactor(DENOMINATOR, base + ell * half, label))
         e_factors.append(GammaFactor(DENOMINATOR, base - ell * half, label))
-    e_factors += _plain_factors(rs, ring, sum(classes[1:], []))
+    e_factors += _plain_factors(rs, ring, sum(rest, []))
     c_extra: List[GammaFactor] = []
     log2 = ring.zero()
     for k, roots in enumerate(classes, start=1):
@@ -308,7 +343,8 @@ def _normalized(product: GammaProduct, rho: Mapping[str, Fraction],
     val = product.evaluate(point)
     value: Optional[float] = None
     if val["defined"]:
-        value = 0.0 if val["zero"] else math.exp(log_c + val["logValue"])
+        value = 0.0 if val["zero"] else _signed_exp(log_c + val["logValue"],
+                                                     val["negative"])
     rho_again = product.evaluate(rho, reverse=True)
     reassociated = math.exp(log_c + rho_again["logValue"])
     drift = abs(reassociated - 1.0)

@@ -7,13 +7,14 @@ set as JSON, ``reduce`` reduces an exported set modulo the boundary ideal,
 spherical e-/c-functions, and ``degrees`` queries the boundary degree table.
 
 Exit status 0 means success (and PASS for ``verify``), 1 a verification
-FAIL, 2 a usage error, 3 an internal fault: memory exhausted, recursion too
-deep, an arithmetic error such as a scaled coefficient that is not an
-integer, or a ``ValueError``/``KeyError`` (a ring mismatch, an unclosed
-basis).  Every argument and every part of an input file is checked at
-this boundary and refused as a :class:`UsageError`, so a ``ValueError`` or
-``KeyError`` that reaches :func:`run` is a fault of the program, never of
-the request.  An internal fault prints one line on standard error,
+FAIL, 2 a usage error, 3 an internal fault: any other exception, such as
+memory exhausted, recursion too deep, an arithmetic error (a scaled
+coefficient that is not an integer), a ``ValueError`` or ``KeyError`` (a
+ring mismatch, an unclosed basis), an ``IndexError`` or a failed assertion.
+Every argument and every part of an input file is checked at this boundary
+and refused as a :class:`UsageError`, so an exception that reaches
+:func:`run` is a fault of the program, never of the request.  An internal
+fault prints one line on standard error,
 ``internal error: <type>: <message>``.  ``--json`` prints the report as
 canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
 file, rendered once for both.  An ``--out`` target that is a directory,
@@ -39,8 +40,10 @@ drivers take as it is; ``verify upq-shilov`` and
 ``reduce`` refuses a generator set whose metadata, ``columnRange`` aside,
 is not :func:`~huaops.matop.ideal_metadata` of the requested case, or whose
 ``(row, col)`` pairs are not the ``entry_positions`` of its ``columnRange``
-in order.  A rational literal, in ``--bind`` (after an optional ``-``) or a
-coefficient, is what :func:`~huaops.params.parse_rational` reads: ``1/2``.
+in order, or an entry with a monomial or a coefficient of degree above that
+of the case's minimal polynomial.  A rational literal, in ``--bind`` (after
+an optional ``-``) or a coefficient, is what
+:func:`~huaops.params.parse_rational` reads: ``1/2``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
                       satake_table, spnr_root_system, upq_root_system)
 from .matop import (GeneratorSet, entry_positions, ideal_generators,
                     ideal_metadata)
-from .minpoly import THETA, THETA_BAR, ThetaData
+from .minpoly import THETA, THETA_BAR, ThetaData, minimal_polynomial
 from .params import ParamRing, as_fraction
 from .pbw import EnvElement
 from .reduce import (UpqCase, _bound_once, gl_lemma_check, hua_sp_system,
@@ -90,10 +93,16 @@ def _blocks(text: str) -> Tuple[int, ...]:
     return out
 
 
-# The reports print powers of a bound value (up to the 4th at U(3,2) and
-# U(4,2)) times the coefficients of a reduce input, so a value or an input
-# coefficient of at most this many digits stays far below the interpreter's
-# 4,300-digit limit on int-to-string conversion.
+# The recursion tables print powers of a bound value up to the 4th at U(3,2)
+# and U(4,2).  A reduce input entry holds no monomial and no coefficient of
+# degree above d, the degree of its case's minimal polynomial (2L, or 2L + 1
+# when p > q, for L blocks: 4 at U(2,2) and 5 at U(3,2) with two blocks);
+# ``reduce`` refuses more.  A term of its residue is an input coefficient
+# times at most d k- and a-values, each linear in the symbols, so a bound
+# value enters it to a power of at most 2d.  A value or an input coefficient
+# of at most this many digits thus gives a term of at most about
+# 100 (2d + 1) digits, 900 at d = 4 and 1,100 at d = 5, below the
+# interpreter's 4,300-digit limit on int-to-string conversion up to d = 20.
 _BIND_DIGITS = 100
 
 
@@ -319,6 +328,7 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     entries = []
     all_zero = True
     cap = 10 ** _BIND_DIGITS
+    degree = minimal_polynomial(case.theta).degree
     for index, record in enumerate(records):
         try:  # one entry at a time, so only one is held
             row, col = record["row"], record["col"]
@@ -331,6 +341,11 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
             raise UsageError(f"entry {index + 1} has a coefficient with a "
                              f"numerator or denominator of more than "
                              f"{_BIND_DIGITS} digits")
+        if element.degree() > degree or any(
+                poly.degree() > degree for poly in element.terms.values()):
+            raise UsageError(f"entry {index + 1} has a monomial or a "
+                             f"coefficient of degree above {degree}, the "
+                             f"degree of the case's minimal polynomial")
         # Else a set with an entry left out, repeated or added would pass.
         want = positions[index] if index < len(positions) else "no entry"
         if (type(row), type(col)) != (int, int) or (row, col) != want:
@@ -550,8 +565,6 @@ def _summarize(report: dict, stream) -> None:
             print(f"  level ell={lb['ell']}: e "
                   f"{'zero' if lb['e']['zero'] else lb['e']['value']}, "
                   f"c {lb['c']['value']}", file=stream)
-    else:
-        print(json.dumps(report, sort_keys=True), file=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +612,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (MemoryError, RecursionError, ArithmeticError, ValueError,
-            KeyError) as exc:
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     if args.out or args.json:

@@ -46,7 +46,7 @@ identity through three helpers:
 product).  Every product of factors ``F - r`` (the two-factor product,
 the power chains of the GL(n,R) lemma, the U(p,q) membership chains)
 comes from :func:`~huaops.matop.factor_columns`.  The lemma passes the
-zero character to the two chains that only its congruences read.  Both
+zero character to the one chain that only its congruences read.  Both
 U(p,q) membership drivers run the case's module chain, which passes the
 k-character of the case's real form, the one their reduction peels, so
 the factors of the minimal polynomial act one at a time on unit columns
@@ -77,7 +77,8 @@ from .matop import (OpMatrix, entry_positions, factor_columns, from_columns,
                     generator_matrix, ideal_metadata)
 from .minpoly import ThetaData, minimal_polynomial
 from .params import ParamPoly, ParamRing, _over, _reduced
-from .pbw import EnvElement, _peel, change_basis, sum_products
+from .pbw import (EnvElement, _peel, change_basis, sum_products,
+                  sum_products_column)
 
 ScalarLike = Union[ParamPoly, Fraction, int]
 
@@ -964,13 +965,15 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     A matrix that only a congruence reads is built in the induced module
     M = U(g)/U(g)k: U(g)k is a left ideal and every factor multiplies from
     the left, so a right factor may be replaced by its peeled
-    representative.  The step products (E - n/2) P^m are taken on the
-    peeled P^m, and the closed-form and trace chains run through
+    representative.  Each P^m is peeled once; the congruences, the step
+    products (E - n/2) P^m and the antisymmetrization residues read it.
+    The closed form is built column by column by Horner's rule in M,
+    ``closed(m) = (E - n/2) closed(m-1) + (1/2) tr(P^{m-1})`` from
+    ``closed(0) = I`` (as ``tr(P^0) = n``), and the trace chain by
     :func:`~huaops.matop.factor_columns` with the zero character and no
-    grades (their congruences read the whole representative, not only its
-    n-free part).
-    Two chains stay whole: P^1..P^m_max, which the exact ``K P^m`` checks
-    read in full, and ``(E - n/2)^k``, which is multiplied on the right by
+    grades (its congruence reads the whole representative, not only its
+    n-free part).  One chain stays whole: P^1..P^m_max, read in full by
+    the exact ``K P^m`` checks, their antisymmetrization terms and the
     traces.
 
     None of ``K P^m``, its mirror, ``(E - n/2) P^m`` or P^(m_max+1) is
@@ -981,9 +984,8 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
     :func:`~huaops.pbw.sum_products` call, so their equal top-degree parts
     cancel as int numerators before any coefficient is built.  Each step
     entry is likewise one call, ``sum_nu (E - n/2)_{i nu} (P^m)_{nu j}``
-    on the peeled P^m, minus P^(m+1) from the chain; at m = m_max, which
-    has no P^(m+1) in the chain, the pairs ``(-P_{i nu}, (P^m)_{nu j})``
-    join the same call.
+    minus P^(m+1), both peeled; at m = m_max, which has no P^(m+1) in the
+    chain, the pairs ``(-P_{i nu}, (P^m)_{nu j})`` join the same call.
     """
     if n < 2 or m_max < 1:
         raise ValueError("need n >= 2 and m_max >= 1")
@@ -1007,18 +1009,18 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 for columns in factor_columns(mat, roots, range(1, n + 1),
                                               character)]
 
-    # Whole: P^0..P^m_max and (E - n/2)^0..(E - n/2)^(m_max-2).  In M:
-    # the peeled P^m, (E - n/2)^(m-1) E and (E - (n-1)/2)^(m-1) E for
-    # m = 1..m_max.
+    # Whole: P^0..P^m_max.  In M: the peeled P^m, the closed form and
+    # (E - (n-1)/2)^(m-1) E for m = 1..m_max.
     zero_chi = zero_character(form)
     p_pow = [identity] + chain(p_mat, [zero] * m_max)
     p_traces = [m.trace() for m in p_pow]
+    half_traces = [t.scale(half) for t in p_traces]
+    peeled = [m.map_entries(lambda e: _peel(e, zero_chi)) for m in p_pow]
     shifted = e_mat.shift(-half_n)
-    shifted_pow = [identity] + chain(e_mat, [half_n] * (m_max - 2))
-    closed_head = chain(e_mat, [zero] + [half_n] * (m_max - 1), zero_chi)
     tr_pow = chain(e_mat, [zero] + [half_n1] * (m_max - 1), zero_chi)
     neg_k = k_mat.map_entries(lambda e: -e).entries
     neg_p = p_mat.map_entries(lambda e: -e).entries
+    closed = identity
 
     checks: List[dict] = []
 
@@ -1033,9 +1035,8 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
         # diff = (K P^m)_{ij} - (n/2)(P^m)_{ij} + (1/2) tr(P^m) delta_{ij}
         # - sum_nu (P^m)_{nu j} K_{i nu}: the exact identity equates it to
         # the antisymmetrization term, the congruence to 0 modulo U(g) k.
-        power = p_pow[m]
+        power, half_trace = p_pow[m], half_traces[m]
         columns = tuple(zip(*power.entries))
-        half_trace = p_traces[m].scale(half)
         antisyms = []
         for i in range(1, n + 1):
             for j in range(1, n + 1):
@@ -1051,7 +1052,8 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                                      diff == antisym))
                 residue_zero(f"K P^{m} congruence entry[{i},{j}]", diff)
         # Entry by entry: entries (i, j) and (j, i) cancel in any sum.
-        residues = [_peel(a, zero_chi) for a in antisyms]
+        residues = [(peeled[m].entry(j, i) - peeled[m].entry(i, j)).scale(half)
+                    for i in range(1, n + 1) for j in range(1, n + 1)]
         checks.append(_zero_check(
             f"antisymmetrization term lies in U(g)k at m={m}",
             next((r for r in residues if not r.is_zero()), residues[0])))
@@ -1067,14 +1069,13 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
 
         # (E - n/2) P^m == P^{m+1} - (1/2) tr(P^m)  mod U(g) k, on the
         # peeled P^m; the last P^{m+1} is P times it, in the same call.
-        peeled_columns = [[_peel(x, zero_chi) for x in column]
-                          for column in columns]
+        peeled_columns = tuple(zip(*peeled[m].entries))
         for i in range(1, n + 1):
             for j in range(1, n + 1):
                 column = peeled_columns[j - 1]
                 if m < m_max:
                     step = (sum_products(shifted.entries[i - 1], column)
-                            - p_pow[m + 1].entry(i, j))
+                            - peeled[m + 1].entry(i, j))
                 else:
                     step = sum_products(shifted.entries[i - 1] + neg_p[i - 1],
                                         column + column)
@@ -1083,13 +1084,12 @@ def gl_lemma_check(n: int, m_max: int) -> dict:
                 residue_zero(f"step entry[{i},{j}] at m={m}", step)
 
         # Closed form: P^m == (E - n/2)^{m-1} E + (1/2) sum_{k=2}^m
-        #              (E - n/2)^{m-k} tr(P^{k-1})  mod U(g) k.
-        closed = closed_head[m - 1]
-        for k in range(2, m + 1):
-            tr_term = p_traces[k - 1].scale(half)
-            closed = closed.add(
-                shifted_pow[m - k].map_entries(lambda e, t=tr_term: e * t))
-        _congruences(checks, "closed form", p_pow[m], closed, zero_chi,
+        #              (E - n/2)^{m-k} tr(P^{k-1})  mod U(g) k, by Horner.
+        closed = from_columns(closed, [
+            [_peel(x + half_traces[m - 1] if i == j else x, zero_chi) for i, x
+             in enumerate(sum_products_column(shifted.entries, column))]
+            for j, column in enumerate(zip(*closed.entries))])
+        _congruences(checks, "closed form", peeled[m], closed, zero_chi,
                      f" at m={m}")
 
         # Trace identity: tracing the closed form gives the honest statement

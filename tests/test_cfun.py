@@ -10,6 +10,7 @@ import pytest
 from huaops.cfun import (
     DENOMINATOR,
     _lambda_alpha,
+    _log_abs_gamma,
     FLOAT_TOL,
     GammaFactor,
     NUMERATOR,
@@ -48,6 +49,12 @@ def test_root_label():
     assert root_label(RestrictedRoot((Fraction(1), Fraction(-1)), 1)) == "e1-e2"
     assert root_label(RestrictedRoot((Fraction(2), Fraction(0)), 1)) == "2e1"
     assert root_label(RestrictedRoot((Fraction(1), Fraction(1)), 2)) == "e1+e2"
+
+
+def test_log_abs_gamma_reflects_where_the_float_is_a_pole():
+    # -1 + 10^-20 is -1.0 as a float; Gamma(-1 + e) = -1/e + O(1).
+    assert _log_abs_gamma(Fraction(-1) + Fraction(1, 10**20)) == pytest.approx(20 * math.log(10), rel=FLOAT_TOL)
+    assert _log_abs_gamma(Fraction(-7, 6)) == math.lgamma(-7 / 6)
 
 
 def test_lambda_alpha():

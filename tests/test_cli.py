@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
+import math
 import re
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 import huaops.reduce as reduce_module
 from huaops import cli
+from huaops.cfun import FLOAT_TOL
 from huaops.cli import run
 from huaops.liedata import satake_table
 
@@ -152,7 +155,7 @@ def test_one_case_per_request(monkeypatch, capsys, argv):
     assert built == [(2, 1, (1,))]
 
 
-@pytest.mark.parametrize("binding", ["zzz=3", "E_1=1", "s=1 s=2"])
+@pytest.mark.parametrize("binding", ["zzz=3", "E_1=1", "s=1 s=2", "s"])
 def test_upq_recursion_rejects_unknown_binding(capsys, binding):
     code = run(["verify", "upq-recursion", "--p", "1", "--q", "1", "--blocks", "1", *_binds(binding)])
     assert code == 2
@@ -349,6 +352,31 @@ def test_cfun_bound_point(capsys):
     assert 0.6 < report["c"]["value"] < 0.7
 
 
+def test_cfun_keeps_the_sign_of_gamma_at_negative_arguments(capsys):
+    # The factors are 1/Gamma(1/6), 1/Gamma(-1/3) and, for c, Gamma(-7/6)
+    # times 2^(7/6); lgamma is log|Gamma|, so the sign is read off the exact
+    # arguments.
+    code, report = _run_json(
+        capsys, ["cfun", "--form", "glnr", "--n", "2", "--bind", "lambda_1=-7/3", "--bind", "lambda_2=0"])
+    e = 1 / (math.gamma(1 / 6) * math.gamma(-1 / 3))
+    c = report["c"]["C"] * e * math.gamma(-7 / 6) * 2 ** (7 / 6)
+    assert code == 0
+    assert e < 0 and c < 0
+    assert report["e"]["value"] == pytest.approx(e, rel=FLOAT_TOL)
+    assert report["c"]["value"] == pytest.approx(c, rel=FLOAT_TOL)
+
+
+def test_cfun_takes_a_float_pole_of_lgamma_off_the_exact_argument(capsys):
+    # The float of every argument is an integer, a pole of math.lgamma,
+    # although no exact argument is one.  1/Gamma(-833333333333333332.66..)
+    # is negative, 1/Gamma(-833333333333333333.16..) positive, and c's
+    # Gamma(-1666666666666666666.83..) negative.
+    code, report = _run_json(capsys, ["cfun", "--form", "glnr", "--n", "2",
+                                      "--bind", "lambda_1=-10000000000000000001/3", "--bind", "lambda_2=0"])
+    assert code == 0
+    assert (report["e"]["value"], report["c"]["value"]) == (-math.inf, math.inf)
+
+
 def test_cfun_line_bundle_reject_three_classes(capsys):
     code = run(
         ["cfun", "--form", "upq", "--p", "3", "--q", "2", "--bind", "ell=1"]
@@ -460,6 +488,9 @@ _INTERNAL_FAULTS = [
     # program, not of the request.
     ValueError("elements over different coefficient rings"),
     KeyError(7),
+    IndexError("list index out of range"),
+    TypeError("unsupported operand type(s) for +: 'int' and 'str'"),
+    AssertionError("catalog check failed"),
 ]
 
 
@@ -542,6 +573,7 @@ def test_a_fault_writes_no_report(tmp_path, capsys, monkeypatch):
         (["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", "{export}"], 0,
          ["reduce: 3 entries, 0 nonzero residues (allZero=True)"]),
         (["degrees", "--diagram", "A_n^1", "--n", "4"], 0, ["A_n^1:SL(n+1,R): [2, 2, 2, 2]"]),
+        (["degrees", "--diagram", "SL(n+1,R)", "--n", "4"], 0, ["A_n^1:SL(n+1,R): [2, 2, 2, 2]"]),
         (["cfun", "--form", "spnr", "--n", "1"], 0,
          ["C_1^{1,1} at lambda=(1): e value ", "  c = 1.0 (C = "]),
         (["cfun", "--form", "spnr", "--n", "1", "--bind", "lambda_1=-1"], 0,
@@ -550,10 +582,13 @@ def test_a_fault_writes_no_report(tmp_path, capsys, monkeypatch):
          ["C_1^{1,1} at lambda=(0): e value ", "  c undefined: poles [{'root': '2e1', 'argument': '0'}]"]),
         (["cfun", "--form", "spnr", "--n", "1", "--bind", "ell=1"], 0,
          ["C_1^{1,1} at lambda=(1): e value ", "  c = 1.0 (C = ", "  level ell=1: e "]),
+        (["cfun", "--form", "glnr", "--n", "1", "--bind", "ell=1"], 0,
+         ["A_0^{1} at lambda=(0): e value 1.0", "  c = 1.0 (C = 1.0)", "  level ell=1: e 1.0, c 1.0"]),
         (["verify", "upq-theorem", "--p", "1", "--q", "1", "--blocks", "1", "--perturb"], 1,
          ["FAIL upq-theorem-perturbed kind=gl rank=2 ambient=2 blocks=[1] ", "  FAIL entry[1,1]: mu_1 + 1/2*s - 1/2*t - 1"]),
     ],
-    ids=["ideal", "reduce", "degrees", "cfun", "cfun-e-zero", "cfun-poles", "cfun-ell", "verify-perturb"],
+    ids=["ideal", "reduce", "degrees", "degrees-group", "cfun", "cfun-e-zero", "cfun-poles", "cfun-ell",
+         "cfun-ell-no-roots", "verify-perturb"],
 )
 def test_human_summaries_lead_with_their_verdict(tmp_path, capsys, argv, code, heads):
     export = tmp_path / "gens.json"
@@ -586,9 +621,13 @@ def test_human_summaries_lead_with_their_verdict(tmp_path, capsys, argv, code, h
         (["ideal", "--form", "upq", "--p", "2", "--q", "1", "--n", "3", "--blocks", "1"], "--form upq takes no --n"),
         (["cfun", "--form", "upq", "--p", "2", "--q", "1", "--n", "3"], "--form upq takes no --n"),
         (["cfun", "--form", "spnr", "--n", "2", "--q", "1"], "--form spnr takes no --q"),
+        (["ideal", "--form", "spnr", "--n", "2", "--blocks", "1,2", "--restrict-columns"],
+         "--restrict-columns applies to --form upq only"),
+        (["cfun", "--form", "glnr", "--n", "2", "--bind", "lambda_1=1"], "missing coordinates: ['lambda_2']"),
     ],
     ids=["gl-lemma-n", "gl-lemma-m", "sp-hua-n", "glnr-n", "spnr-n", "glnr-barred", "degrees-rank", "degrees-param",
-         "ideal-spnr-p", "ideal-glnr-pq", "ideal-upq-n", "cfun-upq-n", "cfun-spnr-q"],
+         "ideal-spnr-p", "ideal-glnr-pq", "ideal-upq-n", "cfun-upq-n", "cfun-spnr-q", "ideal-spnr-restrict-columns",
+         "cfun-missing-coordinate"],
 )
 def test_ranks_are_checked_at_the_boundary(monkeypatch, capsys, argv, message):
     # Each request is refused before anything is built.
@@ -638,6 +677,45 @@ def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message
     code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob)])
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_reduce_reads_standard_input(tmp_path, monkeypatch, capsys):
+    blob = tmp_path / "gens.json"
+    argv = ["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--json"]
+    assert run(["ideal", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    assert run(argv + ["--in", str(blob)]) == 0
+    from_file = capsys.readouterr().out
+    monkeypatch.setattr("sys.stdin", io.StringIO(blob.read_text()))
+    assert run(argv) == 0
+    assert capsys.readouterr().out == from_file
+    monkeypatch.setattr("sys.stdin", io.StringIO("{not json"))
+    assert run(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n")
+
+
+@pytest.mark.parametrize("term, binds", [({"coeff": "mu_1^20000", "monomial": []}, ["--bind", "mu_1=2"]),
+                                         ({"coeff": "1", "monomial": [[0, 2000]]}, [])],
+                         ids=["coefficient", "monomial"])
+def test_reduce_refuses_an_entry_past_the_case_degree(tmp_path, capsys, term, binds):
+    # An export of (2,2,(1,2)) holds monomials and coefficients of degree at
+    # most 4, the degree of the case's minimal polynomial.  Past it, the
+    # bound residue passed the int-to-string limit and the conversion the
+    # recursion limit, each an internal error.
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "2", "--blocks", "1,2"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    doc = json.loads(blob.read_text())
+    doc["entries"][0]["element"]["terms"].append(term)
+    blob.write_text(json.dumps(doc))
+    code = run(["reduce"] + argv + ["--in", str(blob), *binds])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("error: entry 1 has a monomial or a coefficient of degree above 4, "
+                            "the degree of the case's minimal polynomial\n")
 
 
 @pytest.mark.parametrize("coeff, exponent", [("mu_1^-1", "-1"), ("s^0", "0")])

@@ -508,31 +508,42 @@ def test_gl_lemma_antisymmetrization_check_sees_each_entry(monkeypatch):
 
 
 def test_gl_lemma_runs_only_the_congruence_chains_in_the_module(monkeypatch):
-    # The closed-form and trace chains are read modulo U(g)k only; the P
+    # The trace chain and the closed form are read modulo U(g)k only; the P
     # chain feeds the exact K P^m checks and stays whole.  An unpeeled
-    # module chain changes no residue, so only a capture can see it.
+    # module chain or closed form changes no residue, so only a capture can
+    # see it.
     calls = []
+    closed_forms = []
+    k_zone = make_glnr(3).basis.zone_indices("k")
+
+    def k_free(elements):
+        return not any(g in k_zone for x in elements for m in x.terms for g, _e in m)
 
     def recording(mat, roots, columns, character=None, grades=None):
         calls.append((mat.entry(1, 2) == mat.entry(2, 1), [str(r) for r in roots], character, grades))
-        k_zone = mat.basis.zone_indices("k")
         for state in factor_columns(mat, roots, columns, character, grades):
             if character is not None:
-                for column in state:
-                    for x in column:
-                        assert not any(g in k_zone for m in x.terms for g, _e in m)
+                assert all(k_free(column) for column in state)
             yield state
 
+    original = reduce_module._congruences
+
+    def congruences(checks, label, lhs, rhs, *rest):
+        if label == "closed form":
+            closed_forms.append(rhs)
+        original(checks, label, lhs, rhs, *rest)
+
     monkeypatch.setattr(reduce_module, "factor_columns", recording)
+    monkeypatch.setattr(reduce_module, "_congruences", congruences)
     assert gl_lemma_check(3, 3)["pass"]
     assert [(symmetric, roots, character is not None) for symmetric, roots, character, _grades in calls] == [
         (True, ["0", "0", "0"], False),
-        (False, ["3/2"], False),
-        (False, ["0", "3/2", "3/2"], True),
         (False, ["0", "1", "1"], True),
     ]
-    assert all(character == zero_character(make_glnr(3)) for _s, _r, character, _g in calls[2:])
+    assert calls[1][2] == zero_character(make_glnr(3))
     assert all(grades is None for *_rest, grades in calls)
+    assert len(closed_forms) == 3
+    assert all(k_free(row) for closed in closed_forms for row in closed.entries)
 
 
 def test_gl_lemma_builds_no_product_matrix(monkeypatch):

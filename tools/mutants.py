@@ -181,8 +181,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "range(1, n + 1),\n"
            "                                              character,\n"
            "                                              character and form.grades)]",
-           (LEMMA_CHAINS, "tests/test_acceptance.py::test_criterion_1_gl_lemma")
-           + GL_LEMMA_GOLDEN),
+           # Pruned, the trace chain changes only the report's notes.
+           (LEMMA_CHAINS,) + GL_LEMMA_GOLDEN),
     Mutant("p-chain-peeled", "src/huaops/reduce.py",
            "chain(p_mat, [zero] * m_max)",
            "chain(p_mat, [zero] * m_max, form)",
@@ -204,6 +204,23 @@ MUTANTS: Tuple[Mutant, ...] = (
            "                                        column + column)",
            "sum_products(shifted.entries[i - 1], column)",
            GL_LEMMA_GOLDEN),
+    # The GL(n,R) lemma: the closed form by Horner's rule in M.  An unpeeled
+    # closed form changes no residue, so only the capture sees it.
+    Mutant("lemma-horner-unpeeled", "src/huaops/reduce.py",
+           "[_peel(x + half_traces[m - 1] if i == j else x, zero_chi) for i, x",
+           "[(x + half_traces[m - 1] if i == j else x) for i, x",
+           (LEMMA_CHAINS,)),
+    Mutant("lemma-horner-trace-of-p-m", "src/huaops/reduce.py",
+           "x + half_traces[m - 1] if i == j",
+           "x + half_traces[m] if i == j",
+           GL_LEMMA_GOLDEN),
+    # The sign of a Gamma product, read off the exact arguments.
+    Mutant("gamma-sign-dropped", "src/huaops/cfun.py",
+           "negative = sum(arg < 0 and math.floor(arg) % 2 == 1\n"
+           "                       for _, arg, _ in evaluated) % 2 == 1",
+           "negative = False",
+           ("tests/test_cli.py::"
+            "test_cfun_keeps_the_sign_of_gamma_at_negative_arguments",)),
     # The catalog algebras' index rule.
     Mutant("sp-sign-flipped", "src/huaops/liedata.py",
            "sign = 1 if (i <= self.rank) == (bar - j <= self.rank) else -1",
