@@ -115,7 +115,8 @@ class GammaProduct:
         exact argument each), ``defined`` (no numerator pole), ``zero`` (some
         reciprocal zero while defined), and, when the value is nonzero,
         ``logValue`` (the log of its absolute value), ``negative`` and
-        ``value`` (``exp(logValue)``, negated if ``negative``).  ``reverse``
+        ``value`` (``exp(logValue)``, negated if ``negative``; ``None`` past
+        the float range).  ``reverse``
         reassociates the floating-point accumulation to witness numeric
         stability.
         """
@@ -183,14 +184,25 @@ def _log_abs_gamma(x: Fraction) -> float:
                 - math.lgamma(float(1 - x)))
 
 
-def _signed_exp(log_value: float, negative: bool) -> float:
-    """``exp(log_value)``, negated if ``negative``: an overflow gives an
-    infinity, and an underflow stays ``0.0``, never ``-0.0``."""
+def _signed_exp(log_value: float, negative: bool) -> Optional[float]:
+    """``exp(log_value)``, negated if ``negative``: an underflow stays
+    ``0.0``, never ``-0.0``, and a value past the float range is ``None``."""
     try:
         value = math.exp(log_value)
     except OverflowError:
-        value = math.inf
+        return None
     return -value if negative and value else value
+
+
+def _past_float_range(value: Optional[float], log_value: Optional[float],
+                      negative: bool) -> dict:
+    """The finite ``logValue`` and ``negative`` of a nonzero value that
+    :func:`_signed_exp` left ``None``, for the report part that shows it;
+    ``{}`` for any other value.  JSON has no infinity, so such a part says
+    its value by its log and its sign."""
+    if value is None and log_value is not None:
+        return {"logValue": log_value, "negative": negative}
+    return {}
 
 
 def spectral_ring(rs: RestrictedRootSystem, *,
@@ -308,8 +320,9 @@ def e_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
 
     The result is zero exactly when some reciprocal Gamma argument is a
     nonpositive integer; the certificate names the offending root and
-    argument.  Otherwise the value is finite and positive and is reported
-    along with the exact factor records.
+    argument.  Otherwise the value is reported as a float, with the exact
+    factor records; a value past the float range is ``None``, with its
+    ``negative`` beside its ``logValue``.
     """
     product = e_product(rs)
     val = product.evaluate(_bindings(rs, lam))
@@ -321,6 +334,7 @@ def e_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
         "zeros": val["zeros"],
         "logValue": val["logValue"],
         "value": val["value"],
+        **_past_float_range(val["value"], val["logValue"], val["negative"]),
         "factors": product.factor_records(),
     }
 
@@ -341,10 +355,11 @@ def _normalized(product: GammaProduct, rho: Mapping[str, Fraction],
     floating-point order (reported as ``rho_key``) as a stability check."""
     log_c = _normalize(product, rho)
     val = product.evaluate(point)
-    value: Optional[float] = None
-    if val["defined"]:
-        value = 0.0 if val["zero"] else _signed_exp(log_c + val["logValue"],
-                                                     val["negative"])
+    value: Optional[float] = 0.0 if val["zero"] else None
+    log_value = None
+    if val["logValue"] is not None:  # defined and nonzero
+        log_value = log_c + val["logValue"]
+        value = _signed_exp(log_value, val["negative"])
     rho_again = product.evaluate(rho, reverse=True)
     reassociated = math.exp(log_c + rho_again["logValue"])
     drift = abs(reassociated - 1.0)
@@ -352,6 +367,7 @@ def _normalized(product: GammaProduct, rho: Mapping[str, Fraction],
         "defined": val["defined"],
         "zero": val["zero"],
         "value": value,
+        **_past_float_range(value, log_value, val["negative"]),
         "C": math.exp(log_c),
         "zeros": val["zeros"],
         "poles": val["poles"],
@@ -405,6 +421,8 @@ def e_c_line_bundle(rs: RestrictedRootSystem, lam: Sequence[ScalarLike],
             "zeros": e_val["zeros"],
             "logValue": e_val["logValue"],
             "value": e_val["value"],
+            **_past_float_range(e_val["value"], e_val["logValue"],
+                                e_val["negative"]),
         },
         "c": _normalized(c_prod, _bindings(rs, rs.half_sum(), 0), point,
                          "cRhoZero"),

@@ -17,15 +17,22 @@ and refused as a :class:`UsageError`, so an exception that reaches
 fault prints one line on standard error,
 ``internal error: <type>: <message>``.  ``--json`` prints the report as
 canonical JSON on standard output; ``--out FILE`` writes the same JSON to a
-file, rendered once for both.  An ``--out`` target that is a directory,
-or whose parent is missing or not a directory, is refused as a usage error
-before the request's work starts.  Identical requests produce byte-identical
-JSON: no report holds a timing.  Canonical JSON is exactly the bytes of
-``json.dumps(report, indent=2, sort_keys=True)`` plus a newline, but is not
-written by it: with an ``indent`` that call runs the pure-Python encoder,
-which took longer than building a large ``ideal`` export and held every
-chunk of it at once.  :func:`_canonical_json` writes the same bytes in one
-pass, with the C string escaper that ``json.dumps`` itself uses.  A rank
+file.  The report is written one piece at a time, each piece rendered once
+and written to both, so the text of a whole report is never held.  An
+``--out`` target that is a directory, or whose parent is missing or not a
+directory, is refused as a usage error before the request's work starts;
+any later failure to write it exits 2 as well, and with ``--json`` given
+too, standard output may by then hold a prefix of the report.  Identical
+requests produce byte-identical JSON: no report holds a timing.  Canonical
+JSON is exactly the bytes of ``json.dumps(report, indent=2,
+sort_keys=True)`` plus a newline, but is not written by it: with an
+``indent`` that call runs the pure-Python encoder, which took longer than
+building a large ``ideal`` export and held every chunk of it at once.
+:func:`_write_json` writes the same bytes, one top-level value or one item
+of a top-level list at a time, each rendered by :func:`_canonical_json` with
+the C string escaper that ``json.dumps`` itself uses.  A float that is not
+finite is refused when it is rendered, an internal fault (exit 3): JSON has
+no infinity.  A rank
 flag that does not apply to ``--form`` (``--n`` with ``upq``, ``--p`` or
 ``--q`` with ``spnr`` or ``glnr``) is a usage error.
 A U(p,q) request (``ideal --form upq``, ``reduce``, ``verify upq-theorem``
@@ -56,7 +63,8 @@ import stat
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import List, NoReturn, Optional, Sequence, Tuple
+from math import gcd
+from typing import List, NoReturn, Optional, Sequence, TextIO, Tuple
 
 from .cfun import c_function, e_c_line_bundle, e_function
 from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
@@ -329,6 +337,11 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     all_zero = True
     cap = 10 ** _BIND_DIGITS
     degree = minimal_polynomial(case.theta).degree
+    # The interpreter refuses to print an int of more digits than this (no
+    # limit when 0, or before Python 3.10.7); the residue's coefficients
+    # share one lcm denominator, which grows with the entry's term count.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = 10 ** digits if digits else None
     for index, record in enumerate(records):
         try:  # one entry at a time, so only one is held
             row, col = record["row"], record["col"]
@@ -356,6 +369,12 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
             # Bind after reducing: the spec's k- and a-values carry the same
             # symbols as the element, and binding commutes with reduction.
             residue = residue.substitute(bindings)
+        if too_long and any(
+                max(abs(k), residue.denominator) // gcd(k, residue.denominator)
+                >= too_long for k in residue.numerators.values()):
+            raise UsageError(f"entry {index + 1} reduces to a coefficient of "
+                             f"more than {digits} digits, the interpreter's "
+                             f"limit for printing an int")
         zero = residue.is_zero()
         all_zero = all_zero and zero
         entries.append({
@@ -444,6 +463,10 @@ def _cmd_cfun(args: argparse.Namespace) -> Tuple[dict, int]:
               "poles": c_rep["poles"],
               "normalization": c_rep["normalization"]},
     }
+    for part, rep in (("e", e_rep), ("c", c_rep)):
+        if "negative" in rep:  # a value past the float range, shown as None
+            report[part].update(logValue=rep["logValue"],
+                                negative=rep["negative"])
     if ell is not None:
         try:
             report["lineBundle"] = e_c_line_bundle(rs, lam, ell)
@@ -512,11 +535,53 @@ def _json_text(value, newline: str) -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    return json.dumps(value)  # a float
+    return json.dumps(value, allow_nan=False)  # a float; inf or nan raises
 
 
-def _canonical_json(doc: dict) -> str:
-    return _json_text(doc, "\n") + "\n"
+def _canonical_json(value, newline: str) -> str:
+    """One piece of canonical JSON: ``value`` at the depth ``newline``, with
+    no trailing newline.  Every piece :func:`_write_json` writes is rendered
+    through this one name, which ``perfbench/tracer.py`` spans and sizes."""
+    return _json_text(value, newline)
+
+
+def _write_json(doc: dict, targets: Sequence[TextIO]) -> None:
+    """Write ``doc`` as canonical JSON to every one of ``targets``.
+
+    The text is written piece by piece, and each piece goes to every target
+    before the next is rendered: the value of each sorted key, or, where
+    that value is a non-empty list or tuple, each of its items.  Each piece
+    is rendered once, by :func:`_canonical_json`, so no text of the whole
+    report is ever held; the brackets, keys and separators between pieces
+    are written as they are.
+    """
+    def put(text: str) -> None:
+        for target in targets:
+            target.write(text)
+
+    opening = "{\n  "
+    for key in sorted(doc):
+        put(f"{opening}{encode_basestring_ascii(key)}: ")
+        opening = ",\n  "
+        value = doc[key]
+        if not (isinstance(value, (list, tuple)) and value):
+            put(_canonical_json(value, "\n  "))
+            continue
+        bracket = "[\n    "
+        for item in value:
+            put(bracket)
+            put(_canonical_json(item, "\n    "))
+            bracket = ",\n    "
+        put("\n  ]")
+    put("\n}\n" if doc else "{}\n")
+
+
+def _shown(part: dict) -> str:
+    """A part's value, or ``-exp(L)``/``exp(L)`` for one past the float
+    range, reported by its ``logValue`` L and ``negative``."""
+    if "negative" not in part:
+        return str(part["value"])
+    return f"{'-' if part['negative'] else ''}exp({part['logValue']})"
 
 
 def _summarize(report: dict, stream) -> None:
@@ -552,19 +617,19 @@ def _summarize(report: dict, stream) -> None:
     elif "e" in report and "c" in report:
         e_part, c_part = report["e"], report["c"]
         zero = (f"zero (witness {e_part['witnessRoot']})"
-                if e_part["zero"] else f"value {e_part['value']}")
+                if e_part["zero"] else f"value {_shown(e_part)}")
         print(f"{report['rootSystem']} at lambda="
               f"({', '.join(report['lambda'])}): e {zero}", file=stream)
         if c_part["defined"]:
-            print(f"  c = {c_part['value']} (C = {c_part['C']})",
+            print(f"  c = {_shown(c_part)} (C = {c_part['C']})",
                   file=stream)
         else:
             print(f"  c undefined: poles {c_part['poles']}", file=stream)
         if "lineBundle" in report:
             lb = report["lineBundle"]
             print(f"  level ell={lb['ell']}: e "
-                  f"{'zero' if lb['e']['zero'] else lb['e']['value']}, "
-                  f"c {lb['c']['value']}", file=stream)
+                  f"{'zero' if lb['e']['zero'] else _shown(lb['e'])}, "
+                  f"c {_shown(lb['c'])}", file=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -609,24 +674,19 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         if args.out:
             _check_out(args.out)
         report, status = handlers[args.command](args)
+        targets = [sys.stdout] if args.json else []
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                _write_json(report, [fh] + targets)
+        elif targets:
+            _write_json(report, targets)
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
-    if args.out or args.json:
-        text = _canonical_json(report)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    if args.json:
-        sys.stdout.write(text)
-    else:
+    if not args.json:
         _summarize(report, sys.stdout)
     return status
 

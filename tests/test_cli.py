@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import io
+import itertools
 import json
 import math
+import os
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -234,6 +238,32 @@ def test_reduce_caps_the_digits_of_an_input_coefficient(tmp_path, capsys, coeff,
         assert captured.out == ""
 
 
+@pytest.mark.parametrize("degree, code", [(2, 0), (3, 2)], ids=["120-terms", "560-terms"])
+def test_reduce_refuses_a_residue_past_the_int_to_str_limit(tmp_path, capsys, degree, code):
+    # Each coefficient 1/(10^98 + k) is inside the digit cap, but the
+    # residue's coefficients share their lcm denominator, which grows with
+    # the number of terms.  Printing 560 of them passed the interpreter's
+    # limit on int-to-string conversion and ended as an internal error.
+    blob = tmp_path / "gens.json"
+    argv = ["--form", "upq", "--p", "2", "--q", "2", "--blocks", "1,2"]
+    assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
+    capsys.readouterr()
+    doc = json.loads(blob.read_text())
+    doc["entries"][0]["element"]["terms"] = [
+        {"coeff": f"1/{10 ** 98 + k}", "monomial": [[g, 1] for g in gens]}
+        for k, gens in enumerate(itertools.combinations(range(16), degree))]
+    blob.write_text(json.dumps(doc))
+    assert run(["reduce"] + argv + ["--in", str(blob)]) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert captured.err == ""
+    else:
+        limit = sys.get_int_max_str_digits()
+        assert captured.err == (f"error: entry 1 reduces to a coefficient of more than {limit} digits, "
+                                f"the interpreter's limit for printing an int\n")
+        assert captured.out == ""
+
+
 def test_reduce_leaves_the_right_action_memo_empty(tmp_path, capsys):
     # reduce converts the export multiplying generators in on the left
     # only; the right-action and conversion memos are never written.
@@ -373,8 +403,13 @@ def test_cfun_takes_a_float_pole_of_lgamma_off_the_exact_argument(capsys):
     # Gamma(-1666666666666666666.83..) negative.
     code, report = _run_json(capsys, ["cfun", "--form", "glnr", "--n", "2",
                                       "--bind", "lambda_1=-10000000000000000001/3", "--bind", "lambda_2=0"])
+    # Both values are past the float range: each is null, with its finite
+    # log and its sign, since JSON has no infinity.
     assert code == 0
-    assert (report["e"]["value"], report["c"]["value"]) == (-math.inf, math.inf)
+    assert report["e"]["value"] is None and report["e"]["negative"] is True
+    assert report["c"]["value"] is None and report["c"]["negative"] is False
+    assert math.isfinite(report["e"]["logValue"]) and report["e"]["logValue"] > 709
+    assert math.isfinite(report["c"]["logValue"]) and report["c"]["logValue"] > 709
 
 
 def test_cfun_line_bundle_reject_three_classes(capsys):
@@ -836,7 +871,32 @@ _VALUES = st.recursive(
 # Equal tuples at one depth whose texts differ.
 @example([(1, 0), (True, False), (1.0, 0.0), (1, 0), ((1, 0),), (([1],),), ([1],)])
 def test_canonical_json_matches_json_dumps(doc):
-    assert cli._canonical_json(doc) == _oracle(doc)
+    # One piece, at the top and at the depth of an item of a top-level list.
+    text = json.dumps(doc, indent=2, sort_keys=True)
+    assert cli._canonical_json(doc, "\n") == text
+    assert cli._canonical_json(doc, "\n    ") == text.replace("\n", "\n    ")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(_TEXT, _VALUES, max_size=5))
+@example({})
+@example({"empty": [], "tuple": (), "list": [1, [2], {"k": ()}], "pair": ((0, 1), "x"), "dict": {}})
+def test_write_json_matches_json_dumps(doc):
+    # Every target gets the whole document, the empty one included.
+    first, second = io.StringIO(), io.StringIO()
+    cli._write_json(doc, [first, second])
+    assert first.getvalue() == second.getvalue() == _oracle(doc)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_a_float_that_is_not_json_is_an_internal_fault(monkeypatch, capsys, value):
+    # JSON has no Infinity or NaN; the writer refuses one, and run reports it
+    # on its exit-3 path.
+    monkeypatch.setattr(cli, "_cmd_degrees", lambda args: ({"value": value}, 0))
+    assert run(["degrees", "--diagram", "A_n^1", "--n", "4", "--json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: ValueError: Out of range float values are not JSON compliant\n"
+    assert "Infinity" not in captured.out and "NaN" not in captured.out
 
 
 _REPORTS = {
@@ -857,35 +917,78 @@ _REPORTS = {
 
 
 def _rendered(monkeypatch, capsys, tmp_path, argv):
-    """Run ``argv``; returns its exit code, stdout and every report it rendered."""
+    """Run ``argv``; returns its exit code, stdout, every report it wrote and
+    every piece it rendered, as ``(value, newline, text)``."""
     export = tmp_path / "gens.json"
     if any("{export}" in arg for arg in argv):
         assert run(_REPORTS["ideal-upq"].split() + ["--out", str(export)]) == 0
     capsys.readouterr()
-    docs = []
-    render = cli._canonical_json
+    docs, pieces = [], []
+    render, write = cli._canonical_json, cli._write_json
 
-    def recording(doc):
+    def rendering(value, newline):
+        text = render(value, newline)
+        pieces.append((value, newline, text))
+        return text
+
+    def writing(doc, targets):
         docs.append(doc)
-        return render(doc)
+        return write(doc, targets)
 
-    monkeypatch.setattr(cli, "_canonical_json", recording)
+    monkeypatch.setattr(cli, "_canonical_json", rendering)
+    monkeypatch.setattr(cli, "_write_json", writing)
     code = run([arg.format(export=export) for arg in argv])
-    return code, capsys.readouterr().out, docs
+    return code, capsys.readouterr().out, docs, pieces
+
+
+def _pieces_of(doc):
+    """The values that make up ``doc``, one piece each, in the written order."""
+    return [piece for key in sorted(doc)
+            for piece in (doc[key] if isinstance(doc[key], (list, tuple)) and doc[key] else [doc[key]])]
 
 
 @pytest.mark.parametrize("name", sorted(_REPORTS))
 def test_canonical_json_matches_json_dumps_on_reports(monkeypatch, capsys, tmp_path, name):
-    code, out, docs = _rendered(monkeypatch, capsys, tmp_path, _REPORTS[name].split() + ["--json"])
+    code, out, docs, pieces = _rendered(monkeypatch, capsys, tmp_path, _REPORTS[name].split() + ["--json"])
     assert code == 0
     assert len(docs) == 1
     assert out == _oracle(docs[0])
+    # One piece per top-level value or item of a top-level list, each at its
+    # depth, and each written where it belongs in the report.
+    assert [value for value, _, _ in pieces] == _pieces_of(docs[0])
+    at = 0
+    for value, newline, text in pieces:
+        assert text == json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+        at = out.index(text, at) + len(text)
 
 
 def test_out_and_json_render_once(monkeypatch, capsys, tmp_path):
     blob = tmp_path / "report.json"
     argv = _REPORTS["ideal-upq"].split() + ["--json", "--out", str(blob)]
-    code, out, docs = _rendered(monkeypatch, capsys, tmp_path, argv)
+    code, out, docs, pieces = _rendered(monkeypatch, capsys, tmp_path, argv)
     assert code == 0
     assert len(docs) == 1
     assert blob.read_bytes() == out.encode("utf-8")
+    # Each piece is rendered once for both targets, and none is the report.
+    assert [value for value, _, _ in pieces] == _pieces_of(docs[0])
+    assert all(value is not docs[0] for value, _, _ in pieces)
+    assert max(len(text) for _, _, text in pieces) < len(out) // 2
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("also_json", [False, True], ids=["out", "out-and-json"])
+def test_a_failed_out_write_is_a_usage_error(capsys, also_json):
+    # Every write to /dev/full fails with ENOSPC.  The report is larger than
+    # the file's buffers, so the failure comes while it is written.
+    argv = _REPORTS["ideal-spnr"].split()
+    assert run(argv + ["--json"]) == 0
+    report = capsys.readouterr().out
+    code = run(argv + ["--out", "/dev/full"] + (["--json"] if also_json else []))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n"
+    if also_json:  # what reached standard output is a prefix of the report
+        assert captured.out and len(captured.out) < len(report)
+        assert report.startswith(captured.out)
+    else:
+        assert captured.out == ""

@@ -78,6 +78,9 @@ WRITER = ("tests/test_cli.py::test_canonical_json_matches_json_dumps",
           f"{GOLDEN}[ideal --form upq --p 3 --q 2 --blocks 1,2 --restrict-columns]",
           f"{GOLDEN}[ideal --form spnr --n 3 --blocks 1,3]",
           f"{GOLDEN}[ideal --form upq --p 2 --q 2 --blocks 1,2 --restrict-columns]")
+STREAMED = ("tests/test_cli.py::test_write_json_matches_json_dumps",) + WRITER[1:]
+FAILED_OUT = "tests/test_cli.py::test_a_failed_out_write_is_a_usage_error"
+NOT_JSON = "tests/test_cli.py::test_a_float_that_is_not_json_is_an_internal_fault"
 GL_LEMMA_GOLDEN = tuple(f"{GOLDEN}[verify gl-lemma --n {n} --m {m}]"
                         for n, m in ((2, 2), (3, 3), (3, 4)))
 
@@ -263,6 +266,34 @@ MUTANTS: Tuple[Mutant, ...] = (
            "if isinstance(value, (list, tuple)):",
            "if isinstance(value, list):",
            WRITER),
+    # The streamed writer: pieces, their targets, and floats JSON can hold.
+    Mutant("streamed-item-separator-dropped", "src/huaops/cli.py",
+           'bracket = ",\\n    "',
+           'bracket = "\\n    "',
+           STREAMED),
+    Mutant("final-newline-dropped", "src/huaops/cli.py",
+           'put("\\n}\\n" if doc else "{}\\n")',
+           'put("\\n}" if doc else "{}\\n")',
+           STREAMED),
+    Mutant("stdout-skipped-with-out", "src/huaops/cli.py",
+           "_write_json(report, [fh] + targets)",
+           "_write_json(report, [fh])",
+           ("tests/test_cli.py::test_out_and_json_render_once",
+            f"{FAILED_OUT}[out-and-json]")),
+    Mutant("allow-nan-dropped", "src/huaops/cli.py",
+           "json.dumps(value, allow_nan=False)",
+           "json.dumps(value)",
+           tuple(f"{NOT_JSON}[{value}]" for value in ("inf", "-inf", "nan"))),
+    Mutant("overflowed-value-without-log", "src/huaops/cfun.py",
+           'return {"logValue": log_value, "negative": negative}',
+           "return {}",
+           ("tests/test_cli.py::"
+            "test_cfun_takes_a_float_pole_of_lgamma_off_the_exact_argument",)),
+    Mutant("residue-digits-unchecked", "src/huaops/cli.py",
+           "if too_long and any(",
+           "if False and any(",
+           ("tests/test_cli.py::test_reduce_refuses_a_residue_past_the_int_"
+            "to_str_limit[560-terms]",)),
     # The one U(p,q) case: ranks, a-values, bindings and the set reduce reads.
     Mutant("upq-rank-check-skipped", "src/huaops/reduce.py",
            "check_upq_ranks(self.p, self.q)",

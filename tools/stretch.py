@@ -59,6 +59,11 @@ CASES = (
          "a308f18091df02a945d08197be2a4644bb26888834f931c61351d3c0d462f58d"),
     Case("lemma-4-5", "verify gl-lemma --n 4 --m 5", 0,
          "7a3b61bb83c4120d1bbc84117d3db31b2874f484d373e9a071e71fc24fd78a4a"),
+    # The largest export: about 64 MB of canonical JSON, written piece by
+    # piece.
+    Case("export-3-3",
+         "ideal --form upq --p 3 --q 3 --blocks 1,2,3 --restrict-columns", 0,
+         "a7abc0543719c6f9776dbc26a8f30d3f906e710abedff56af8639b06eb062b81"),
     # Past the frontier: the request must end in a MemoryError (exit 3).
     Case("theorem-4-4", "verify upq-theorem --p 4 --q 4 --blocks 1,2,3,4", 3,
          None),
