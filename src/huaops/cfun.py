@@ -194,15 +194,16 @@ def _signed_exp(log_value: float, negative: bool) -> Optional[float]:
     return -value if negative and value else value
 
 
-def _past_float_range(value: Optional[float], log_value: Optional[float],
+def _past_float_range(part: dict, log_value: Optional[float],
                       negative: bool) -> dict:
-    """The finite ``logValue`` and ``negative`` of a nonzero value that
-    :func:`_signed_exp` left ``None``, for the report part that shows it;
-    ``{}`` for any other value.  JSON has no infinity, so such a part says
-    its value by its log and its sign."""
-    if value is None and log_value is not None:
-        return {"logValue": log_value, "negative": negative}
-    return {}
+    """``part``, and where its ``value`` is a nonzero value that
+    :func:`_signed_exp` left ``None``, the finite ``logValue`` and
+    ``negative`` that ``part`` lacks added to it.  JSON has no infinity, so
+    such a part says its value by its log and its sign; any other part is
+    returned as it is."""
+    if part["value"] is not None or log_value is None:
+        return part
+    return {"logValue": log_value, "negative": negative, **part}
 
 
 def spectral_ring(rs: RestrictedRootSystem, *,
@@ -321,8 +322,8 @@ def e_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
     The result is zero exactly when some reciprocal Gamma argument is a
     nonpositive integer; the certificate names the offending root and
     argument.  Otherwise the value is reported as a float, with the exact
-    factor records; a value past the float range is ``None``, with its
-    ``negative`` beside its ``logValue``.
+    factor records, its ``logValue`` and ``negative``; a value past the
+    float range is ``None``.
     """
     product = e_product(rs)
     val = product.evaluate(_bindings(rs, lam))
@@ -333,8 +334,8 @@ def e_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
         "witnessRoot": _first_witness(val["zeros"]),
         "zeros": val["zeros"],
         "logValue": val["logValue"],
+        "negative": val["negative"],
         "value": val["value"],
-        **_past_float_range(val["value"], val["logValue"], val["negative"]),
         "factors": product.factor_records(),
     }
 
@@ -363,11 +364,10 @@ def _normalized(product: GammaProduct, rho: Mapping[str, Fraction],
     rho_again = product.evaluate(rho, reverse=True)
     reassociated = math.exp(log_c + rho_again["logValue"])
     drift = abs(reassociated - 1.0)
-    return {
+    return _past_float_range({
         "defined": val["defined"],
         "zero": val["zero"],
         "value": value,
-        **_past_float_range(value, log_value, val["negative"]),
         "C": math.exp(log_c),
         "zeros": val["zeros"],
         "poles": val["poles"],
@@ -377,7 +377,7 @@ def _normalized(product: GammaProduct, rho: Mapping[str, Fraction],
             "drift": drift,
             "stable": drift <= FLOAT_TOL,
         },
-    }
+    }, log_value, val["negative"])
 
 
 def c_function(rs: RestrictedRootSystem, lam: Sequence[ScalarLike]) -> dict:
@@ -415,15 +415,13 @@ def e_c_line_bundle(rs: RestrictedRootSystem, lam: Sequence[ScalarLike],
         "lambda": [str(as_fraction(v)) for v in lam],
         "ell": str(as_fraction(ell)),
         "lengthClasses": len(rs.length_classes()),
-        "e": {
+        "e": _past_float_range({
             "zero": e_val["zero"],
             "witnessRoot": _first_witness(e_val["zeros"]),
             "zeros": e_val["zeros"],
             "logValue": e_val["logValue"],
             "value": e_val["value"],
-            **_past_float_range(e_val["value"], e_val["logValue"],
-                                e_val["negative"]),
-        },
+        }, e_val["logValue"], e_val["negative"]),
         "c": _normalized(c_prod, _bindings(rs, rs.half_sum(), 0), point,
                          "cRhoZero"),
         "consistency": {

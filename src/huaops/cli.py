@@ -21,8 +21,10 @@ file.  The report is written one piece at a time, each piece rendered once
 and written to both, so the text of a whole report is never held.  An
 ``--out`` target that is a directory, or whose parent is missing or not a
 directory, is refused as a usage error before the request's work starts;
-any later failure to write it exits 2 as well, and with ``--json`` given
-too, standard output may by then hold a prefix of the report.  Identical
+any later failure to write it exits 2 as well.  The ``--out`` file is
+opened, and truncated, before the first piece is rendered, so a failed
+write, or a fault while rendering (exit 3), leaves a prefix of the report
+in that file and, with ``--json``, on standard output.  Identical
 requests produce byte-identical JSON: no report holds a timing.  Canonical
 JSON is exactly the bytes of ``json.dumps(report, indent=2,
 sort_keys=True)`` plus a newline, but is not written by it: with an
@@ -66,7 +68,8 @@ from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import List, NoReturn, Optional, Sequence, TextIO, Tuple
 
-from .cfun import c_function, e_c_line_bundle, e_function
+from .cfun import (_past_float_range, c_function, e_c_line_bundle,
+                   e_function)
 from .liedata import (check_upq_ranks, glnr_root_system, make_algebra,
                       satake_table, spnr_root_system, upq_root_system)
 from .matop import (GeneratorSet, entry_positions, ideal_generators,
@@ -456,17 +459,13 @@ def _cmd_cfun(args: argparse.Namespace) -> Tuple[dict, int]:
     report = {
         "rootSystem": rs.label,
         "lambda": [str(as_fraction(v)) for v in lam],
-        "e": {"zero": e_rep["zero"], "witnessRoot": e_rep["witnessRoot"],
-              "zeros": e_rep["zeros"], "value": e_rep["value"]},
-        "c": {"defined": c_rep["defined"], "value": c_rep["value"],
-              "C": c_rep["C"], "zeros": c_rep["zeros"],
-              "poles": c_rep["poles"],
-              "normalization": c_rep["normalization"]},
+        "e": _past_float_range(
+            {key: e_rep[key] for key in ("zero", "witnessRoot", "zeros",
+                                         "value")},
+            e_rep["logValue"], e_rep["negative"]),
+        "c": {key: value for key, value in c_rep.items()
+              if key not in ("rootSystem", "lambda", "zero")},
     }
-    for part, rep in (("e", e_rep), ("c", c_rep)):
-        if "negative" in rep:  # a value past the float range, shown as None
-            report[part].update(logValue=rep["logValue"],
-                                negative=rep["negative"])
     if ell is not None:
         try:
             report["lineBundle"] = e_c_line_bundle(rs, lam, ell)

@@ -244,6 +244,11 @@ def test_reduce_refuses_a_residue_past_the_int_to_str_limit(tmp_path, capsys, de
     # residue's coefficients share their lcm denominator, which grows with
     # the number of terms.  Printing 560 of them passed the interpreter's
     # limit on int-to-string conversion and ended as an internal error.
+    # An interpreter with no such limit (0, or before Python 3.10.7) prints
+    # the residue.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if code == 2 and not limit:
+        pytest.skip("this interpreter has no int-to-str limit")
     blob = tmp_path / "gens.json"
     argv = ["--form", "upq", "--p", "2", "--q", "2", "--blocks", "1,2"]
     assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
@@ -258,7 +263,6 @@ def test_reduce_refuses_a_residue_past_the_int_to_str_limit(tmp_path, capsys, de
     if code == 0:
         assert captured.err == ""
     else:
-        limit = sys.get_int_max_str_digits()
         assert captured.err == (f"error: entry 1 reduces to a coefficient of more than {limit} digits, "
                                 f"the interpreter's limit for printing an int\n")
         assert captured.out == ""
@@ -891,12 +895,13 @@ def test_write_json_matches_json_dumps(doc):
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_a_float_that_is_not_json_is_an_internal_fault(monkeypatch, capsys, value):
     # JSON has no Infinity or NaN; the writer refuses one, and run reports it
-    # on its exit-3 path.
+    # on its exit-3 path.  The pieces before it are already written, so
+    # standard output holds the report up to the refused value.
     monkeypatch.setattr(cli, "_cmd_degrees", lambda args: ({"value": value}, 0))
     assert run(["degrees", "--diagram", "A_n^1", "--n", "4", "--json"]) == 3
     captured = capsys.readouterr()
     assert captured.err == "internal error: ValueError: Out of range float values are not JSON compliant\n"
-    assert "Infinity" not in captured.out and "NaN" not in captured.out
+    assert captured.out == '{\n  "value": '
 
 
 _REPORTS = {

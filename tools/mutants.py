@@ -285,8 +285,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "json.dumps(value)",
            tuple(f"{NOT_JSON}[{value}]" for value in ("inf", "-inf", "nan"))),
     Mutant("overflowed-value-without-log", "src/huaops/cfun.py",
-           'return {"logValue": log_value, "negative": negative}',
-           "return {}",
+           'return {"logValue": log_value, "negative": negative, **part}',
+           "return part",
            ("tests/test_cli.py::"
             "test_cfun_takes_a_float_pole_of_lgamma_off_the_exact_argument",)),
     Mutant("residue-digits-unchecked", "src/huaops/cli.py",
