@@ -438,7 +438,8 @@ def dominant_grid_report(rs: RestrictedRootSystem) -> dict:
     Candidate points are the strictly decreasing positive integer vectors
     drawn from ``1..rank+2``; each is certified strictly dominant by
     exact pairing with every positive root, then checked to produce neither a
-    zero nor a pole certificate, with a finite positive float value.
+    zero nor a pole certificate, with a finite positive float value: a
+    negative value or one past the float range is a failure too.
     """
     product = c_product(rs)
     rho = _bindings(rs, rs.half_sum())
@@ -456,10 +457,8 @@ def dominant_grid_report(rs: RestrictedRootSystem) -> dict:
         val = product.evaluate(point)
         value = None
         if val["defined"] and not val["zero"]:
-            value = math.exp(log_c + val["logValue"])
-        ok = (val["defined"] and not val["zero"]
-              and value is not None and value > 0.0 and math.isfinite(value))
-        if not ok:
+            value = _signed_exp(log_c + val["logValue"], val["negative"])
+        if value is None or value <= 0.0:
             failures.append({"lambda": [str(c) for c in lam],
                              "zeros": val["zeros"], "poles": val["poles"]})
     return {

@@ -345,11 +345,13 @@ def _cmd_reduce(args: argparse.Namespace) -> Tuple[dict, int]:
     # share one lcm denominator, which grows with the entry's term count.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     too_long = 10 ** digits if digits else None
+    parsed: dict = {}  # each distinct coefficient text, read once
     for index, record in enumerate(records):
         try:  # one entry at a time, so only one is held
             row, col = record["row"], record["col"]
             element = EnvElement.from_json_dict(record["element"],
-                                                ambient.basis, form.ring)
+                                                ambient.basis, form.ring,
+                                                parsed)
         except (ValueError, KeyError, TypeError) as exc:  # a malformed entry
             raise UsageError(str(exc)) from None
         if any(max(poly.denominator, *map(abs, poly.numerators.values())) >= cap

@@ -116,11 +116,8 @@ class ThetaData:
             return tuple(range(1, L))
         if self.kind == "sp":
             return tuple(range(1, L))
-        # o-even
-        base = tuple(range(1, L))
-        if self.rank in base:
-            return base
-        return base + (self.rank,)
+        # o-even: the rank, never below L, joins 1..L-1
+        return tuple(range(1, L)) + (self.rank,)
 
     def central_order(self, j: int) -> int:
         """Filtration order of the ``j``-th central generator."""

@@ -155,10 +155,13 @@ def _sum(ring: ParamRing, polys: Sequence["ParamPoly"]) -> "ParamPoly":
 
 
 class ParamPoly:
-    """Immutable-by-convention sparse polynomial over a :class:`ParamRing`.
+    """Sparse polynomial over a :class:`ParamRing`; never mutated.
 
     ``numerators`` and ``denominator`` must already be in the canonical form
-    of the module docstring; :func:`_reduced` builds it.
+    of the module docstring; :func:`_reduced` builds it.  One object is
+    shared by many terms and elements (and its numerators dict lent to
+    arithmetic, see :func:`_over`), so neither it nor its dict may ever be
+    changed after it is built.
     """
 
     __slots__ = ("ring", "numerators", "denominator")

@@ -52,6 +52,15 @@ coefficient exponent, and gathers and reduces each output term by one gcd;
 the column is converted once, not once per row.  Degrees are read from the
 table, and ids turn back into tuples only where an :class:`EnvElement` is
 built, so its terms, its text and JSON, and :func:`_peel` keep tuples.
+Equal coefficients are shared, not copied, wherever a product or a read
+builds many of them: :func:`_finish` builds each distinct coefficient once
+per call, :func:`_peel` keeps the monomial tuple of every term it leaves
+whole (and its coefficient, when no other term lands on that monomial),
+and :meth:`EnvElement.from_json_dict` parses each distinct text once per
+``parsed`` dict, one per ``reduce`` request.  No table of coefficients
+outlives the call that builds it, and since one object serves many terms,
+a :class:`~huaops.params.ParamPoly` must never be mutated.
+
 Each converted term carries its grade (0 without per-index
 grades); given a budget, every pair of monomials whose grades sum over it
 is skipped, the restricted-weight bound of a character chain
@@ -585,13 +594,20 @@ class EnvElement:
         return {"basisId": self.basis.basis_id, "terms": terms}
 
     @staticmethod
-    def from_json_dict(data: dict, basis: OrderedBasis, ring: ParamRing) -> "EnvElement":
+    def from_json_dict(data: dict, basis: OrderedBasis, ring: ParamRing,
+                       parsed: Optional[Dict[str, ParamPoly]] = None
+                       ) -> "EnvElement":
         """The element of :meth:`to_json_dict`; raises ``ValueError`` unless
         ``data`` is a dict, every coefficient a string, and every monomial
         normal-ordered over ``basis``: int indices in ``range(len(basis))``,
         strictly increasing, and int exponents >= 1.  A monomial may be a
-        list of ``[index, exponent]`` lists or a tuple of pairs.
+        list of ``[index, exponent]`` lists or a tuple of pairs.  ``parsed``
+        holds the coefficient already read from each text over ``ring``, so
+        that elements read together parse each distinct text once and share
+        its coefficient.
         """
+        if parsed is None:
+            parsed = {}
         if not isinstance(data, dict):
             raise ValueError(f"an element must be an object, got {data!r}")
         if data.get("basisId") != basis.basis_id:
@@ -616,9 +632,12 @@ class EnvElement:
             coeff = item["coeff"]
             if not isinstance(coeff, str):
                 raise ValueError(f"coefficient {coeff!r} must be a string")
-            poly = poly_from_string_ring(ring, coeff)
+            poly = parsed.get(coeff)
+            if poly is None:
+                poly = parsed[coeff] = poly_from_string_ring(ring, coeff)
             if not poly.is_zero():
-                terms[mono] = terms.get(mono, ring.zero()) + poly
+                old = terms.get(mono)
+                terms[mono] = poly if old is None else old + poly
         return EnvElement(basis, ring, {m: p for m, p in terms.items() if not p.is_zero()})
 
 
@@ -660,8 +679,12 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Flat,
 
     The nonzero numerators of ``out`` are gathered per monomial id, and
     each coefficient keeps its ints and is reduced by one gcd; a monomial
-    whose numerators all cancel gets no term.  The ids turn back into
-    tuples here, where the element is built.
+    whose numerators all cancel gets no term.  Each distinct coefficient is
+    built once per call and shared by every term that has it: the key is
+    the denominator and the numerators' items in their dict order, and
+    equal keys give equal canonical polynomials (a value whose items come
+    in another order costs one more, equal, object).  The ids turn back
+    into tuples here, where the element is built.
     """
     d = basis.scale
     dens = [denominator * d ** (top - i) for i in range(top + 1)]
@@ -675,8 +698,16 @@ def _finish(basis: OrderedBasis, ring: ParamRing, out: Flat,
                 else:
                     nums[e] = k
     tuples, degrees = basis._mono_tuples, basis._mono_degrees
-    return EnvElement(basis, ring, {tuples[m]: _reduced(ring, nums, dens[degrees[m]])
-                                    for m, nums in gathered.items()})
+    built: Dict[tuple, ParamPoly] = {}
+    terms: Dict[Monomial, ParamPoly] = {}
+    for m, nums in gathered.items():
+        den = dens[degrees[m]]
+        key = (den, *nums.items())
+        coeff = built.get(key)
+        if coeff is None:
+            coeff = built[key] = _reduced(ring, nums, den)
+        terms[tuples[m]] = coeff
+    return EnvElement(basis, ring, terms)
 
 
 def sum_products(left: Sequence[EnvElement], right: Sequence[EnvElement]
@@ -796,7 +827,8 @@ def _peel(elem: EnvElement, values: Mapping[int, ParamPoly]) -> EnvElement:
     throughout is dropped whole, wherever it lies (the n-zone of the
     reduction and of the highest-weight evaluation).  Each power of a
     value is built once per call, and the values landing on one prefix are
-    summed once, over their lcm denominator.
+    summed once, over their lcm denominator.  A monomial with no evaluated
+    factor keeps its own tuple as its key.
     """
     parts: Dict[Monomial, List[ParamPoly]] = {}
     powers: Dict[Tuple[int, int], ParamPoly] = {}
@@ -816,7 +848,8 @@ def _peel(elem: EnvElement, values: Mapping[int, ParamPoly]) -> EnvElement:
                     power = powers[g, e] = k ** e
                 value = value * power
         if not value.is_zero():
-            parts.setdefault(tuple(prefix), []).append(value)
+            key = mono if len(prefix) == len(mono) else tuple(prefix)
+            parts.setdefault(key, []).append(value)
     out: Dict[Monomial, ParamPoly] = {}
     for key, found in parts.items():
         total = found[0] if len(found) == 1 else _sum(elem.ring, found)

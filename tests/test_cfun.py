@@ -13,6 +13,7 @@ from huaops.cfun import (
     _log_abs_gamma,
     FLOAT_TOL,
     GammaFactor,
+    GammaProduct,
     NUMERATOR,
     c_function,
     c_product,
@@ -180,3 +181,37 @@ def test_wrong_rank_rejected():
     rs = spnr_root_system(2)
     with pytest.raises(ValueError):
         e_function(rs, (1,))
+
+
+@pytest.mark.parametrize(
+    "broken",
+    [{"defined": False, "zero": False, "poles": [{"root": "e_1", "argument": "0"}],
+      "logValue": None, "value": None},
+     {"zero": True, "zeros": [{"root": "e_1", "argument": "-1"}], "logValue": None,
+      "value": 0.0},
+     {"negative": True},
+     {"logValue": 1e6},
+     {"logValue": -1e6}],
+    ids=["pole", "zero", "negative", "past-the-float-range", "underflow"],
+)
+def test_dominant_grid_reports_every_point_that_is_not_finite_and_positive(monkeypatch, broken):
+    # The normalisation at rho reads the true product; every grid point after
+    # it reads ``broken`` over the true value, and each is one failure with
+    # its certificates.  A value past the float range fails instead of
+    # raising, and a negative one fails instead of passing by its absolute
+    # value.
+    evaluate = GammaProduct.evaluate
+    calls = []
+
+    def patched(self, bindings, **kwargs):
+        calls.append(bindings)
+        val = evaluate(self, bindings, **kwargs)
+        return val if len(calls) == 1 else {**val, **broken}
+
+    monkeypatch.setattr(GammaProduct, "evaluate", patched)
+    report = dominant_grid_report(glnr_root_system(3))
+    assert report["points"] > 0 and not report["pass"]
+    assert len(report["failures"]) == report["points"] == len(calls) - 1
+    for failure in report["failures"]:
+        assert failure["zeros"] == broken.get("zeros", [])
+        assert failure["poles"] == broken.get("poles", [])

@@ -718,6 +718,19 @@ def test_malformed_reduce_input_is_a_usage_error(tmp_path, capsys, text, message
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("coeffs", [("s", "s", "1e3*s", "1e3*s"), ("1e3*s", "s", "1e3*s")],
+                         ids=["after-a-repeated-text", "repeated"])
+def test_reduce_refuses_a_malformed_text_among_repeated_ones(tmp_path, capsys, coeffs):
+    # Each distinct text is read once per request; a malformed one is never
+    # kept, and ends the request with the line it gives when read alone.
+    terms = [{"coeff": coeff, "monomial": [[g, 1]]} for g, coeff in enumerate(coeffs)]
+    blob = tmp_path / "gens.json"
+    blob.write_text(_ONE_TERM.replace('[{"coeff": %s, "monomial": []}]', json.dumps(terms)))
+    code = run(["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--in", str(blob)])
+    assert code == 2
+    assert capsys.readouterr().err == "error: '1e3' is not a rational literal like 3 or 3/4\n"
+
+
 def test_reduce_reads_standard_input(tmp_path, monkeypatch, capsys):
     blob = tmp_path / "gens.json"
     argv = ["reduce", "--form", "upq", "--p", "2", "--q", "1", "--blocks", "1", "--json"]

@@ -7,6 +7,7 @@ import pytest
 from huaops.minpoly import (
     THETA,
     THETA_BAR,
+    MinPoly,
     ThetaData,
     boundary_degree,
     boundary_theta,
@@ -125,3 +126,32 @@ def test_boundary_theta_and_degree_spots():
     assert theta.kind == "gl"
     with pytest.raises((ValueError, KeyError)):
         boundary_theta("unknown_family", 1, size=3)
+
+
+def test_a_zero_root_is_printed_as_x():
+    assert MinPoly(RING, (RING.zero(), RING.var("l1"))).factored_strings() == ("x", "x - (l1)")
+    # gl with its first character value 0: the first root is lambda_1 + n_0 = 0.
+    theta = ThetaData(kind="gl", rank=2, blocks=(1, 2), char_values=(RING.zero(), RING.var("l2")))
+    poly = minimal_polynomial(theta)
+    assert poly.factored_strings() == ("x", "x - (l2 + 1)")
+    assert poly.to_json_dict()["factors"] == ["x", "x - (l2 + 1)"]
+
+
+@pytest.mark.parametrize(
+    "kind, variant, blocks, expected",
+    [("gl", THETA, (1, 3, 4), (1, 2)),
+     ("sp", THETA, (1, 3, 4), (1, 2)),
+     ("o-odd", THETA, (1, 3, 4), (1, 2, 3)),
+     ("o-odd", THETA_BAR, (1, 3, 4), (1, 2)),
+     # o-even adjoins the rank, which is never below L = len(blocks)
+     ("o-even", THETA, (1, 3, 4), (1, 2, 4)),
+     ("o-even", THETA, (4,), (4,)),
+     ("o-even", THETA, (1, 2, 3, 4), (1, 2, 3, 4)),
+     ("o-even", THETA_BAR, (2, 4), (1, 4))],
+    ids=["gl", "sp", "o-odd", "o-odd-barred", "o-even", "o-even-one-block",
+         "o-even-rank-equals-blocks", "o-even-barred"],
+)
+def test_central_index_set(kind, variant, blocks, expected):
+    values = _values(RING, len(blocks) - 1) + (RING.zero(),)
+    theta = ThetaData(kind=kind, rank=4, blocks=blocks, char_values=values, variant=variant)
+    assert theta.central_index_set() == expected

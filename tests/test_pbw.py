@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from huaops.liedata import make_algebra, make_glnr, make_upq
+from huaops.matop import generator_matrix
 from huaops.params import ParamRing
 from huaops.reduce import UpqCase, gl_lemma_check, upq_theorem_case
 from huaops import pbw
@@ -336,13 +337,20 @@ def test_every_interned_monomial_and_memo_value_is_in_normal_form(monkeypatch):
     # >= 1, and every memo value holds valid ids and nonzero ints: a
     # product that leaves two powers of one generator unmerged shows here,
     # though it changes no residue of these runs.  Every element the two
-    # runs build has canonical coefficients.
+    # runs build has canonical coefficients, and no coefficient changes
+    # after an element holds it: one object serves many terms and elements
+    # (_finish, _peel and from_json_dict share them), so each keeps the
+    # fields it had when the first element holding it was built.
     built = []
+    first_seen = {}
     init = EnvElement.__init__
 
     def recording(self, *args):
         init(self, *args)
         built.append(self)
+        for coeff in self.terms.values():
+            if id(coeff) not in first_seen:
+                first_seen[id(coeff)] = (coeff, coeff.denominator, dict(coeff.numerators))
 
     monkeypatch.setattr(EnvElement, "__init__", recording)
     case = UpqCase(2, 1, (1,))
@@ -359,6 +367,8 @@ def test_every_interned_monomial_and_memo_value_is_in_normal_form(monkeypatch):
     for element in built:
         for mono, coeff in element.terms.items():
             assert _is_canonical(coeff, element.ring), (mono, coeff.numerators, coeff.denominator)
+    for coeff, denominator, numerators in first_seen.values():
+        assert (coeff.denominator, coeff.numerators) == (denominator, numerators), coeff
 
 
 def _symbolic_element(basis, rng):
@@ -554,3 +564,77 @@ def test_rational_span_solves_combinations_and_refuses_dependent_vectors():
         outside[order[len(added)]] = Fraction(1)
         assert span.solve(outside) is None
         assert span.add(outside) is True
+
+
+def test_the_zero_element_has_degree_minus_one():
+    basis = make_algebra("gl", 2).basis
+    assert EnvElement.zero(basis, RING).degree() == -1
+    assert EnvElement.scalar(basis, RING.one()).degree() == 0
+
+
+@pytest.mark.parametrize("make, ranks", [(make_upq, (2, 1)), (make_glnr, (2,))],
+                         ids=["upq21", "glnr2"])
+def test_equal_coefficients_of_one_product_are_one_object(make, ranks):
+    # Column 1 of (E + c)^3, one row at a time: within each output element,
+    # the terms of one degree that have equal coefficients hold one object
+    # (_finish keys a coefficient by its denominator, which is fixed by the
+    # degree, and its numerators).  The form is built in the test, not at
+    # collection, so no basis exists before the suite's first test.
+    form = make(*ranks)
+    ring = form.ring
+    shift = ring.var("s") if ring.symbols else ring.const(Fraction(1, 3))
+    mat = generator_matrix(form.complex_algebra, ring, form.basis).shift(shift)
+    column = [mat.mul(mat).entry(i, 1) for i in range(1, len(mat.entries) + 1)]
+    shared = 0
+    for element in sum_products_column(mat.entries, column):
+        objects = {}
+        for mono, coeff in element.terms.items():
+            objects.setdefault((mono_degree(mono), coeff), set()).add(id(coeff))
+        assert all(len(ids) == 1 for ids in objects.values()), element
+        shared += len(element.terms) - len(objects)
+    assert shared > 0
+
+
+def test_peel_keeps_the_tuple_of_a_monomial_it_leaves_whole():
+    # The k-tail of ((n, 1), (k, 1)) is evaluated and its prefix is a new
+    # tuple; ((n, 1), (a, 1)) has no tail and keeps its own tuple.
+    form = make_upq(2, 1)
+    basis, ring = form.basis, form.ring
+    n, a, k = (basis.zone_indices(zone)[0] for zone in ("n", "a", "k"))
+    whole = ((n, 1), (a, 1))
+    tailed = ((n, 1), (k, 1))
+    elem = EnvElement(basis, ring, {whole: ring.var("s"), tailed: ring.one()})
+    peeled = pbw._peel(elem, form.k_character)
+    assert peeled.terms == {whole: ring.var("s"), ((n, 1),): form.k_character[k]}
+    kept = {mono: mono for mono in peeled.terms}
+    assert kept[whole] is whole
+
+
+def test_from_json_dict_parses_each_distinct_text_once(monkeypatch):
+    # Elements read with one ``parsed`` dict parse each distinct text once
+    # and share its coefficient; a monomial given twice sums its terms.
+    basis = make_algebra("gl", 2).basis
+    ring = ParamRing(("s",))
+    s = ring.var("s")
+    texts = []
+    parse = pbw.poly_from_string_ring
+
+    def counting(ring, text):
+        texts.append(text)
+        return parse(ring, text)
+
+    monkeypatch.setattr(pbw, "poly_from_string_ring", counting)
+    data = {"basisId": basis.basis_id,
+            "terms": [{"coeff": "s", "monomial": [[0, 1]]},
+                      {"coeff": "2", "monomial": [[1, 1]]},
+                      {"coeff": "s", "monomial": [[2, 1]]},
+                      {"coeff": "s", "monomial": [[0, 1]]}]}
+    parsed = {}
+    first = EnvElement.from_json_dict(data, basis, ring, parsed)
+    second = EnvElement.from_json_dict(data, basis, ring, parsed)
+    assert sorted(texts) == ["2", "s"]
+    assert first == second
+    assert first.terms == {((0, 1),): s * 2, ((1, 1),): ring.const(2), ((2, 1),): s}
+    assert first.terms[((2, 1),)] is second.terms[((2, 1),)] is parsed["s"]
+    EnvElement.from_json_dict(data, basis, ring)
+    assert sorted(texts) == ["2", "2", "s", "s"]

@@ -81,6 +81,7 @@ WRITER = ("tests/test_cli.py::test_canonical_json_matches_json_dumps",
 STREAMED = ("tests/test_cli.py::test_write_json_matches_json_dumps",) + WRITER[1:]
 FAILED_OUT = "tests/test_cli.py::test_a_failed_out_write_is_a_usage_error"
 NOT_JSON = "tests/test_cli.py::test_a_float_that_is_not_json_is_an_internal_fault"
+SHARED = "tests/test_pbw.py::test_equal_coefficients_of_one_product_are_one_object"
 GL_LEMMA_GOLDEN = tuple(f"{GOLDEN}[verify gl-lemma --n {n} --m {m}]"
                         for n, m in ((2, 2), (3, 3), (3, 4)))
 
@@ -389,6 +390,33 @@ MUTANTS: Tuple[Mutant, ...] = (
            "            if True:\n                nums = gathered.get(m)",
            ("tests/test_pbw.py::test_sum_products_column_matches_naive_products",
             NORMAL_FORM)),
+    # Equal coefficients shared, not copied: one object per distinct
+    # coefficient of a product, the tuple of a monomial a peel leaves
+    # whole, and one parse per distinct text of a reduce request.
+    Mutant("coefficient-key-drops-the-denominator", "src/huaops/pbw.py",
+           "key = (den, *nums.items())",
+           "key = (*nums.items(),)",
+           ("tests/test_pbw.py::test_sum_products_column_matches_naive_products",
+            f"{SHARED}[upq21]", f"{SHARED}[glnr2]",
+            f"{GOLDEN}[verify upq-theorem --p 3 --q 2 --blocks 1,2]")
+           + GL_LEMMA_GOLDEN),
+    Mutant("peel-keeps-an-evaluated-monomial", "src/huaops/pbw.py",
+           "key = mono if len(prefix) == len(mono) else tuple(prefix)",
+           "key = mono",
+           ("tests/test_pbw.py::test_peel_keeps_the_tuple_of_a_monomial_it_leaves_whole",
+            CONVERSION, f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
+            "tests/test_golden.py::test_reduce_of_the_export_digest")),
+    Mutant("parse-cache-keyed-on-the-length", "src/huaops/pbw.py",
+           "            poly = parsed.get(coeff)\n"
+           "            if poly is None:\n"
+           "                poly = parsed[coeff] = poly_from_string_ring(ring, coeff)",
+           "            poly = parsed.get(len(coeff))\n"
+           "            if poly is None:\n"
+           "                poly = parsed[len(coeff)] = poly_from_string_ring(ring, coeff)",
+           ("tests/test_pbw.py::test_from_json_dict_parses_each_distinct_text_once",
+            "tests/test_cli.py::test_round_trip_ideal_reduce",
+            "tests/test_golden.py::test_reduce_of_the_export_digest",
+            "tests/test_golden.py::test_reduce_of_the_benchmark_export_digest")),
     # The int arithmetic under the products.
     Mutant("scale-forced-to-1", "src/huaops/pbw.py",
            "return lcm(*(c.denominator for i in range(n)",
