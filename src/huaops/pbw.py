@@ -27,17 +27,19 @@ The monomials are ints as well.  Each basis numbers every distinct
 monomial it meets once (hash-consing): ``_monomials`` maps a tuple to its
 int id, and ``_mono_tuples`` and ``_mono_degrees`` map an id back to its one
 tuple and its degree; ``()`` is id 0 and ``((g, 1),)`` is id g + 1.  Every
-product of two monomials is one memoised recursion on ids,
+product of two monomials is one recursion on ids,
 :meth:`OrderedBasis.mul_monos`.  When the last generator of a is below the
 first generator of b, a·b is read off as a + b, and when the two are equal
 their powers merge; such a product is not stored.  Otherwise a generator g
-times a monomial b = h^e·rest (g > h) is straightened from the front:
-g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, and a longer a = g·a' is
-multiplied as g·(a'·b).  Both are memoised in ``_mono_mono_cache`` under
-the one int ``a << ID_BITS | b`` as one flat tuple ``(id, c, id, c, ...)``
-of nonzero scaled ints; the memo lives as long as the basis, and
-:meth:`OrderedBasis.mono_id` raises rather than give an id that would not
-fit its half of the key.  ``_mono_gen_cache``, ``_conversion_cache`` and
+times a monomial b = h^f·rest (g > h) is straightened from the front:
+g·b = h·(g·h^(f-1)·rest) + [g, h]·h^(f-1)·rest.  Only these products are
+memoised, in ``_left_actions[g]``, one dict per generator keyed by the id
+of b, each as one flat tuple ``(id, c, id, c, ...)`` of nonzero scaled
+ints; the memo lives as long as the basis.  A longer a = head·g^e is
+multiplied from its back, as head·(g·b) with head = a less one power of
+g, through those products and the read-offs, and is not stored.
+``_mono_mono_cache`` (whose ``len`` is the number of stored products),
+``_mono_gen_cache``, ``_conversion_cache`` and
 :meth:`OrderedBasis.mul_mono_gen` are stubs that only the benchmark's
 tracer reads.
 
@@ -105,7 +107,6 @@ Flat = Dict[Exponents, Dict[int, int]]  # {e: {monomial id: numerator of x^e}}
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 _second = itemgetter(1)
-ID_BITS = 32  # a memo key packs two monomial ids of this many bits
 
 
 def _integral(value: Fraction, factor: int) -> int:
@@ -258,7 +259,9 @@ class OrderedBasis:
         # pins them.
         self._mono_gen_cache: Dict[Tuple[Monomial, int], Dict[Monomial, int]] = {}
         self._conversion_cache: Dict[Tuple[str, Monomial], Dict[Monomial, int]] = {}
-        self._mono_mono_cache: Dict[int, Tuple[int, ...]] = {}
+        # Per generator g, g·b for each id b that needs a bracket.
+        self._left_actions: List[Dict[int, Tuple[int, ...]]] = [
+            {} for _ in generators]
         # The intern table: one int id per distinct monomial, () first and
         # then ((g, 1),) as id g + 1, and per id its one tuple and degree.
         self._monomials: Dict[Monomial, int] = {}
@@ -269,6 +272,12 @@ class OrderedBasis:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @property
+    def _mono_mono_cache(self) -> range:
+        """A stub that only ``perfbench/tracer.py`` reads, for its ``len``:
+        a range as long as the number of products stored now."""
+        return range(sum(map(len, self._left_actions)))
 
     def __repr__(self) -> str:
         return f"OrderedBasis({self.basis_id!r}, ambient={self.ambient}, size={len(self)})"
@@ -326,18 +335,11 @@ class OrderedBasis:
     # -- straightening engine -------------------------------------------------
 
     def mono_id(self, mono: Monomial) -> int:
-        """The int id of a monomial, given on first sight (hash-consing).
-
-        Raises instead of giving an id of ``ID_BITS`` bits or more, so the
-        memo key ``a << ID_BITS | b`` never packs two pairs into one int.
-        """
+        """The int id of a monomial, given on first sight (hash-consing)."""
         found = self._monomials.get(mono)
         if found is not None:
             return found
         new = len(self._mono_tuples)
-        if new >> ID_BITS:
-            raise OverflowError(f"basis {self.basis_id!r} would number more "
-                                f"than 2**{ID_BITS} monomials")
         self._monomials[mono] = new
         self._mono_tuples.append(mono)
         self._mono_degrees.append(mono_degree(mono))
@@ -360,11 +362,12 @@ class OrderedBasis:
         When the last generator g of a is below the first generator h of b,
         a·b is a + b; when g = h, the two powers merge.  Neither is stored.
         Otherwise a single generator g is straightened from the front of
-        b = h^e·rest: g·b = h·(g·h^(e-1)·rest) + [g, h]·h^(e-1)·rest, with
-        the bracket D·[g, h] in place of [g, h].  A longer a = g·a' is
-        multiplied as g·(a'·b); the scalings of a'·b and of g times each of
-        its terms multiply to the one above.  Both are memoised under the
-        one int ``a << ID_BITS | b``.
+        b = h^f·rest: g·b = h·(g·h^(f-1)·rest) + [g, h]·h^(f-1)·rest, with
+        the bracket D·[g, h] in place of [g, h], and memoised in
+        ``_left_actions[g]`` under b.  A longer a = head·g^e is multiplied
+        from its back as head·(g·b), head being a with one power of g taken
+        off; the scalings of g·b and of head times each of its terms
+        multiply to the one above.  It is not stored.
         """
         if not b:
             return (a, 1)
@@ -378,25 +381,24 @@ class OrderedBasis:
             return (self.mono_id(ta + tb), 1)
         if g == h:
             return (self.mono_id(ta[:-1] + ((g, e + f),) + tb[1:]), 1)
-        key = a << ID_BITS | b
-        hit = self._mono_mono_cache.get(key)
-        if hit is not None:
-            return hit
         # ids 1..n are the single generators ((g, 1),)
         single = a <= len(self.names)
         if single:
+            memo = self._left_actions[g]
+            hit = memo.get(b)
+            if hit is not None:
+                return hit
             rest = self.mono_id(((h, f - 1),) + tb[1:] if f > 1 else tb[1:])
-            front, inner = h, self.mul_monos(a, rest)
+            left, inner = h + 1, self.mul_monos(a, rest)
         else:
-            front, e = ta[0]
-            inner = self.mul_monos(
-                self.mono_id(((front, e - 1),) + ta[1:] if e > 1 else ta[1:]), b)
-        lead = front + 1  # the id of ((front, 1),)
+            left = self.mono_id(ta[:-1] + ((g, e - 1),) if e > 1 else ta[:-1])
+            inner = self.mul_monos(g + 1, b)
+        # left times each term of inner, and for a single g the bracket terms
         acc: Dict[int, int] = {}
         get = acc.get
         pairs = iter(inner)
         for m1, c1 in zip(pairs, pairs):
-            image = iter(self.mul_monos(lead, m1))
+            image = iter(self.mul_monos(left, m1))
             for m2, c2 in zip(image, image):
                 acc[m2] = get(m2, 0) + c1 * c2
         if single:
@@ -405,7 +407,8 @@ class OrderedBasis:
                 for m1, c1 in zip(image, image):
                     acc[m1] = get(m1, 0) + ck * c1
         result = tuple(chain.from_iterable(filter(_second, acc.items())))
-        self._mono_mono_cache[key] = result
+        if single:
+            memo[b] = result
         return result
 
 

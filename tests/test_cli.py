@@ -270,7 +270,9 @@ def test_reduce_refuses_a_residue_past_the_int_to_str_limit(tmp_path, capsys, de
 
 def test_reduce_leaves_the_right_action_memo_empty(tmp_path, capsys):
     # reduce converts the export multiplying generators in on the left
-    # only; the right-action and conversion memos are never written.
+    # only; the right-action and conversion memos are never written, and
+    # the one memo holds only single-generator products g·b, each with g
+    # above the first generator of b.
     blob = tmp_path / "gens.json"
     argv = ["--form", "upq", "--p", "2", "--q", "1", "--blocks", "1"]
     assert run(["ideal"] + argv + ["--restrict-columns", "--out", str(blob)]) == 0
@@ -279,7 +281,11 @@ def test_reduce_leaves_the_right_action_memo_empty(tmp_path, capsys):
     case = reduce_module.UpqCase(2, 1, (1,))
     for basis in (case.form.basis, case.form.complex_algebra.basis):
         assert basis._mono_gen_cache == basis._conversion_cache == {}, basis.basis_id
-    assert case.form.basis._mono_mono_cache
+    basis = case.form.basis
+    stored = [(g, basis._mono_tuples[b])
+              for g, memo in enumerate(basis._left_actions) for b in memo]
+    assert all(mono[0][0] < g for g, mono in stored), stored
+    assert len(basis._mono_mono_cache) == len(stored) > 0
 
 
 _BAD_UPQ_BLOCKS = [

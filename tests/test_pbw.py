@@ -17,7 +17,6 @@ from huaops.params import ParamRing
 from huaops.reduce import UpqCase, gl_lemma_check, upq_theorem_case
 from huaops import pbw
 from huaops.pbw import (
-    ID_BITS,
     EnvElement,
     OrderedBasis,
     RationalSpan,
@@ -202,6 +201,54 @@ def test_monomial_products_match_naive_rewriter():
         assert sides == {-1, 0, 1}, basis.basis_id
 
 
+def test_longer_products_match_naive_rewriter():
+    # A longer a = head·g^e times b (g above the first generator h of b) is
+    # multiplied from its back as head·(g·b), head being a with one power
+    # of g taken off: with e >= 2; with a head that ends above h, so that
+    # it does not read off against the leading term of g·b and the
+    # recursion runs again; and the lemma's pattern, a monomial with a tail
+    # in the last zone (k on the Iwasawa bases) times one generator of that
+    # zone.  The product itself is not stored: every entry it adds to the
+    # memo is a single generator times a monomial, as the rewriter has it.
+    for source, scale in _oracle_bases():
+        basis = _fresh(source, "longer")
+        ids, n = basis.mono_id, len(basis)
+        tail = basis.zone_indices(basis.zones[-1])
+        k0, k1, k2 = tail[0], tail[1], tail[-1]
+        cases = [
+            (((1, 1), (n - 1, 2)), ((0, 1), (2, 1))),
+            (((0, 1), (n - 1, 3)), ((n - 3, 1),)),
+            (((0, 1), (n - 1, 1)), ((2, 1), (3, 1))),
+            (((3, 1), (n - 1, 1)), ((0, 2), (1, 1))),
+            (((2, 1), (4, 1), (n - 1, 1)), ((1, 1), (3, 1))),
+            (((3, 1), (k1, 1), (k2, 1)), ((k0, 1),)),
+            (((0, 1), (k1, 1), (k2, 2)), ((k0, 1),)),
+        ]
+        powers, heads = set(), set()
+        for a, b in cases:
+            (g, e), h = a[-1], b[0][0]
+            assert g > h, (a, b)
+            powers.add(e >= 2)
+            head = a[:-1] + ((g, e - 1),) if e > 1 else a[:-1]
+            heads.add(head[-1][0] > h)
+            before = {(g2, m) for g2, m, _image in _memo_items(basis)}
+            top = mono_degree(a) + mono_degree(b)
+            product = basis.mul_monos(ids(a), ids(b))
+            assert ({m: Fraction(c, scale ** (top - mono_degree(m)))
+                     for m, c in _decoded(basis, product).items()}
+                    == naive_normal_order(basis, _word(a) + _word(b))), (
+                basis.basis_id, a, b)
+            added = [(g2, m, image) for g2, m, image in _memo_items(basis)
+                     if (g2, m) not in before]
+            for g2, m, image in added:
+                mono = basis._mono_tuples[m]
+                assert ({m2: Fraction(c, scale ** (1 + mono_degree(mono) - mono_degree(m2)))
+                         for m2, c in _decoded(basis, image).items()}
+                        == naive_normal_order(basis, (g2,) + _word(mono))), (g2, mono)
+        assert powers == heads == {False, True}, basis.basis_id
+        assert _check_table(basis), basis.basis_id
+
+
 def test_in_order_products_are_read_off_and_not_stored():
     # When a's last generator is below b's first, a·b is a + b; when they
     # are equal, the two powers merge.  Neither product enters the memo.
@@ -220,13 +267,13 @@ def test_in_order_products_are_read_off_and_not_stored():
     assert basis.mul_mono_gen(ids(((0, 1), (2, 1))), 2) == (ids(((0, 1), (2, 2))), 1)
     assert (basis.mul_mono_gen(ids(((0, 1), (2, 1))), 3)
             == (ids(((0, 1), (2, 1), (3, 1))), 1))
-    assert basis._mono_mono_cache == {}
+    assert basis._left_actions == [{}] * len(basis)
+    assert len(basis._mono_mono_cache) == 0
 
 
 def test_left_action_matches_naive_rewriter():
     # g·m is straightened from the front of m; a product that needs a
-    # bracket is memoised under the one int key of the ids of ((g, 1),)
-    # and m.
+    # bracket is memoised in the dict of g under the id of m.
     for basis, _scale in _oracle_bases():
         rng = random.Random(103)
         monos = [word_mono(sorted(rng.randrange(len(basis)) for _ in range(deg)))
@@ -238,23 +285,32 @@ def test_left_action_matches_naive_rewriter():
                 product = EnvElement.generator(basis, RING, g) * elem
                 got = {m: c.constant_value() for m, c in product.terms.items()}
                 assert got == naive_normal_order(basis, word), (basis.basis_id, word)
-                key = basis.mono_id(((g, 1),)) << ID_BITS | basis.mono_id(mono)
-                stored = key in basis._mono_mono_cache
+                stored = basis.mono_id(mono) in basis._left_actions[g]
                 assert stored == (g > mono[0][0]), (basis.basis_id, word)
+
+
+def _memo_items(basis):
+    """Every stored product as ``(g, id of b, flat image of g·b)``."""
+    return [(g, b, image) for g, memo in enumerate(basis._left_actions)
+            for b, image in memo.items()]
 
 
 def _check_table(basis):
     """Every id has one tuple and its degree, every monomial one id, and
-    every memo entry pairs two ids with a flat image of valid ids and
-    nonzero ints; returns the memo's stored (id, int) pairs."""
+    every memo entry is a generator g times the valid id of a monomial
+    that leads with a generator below g, with a flat image of valid ids
+    and nonzero ints; returns the memo's stored (id, int) pairs."""
     table, tuples, degrees = basis._monomials, basis._mono_tuples, basis._mono_degrees
-    assert len(table) == len(tuples) == len(degrees) < 1 << ID_BITS
+    assert len(table) == len(tuples) == len(degrees)
     for mono, i in table.items():
         assert tuples[i] is mono and degrees[i] == mono_degree(mono), (mono, i)
+    assert len(basis._left_actions) == len(basis)
+    items = _memo_items(basis)
+    assert len(basis._mono_mono_cache) == len(items)
     stored = 0
-    for key, image in basis._mono_mono_cache.items():
-        assert 0 < key >> ID_BITS < len(tuples), key
-        assert 0 < key & ((1 << ID_BITS) - 1) < len(tuples), key
+    for g, b, image in items:
+        assert type(b) is int and 0 < b < len(tuples), (g, b)
+        assert tuples[b][0][0] < g, (g, tuples[b])
         ids, ints = image[::2], image[1::2]
         assert len(ids) == len(ints) == len(set(ids)), image
         assert all(type(m) is int and 0 <= m < len(tuples) for m in ids), image
@@ -266,8 +322,10 @@ def _check_table(basis):
 def test_memo_shares_one_object_per_monomial():
     # Each distinct monomial has one id, also when the caller passes a tuple
     # of its own, and each id one tuple: () is id 0 and ((g, 1),) is id
-    # g + 1.  The memo stores ids, never tuples.
+    # g + 1, and a fresh basis holds no other, whatever other bases have
+    # interned.  The memo stores ids, never tuples.
     basis = _fresh(make_upq(2, 1).basis, "interned")
+    assert basis._mono_tuples == [()] + [((g, 1),) for g in range(len(basis))]
     rng = random.Random(109)
     monos = [word_mono(sorted(rng.randrange(len(basis)) for _ in range(deg)))
              for deg in (1, 1, 1, 2, 2, 3, 3, 3)]
@@ -281,19 +339,22 @@ def test_memo_shares_one_object_per_monomial():
         assert basis.mono_id(tuple(list(mono))) == basis._monomials[mono], mono
     stored = _check_table(basis)
     # Some monomial is stored more than once, each time as its one id.
-    memo = basis._mono_mono_cache
-    shared = {m for image in memo.values() for m in image[::2]}
-    assert memo and len(shared) < stored
+    images = [image for _g, _b, image in _memo_items(basis)]
+    shared = {m for image in images for m in image[::2]}
+    assert images and len(shared) < stored
 
 
 def test_each_basis_numbers_its_own_monomials():
     # A fresh basis numbers only () and its generators, whatever other
-    # bases have interned; a larger basis built after a smaller one keeps
+    # bases have interned: a monomial interned on one fresh basis is not in
+    # the table of another.  A larger basis built after a smaller one keeps
     # ((g, 1),) at id g + 1 and multiplies as the rewriter does.
     small = _fresh(make_algebra("gl", 2).basis, "own-small")
     small.mul_monos(small.mono_id(((0, 2), (3, 1))), small.mono_id(((1, 1), (2, 2))))
     assert len(small._monomials) > len(small) + 1
     large = _fresh(make_algebra("gl", 3).basis, "own-large")
+    assert ((0, 2), (3, 1)) in small._monomials
+    assert ((0, 2), (3, 1)) not in large._monomials
     assert large._mono_tuples == [()] + [((g, 1),) for g in range(len(large))]
     rng = random.Random(113)
     for _ in range(20):
@@ -301,23 +362,6 @@ def test_each_basis_numbers_its_own_monomials():
         assert (_word_coefficients(large, word)
                 == naive_normal_order(large, word)), word
     _check_table(large)
-
-
-def test_monomial_ids_never_reach_the_key_width(monkeypatch):
-    # The memo key packs two ids of ID_BITS bits each, so a new id at
-    # 2**ID_BITS raises rather than sharing a key; checked with the width
-    # lowered, on a basis of 4 generators (ids 0..4 at construction).
-    monkeypatch.setattr(pbw, "ID_BITS", 3)
-    basis = _fresh(make_algebra("gl", 2).basis, "narrow")
-    for power in range(2, 5):
-        basis.mono_id(((0, power),))
-    assert len(basis._monomials) == 8
-    with pytest.raises(OverflowError, match=r"more than 2\*\*3 monomials"):
-        basis.mono_id(((0, 5),))
-    assert len(basis._monomials) == len(basis._mono_tuples) == 8
-    assert basis.mono_id(((0, 4),)) == 7
-    with pytest.raises(OverflowError):
-        basis.mul_monos(basis.mono_id(((0, 2),)), basis.mono_id(((0, 3),)))
 
 
 def _is_canonical(coeff, ring):
@@ -499,8 +543,11 @@ def test_benchmark_tracer_hooks_resolve():
         cls = getattr(importlib.import_module(f"huaops.{layer}"), cls_name)
         assert method in vars(cls), qualified
     fresh = _fresh(make_algebra("gl", 2).basis, "fresh")
-    for cache in ("_mono_gen_cache", "_mono_mono_cache", "_conversion_cache"):
-        assert getattr(fresh, cache) == {}, cache
+    assert fresh._mono_gen_cache == fresh._conversion_cache == {}
+    # The tracer reads only the len of this one, the products stored now.
+    assert len(fresh._mono_mono_cache) == 0
+    fresh.mul_monos(fresh.mono_id(((1, 1),)), fresh.mono_id(((0, 2),)))
+    assert len(fresh._mono_mono_cache) == len(_memo_items(fresh)) > 0
 
 
 def _unit(i, j):

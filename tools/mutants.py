@@ -68,6 +68,7 @@ PRODUCTS = ("tests/test_pbw.py::test_monomial_products_match_naive_rewriter",
             f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]",
             f"{GOLDEN}[verify gl-lemma --n 3 --m 3]")
 READ_OFF = "tests/test_pbw.py::test_in_order_products_are_read_off_and_not_stored"
+LONGER = "tests/test_pbw.py::test_longer_products_match_naive_rewriter"
 INTERNED = "tests/test_pbw.py::test_memo_shares_one_object_per_monomial"
 OWN_TABLE = "tests/test_pbw.py::test_each_basis_numbers_its_own_monomials"
 NORMAL_FORM = ("tests/test_pbw.py::"
@@ -366,8 +367,8 @@ MUTANTS: Tuple[Mutant, ...] = (
            "                                {g: -v for g, v in character.items()})",
            (CONVERSION, "tests/test_golden.py::test_reduce_of_the_export_digest",
             "tests/test_golden.py::test_reduce_of_the_benchmark_export_digest")),
-    # One id table per basis, its degrees, the packed memo key, and the
-    # flat accumulator.
+    # One id table per basis, its degrees, one memo dict per generator, the
+    # back peel of a longer left factor, and the flat accumulator.
     Mutant("one-id-table-for-two-bases", "src/huaops/pbw.py",
            "        self._monomials: Dict[Monomial, int] = {}\n"
            "        self._mono_tuples: List[Monomial] = []\n"
@@ -382,9 +383,22 @@ MUTANTS: Tuple[Mutant, ...] = (
             "tests/test_pbw.py::test_left_action_matches_naive_rewriter",
             f"{GOLDEN}[verify upq-theorem --p 2 --q 1 --blocks 1]")),
     Mutant("memo-key-drops-a", "src/huaops/pbw.py",
-           "key = a << ID_BITS | b",
-           "key = b",
-           PRODUCTS + ("tests/test_pbw.py::test_left_action_matches_naive_rewriter",)),
+           "memo = self._left_actions[g]",
+           "memo = self._left_actions[h]",
+           PRODUCTS + (LONGER,)),
+    Mutant("one-memo-for-every-generator", "src/huaops/pbw.py",
+           "= [\n            {} for _ in generators]",
+           "= [{}] * len(generators)",
+           PRODUCTS + (LONGER, NORMAL_FORM)),
+    # Not the left-action test, whose products all have a single-generator
+    # left factor, nor the (2,1) theorem digest, which this mutant leaves
+    # unchanged.
+    Mutant("back-peel-drops-the-whole-last-power", "src/huaops/pbw.py",
+           "left = self.mono_id(ta[:-1] + ((g, e - 1),) if e > 1 else ta[:-1])",
+           "left = self.mono_id(ta[:-1])",
+           tuple(t for t in PRODUCTS
+                 if "left_action" not in t and "upq-theorem" not in t)
+           + (LONGER,)),
     Mutant("flat-accumulator-keeps-zero", "src/huaops/pbw.py",
            "            if k:\n                nums = gathered.get(m)",
            "            if True:\n                nums = gathered.get(m)",
